@@ -58,8 +58,8 @@
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
 use gramer::{
-    preprocess, EpochMode, GramerConfig, MemoMode, PreprocessCache, Preprocessed, RunReport,
-    SimError, Simulator,
+    preprocess, GramerConfig, MemoMode, PreprocessCache, Preprocessed, RunReport, SimError,
+    Simulator,
 };
 use gramer_graph::datasets::Dataset;
 use gramer_graph::CsrGraph;
@@ -67,7 +67,7 @@ use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
 use gramer_mining::EcmApp;
 use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 pub mod perf;
@@ -315,13 +315,6 @@ pub fn take_point_telemetry() -> Option<JsonValue> {
     POINT_TELEMETRY.with(|t| t.borrow_mut().take())
 }
 
-/// Process-wide epoch-engine override for [`run_gramer`] (set from the
-/// sweep runner's `--epoch` flag): `0` = keep each point's configured
-/// mode, `1` = force [`EpochMode::On`], `2` = force [`EpochMode::Off`].
-/// Host-side only — both modes are bit-identical — so forcing it never
-/// changes a sweep's simulated results, only how fast they arrive.
-static EPOCH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
 /// Process-wide `sim_threads` override for [`run_gramer`] (set from the
 /// sweep runner's `--sim-threads` flag); `0` = keep each point's
 /// configured value.
@@ -330,28 +323,17 @@ static SIM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide memo-table override for [`run_gramer`] (set from the
 /// sweep runner's `--memo` flag): `0` = keep each point's configured
 /// mode, `1` = force [`MemoMode::Off`], any other value = force
-/// [`MemoMode::On`] with that byte budget. Unlike `--epoch` /
-/// `--sim-threads` this is a *model* change — cycles, memory traffic
-/// and energy legitimately move — but mining results stay bit-identical
-/// (the memo only skips probes whose outcome is already known).
+/// [`MemoMode::On`] with that byte budget. Unlike `--sim-threads` this
+/// is a *model* change — cycles, memory traffic and energy legitimately
+/// move — but mining results stay bit-identical (the memo only skips
+/// probes whose outcome is already known).
 static MEMO_OVERRIDE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Installs (or clears, with `None`s) the engine overrides subsequent
 /// [`run_gramer`] calls apply on top of each point's config. Driven by
-/// the sweep runner's `--epoch` / `--sim-threads` / `--memo` flags; by
-/// default no override is active and every point runs exactly as
-/// declared.
-pub fn set_engine_overrides(
-    epoch: Option<EpochMode>,
-    sim_threads: Option<usize>,
-    memo: Option<MemoMode>,
-) {
-    let tag = match epoch {
-        None => 0,
-        Some(EpochMode::On) => 1,
-        Some(EpochMode::Off) => 2,
-    };
-    EPOCH_OVERRIDE.store(tag, Ordering::Relaxed);
+/// the sweep runner's `--sim-threads` / `--memo` flags; by default no
+/// override is active and every point runs exactly as declared.
+pub fn set_engine_overrides(sim_threads: Option<usize>, memo: Option<MemoMode>) {
     SIM_THREADS_OVERRIDE.store(sim_threads.unwrap_or(0), Ordering::Relaxed);
     // Byte budgets are always >= MEMO_ENTRY_BYTES (> 1), so 0 and 1 are
     // free as "no override" / "force off" sentinels.
@@ -365,11 +347,6 @@ pub fn set_engine_overrides(
 
 /// Applies the active engine overrides to one point's config.
 fn apply_engine_overrides(config: &mut GramerConfig) {
-    match EPOCH_OVERRIDE.load(Ordering::Relaxed) {
-        1 => config.epoch = EpochMode::On,
-        2 => config.epoch = EpochMode::Off,
-        _ => {}
-    }
     let threads = SIM_THREADS_OVERRIDE.load(Ordering::Relaxed);
     if threads != 0 {
         config.sim_threads = threads;
@@ -451,10 +428,6 @@ pub struct SweepArgs {
     /// Directory of the on-disk `.gra` preprocessing cache
     /// ([`set_artifact_cache`]); `None` preprocesses inline per point.
     pub artifact_cache: Option<PathBuf>,
-    /// Force every point's inner-loop engine ([`set_engine_overrides`]);
-    /// `None` keeps each point's declared mode. Host-side only, never
-    /// changes simulated results.
-    pub epoch: Option<EpochMode>,
     /// Force every point's `sim_threads` ([`set_engine_overrides`]);
     /// `None` keeps each point's declared value.
     pub sim_threads: Option<usize>,
@@ -480,8 +453,6 @@ Options:
   --artifact-cache DIR memoize preprocessing in DIR as .gra artifacts
                        (keyed by graph digest + tau/budget knobs; reused
                        across runs; simulated results are unchanged)
-  --epoch on|off       force every point's inner-loop engine (host-side
-                       only; both modes are bit-identical)
   --sim-threads N      force every point's sim_threads config knob
                        (host-side cell parallelism; results unchanged)
   --memo on|off|BYTES  force every point's memo-table mode (a model
@@ -510,7 +481,6 @@ impl Default for SweepArgs {
             journal: None,
             metrics: false,
             artifact_cache: None,
-            epoch: None,
             sim_threads: None,
             memo: None,
         }
@@ -582,7 +552,6 @@ impl SweepArgs {
                 "--journal" => parsed.journal = Some(PathBuf::from(value(&mut it)?)),
                 "--metrics" => parsed.metrics = true,
                 "--artifact-cache" => parsed.artifact_cache = Some(PathBuf::from(value(&mut it)?)),
-                "--epoch" => parsed.epoch = Some(value(&mut it)?.parse()?),
                 "--sim-threads" => {
                     let v = value(&mut it)?;
                     parsed.sim_threads = Some(
@@ -702,11 +671,9 @@ mod tests {
         assert_eq!(b.jobs, 2);
         assert_eq!(b.json, Some(PathBuf::from("out.json")));
 
-        let c = SweepArgs::try_parse(&["--epoch", "off", "--sim-threads=4"]).unwrap();
-        assert_eq!(c.epoch, Some(EpochMode::Off));
+        let c = SweepArgs::try_parse(&["--sim-threads=4"]).unwrap();
         assert_eq!(c.sim_threads, Some(4));
-        assert_eq!(SweepArgs::default().epoch, None);
-        assert!(SweepArgs::try_parse(&["--epoch", "fast"]).is_err());
+        assert_eq!(SweepArgs::default().sim_threads, None);
         assert!(SweepArgs::try_parse(&["--sim-threads", "0"]).is_err());
         assert!(SweepArgs::try_parse(&["--sim-threads", "65"]).is_err());
 
@@ -727,9 +694,9 @@ mod tests {
         let app = CliqueFinding::new(4).expect("valid k");
         let base = run_gramer(&g, &app, GramerConfig::default()).unwrap();
         assert!(base.memo.is_none());
-        set_engine_overrides(None, None, Some(MemoMode::On { bytes: 1 << 16 }));
+        set_engine_overrides(None, Some(MemoMode::On { bytes: 1 << 16 }));
         let memo = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        set_engine_overrides(None, None, None);
+        set_engine_overrides(None, None);
         let stats = memo.memo.expect("override forced the memo on");
         assert!(stats.hits > 0, "4-CF on a BA graph must repeat probes");
         assert_eq!(

@@ -6,19 +6,20 @@
 //! robust to scheduler noise, while the *simulated* quantities are
 //! asserted identical across repeats before the document is built.
 //!
-//! Schema (`schema_version: 4` — v3 added the `epoch`/`sim_threads`
+//! Schema (`schema_version: 5` — v3 added the `epoch`/`sim_threads`
 //! engine knobs per workload; v4 added the `memo` knob and the
-//! `memo_hits` simulated counter):
+//! `memo_hits` simulated counter; v5 dropped the `epoch` key with the
+//! second engine):
 //!
 //! ```json
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "bench": "core",
 //!   "git_rev": "abc1234",
 //!   "quick": false,
 //!   "repeats": 3,
 //!   "workloads": [
-//!     { "name": "BA(3000,4)x4-CF", "epoch": "on", "sim_threads": 1,
+//!     { "name": "BA(3000,4)x4-CF", "sim_threads": 1,
 //!       "memo": "off", "memo_hits": 0,
 //!       "wall_seconds_median": 0.0, "wall_seconds_best": 0.0,
 //!       "steps_per_sec_median": 0.0, "steps_per_sec_best": 0.0,
@@ -43,17 +44,12 @@ use gramer::RunReport;
 pub struct WorkloadRuns {
     /// Workload cell name (e.g. `"BA(3000,4)x4-CF"`).
     pub name: &'static str,
-    /// Inner-loop engine the cell ran under (`"on"` = epoch-batched,
-    /// `"off"` = reference interleaving). Recorded so the trajectory
-    /// stays interpretable: a number is only comparable to numbers
-    /// measured under the same engine.
-    pub epoch: &'static str,
     /// `sim_threads` the cell ran under. The pinned cells are measured
     /// serially (CI has one CPU), so this is 1 unless the binary was
     /// invoked with `--sim-threads`.
     pub sim_threads: u64,
     /// Memo-table mode the cell ran under: `"off"` or the byte budget
-    /// in decimal. Unlike `epoch`/`sim_threads` this is a model knob —
+    /// in decimal. Unlike `sim_threads` this is a model knob —
     /// cells with different `memo` values have legitimately different
     /// `cycles`, so the drift check only ever compares same-name cells.
     pub memo: String,
@@ -108,7 +104,6 @@ pub fn perf_document(
         let steps = w.report.steps as f64;
         JsonValue::object([
             ("name", JsonValue::from(w.name)),
-            ("epoch", JsonValue::from(w.epoch)),
             ("sim_threads", JsonValue::from(w.sim_threads)),
             ("memo", JsonValue::from(w.memo.as_str())),
             (
@@ -131,7 +126,7 @@ pub fn perf_document(
         ])
     });
     let doc = JsonValue::object([
-        ("schema_version", JsonValue::from(4u64)),
+        ("schema_version", JsonValue::from(5u64)),
         ("bench", JsonValue::from("core")),
         ("git_rev", JsonValue::from(git_rev)),
         ("quick", JsonValue::from(quick)),
@@ -278,7 +273,7 @@ mod tests {
     fn document_is_parseable_and_carries_schema() {
         let text = perf_document("deadbee", false, 3, &[], 1234);
         let doc = JsonValue::parse(text.trim()).unwrap();
-        assert_eq!(doc.get("schema_version"), Some(&JsonValue::UInt(4)));
+        assert_eq!(doc.get("schema_version"), Some(&JsonValue::UInt(5)));
         assert_eq!(doc.get("git_rev"), Some(&JsonValue::Str("deadbee".into())));
         assert_eq!(doc.get("repeats"), Some(&JsonValue::UInt(3)));
         assert_eq!(doc.get("peak_rss_kb"), Some(&JsonValue::UInt(1234)));
@@ -300,7 +295,6 @@ mod tests {
             .unwrap();
         let w = WorkloadRuns {
             name: "W",
-            epoch: "off",
             sim_threads: 4,
             memo: "65536".to_string(),
             walls: vec![0.5],
@@ -312,7 +306,6 @@ mod tests {
             Some(JsonValue::Array(a)) => a.clone(),
             other => panic!("workloads missing: {other:?}"),
         };
-        assert_eq!(cells[0].get("epoch"), Some(&JsonValue::Str("off".into())));
         assert_eq!(cells[0].get("sim_threads"), Some(&JsonValue::UInt(4)));
         assert_eq!(cells[0].get("memo"), Some(&JsonValue::Str("65536".into())));
         // The cell ran with NoMemo, so the pinned counter is zero.

@@ -357,7 +357,7 @@ impl<'a> Sweep<'a> {
             std::process::exit(0);
         }
         crate::set_metrics_enabled(args.metrics);
-        crate::set_engine_overrides(args.epoch, args.sim_threads, args.memo);
+        crate::set_engine_overrides(args.sim_threads, args.memo);
         if let Err(e) = crate::set_artifact_cache(args.artifact_cache.as_deref()) {
             eprintln!(
                 "[{}] warning: --artifact-cache disabled ({e}); preprocessing inline",

@@ -7,7 +7,7 @@
 //!             [--query SPEC|@FILE]
 //!             [--cache DIR] [--pus N] [--slots N] [--tau F] [--budget-frac F]
 //!             [--lambda F] [--no-steal] [--access-path fast|exact]
-//!             [--epoch on|off] [--sim-threads N] [--memo on|off|BYTES]
+//!             [--sim-threads N] [--memo on|off|BYTES]
 //!             [--adaptive-lambda] [--repin] [--counts]
 //!             [--json PATH] [--metrics-out PATH] [--metrics-summary]
 //!             [--metrics-window N]
@@ -45,10 +45,6 @@
 //! `gramer::shard`). With a multi-app list `--json` writes a JSON *array*
 //! of `RunReport` documents (list order), and the `--metrics-*` flags are
 //! rejected: telemetry attaches to exactly one simulation.
-//!
-//! `--epoch off` selects the reference event-queue interleaving instead of
-//! the default epoch-batched engine — also host-side only, bit-identical
-//! either way (the golden-matrix tests assert it).
 //!
 //! `--memo on` (or `--memo BYTES` for an explicit byte budget) enables the
 //! recurrent-pattern memo: a byte-budgeted LRU table that caches pairwise
@@ -117,7 +113,7 @@ fn usage() -> ! {
         "usage: gramer-mine <edge-list | --demo | --artifact PATH> \
          --app <3-cf|4-cf|5-cf|3-mc|4-mc|fsm:<t>>[,<app>...] \\\n         [--query SPEC|@FILE] \
          [--cache DIR] \
-         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--access-path fast|exact] [--epoch on|off] [--sim-threads N] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
+         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--access-path fast|exact] [--sim-threads N] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
     );
     std::process::exit(2)
 }
@@ -170,12 +166,6 @@ fn parse_args() -> Options {
                         eprintln!("{e}");
                         usage()
                     })
-            }
-            "--epoch" => {
-                opts.config.epoch = value("--epoch").parse().unwrap_or_else(|e: String| {
-                    eprintln!("{e}");
-                    usage()
-                })
             }
             "--sim-threads" => sim_threads = Some(parse_num(&value("--sim-threads"))),
             "--memo" => {

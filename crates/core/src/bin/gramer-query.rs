@@ -4,8 +4,8 @@
 //! ```text
 //! gramer-query [--gen SPEC | <edge-list>] [--labels K:SEED]
 //!              --query SPEC|@FILE [--pus N] [--slots N]
-//!              [--access-path fast|exact] [--epoch on|off]
-//!              [--memo on|off|BYTES] [--json PATH]
+//!              [--access-path fast|exact] [--memo on|off|BYTES]
+//!              [--json PATH]
 //! ```
 //!
 //! Runs the same labeled query twice over the same preprocessed graph —
@@ -50,7 +50,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: gramer-query [--gen SPEC | <edge-list>] [--labels K:SEED] \
          --query SPEC|@FILE \\\n         [--pus N] [--slots N] [--access-path fast|exact] \
-         [--epoch on|off] [--memo on|off|BYTES] [--json PATH]"
+         [--memo on|off|BYTES] [--json PATH]"
     );
     std::process::exit(2)
 }
@@ -110,12 +110,6 @@ fn parse_args() -> Options {
                         eprintln!("{e}");
                         usage()
                     })
-            }
-            "--epoch" => {
-                opts.config.epoch = value("--epoch").parse().unwrap_or_else(|e: String| {
-                    eprintln!("{e}");
-                    usage()
-                })
             }
             "--memo" => {
                 opts.config.memo = value("--memo").parse().unwrap_or_else(|e: String| {

@@ -47,81 +47,15 @@ pub enum MemoryMode {
     UniformLru,
 }
 
-/// Which event-queue implementation drives the simulator's inner loop.
-///
-/// Purely a *host-side* choice: both queues pop events in the identical
-/// total order (strictly ascending `(time, slot)`), so simulated cycle
-/// counts, memory statistics and mining results are scheduler-invariant —
-/// a guarantee enforced by the golden-config equivalence tests. The
-/// calendar queue is the fast default; the heap is retained as a
-/// cross-check (`--scheduler=heap` in the experiment bins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Calendar/bucket queue: O(1) push/pop for near-future events.
-    #[default]
-    Calendar,
-    /// Binary min-heap: the reference implementation.
-    Heap,
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "calendar" => Ok(Scheduler::Calendar),
-            "heap" => Ok(Scheduler::Heap),
-            other => Err(format!(
-                "unknown scheduler {other:?} (expected \"calendar\" or \"heap\")"
-            )),
-        }
-    }
-}
-
-/// Whether the simulator's inner loop runs the epoch-batched engine.
-///
-/// Like [`Scheduler`] and [`AccessPath`], purely a *host-side* choice:
-/// the epoch engine drains each simulated cycle's pending slot work in
-/// cache-friendly per-PU batches and lets a lone runnable slot advance
-/// without queue traffic under a conservative horizon, but executes the
-/// exact same `(time, slot)` sequence as the reference interleaving.
-/// Every simulated quantity is bit-identical either way — proven by the
-/// `epoch_matches_interleaved` property test and the golden matrix.
-/// `Off` keeps the reference event-queue interleaving reachable,
-/// mirroring `--access-path=exact`; the [`Scheduler`] knob selects the
-/// reference queue implementation only in that mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EpochMode {
-    /// Epoch-batched per-PU execution: the fast default.
-    #[default]
-    On,
-    /// Reference event-queue interleaving (escape hatch).
-    Off,
-}
-
-impl std::str::FromStr for EpochMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "on" => Ok(EpochMode::On),
-            "off" => Ok(EpochMode::Off),
-            other => Err(format!(
-                "unknown epoch mode {other:?} (expected \"on\" or \"off\")"
-            )),
-        }
-    }
-}
-
 /// Recurrent-pattern memoization of the pairwise connectivity probe.
 ///
-/// Unlike [`Scheduler`] / [`AccessPath`] / [`EpochMode`], this is a
-/// *modeled hardware structure*, not a host-side engine choice: enabling
-/// it legitimately changes simulated cycles, memory statistics and DRAM
-/// traffic (a memo hit skips one vertex access and two edge probes and
-/// pays a modeled lookup instead). Mined results — embeddings, candidate
-/// counts, pattern counts — are bit-identical either way, because the
-/// memo caches a pure function of the immutable graph. `Off` is the
+/// Unlike [`AccessPath`], this is a *modeled hardware structure*, not a
+/// host-side engine choice: enabling it legitimately changes simulated
+/// cycles, memory statistics and DRAM traffic (a memo hit skips one
+/// vertex access and two edge probes and pays a modeled lookup
+/// instead). Mined results — embeddings, candidate counts, pattern
+/// counts — are bit-identical either way, because the memo caches a
+/// pure function of the immutable graph. `Off` is the
 /// reference path and is asserted to perform zero memo work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoMode {
@@ -167,6 +101,12 @@ impl std::str::FromStr for MemoMode {
 
 /// Upper bound accepted for [`GramerConfig::sim_threads`].
 pub const MAX_SIM_THREADS: usize = 64;
+
+/// Upper bound accepted for `num_pus × slots_per_pu`. The simulator
+/// allocates per-slot state up front, so an unbounded product aborts the
+/// process on allocation instead of failing validation; the largest
+/// configuration anything in the repository models is 8 × 64.
+pub const MAX_TOTAL_SLOTS: usize = 1 << 16;
 
 /// Configuration of the GRAMER accelerator.
 ///
@@ -219,18 +159,11 @@ pub struct GramerConfig {
     pub setup_seconds: f64,
     /// Host-to-card transfer bandwidth in bytes/second (PCIe Gen3 x16).
     pub pcie_bandwidth: f64,
-    /// Event-queue implementation of the simulator's inner loop. Affects
-    /// host throughput only, never simulated results (see [`Scheduler`]).
-    pub scheduler: Scheduler,
-    /// Timed-access engine of the memory subsystem. Like [`Scheduler`], a
-    /// host-side choice only: the fast path is bit-exact against the
-    /// exact path on every simulated quantity (`--access-path=exact` in
-    /// the experiment bins selects the reference machinery).
+    /// Timed-access engine of the memory subsystem. A host-side choice
+    /// only: the fast path is bit-exact against the exact path on every
+    /// simulated quantity (`--access-path=exact` in the experiment bins
+    /// selects the reference machinery).
     pub access_path: AccessPath,
-    /// Inner-loop engine: epoch-batched per-PU execution (default) or
-    /// the reference event-queue interleaving. Host throughput only,
-    /// never simulated results (see [`EpochMode`]).
-    pub epoch: EpochMode,
     /// Host threads for running *independent* simulation cells in
     /// parallel (see [`crate::shard`]). A single simulation cell is
     /// always executed serially, so this knob never affects simulated
@@ -278,9 +211,7 @@ impl Default for GramerConfig {
             next_line_prefetch: false,
             setup_seconds: 5e-3,
             pcie_bandwidth: 12e9,
-            scheduler: Scheduler::default(),
             access_path: AccessPath::default(),
-            epoch: EpochMode::default(),
             sim_threads: 1,
             memo: MemoMode::Off,
             adaptive_lambda: false,
@@ -294,15 +225,24 @@ impl GramerConfig {
     /// [`crate::preprocess`].
     ///
     /// Returns the first violated invariant as a typed [`ConfigError`]
-    /// (degenerate configurations: zero PUs/slots/partitions, non-positive
-    /// clock, λ < 0, τ outside `(0, 0.5]`, fractional budget outside
-    /// `[0, 1]`).
+    /// (degenerate configurations: zero PUs/slots/partitions, more than
+    /// [`MAX_TOTAL_SLOTS`] slots in total, non-positive clock, λ < 0, τ
+    /// outside `(0, 0.5]`, fractional budget outside `[0, 1]`).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_pus == 0 {
             return Err(ConfigError::ZeroPus);
         }
         if self.slots_per_pu == 0 {
             return Err(ConfigError::ZeroSlots);
+        }
+        match self.num_pus.checked_mul(self.slots_per_pu) {
+            Some(total) if total <= MAX_TOTAL_SLOTS => {}
+            _ => {
+                return Err(ConfigError::TooManySlots {
+                    num_pus: self.num_pus,
+                    slots_per_pu: self.slots_per_pu,
+                })
+            }
         }
         if self.ancestor_depth < 2 {
             return Err(ConfigError::AncestorDepthTooSmall(self.ancestor_depth));
@@ -456,11 +396,41 @@ mod tests {
     }
 
     #[test]
-    fn epoch_mode_parses() {
-        assert_eq!("on".parse::<EpochMode>(), Ok(EpochMode::On));
-        assert_eq!("off".parse::<EpochMode>(), Ok(EpochMode::Off));
-        assert!("fast".parse::<EpochMode>().is_err());
-        assert_eq!(EpochMode::default(), EpochMode::On);
+    fn total_slots_bounded() {
+        for (num_pus, slots_per_pu) in [
+            (100_000, 100_000),
+            (MAX_TOTAL_SLOTS + 1, 1),
+            (2, MAX_TOTAL_SLOTS / 2 + 1),
+            // The product overflows `usize`.
+            (usize::MAX, 2),
+            (1 << (usize::BITS / 2), 1 << (usize::BITS / 2)),
+        ] {
+            let c = GramerConfig {
+                num_pus,
+                slots_per_pu,
+                ..GramerConfig::default()
+            };
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::TooManySlots {
+                    num_pus,
+                    slots_per_pu
+                })
+            );
+            assert_eq!(
+                c.validate().map_err(|e| e.kind()),
+                Err("config-too-many-slots")
+            );
+        }
+        for (num_pus, slots_per_pu) in [(1, MAX_TOTAL_SLOTS), (8, 64), (MAX_TOTAL_SLOTS, 1)] {
+            GramerConfig {
+                num_pus,
+                slots_per_pu,
+                ..GramerConfig::default()
+            }
+            .validate()
+            .unwrap();
+        }
     }
 
     #[test]

@@ -26,6 +26,14 @@ pub enum ConfigError {
     ZeroPus,
     /// `slots_per_pu == 0`.
     ZeroSlots,
+    /// `num_pus × slots_per_pu` exceeds [`crate::config::MAX_TOTAL_SLOTS`]
+    /// (or overflows `usize`).
+    TooManySlots {
+        /// The configured `num_pus`.
+        num_pus: usize,
+        /// The configured `slots_per_pu`.
+        slots_per_pu: usize,
+    },
     /// `partitions == 0`.
     ZeroPartitions,
     /// `ancestor_depth < 2`.
@@ -61,6 +69,7 @@ impl ConfigError {
             ConfigError::BadFraction(_) => "config-bad-fraction",
             ConfigError::ZeroPus => "config-zero-pus",
             ConfigError::ZeroSlots => "config-zero-slots",
+            ConfigError::TooManySlots { .. } => "config-too-many-slots",
             ConfigError::ZeroPartitions => "config-zero-partitions",
             ConfigError::AncestorDepthTooSmall(_) => "config-ancestor-depth",
             ConfigError::BadClock(_) => "config-bad-clock",
@@ -81,6 +90,14 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroPus => write!(f, "need at least one PU"),
             ConfigError::ZeroSlots => write!(f, "need at least one slot per PU"),
+            ConfigError::TooManySlots {
+                num_pus,
+                slots_per_pu,
+            } => write!(
+                f,
+                "{num_pus} PUs x {slots_per_pu} slots exceeds the limit of {} slots in total",
+                crate::config::MAX_TOTAL_SLOTS
+            ),
             ConfigError::ZeroPartitions => write!(f, "need at least one memory partition"),
             ConfigError::AncestorDepthTooSmall(d) => {
                 write!(f, "ancestor depth too small: {d} (need >= 2)")

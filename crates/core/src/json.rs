@@ -138,6 +138,14 @@ impl JsonValue {
         }
     }
 
+    /// The value as `bool` if it is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            JsonValue::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
     /// The value as `&str` if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -49,8 +49,7 @@
 
 mod cache;
 mod config;
-#[doc(hidden)]
-pub mod events;
+mod events;
 mod preprocess;
 mod report;
 mod sim;
@@ -66,7 +65,7 @@ pub mod telemetry;
 
 pub use cache::PreprocessCache;
 pub use config::{
-    EpochMode, GramerConfig, MemoMode, MemoryBudget, MemoryMode, Scheduler, MAX_SIM_THREADS,
+    GramerConfig, MemoMode, MemoryBudget, MemoryMode, MAX_SIM_THREADS, MAX_TOTAL_SLOTS,
 };
 pub use error::{ConfigError, SimError};
 pub use gramer_memsim::AccessPath;

@@ -6,12 +6,13 @@
 //! (stop a point that exceeded its budget). Both flow through a
 //! [`ProgressToken`]:
 //!
-//! * the simulator's event loop calls [`tick_n`] once per small batch of
-//!   scheduled steps (the thread-local lookup is hot-path overhead, so
-//!   the simulator amortises it over 256 events), which bumps the token's
-//!   heartbeat counter — the watchdog reads it to report liveness;
+//! * the simulator's event loop hoists the installed token out of the
+//!   thread-local once per run ([`current`]) and calls
+//!   [`ProgressToken::checkpoint`] once per 256 events, which bumps the
+//!   token's heartbeat counter — the watchdog reads it to report
+//!   liveness;
 //! * when the watchdog decides a point is over budget it calls
-//!   [`ProgressToken::cancel`]; the *next* [`tick`]/[`tick_n`] on the
+//!   [`ProgressToken::cancel`]; the *next* [`tick`] or checkpoint on the
 //!   simulating thread unwinds with a [`Cancelled`] payload, which the
 //!   sweep runner's panic quarantine converts into a structured
 //!   `timed_out` record.
@@ -54,13 +55,13 @@ impl ProgressToken {
     }
 
     /// Records `n` units of forward progress directly on this token —
-    /// [`tick_n`] without the thread-local lookup.
+    /// `n` [`tick`]s without the thread-local lookup.
     ///
     /// The epoch-batched simulator loop clones the installed token out
     /// of the thread-local once per run ([`current`]) and then
     /// checkpoints against it: an epoch boundary is a plain relaxed
     /// load, which keeps the watchdog's cancellation-latency bound (at
-    /// least one check per epoch) essentially free. Like [`tick_n`],
+    /// least one check per epoch) essentially free. Like [`tick`],
     /// unwinds with a [`Cancelled`] payload — before bumping the
     /// heartbeat — when cancellation has been requested; `checkpoint(0)`
     /// is a pure cancellation check.
@@ -121,7 +122,7 @@ pub fn install(token: ProgressToken) -> InstallGuard {
 /// A clone of the current thread's installed token, if any.
 ///
 /// Long-running loops hoist this out of the thread-local once and call
-/// [`ProgressToken::checkpoint`] instead of paying the [`tick_n`] lookup
+/// [`ProgressToken::checkpoint`] instead of paying the [`tick`] lookup
 /// per batch. The clone shares the installed token's counters, so the
 /// watchdog observes heartbeats and delivers cancellation identically.
 pub fn current() -> Option<ProgressToken> {
@@ -135,27 +136,9 @@ pub fn current() -> Option<ProgressToken> {
 /// payload instead of returning.
 #[inline]
 pub fn tick() {
-    tick_n(1);
-}
-
-/// Records `n` units of forward progress in one heartbeat update.
-///
-/// Semantically equivalent to calling [`tick`] `n` times, but with a
-/// single thread-local lookup, cancellation check, and atomic add — the
-/// simulator uses this to amortise progress reporting over batches of
-/// scheduled events. `tick_n(0)` still performs the cancellation check.
-///
-/// No-op when no token is installed. If the installed token has been
-/// [cancelled](ProgressToken::cancel), unwinds with a [`Cancelled`]
-/// payload instead of returning.
-#[inline]
-pub fn tick_n(n: u64) {
     CURRENT.with(|c| {
         if let Some(tok) = c.borrow().as_ref() {
-            if tok.cancel.load(Ordering::Relaxed) {
-                std::panic::panic_any(Cancelled);
-            }
-            tok.heartbeat.fetch_add(n, Ordering::Relaxed);
+            tok.checkpoint(1);
         }
     });
 }
@@ -208,16 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn tick_n_batches_heartbeat_and_checks_cancel() {
+    fn checkpoint_batches_heartbeat_and_checks_cancel() {
         let tok = ProgressToken::new();
         let watcher = tok.clone();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = install(tok);
-            tick_n(256);
-            tick_n(0); // cancel check only, no heartbeat change
+            tok.checkpoint(256);
+            tok.checkpoint(0); // cancel check only, no heartbeat change
             watcher.cancel();
-            tick_n(0); // unwinds here despite the zero batch
-            unreachable!("tick_n after cancel must not return");
+            tok.checkpoint(0); // unwinds here despite the zero batch
+            unreachable!("checkpoint after cancel must not return");
         }));
         assert!(caught.is_err());
         assert_eq!(watcher.heartbeat(), 256);

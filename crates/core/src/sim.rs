@@ -1,6 +1,6 @@
-use crate::config::{EpochMode, GramerConfig, MemoMode, MemoryMode, Scheduler};
+use crate::config::{GramerConfig, MemoMode, MemoryMode};
 use crate::error::{ConfigError, SimError};
-use crate::events::{CalendarQueue, EventQueue, HeapQueue, SlotCalendar};
+use crate::events::SlotCalendar;
 use crate::preprocess::Preprocessed;
 use crate::progress;
 use crate::report::QueryRunStats;
@@ -14,7 +14,8 @@ use gramer_mining::{
     MemoStats, MiningResult, NoFilter, NoMemo, PairMemoTable, PatternCounts, PatternInterner,
     QueryApp, Step, Tee,
 };
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cycles an idle slot waits before re-checking for stealable work.
 const IDLE_RETRY_CYCLES: u64 = 32;
@@ -24,7 +25,7 @@ const STEAL_PENALTY_CYCLES: u64 = 2;
 /// Executed events per heartbeat flush. The thread-local lookup in
 /// `tick` costs as much as several queue operations, so the event loop
 /// batches it; cancellation latency stays well under a millisecond at
-/// any realistic event rate. The epoch driver additionally checks for
+/// any realistic event rate. The engine additionally checks for
 /// cancellation at every epoch boundary (a single relaxed load on a
 /// hoisted token), so the watchdog's latency bound never degrades to
 /// "once per batch" even on sparse event populations.
@@ -157,14 +158,15 @@ struct RepinState {
     epochs: u32,
 }
 
-/// Everything one run mutates, shared verbatim by the two loop drivers.
+/// Everything one run mutates, shared verbatim by the engine and its
+/// test reference.
 ///
-/// The reference driver ([`Simulator::run_queue`]) and the epoch driver
-/// ([`Simulator::run_epochs`]) differ only in *which order machinery*
+/// The engine ([`Simulator::run_epochs`]) and the heap-order reference
+/// ([`Simulator::run_reference`]) differ only in *which order machinery*
 /// hands `(time, slot)` events to [`RunState::exec_event`]; the event
-/// semantics live here exactly once, so the engines cannot drift apart —
-/// the bit-identity the golden matrix and `epoch_matches_interleaved`
-/// assert is structural, not coincidental.
+/// semantics live here exactly once, so the two cannot drift apart — the
+/// bit-identity the golden and `epoch_matches_interleaved` tests assert
+/// is structural, not coincidental.
 struct RunState<'s, 'p, A: EcmApp> {
     app: &'s A,
     cfg: &'s GramerConfig,
@@ -206,9 +208,9 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
         filter: &mut Q,
     ) -> Option<u64> {
         // Adaptive policies observe window boundaries before the event
-        // executes. Both loop drivers hand over the identical `(t, id)`
-        // sequence, so these checks fire at identical points — the
-        // engine-equivalence guarantee extends to the adaptive paths.
+        // executes. The engine and the reference hand over the identical
+        // `(t, id)` sequence, so these checks fire at identical points —
+        // the engine-equivalence guarantee extends to the adaptive paths.
         if self.adapt.is_some() {
             self.maybe_adapt(t, sink);
         }
@@ -469,7 +471,7 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
 
     /// Seals the run into a [`RunReport`]. `memo` carries the memo
     /// table's lifetime counters when memoization was active (`None` on
-    /// the reference path, which must not have probed at all); `query`
+    /// the `--memo off` path, which must not have probed at all); `query`
     /// likewise carries the candidate filter's counters for filtered
     /// runs.
     fn finish<S: TelemetrySink>(
@@ -722,21 +724,12 @@ impl<'p> Simulator<'p> {
     /// subsystem cannot be built.
     ///
     /// The event loop reports forward progress through
-    /// [`crate::progress`] once per small batch of executed events — and,
-    /// under the epoch engine, at least once per epoch — so a watchdog
-    /// (the sweep runner's per-point timeout) can observe liveness and
-    /// cancel a run cooperatively with negligible hot-path overhead.
-    ///
-    /// Which engine drives the loop is selected by
-    /// [`GramerConfig::epoch`]; under [`EpochMode::Off`],
-    /// [`GramerConfig::scheduler`] picks the reference event-queue
-    /// implementation. All of them execute events in an identical order,
-    /// so the choice affects host throughput only — simulated cycles,
-    /// memory statistics and mining results are bit-for-bit the same
-    /// (asserted by the equivalence tests in `tests/golden.rs` and the
-    /// `epoch_matches_interleaved` property test).
+    /// [`crate::progress`] once per small batch of executed events and
+    /// at least once per epoch, so a watchdog (the sweep runner's
+    /// per-point timeout) can observe liveness and cancel a run
+    /// cooperatively with negligible hot-path overhead.
     pub fn run<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
-        self.dispatch_memo::<A, NullSink>(app, &mut NullSink)
+        self.dispatch(app, &mut NullSink, &mut NoFilter)
     }
 
     /// Runs `app` like [`Simulator::run`] while recording cycle-windowed
@@ -752,7 +745,7 @@ impl<'p> Simulator<'p> {
         app: &A,
         tel: &mut Telemetry,
     ) -> Result<RunReport, SimError> {
-        self.dispatch_memo::<A, Telemetry>(app, tel)
+        self.dispatch(app, tel, &mut NoFilter)
     }
 
     /// Runs a candidate-filtered subgraph query: the LDF → NLF → GQL
@@ -768,7 +761,10 @@ impl<'p> Simulator<'p> {
     /// plus the honest filter-probe cost. The report gains a
     /// [`QueryRunStats`] block.
     pub fn run_query(&self, app: &QueryApp) -> Result<RunReport, SimError> {
-        self.dispatch_query::<NullSink>(app, &mut NullSink)
+        // Candidates are computed over the REORDERED graph — the one the
+        // simulator actually mines.
+        let candidates = CandidateSets::build(&self.pre.graph, app.query());
+        self.dispatch(app, &mut NullSink, &mut CandidateFilter::new(&candidates))
     }
 
     /// [`Simulator::run_query`] with cycle-windowed telemetry (the
@@ -778,146 +774,32 @@ impl<'p> Simulator<'p> {
         app: &QueryApp,
         tel: &mut Telemetry,
     ) -> Result<RunReport, SimError> {
-        self.dispatch_query::<Telemetry>(app, tel)
-    }
-
-    /// Builds the candidate filter for `app`'s query and forks on the
-    /// memo mode, mirroring [`Simulator::dispatch_memo`] with an active
-    /// [`CandidateFilter`] instead of [`NoFilter`].
-    fn dispatch_query<S: TelemetrySink>(
-        &self,
-        app: &QueryApp,
-        sink: &mut S,
-    ) -> Result<RunReport, SimError> {
-        // Candidates are computed over the REORDERED graph — the one the
-        // simulator actually mines.
         let candidates = CandidateSets::build(&self.pre.graph, app.query());
-        let mut filter = CandidateFilter::new(&candidates);
-        match self.config.memo {
-            MemoMode::Off => self.dispatch_engine::<QueryApp, S, NoMemo, CandidateFilter>(
-                app,
-                sink,
-                &mut NoMemo,
-                &mut filter,
-            ),
-            MemoMode::On { bytes } => {
-                let mut memo = PairMemoTable::with_budget(bytes);
-                self.dispatch_engine::<QueryApp, S, PairMemoTable, CandidateFilter>(
-                    app,
-                    sink,
-                    &mut memo,
-                    &mut filter,
-                )
-            }
-        }
+        self.dispatch(app, tel, &mut CandidateFilter::new(&candidates))
     }
 
-    /// Monomorphization fork on [`GramerConfig::memo`]: `--memo off`
-    /// instantiates the loop with the zero-sized [`NoMemo`], whose
-    /// `ACTIVE = false` folds every memo branch away — the reference
-    /// path is bit-for-bit (and instruction-for-instruction) the
-    /// pre-memoization loop. `--memo on` builds one byte-budgeted
-    /// [`PairMemoTable`] shared by all PUs for the whole run.
-    fn dispatch_memo<A: EcmApp, S: TelemetrySink>(
+    /// The one dispatch behind every `run*` entry point: builds the memo
+    /// table [`GramerConfig::memo`] asks for and runs the engine.
+    /// `--memo off` instantiates the loop with the zero-sized [`NoMemo`],
+    /// whose `ACTIVE = false` folds every memo branch away, just as
+    /// [`NoFilter`] and [`NullSink`] fold away the filter and telemetry
+    /// hooks. `--memo on` builds one byte-budgeted [`PairMemoTable`]
+    /// shared by all PUs for the whole run.
+    fn dispatch<A: EcmApp, S: TelemetrySink, Q: CandidateProbe>(
         &self,
         app: &A,
         sink: &mut S,
-    ) -> Result<RunReport, SimError> {
-        match self.config.memo {
-            MemoMode::Off => self.dispatch_engine::<A, S, NoMemo, NoFilter>(
-                app,
-                sink,
-                &mut NoMemo,
-                &mut NoFilter,
-            ),
-            MemoMode::On { bytes } => {
-                let mut memo = PairMemoTable::with_budget(bytes);
-                self.dispatch_engine::<A, S, PairMemoTable, NoFilter>(
-                    app,
-                    sink,
-                    &mut memo,
-                    &mut NoFilter,
-                )
-            }
-        }
-    }
-
-    /// Engine selection (epoch × scheduler), shared by every
-    /// memo/filter/sink combination.
-    fn dispatch_engine<A: EcmApp, S: TelemetrySink, M: MemoProbe, Q: CandidateProbe>(
-        &self,
-        app: &A,
-        sink: &mut S,
-        memo: &mut M,
         filter: &mut Q,
     ) -> Result<RunReport, SimError> {
-        match (self.config.epoch, self.config.scheduler) {
-            (EpochMode::On, _) => self.run_epochs::<A, S, M, Q>(app, sink, memo, filter),
-            (EpochMode::Off, Scheduler::Calendar) => {
-                self.run_queue::<A, CalendarQueue, S, M, Q>(app, sink, memo, filter)
-            }
-            (EpochMode::Off, Scheduler::Heap) => {
-                self.run_queue::<A, HeapQueue, S, M, Q>(app, sink, memo, filter)
+        match self.config.memo {
+            MemoMode::Off => self.run_epochs(app, sink, &mut NoMemo, filter),
+            MemoMode::On { bytes } => {
+                self.run_epochs(app, sink, &mut PairMemoTable::with_budget(bytes), filter)
             }
         }
     }
 
-    /// The reference event loop (`--epoch=off`), generic over the queue
-    /// implementation and the telemetry sink. With [`NullSink`] every
-    /// hook and `S::ACTIVE` guard is a compile-time no-op, so the
-    /// monomorphized loop is exactly the uninstrumented one.
-    fn run_queue<A: EcmApp, Q: EventQueue + Default, S: TelemetrySink, M: MemoProbe, F>(
-        &self,
-        app: &A,
-        sink: &mut S,
-        memo: &mut M,
-        filter: &mut F,
-    ) -> Result<RunReport, SimError>
-    where
-        F: CandidateProbe,
-    {
-        let mut st = self.start(app, filter)?;
-        let num_slots = st.slots.len();
-
-        let mut queue = Q::default();
-        for id in 0..num_slots {
-            queue.push(0, id as u32);
-        }
-        sink.on_begin(self.config.num_pus);
-
-        // The loop carries the next event in a register: a slot-step that
-        // schedules its own continuation uses `EventQueue::push_pop`, so
-        // the queue's zero-delay lane can hand the event straight back
-        // without touching its buckets whenever nothing earlier is
-        // pending (the common cadence once the event population thins).
-        let mut tick_backlog = 0u64;
-        let mut next_ev = queue.pop();
-        while let Some((t, id)) = next_ev {
-            // Heartbeat + cooperative cancellation point for the sweep
-            // watchdog, amortised over batches of executed events.
-            tick_backlog += 1;
-            if tick_backlog == PROGRESS_BATCH {
-                progress::tick_n(PROGRESS_BATCH);
-                tick_backlog = 0;
-            }
-            if S::ACTIVE {
-                // The popped event is live but no longer counted by the
-                // queue, hence the +1.
-                sink.on_event(t, &st.mem, queue.len() + 1);
-            }
-            next_ev = match st.exec_event(t, id, sink, memo, filter) {
-                Some(next_t) => Some(queue.push_pop(next_t, id)),
-                None => queue.pop(),
-            };
-        }
-        // Flush the partial heartbeat batch (also a final cancel check).
-        progress::tick_n(tick_backlog);
-
-        let query = F::ACTIVE.then(|| query_stats(filter));
-        st.finish(sink, M::ACTIVE.then(|| memo.stats()), query)
-    }
-
-    /// The epoch-batched engine (`--epoch=on`, the default).
+    /// The event engine.
     ///
     /// One *epoch* is one simulated cycle with pending work: the
     /// [`SlotCalendar`] advances to it and hands over that cycle's slots
@@ -925,7 +807,7 @@ impl<'p> Simulator<'p> {
     /// slot`, is exactly per-PU batch order, so consecutive events reuse
     /// the same PU's scheduler words, explorer state and root queues
     /// while they are hot. Between epochs nothing is reordered: the
-    /// calendar's pop order is the reference `(time, id)` order.
+    /// calendar's pop order is the heap's `(time, id)` order.
     ///
     /// The *solo-run* fast path exploits the conservative horizon: after
     /// a slot's step schedules its continuation at `next_t`, the slot
@@ -955,8 +837,7 @@ impl<'p> Simulator<'p> {
 
         // Hoist the progress token out of the thread-local once: the
         // per-epoch cancellation check is then a single relaxed load,
-        // and heartbeats flush in the same 256-event batches as the
-        // reference driver.
+        // and heartbeats flush in 256-event batches.
         let token = progress::current();
         let mut tick_backlog = 0u64;
         while let Some(t) = cal.advance() {
@@ -978,8 +859,8 @@ impl<'p> Simulator<'p> {
                     }
                     if S::ACTIVE {
                         // The in-flight event is no longer counted by
-                        // the calendar, hence the +1 — identical depths
-                        // to the reference driver's gauge.
+                        // the calendar, hence the +1: the gauge counts
+                        // every live slot event.
                         sink.on_event(t_run, &st.mem, cal.event_count() + 1);
                     }
                     match st.exec_event(t_run, id, sink, memo, filter) {
@@ -1006,6 +887,37 @@ impl<'p> Simulator<'p> {
 
         let query = F::ACTIVE.then(|| query_stats(filter));
         st.finish(sink, M::ACTIVE.then(|| memo.stats()), query)
+    }
+
+    /// Heap-order reference for the engine-equivalence tests: drives the
+    /// same [`RunState::exec_event`] from a plain binary min-heap of
+    /// `(time, slot)` events — one pop and at most one push per event, no
+    /// epochs, no solo fast-forward — so the engine is checked against an
+    /// order that is correct by inspection. Honours the memo and the
+    /// adaptive policies; no option selects it.
+    #[doc(hidden)]
+    pub fn run_reference<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
+        match self.config.memo {
+            MemoMode::Off => self.run_heap(app, &mut NoMemo),
+            MemoMode::On { bytes } => self.run_heap(app, &mut PairMemoTable::with_budget(bytes)),
+        }
+    }
+
+    fn run_heap<A: EcmApp, M: MemoProbe>(
+        &self,
+        app: &A,
+        memo: &mut M,
+    ) -> Result<RunReport, SimError> {
+        let mut st = self.start(app, &NoFilter)?;
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0..st.slots.len() as u32)
+            .map(|id| Reverse((0, id)))
+            .collect();
+        while let Some(Reverse((t, id))) = heap.pop() {
+            if let Some(next_t) = st.exec_event(t, id, &mut NullSink, memo, &mut NoFilter) {
+                heap.push(Reverse((next_t, id)));
+            }
+        }
+        st.finish(&mut NullSink, M::ACTIVE.then(|| memo.stats()), None)
     }
 }
 
@@ -1235,25 +1147,20 @@ mod tests {
     }
 
     #[test]
-    fn filtered_query_run_is_deterministic_across_schedulers() {
+    fn filtered_query_run_is_deterministic() {
         let g = generate::with_random_labels(&generate::barabasi_albert(150, 3, 9), 4, 23);
         let query = QueryGraph::from_spec("2,3,2,1:0-1,1-2,2-3,3-0").unwrap();
         let app = QueryApp::new(query).unwrap();
-        for sched in [Scheduler::Calendar, Scheduler::Heap] {
-            let cfg = GramerConfig {
-                scheduler: sched,
-                ..GramerConfig::default()
-            };
-            let pre = preprocess(&g, &cfg).unwrap();
-            let a = Simulator::new(&pre, cfg.clone())
-                .unwrap()
-                .run_query(&app)
-                .unwrap();
-            let b = Simulator::new(&pre, cfg).unwrap().run_query(&app).unwrap();
-            assert_eq!(a.result.embeddings, b.result.embeddings);
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.query, b.query);
-        }
+        let cfg = GramerConfig::default();
+        let pre = preprocess(&g, &cfg).unwrap();
+        let a = Simulator::new(&pre, cfg.clone())
+            .unwrap()
+            .run_query(&app)
+            .unwrap();
+        let b = Simulator::new(&pre, cfg).unwrap().run_query(&app).unwrap();
+        assert_eq!(a.result.embeddings, b.result.embeddings);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.query, b.query);
     }
 
     #[test]
@@ -1307,53 +1214,15 @@ mod tests {
     }
 
     #[test]
-    fn heap_scheduler_matches_calendar_report() {
-        let g = small_graph();
-        // Pin to the reference (non-epoch) drivers: this test is about
-        // the two queue implementations agreeing.
-        let cal_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            ..GramerConfig::default()
-        };
-        assert_eq!(cal_cfg.scheduler, Scheduler::Calendar);
-        let heap_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            scheduler: Scheduler::Heap,
-            ..GramerConfig::default()
-        };
-        let pre = preprocess(&g, &cal_cfg).unwrap();
-        let app = CliqueFinding::new(4).unwrap();
-        let a = Simulator::new(&pre, cal_cfg).unwrap().run(&app).unwrap();
-        let b = Simulator::new(&pre, heap_cfg).unwrap().run(&app).unwrap();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.steals, b.steals);
-        assert_eq!(a.mem, b.mem);
-        assert_eq!(a.pu_steps, b.pu_steps);
-        assert_eq!(a.result.embeddings, b.result.embeddings);
-        assert_eq!(a.result.candidates_examined, b.result.candidates_examined);
-    }
-
-    #[test]
     fn epoch_engine_matches_reference_interleaving() {
         let g = small_graph();
-        let on_cfg = GramerConfig::default();
-        assert_eq!(on_cfg.epoch, EpochMode::On);
-        let off_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            ..GramerConfig::default()
-        };
-        let pre = preprocess(&g, &on_cfg).unwrap();
+        let cfg = GramerConfig::default();
+        let pre = preprocess(&g, &cfg).unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
         for k in [3usize, 4] {
             let app = CliqueFinding::new(k).unwrap();
-            let a = Simulator::new(&pre, on_cfg.clone())
-                .unwrap()
-                .run(&app)
-                .unwrap();
-            let b = Simulator::new(&pre, off_cfg.clone())
-                .unwrap()
-                .run(&app)
-                .unwrap();
+            let a = sim.run(&app).unwrap();
+            let b = sim.run_reference(&app).unwrap();
             assert_eq!(a.cycles, b.cycles);
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.steals, b.steals);
@@ -1394,7 +1263,6 @@ mod tests {
     fn cancel_mid_epoch_unwinds_within_latency_bound() {
         let g = small_graph();
         let cfg = GramerConfig::default();
-        assert_eq!(cfg.epoch, EpochMode::On);
         let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
         const CANCEL_AT: u64 = 1000;
@@ -1473,23 +1341,17 @@ mod tests {
     }
 
     #[test]
-    fn memo_on_agrees_across_engines() {
+    fn memo_on_agrees_with_reference() {
         let g = small_graph();
-        let mk = |epoch| GramerConfig {
-            epoch,
+        let cfg = GramerConfig {
             memo: MemoMode::On { bytes: 1 << 14 },
             ..GramerConfig::default()
         };
-        let pre = preprocess(&g, &mk(EpochMode::On)).unwrap();
+        let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
-        let a = Simulator::new(&pre, mk(EpochMode::On))
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        let b = Simulator::new(&pre, mk(EpochMode::Off))
-            .unwrap()
-            .run(&app)
-            .unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let a = sim.run(&app).unwrap();
+        let b = sim.run_reference(&app).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.memo, b.memo);
@@ -1511,8 +1373,7 @@ mod tests {
             },
             13,
         );
-        let mk = |epoch| GramerConfig {
-            epoch,
+        let cfg = GramerConfig {
             budget: MemoryBudget::Fraction(0.05),
             adaptive_lambda: true,
             repin: true,
@@ -1522,18 +1383,13 @@ mod tests {
             budget: MemoryBudget::Fraction(0.05),
             ..GramerConfig::default()
         };
-        let pre = preprocess(&g, &mk(EpochMode::On)).unwrap();
+        let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
-        let a = Simulator::new(&pre, mk(EpochMode::On))
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        let b = Simulator::new(&pre, mk(EpochMode::Off))
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        // Both engines execute the identical event sequence, so the
-        // adaptive decisions land identically.
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let a = sim.run(&app).unwrap();
+        let b = sim.run_reference(&app).unwrap();
+        // The engine and the heap reference execute the identical event
+        // sequence, so the adaptive decisions land identically.
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.lambda_retunes, b.lambda_retunes);

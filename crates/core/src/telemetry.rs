@@ -39,8 +39,7 @@
 //! the base and the effective granularity.
 //!
 //! Every simulated quantity in the document is invariant under the
-//! host-side scheduler and access-path choices, exactly like the golden
-//! run reports; the only path-dependent series (fast-path-lane tallies)
+//! host-side access-path choice, exactly like the golden run reports; the only path-dependent series (fast-path-lane tallies)
 //! is quarantined under the top-level `"host"` key, which the golden
 //! snapshot test strips before comparing bytes.
 
@@ -613,8 +612,8 @@ fn u64_array(values: impl IntoIterator<Item = u64>) -> JsonValue {
 impl Telemetry {
     /// Renders the full telemetry document (see the module docs for the
     /// schema). Deterministic: serializing twice yields identical bytes,
-    /// and every key outside `"host"` is invariant under the scheduler
-    /// and access-path choices.
+    /// and every key outside `"host"` is invariant under the access-path
+    /// choice.
     pub fn to_json_value(&self) -> JsonValue {
         let windows = JsonValue::array(self.windows.iter().enumerate().map(|(i, w)| {
             JsonValue::object([

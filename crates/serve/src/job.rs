@@ -148,7 +148,10 @@ impl JobSpec {
                     .ok_or("\"max_retries\" must be a small non-negative integer")?,
             ),
         };
-        let metrics = matches!(v.get("metrics"), Some(JsonValue::Bool(true)));
+        let metrics = match v.get("metrics") {
+            None | Some(JsonValue::Null) => false,
+            Some(x) => x.as_bool().ok_or("\"metrics\" must be a boolean")?,
+        };
 
         Ok(JobSpec {
             graph,
@@ -188,19 +191,13 @@ fn apply_config_overrides(config: &mut GramerConfig, c: &JsonValue) -> Result<()
                 config.lambda = value.as_f64().ok_or("\"lambda\" must be a number")?;
             }
             "work_stealing" => {
-                config.work_stealing = matches!(value, JsonValue::Bool(true));
+                config.work_stealing = value
+                    .as_bool()
+                    .ok_or("\"work_stealing\" must be a boolean")?;
             }
             "access_path" => {
                 let s = value.as_str().ok_or("\"access_path\" must be a string")?;
                 config.access_path = s.parse()?;
-            }
-            "scheduler" => {
-                let s = value.as_str().ok_or("\"scheduler\" must be a string")?;
-                config.scheduler = s.parse()?;
-            }
-            "epoch" => {
-                let s = value.as_str().ok_or("\"epoch\" must be a string")?;
-                config.epoch = s.parse()?;
             }
             "sim_threads" => {
                 // Range is enforced by `config.validate()` after all
@@ -214,10 +211,12 @@ fn apply_config_overrides(config: &mut GramerConfig, c: &JsonValue) -> Result<()
                 config.memo = s.parse()?;
             }
             "adaptive_lambda" => {
-                config.adaptive_lambda = matches!(value, JsonValue::Bool(true));
+                config.adaptive_lambda = value
+                    .as_bool()
+                    .ok_or("\"adaptive_lambda\" must be a boolean")?;
             }
             "repin" => {
-                config.repin = matches!(value, JsonValue::Bool(true));
+                config.repin = value.as_bool().ok_or("\"repin\" must be a boolean")?;
             }
             other => return Err(format!("unknown config knob {other:?}")),
         }
@@ -567,11 +566,18 @@ mod tests {
         let v =
             JsonValue::parse("{\"graph\": {\"gen\": \"demo\"}, \"app\": \"9-zz\"}").expect("json");
         assert!(JobSpec::from_json(&v).is_err());
-        let v = JsonValue::parse(
-            "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\", \"config\": {\"warp\": 9}}",
-        )
-        .expect("json");
-        assert!(JobSpec::from_json(&v).unwrap_err().contains("warp"));
+        // `scheduler` and `epoch` are not knobs: the simulator has one
+        // event engine.
+        for knob in ["warp", "scheduler", "epoch"] {
+            let v = JsonValue::parse(&format!(
+                "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \
+                 \"config\": {{\"{knob}\": \"off\"}}}}"
+            ))
+            .expect("json");
+            let err = JobSpec::from_json(&v).unwrap_err();
+            assert!(err.contains("unknown config knob"), "{knob}: {err}");
+            assert!(err.contains(knob), "{knob}: {err}");
+        }
     }
 
     #[test]
@@ -598,13 +604,13 @@ mod tests {
         let v = JsonValue::parse(
             "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-mc\", \
              \"config\": {\"pus\": 4, \"tau\": 0.05, \"access_path\": \"exact\", \
-             \"epoch\": \"off\", \"sim_threads\": 4}}",
+             \"work_stealing\": false, \"sim_threads\": 4}}",
         )
         .expect("json");
         let spec = JobSpec::from_json(&v).expect("valid");
         assert_eq!(spec.config.num_pus, 4);
         assert_eq!(spec.config.tau, Some(0.05));
-        assert_eq!(spec.config.epoch, gramer::EpochMode::Off);
+        assert!(!spec.config.work_stealing);
         assert_eq!(spec.config.sim_threads, 4);
     }
 
@@ -627,19 +633,38 @@ mod tests {
     }
 
     #[test]
-    fn bad_memo_knob_is_rejected_at_admission() {
-        // A malformed mode string fails the override parser; a budget
-        // below one entry passes parsing as `On` only via "on", so the
-        // sub-entry numeric is refused with a typed message. Either way
-        // the job is a 400, never queued.
-        for bad in ["\"sometimes\"", "\"7\"", "true"] {
+    fn bad_knob_values_are_rejected_at_admission() {
+        // A malformed memo mode string fails the override parser; a
+        // budget below one entry passes parsing as `On` only via "on", so
+        // the sub-entry numeric is refused with a typed message. A
+        // non-boolean for a boolean knob is refused rather than read as
+        // `false`. Either way the job is a 400, never queued.
+        for (knob, bad) in [
+            ("memo", "\"sometimes\""),
+            ("memo", "\"7\""),
+            ("memo", "true"),
+            ("work_stealing", "\"true\""),
+            ("work_stealing", "1"),
+            ("adaptive_lambda", "\"true\""),
+            ("adaptive_lambda", "1"),
+            ("repin", "\"true\""),
+            ("repin", "0"),
+        ] {
             let v = JsonValue::parse(&format!(
                 "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \
-                 \"config\": {{\"memo\": {bad}}}}}"
+                 \"config\": {{\"{knob}\": {bad}}}}}"
             ))
             .expect("json");
             let err = JobSpec::from_json(&v).unwrap_err();
-            assert!(err.contains("memo"), "bad={bad}: {err}");
+            assert!(err.contains(knob), "{knob}={bad}: {err}");
+        }
+        for bad in ["\"true\"", "1"] {
+            let v = JsonValue::parse(&format!(
+                "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \"metrics\": {bad}}}"
+            ))
+            .expect("json");
+            let err = JobSpec::from_json(&v).unwrap_err();
+            assert!(err.contains("metrics"), "metrics={bad}: {err}");
         }
     }
 
@@ -663,13 +688,6 @@ mod tests {
         )
         .expect("json");
         assert!(JobSpec::from_json(&v).unwrap_err().contains("sim_threads"));
-        // Bad epoch string is a parse error, not a panic.
-        let v = JsonValue::parse(
-            "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\", \
-             \"config\": {\"epoch\": \"sometimes\"}}",
-        )
-        .expect("json");
-        assert!(JobSpec::from_json(&v).unwrap_err().contains("epoch"));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use gramer::json::JsonValue;
 use gramer_serve::http;
 use gramer_serve::server::{Server, ServerConfig};
 use gramer_serve::supervisor::{Supervisor, SupervisorConfig};
+use gramer_serve::{JobJournal, JobRecord, JobStatus};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,6 +151,60 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
         .collect();
     listed.sort_unstable();
     assert_eq!(listed, vec![completed_id, queued_a, queued_b]);
+
+    shutdown.request();
+    handle.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A PU x slot product the simulator cannot allocate is a typed 400 at
+/// admission. A journal that already holds such a job as `running`
+/// (written by a daemon that admitted it) must end it `failed` with kind
+/// `invalid` on restart instead of re-running it, and the daemon keeps
+/// answering.
+#[test]
+fn oversized_slot_config_is_refused_at_admission_and_on_replay() {
+    let dir = std::env::temp_dir().join(format!("gramer-restart-slots-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal_path = dir.join("jobs.jsonl");
+    let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\", \
+                \"config\": {\"pus\": 100000, \"slots\": 100000}}";
+    let mut record = JobRecord::new(1, JsonValue::parse(spec).expect("json"), JobStatus::Running);
+    record.attempts = 1;
+    JobJournal::new(&journal_path)
+        .write_snapshot([&record])
+        .expect("seed journal");
+
+    let (addr, shutdown, handle) = spawn(ServerConfig {
+        supervisor: SupervisorConfig {
+            workers: 1,
+            journal_path: Some(journal_path),
+            ..SupervisorConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let done = wait_terminal(&addr, 1, Duration::from_secs(60));
+    assert_eq!(
+        done.get("status").and_then(JsonValue::as_str),
+        Some("failed"),
+        "{done}"
+    );
+    assert_eq!(
+        done.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(JsonValue::as_str),
+        Some("invalid"),
+        "{done}"
+    );
+    let (code, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(code, 200);
+
+    let (code, body) = http::request(&addr, "POST", "/jobs", Some(spec)).expect("submit");
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("invalid_spec"), "{body}");
+    let (code, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(code, 200);
 
     shutdown.request();
     handle.join().expect("join");

@@ -8,21 +8,19 @@
 #   fmt     cargo fmt --check              (tree must be rustfmt-clean)
 #   build   cargo build --release          (all crates + experiment bins)
 #   test    cargo test -q --workspace      (unit + integration + doc tests)
-#   golden  golden + telemetry suites x {calendar,heap} x {fast,exact},
-#           plus a GRAMER_EPOCH=off pass over the same matrix and a
-#           GRAMER_SIM_THREADS=4 sharded-cells pass (scheduler,
-#           access-path, epoch engine and cell parallelism are all
-#           host-side choices; every cell must match the golden
-#           constants bit-for-bit); plus the memo dimension: a
+#   golden  golden + telemetry suites x {fast,exact} access paths and a
+#           GRAMER_SIM_THREADS=4 sharded-cells pass (access path and cell
+#           parallelism are host-side choices; every cell must match the
+#           golden constants bit-for-bit, and the engine must match its
+#           heap-order reference); plus the memo dimension: a
 #           GRAMER_MEMO=on golden cell (mining results pinned, timing
 #           free to improve) and a gramer-mine --memo off byte-compare
 #           against the default run
 #   query   query-matrix: the pinned labeled queries of tests/query.rs
-#           x {calendar,heap} x {fast,exact}, plus GRAMER_EPOCH=off and
-#           GRAMER_MEMO=on legs (filtered match totals and filter-probe
-#           counters are pinned across every leg; filtered embeddings
-#           must be bit-identical to brute force), plus a gramer-mine
-#           --query / gramer-query CLI smoke
+#           x {fast,exact}, plus a GRAMER_MEMO=on leg (filtered match
+#           totals and filter-probe counters are pinned across every
+#           leg; filtered embeddings must be bit-identical to brute
+#           force), plus a gramer-mine --query / gramer-query CLI smoke
 #   doc     cargo doc --no-deps            (rustdoc, warnings denied)
 #   clippy  clippy on the library crates   (unwrap/expect denied: failures
 #           must flow through the typed error taxonomy, not panic; the
@@ -57,26 +55,14 @@ stage_test() {
 }
 
 stage_golden() {
-    echo "== tier1: golden + telemetry suites under the scheduler x access-path matrix"
-    # Both knobs are host-side choices: every cell must reproduce the
+    echo "== tier1: golden + telemetry suites under both access paths"
+    # The access path is a host-side choice: both legs must reproduce the
     # same golden constants — and the same telemetry document — bit-for-
-    # bit (the suites read these env vars).
-    local sched path
-    for sched in calendar heap; do
-        for path in fast exact; do
-            echo "   -- scheduler=$sched access-path=$path"
-            GRAMER_SCHEDULER="$sched" GRAMER_ACCESS_PATH="$path" \
-                cargo test -q --test golden --test telemetry
-        done
-    done
-    # The epoch-batched engine is the default; re-run the full matrix
-    # under the reference event-queue interleaving — same constants.
-    for sched in calendar heap; do
-        for path in fast exact; do
-            echo "   -- epoch=off scheduler=$sched access-path=$path"
-            GRAMER_EPOCH=off GRAMER_SCHEDULER="$sched" GRAMER_ACCESS_PATH="$path" \
-                cargo test -q --test golden --test telemetry
-        done
+    # bit (the suites read this env var).
+    local path
+    for path in fast exact; do
+        echo "   -- access-path=$path"
+        GRAMER_ACCESS_PATH="$path" cargo test -q --test golden --test telemetry
     done
     # Memo dimension: the pair memo is a model change, so its golden cell
     # pins the mining results (timing is free to improve) — the suite
@@ -106,19 +92,14 @@ stage_golden() {
 }
 
 stage_query() {
-    echo "== tier1: query suite under the scheduler x access-path matrix"
+    echo "== tier1: query suite under both access paths"
     # The candidate filter must be result-identical to brute force, and
     # its probe counters are pinned: both hold bit-for-bit in every leg.
-    local sched path
-    for sched in calendar heap; do
-        for path in fast exact; do
-            echo "   -- scheduler=$sched access-path=$path"
-            GRAMER_SCHEDULER="$sched" GRAMER_ACCESS_PATH="$path" \
-                cargo test -q --test query
-        done
+    local path
+    for path in fast exact; do
+        echo "   -- access-path=$path"
+        GRAMER_ACCESS_PATH="$path" cargo test -q --test query
     done
-    echo "   -- epoch=off leg"
-    GRAMER_EPOCH=off cargo test -q --test query
     echo "   -- memo=on leg (filter composes with the pair memo)"
     GRAMER_MEMO=on cargo test -q --test query
     # CLI smoke: both query front ends accept the same spec and the

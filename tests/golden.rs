@@ -2,15 +2,13 @@
 //!
 //! These tests lock the *simulated* quantities — cycles, steals, steps,
 //! embeddings, and the per-size accepted/candidate counts — for two
-//! small seeded workloads. Scheduler or probe rewrites in the hot path
+//! small seeded workloads. Engine or probe rewrites in the hot path
 //! must not shift any of these numbers: a performance change that moves
 //! a golden value is a semantics change, not an optimisation, and must
 //! be called out explicitly (by updating the constant and explaining
 //! why in the commit).
 
-use gramer::{
-    preprocess, AccessPath, EpochMode, GramerConfig, MemoMode, RunReport, Scheduler, Simulator,
-};
+use gramer::{preprocess, AccessPath, GramerConfig, MemoMode, RunReport, Simulator};
 use gramer_graph::generate::{self, RmatParams};
 use gramer_graph::CsrGraph;
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
@@ -34,26 +32,17 @@ fn golden_summary(r: &RunReport) -> String {
     )
 }
 
-/// Base config for the golden runs. The tier-1 matrix (`scripts/tier1.sh`)
-/// re-runs this suite under every `scheduler` × `access_path` combination
-/// via `GRAMER_SCHEDULER` / `GRAMER_ACCESS_PATH`, once more with
-/// `GRAMER_EPOCH=off` selecting the reference event-queue interleaving,
-/// and once with `GRAMER_MEMO=on`. Scheduler/access-path/epoch are
-/// host-side choices, so the golden constants hold bit-for-bit under
-/// every combination; the memo is a *model* change, so under
-/// `GRAMER_MEMO=on` the timing constants are skipped and only the
-/// mining-result fields are held to the golden lines (see
-/// [`assert_golden_results`]).
+/// Base config for the golden runs. The tier-1 matrix (`scripts/tier1.sh
+/// golden`) re-runs this suite under both access paths via
+/// `GRAMER_ACCESS_PATH`, and once with `GRAMER_MEMO=on`. The access path
+/// is a host-side choice, so the golden constants hold bit-for-bit under
+/// either; the memo is a *model* change, so under `GRAMER_MEMO=on` the
+/// timing constants are skipped and only the mining-result fields are
+/// held to the golden lines (see [`assert_golden_results`]).
 fn base_config() -> GramerConfig {
     let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_SCHEDULER") {
-        cfg.scheduler = s.parse().expect("GRAMER_SCHEDULER must be calendar|heap");
-    }
     if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
         cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_EPOCH") {
-        cfg.epoch = s.parse().expect("GRAMER_EPOCH must be on|off");
     }
     if let Ok(s) = std::env::var("GRAMER_MEMO") {
         cfg.memo = s.parse().expect("GRAMER_MEMO must be on|off|BYTES");
@@ -200,38 +189,6 @@ fn full_semantic_view(r: &RunReport) -> String {
     )
 }
 
-/// The calendar queue is the default scheduler; the binary heap is kept
-/// as the reference implementation. On both golden workloads the two
-/// must produce *identical* reports — scheduling is a host-side choice,
-/// not a simulated one (ISSUE 3 tentpole invariant).
-#[test]
-fn heap_scheduler_matches_calendar_on_golden_workloads() {
-    let cal_cfg = GramerConfig {
-        scheduler: Scheduler::Calendar,
-        ..base_config()
-    };
-    let heap_cfg = GramerConfig {
-        scheduler: Scheduler::Heap,
-        ..base_config()
-    };
-
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&ba, &cf, &cal_cfg)),
-        full_semantic_view(&run(&ba, &cf, &heap_cfg)),
-        "BA(200,3) x CF(4): heap and calendar schedulers diverged"
-    );
-
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&rmat, &mc, &cal_cfg)),
-        full_semantic_view(&run(&rmat, &mc, &heap_cfg)),
-        "R-MAT(2^8) x MC(3): heap and calendar schedulers diverged"
-    );
-}
-
 /// Runs `app` starting from a `.gra` artifact round-trip of the
 /// preprocessed graph instead of the direct [`preprocess`] result.
 fn run_via_artifact<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) -> RunReport {
@@ -245,8 +202,8 @@ fn run_via_artifact<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) ->
 /// The `.gra` artifact path (ISSUE 6 tentpole) must be invisible in the
 /// results: a run resumed from an artifact produces a [`RunReport`]
 /// whose serialized JSON is byte-identical to the edge-list path's, on
-/// both golden workloads. Runs under the full scheduler × access-path
-/// matrix via `scripts/tier1.sh golden`.
+/// both golden workloads. Runs under both access paths via
+/// `scripts/tier1.sh golden`.
 #[test]
 fn artifact_path_reports_are_bit_identical() {
     let cfg = base_config();
@@ -270,40 +227,40 @@ fn artifact_path_reports_are_bit_identical() {
     );
 }
 
-/// The epoch-batched engine (ISSUE 8 tentpole) is the default inner
-/// loop; `--epoch=off` keeps the reference event-queue interleaving. On
-/// both golden workloads the two must produce *identical* serialized
-/// reports — epoch batching is a host-side engine choice, not a model
-/// change. (The randomized flavour is `epoch_matches_interleaved` in
+/// The event engine must execute the golden workloads exactly as the
+/// heap-order reference does ([`Simulator::run_reference`]): identical
+/// serialized reports and identical memory-side statistics, under
+/// whichever access path and memo mode the matrix selects. (The
+/// randomized flavour is `epoch_matches_interleaved` in
 /// `tests/properties.rs`.)
 #[test]
 fn epoch_engine_matches_interleaved_on_golden_workloads() {
-    let epoch_cfg = GramerConfig {
-        epoch: EpochMode::On,
-        ..base_config()
-    };
-    let interleaved_cfg = GramerConfig {
-        epoch: EpochMode::Off,
-        ..base_config()
-    };
-    assert_eq!(GramerConfig::default().epoch, EpochMode::On);
-
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        run(&ba, &cf, &epoch_cfg).to_json_value().to_string(),
-        run(&ba, &cf, &interleaved_cfg).to_json_value().to_string(),
-        "BA(200,3) x CF(4): epoch engine diverged from interleaved engine"
+    fn check<A: EcmApp>(graph: &CsrGraph, app: &A, what: &str) {
+        let cfg = base_config();
+        let pre = preprocess(graph, &cfg).unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let engine = sim.run(app).unwrap();
+        let reference = sim.run_reference(app).unwrap();
+        assert_eq!(
+            engine.to_json_value().to_string(),
+            reference.to_json_value().to_string(),
+            "{what}: engine diverged from the heap-order reference"
+        );
+        assert_eq!(
+            full_semantic_view(&engine),
+            full_semantic_view(&reference),
+            "{what}: engine diverged from the heap-order reference"
+        );
+    }
+    check(
+        &ba_graph(),
+        &CliqueFinding::new(4).unwrap(),
+        "BA(200,3) x CF(4)",
     );
-
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        run(&rmat, &mc, &epoch_cfg).to_json_value().to_string(),
-        run(&rmat, &mc, &interleaved_cfg)
-            .to_json_value()
-            .to_string(),
-        "R-MAT(2^8) x MC(3): epoch engine diverged from interleaved engine"
+    check(
+        &rmat_graph(),
+        &MotifCounting::new(3).unwrap(),
+        "R-MAT(2^8) x MC(3)",
     );
 }
 

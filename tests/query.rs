@@ -1,9 +1,9 @@
 //! Query-matrix and filter-soundness tests.
 //!
 //! Three pinned labeled queries run over the labeled golden BA graph
-//! under whatever `GRAMER_SCHEDULER` / `GRAMER_ACCESS_PATH` /
-//! `GRAMER_EPOCH` / `GRAMER_MEMO` combination the tier-1 matrix selects
-//! (`scripts/tier1.sh query` iterates them). For every combination:
+//! under whatever `GRAMER_ACCESS_PATH` / `GRAMER_MEMO` combination the
+//! tier-1 matrix selects (`scripts/tier1.sh query` iterates them). For
+//! every combination:
 //!
 //! - the filtered run's full-size match total must equal the brute
 //!   run's, and both must equal the pinned golden count;
@@ -29,14 +29,8 @@ use rand::{Rng, SeedableRng};
 /// Matrix-aware config, mirroring `tests/golden.rs::base_config`.
 fn base_config() -> GramerConfig {
     let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_SCHEDULER") {
-        cfg.scheduler = s.parse().expect("GRAMER_SCHEDULER must be calendar|heap");
-    }
     if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
         cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_EPOCH") {
-        cfg.epoch = s.parse().expect("GRAMER_EPOCH must be on|off");
     }
     if let Ok(s) = std::env::var("GRAMER_MEMO") {
         cfg.memo = s.parse().expect("GRAMER_MEMO must be on|off|BYTES");

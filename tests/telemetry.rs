@@ -7,10 +7,10 @@
 //!    unobserved run, on every golden workload.
 //! 2. **The telemetry document is simulated data** — for a fixed seeded
 //!    workload, the JSON document (minus its explicitly host-side
-//!    `"host"` section) is byte-stable across the host-side scheduler ×
-//!    access-path matrix, exactly like the golden run reports. The
-//!    tier-1 matrix (`scripts/tier1.sh golden`) re-runs this suite under
-//!    all four `GRAMER_SCHEDULER` × `GRAMER_ACCESS_PATH` cells.
+//!    `"host"` section) is byte-stable across the host-side access-path
+//!    choice, exactly like the golden run reports. The tier-1 matrix
+//!    (`scripts/tier1.sh golden`) re-runs this suite under both
+//!    `GRAMER_ACCESS_PATH` values.
 //!
 //! As with `tests/golden.rs`: if a simulator change moves the pinned
 //! digest, that is a semantics change and the constant must be updated
@@ -27,14 +27,8 @@ use gramer_mining::EcmApp;
 /// Same env-driven matrix hook as `tests/golden.rs`.
 fn base_config() -> GramerConfig {
     let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_SCHEDULER") {
-        cfg.scheduler = s.parse().expect("GRAMER_SCHEDULER must be calendar|heap");
-    }
     if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
         cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_EPOCH") {
-        cfg.epoch = s.parse().expect("GRAMER_EPOCH must be on|off");
     }
     cfg
 }
@@ -93,7 +87,7 @@ fn semantic_view(r: &RunReport) -> String {
 }
 
 /// Recording telemetry must not change any simulated quantity, under
-/// any cell of the scheduler × access-path matrix.
+/// either access path.
 #[test]
 fn telemetry_never_perturbs_the_simulation() {
     let cfg = base_config();
@@ -137,8 +131,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Digest of the simulated portion of the telemetry document for
-/// BA(200,3) × CF(4) at the default window width. Must hold under all
-/// four scheduler × access-path cells.
+/// BA(200,3) × CF(4) at the default window width. Must hold under both
+/// access paths.
 ///
 /// Updated for schema v2 (PR 9): the document gained the memo counters
 /// (`memo_hits`/`memo_misses`/`memo_evictions`), the adaptive-policy

@@ -28,11 +28,9 @@
 //! may be at most `--threshold` percent (default 10) below the
 //! baseline's. Exits non-zero on any violation.
 
-use gramer::{preprocess, GramerConfig, MemoMode, RunReport, Simulator, MAX_SIM_THREADS};
+use gramer::{preprocess, AppSpec, GramerConfig, MemoMode, RunReport};
 use gramer_bench::perf;
 use gramer_graph::{generate, CsrGraph};
-use gramer_mining::apps::{CliqueFinding, MotifCounting};
-use gramer_mining::EcmApp;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -40,25 +38,12 @@ use std::time::Instant;
 struct Cell {
     name: &'static str,
     graph: CsrGraph,
-    app: Box<dyn DynPerfApp>,
+    app: AppSpec,
     /// Memo-table mode the cell is pinned to (overridable with
     /// `--memo`). The memo-on cell and its same-graph `--memo off`
     /// control measure the pair-memo's wall-clock and simulated-cycle
     /// win side by side.
     memo: MemoMode,
-}
-
-trait DynPerfApp {
-    fn simulate(&self, pre: &gramer::Preprocessed, cfg: GramerConfig) -> RunReport;
-}
-
-impl<A: EcmApp> DynPerfApp for A {
-    fn simulate(&self, pre: &gramer::Preprocessed, cfg: GramerConfig) -> RunReport {
-        Simulator::new(pre, cfg)
-            .expect("pinned config is valid")
-            .run(self)
-            .expect("pinned workload must simulate")
-    }
 }
 
 /// The pinned workload: a seeded Barabási–Albert graph under 4-clique
@@ -77,13 +62,13 @@ fn cells(quick: bool) -> Vec<Cell> {
         Cell {
             name: "BA(3000,4)x4-CF",
             graph: generate::barabasi_albert(3000 / scale, 4, 71),
-            app: Box::new(CliqueFinding::new(4).expect("valid k")),
+            app: "4-cf".parse().expect("valid spec"),
             memo: MemoMode::Off,
         },
         Cell {
             name: "RMAT(13)x3-MC",
             graph: generate::rmat(13 - (quick as u32) * 2, 40_000 / scale, rmat_params, 7),
-            app: Box::new(MotifCounting::new(3).expect("valid k")),
+            app: "3-mc".parse().expect("valid spec"),
             memo: MemoMode::Off,
         },
         // The same R-MAT x 3-MC workload with the pair memo on: together
@@ -92,7 +77,7 @@ fn cells(quick: bool) -> Vec<Cell> {
         Cell {
             name: "RMAT(13)x3-MC@memo",
             graph: generate::rmat(13 - (quick as u32) * 2, 40_000 / scale, rmat_params, 7),
-            app: Box::new(MotifCounting::new(3).expect("valid k")),
+            app: "3-mc".parse().expect("valid spec"),
             memo: MemoMode::On {
                 bytes: gramer_mining::DEFAULT_MEMO_BYTES,
             },
@@ -139,7 +124,6 @@ fn main() -> ExitCode {
     let mut baseline_path = std::path::PathBuf::from("results/BENCH_core.json");
     let mut threshold = 10.0f64;
     let mut memo_override: Option<MemoMode> = None;
-    let mut sim_threads = 1usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -180,19 +164,12 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--sim-threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if (1..=MAX_SIM_THREADS).contains(&n) => sim_threads = n,
-                _ => {
-                    eprintln!("--sim-threads requires a count in 1..={MAX_SIM_THREADS}");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "perf — pinned simulator-throughput workload\n\
                      usage: perf [--json PATH] [--quick] [--repeats N]\n\
                      \x20           [--check] [--baseline PATH] [--threshold PCT]\n\
-                     \x20           [--memo on|off|BYTES] [--sim-threads N]"
+                     \x20           [--memo on|off|BYTES]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -209,13 +186,8 @@ fn main() -> ExitCode {
         "workload", "median s", "best s", "steps", "steps/sec med", "sim cycles"
     );
     for cell in cells(quick) {
-        // Each cell is measured serially regardless of --sim-threads (CI
-        // has one CPU; the committed number is the single-thread engine
-        // win) — the knob is recorded in the document and handed to the
-        // config so its validation path stays on the trajectory.
         let cfg = GramerConfig {
             memo: memo_override.unwrap_or(cell.memo),
-            sim_threads,
             ..GramerConfig::default()
         };
         let mut walls = Vec::with_capacity(repeats);
@@ -223,7 +195,10 @@ fn main() -> ExitCode {
         for _ in 0..repeats {
             let t0 = Instant::now();
             let pre = preprocess(&cell.graph, &cfg).expect("pinned config preprocesses");
-            let report = cell.app.simulate(&pre, cfg.clone());
+            let report = cell
+                .app
+                .run(&pre, cfg.clone(), None)
+                .expect("pinned workload must simulate");
             walls.push(t0.elapsed().as_secs_f64());
             match &first {
                 None => first = Some(report),
@@ -258,7 +233,6 @@ fn main() -> ExitCode {
         let report = first.expect("repeats >= 1");
         let runs = perf::WorkloadRuns {
             name: cell.name,
-            sim_threads: sim_threads as u64,
             memo: match cfg.memo {
                 MemoMode::Off => "off".to_string(),
                 MemoMode::On { bytes } => bytes.to_string(),

@@ -67,8 +67,8 @@ use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
 use gramer_mining::EcmApp;
 use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 pub mod perf;
 pub mod sweep;
@@ -315,47 +315,19 @@ pub fn take_point_telemetry() -> Option<JsonValue> {
     POINT_TELEMETRY.with(|t| t.borrow_mut().take())
 }
 
-/// Process-wide `sim_threads` override for [`run_gramer`] (set from the
-/// sweep runner's `--sim-threads` flag); `0` = keep each point's
-/// configured value.
-static SIM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// Process-wide memo-table override for [`run_gramer`] (set from the
-/// sweep runner's `--memo` flag): `0` = keep each point's configured
-/// mode, `1` = force [`MemoMode::Off`], any other value = force
-/// [`MemoMode::On`] with that byte budget. Unlike `--sim-threads` this
-/// is a *model* change — cycles, memory traffic and energy legitimately
-/// move — but mining results stay bit-identical (the memo only skips
-/// probes whose outcome is already known).
-static MEMO_OVERRIDE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// sweep runner's `--memo` flag); `None` keeps each point's configured
+/// mode. This is a *model* change — cycles, memory traffic and energy
+/// legitimately move — but mining results stay bit-identical (the memo
+/// only skips probes whose outcome is already known).
+static MEMO_OVERRIDE: Mutex<Option<MemoMode>> = Mutex::new(None);
 
-/// Installs (or clears, with `None`s) the engine overrides subsequent
+/// Installs (or clears, with `None`) the memo override subsequent
 /// [`run_gramer`] calls apply on top of each point's config. Driven by
-/// the sweep runner's `--sim-threads` / `--memo` flags; by default no
-/// override is active and every point runs exactly as declared.
-pub fn set_engine_overrides(sim_threads: Option<usize>, memo: Option<MemoMode>) {
-    SIM_THREADS_OVERRIDE.store(sim_threads.unwrap_or(0), Ordering::Relaxed);
-    // Byte budgets are always >= MEMO_ENTRY_BYTES (> 1), so 0 and 1 are
-    // free as "no override" / "force off" sentinels.
-    let memo_tag = match memo {
-        None => 0,
-        Some(MemoMode::Off) => 1,
-        Some(MemoMode::On { bytes }) => bytes,
-    };
-    MEMO_OVERRIDE.store(memo_tag, Ordering::Relaxed);
-}
-
-/// Applies the active engine overrides to one point's config.
-fn apply_engine_overrides(config: &mut GramerConfig) {
-    let threads = SIM_THREADS_OVERRIDE.load(Ordering::Relaxed);
-    if threads != 0 {
-        config.sim_threads = threads;
-    }
-    match MEMO_OVERRIDE.load(Ordering::Relaxed) {
-        0 => {}
-        1 => config.memo = MemoMode::Off,
-        bytes => config.memo = MemoMode::On { bytes },
-    }
+/// the sweep runner's `--memo` flag; by default no override is active
+/// and every point runs exactly as declared.
+pub fn set_memo_override(memo: Option<MemoMode>) {
+    *MEMO_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) = memo;
 }
 
 /// Runs GRAMER end-to-end (preprocess + simulate) with `config`,
@@ -371,7 +343,9 @@ pub fn run_gramer(
     app: &dyn DynApp,
     mut config: GramerConfig,
 ) -> Result<RunReport, SimError> {
-    apply_engine_overrides(&mut config);
+    if let Some(memo) = *MEMO_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) {
+        config.memo = memo;
+    }
     // With a cache configured ([`set_artifact_cache`], driven by
     // `--artifact-cache`), preprocessing is memoized on disk as a `.gra`
     // artifact; reports are bit-identical either way.
@@ -428,10 +402,7 @@ pub struct SweepArgs {
     /// Directory of the on-disk `.gra` preprocessing cache
     /// ([`set_artifact_cache`]); `None` preprocesses inline per point.
     pub artifact_cache: Option<PathBuf>,
-    /// Force every point's `sim_threads` ([`set_engine_overrides`]);
-    /// `None` keeps each point's declared value.
-    pub sim_threads: Option<usize>,
-    /// Force every point's memo-table mode ([`set_engine_overrides`]);
+    /// Force every point's memo-table mode ([`set_memo_override`]);
     /// `None` keeps each point's declared mode. A model change — timing
     /// and energy move — but mining results are bit-identical.
     pub memo: Option<MemoMode>,
@@ -453,8 +424,6 @@ Options:
   --artifact-cache DIR memoize preprocessing in DIR as .gra artifacts
                        (keyed by graph digest + tau/budget knobs; reused
                        across runs; simulated results are unchanged)
-  --sim-threads N      force every point's sim_threads config knob
-                       (host-side cell parallelism; results unchanged)
   --memo on|off|BYTES  force every point's memo-table mode (a model
                        change: timing/energy move, mining results are
                        bit-identical)
@@ -481,7 +450,6 @@ impl Default for SweepArgs {
             journal: None,
             metrics: false,
             artifact_cache: None,
-            sim_threads: None,
             memo: None,
         }
     }
@@ -552,20 +520,6 @@ impl SweepArgs {
                 "--journal" => parsed.journal = Some(PathBuf::from(value(&mut it)?)),
                 "--metrics" => parsed.metrics = true,
                 "--artifact-cache" => parsed.artifact_cache = Some(PathBuf::from(value(&mut it)?)),
-                "--sim-threads" => {
-                    let v = value(&mut it)?;
-                    parsed.sim_threads = Some(
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&n| (1..=gramer::MAX_SIM_THREADS).contains(&n))
-                            .ok_or_else(|| {
-                                format!(
-                                    "--sim-threads expects an integer in 1..={}, got {v:?}",
-                                    gramer::MAX_SIM_THREADS
-                                )
-                            })?,
-                    );
-                }
                 "--memo" => parsed.memo = Some(value(&mut it)?.parse()?),
                 other => return Err(format!("unknown option {other:?}")),
             }
@@ -636,6 +590,11 @@ pub fn fmt_secs(s: f64) -> String {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that set the process-wide `run_gramer` knobs
+    /// (memo override, metrics, artifact cache) and compare runs made
+    /// under them; `cargo test` runs tests on parallel threads.
+    static KNOBS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn divisors_preserve_size_ordering() {
         let small = analog(Dataset::Citeseer);
@@ -671,12 +630,6 @@ mod tests {
         assert_eq!(b.jobs, 2);
         assert_eq!(b.json, Some(PathBuf::from("out.json")));
 
-        let c = SweepArgs::try_parse(&["--sim-threads=4"]).unwrap();
-        assert_eq!(c.sim_threads, Some(4));
-        assert_eq!(SweepArgs::default().sim_threads, None);
-        assert!(SweepArgs::try_parse(&["--sim-threads", "0"]).is_err());
-        assert!(SweepArgs::try_parse(&["--sim-threads", "65"]).is_err());
-
         let m = SweepArgs::try_parse(&["--memo", "on"]).unwrap();
         assert!(matches!(m.memo, Some(MemoMode::On { .. })));
         let m = SweepArgs::try_parse(&["--memo=65536"]).unwrap();
@@ -690,13 +643,14 @@ mod tests {
 
     #[test]
     fn memo_override_changes_timing_not_results() {
+        let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let g = gramer_graph::generate::barabasi_albert(120, 3, 8);
         let app = CliqueFinding::new(4).expect("valid k");
         let base = run_gramer(&g, &app, GramerConfig::default()).unwrap();
         assert!(base.memo.is_none());
-        set_engine_overrides(None, Some(MemoMode::On { bytes: 1 << 16 }));
+        set_memo_override(Some(MemoMode::On { bytes: 1 << 16 }));
         let memo = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        set_engine_overrides(None, None);
+        set_memo_override(None);
         let stats = memo.memo.expect("override forced the memo on");
         assert!(stats.hits > 0, "4-CF on a BA graph must repeat probes");
         assert_eq!(
@@ -749,6 +703,7 @@ mod tests {
 
     #[test]
     fn metrics_flag_parses_and_records_a_rollup() {
+        let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let a = SweepArgs::try_parse(&["--metrics"]).unwrap();
         assert!(a.metrics);
         let d = SweepArgs::try_parse::<&str>(&[]).unwrap();
@@ -772,6 +727,7 @@ mod tests {
 
     #[test]
     fn artifact_cache_flag_parses_and_reports_match() {
+        let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let a = SweepArgs::try_parse(&["--artifact-cache", "cachedir"]).unwrap();
         assert_eq!(a.artifact_cache, Some(PathBuf::from("cachedir")));
         let b = SweepArgs::try_parse(&["--artifact-cache=cd2"]).unwrap();

@@ -6,21 +6,20 @@
 //! robust to scheduler noise, while the *simulated* quantities are
 //! asserted identical across repeats before the document is built.
 //!
-//! Schema (`schema_version: 5` — v3 added the `epoch`/`sim_threads`
-//! engine knobs per workload; v4 added the `memo` knob and the
-//! `memo_hits` simulated counter; v5 dropped the `epoch` key with the
-//! second engine):
+//! Schema (`schema_version: 6` — v3 added the engine and cell-thread
+//! knobs per workload; v4 added the `memo` knob and the `memo_hits`
+//! simulated counter; v5 dropped the `epoch` key with the second engine;
+//! v6 dropped the cell-thread key with its knob):
 //!
 //! ```json
 //! {
-//!   "schema_version": 5,
+//!   "schema_version": 6,
 //!   "bench": "core",
 //!   "git_rev": "abc1234",
 //!   "quick": false,
 //!   "repeats": 3,
 //!   "workloads": [
-//!     { "name": "BA(3000,4)x4-CF", "sim_threads": 1,
-//!       "memo": "off", "memo_hits": 0,
+//!     { "name": "BA(3000,4)x4-CF", "memo": "off", "memo_hits": 0,
 //!       "wall_seconds_median": 0.0, "wall_seconds_best": 0.0,
 //!       "steps_per_sec_median": 0.0, "steps_per_sec_best": 0.0,
 //!       "steps": 0, "cycles": 0, "embeddings": 0 }
@@ -44,14 +43,10 @@ use gramer::RunReport;
 pub struct WorkloadRuns {
     /// Workload cell name (e.g. `"BA(3000,4)x4-CF"`).
     pub name: &'static str,
-    /// `sim_threads` the cell ran under. The pinned cells are measured
-    /// serially (CI has one CPU), so this is 1 unless the binary was
-    /// invoked with `--sim-threads`.
-    pub sim_threads: u64,
     /// Memo-table mode the cell ran under: `"off"` or the byte budget
-    /// in decimal. Unlike `sim_threads` this is a model knob —
-    /// cells with different `memo` values have legitimately different
-    /// `cycles`, so the drift check only ever compares same-name cells.
+    /// in decimal. This is a model knob — cells with different `memo`
+    /// values have legitimately different `cycles`, so the drift check
+    /// only ever compares same-name cells.
     pub memo: String,
     /// Wall seconds of each repeat (preprocess + simulate), in run order.
     pub walls: Vec<f64>,
@@ -104,7 +99,6 @@ pub fn perf_document(
         let steps = w.report.steps as f64;
         JsonValue::object([
             ("name", JsonValue::from(w.name)),
-            ("sim_threads", JsonValue::from(w.sim_threads)),
             ("memo", JsonValue::from(w.memo.as_str())),
             (
                 "memo_hits",
@@ -126,7 +120,7 @@ pub fn perf_document(
         ])
     });
     let doc = JsonValue::object([
-        ("schema_version", JsonValue::from(5u64)),
+        ("schema_version", JsonValue::from(6u64)),
         ("bench", JsonValue::from("core")),
         ("git_rev", JsonValue::from(git_rev)),
         ("quick", JsonValue::from(quick)),
@@ -273,7 +267,7 @@ mod tests {
     fn document_is_parseable_and_carries_schema() {
         let text = perf_document("deadbee", false, 3, &[], 1234);
         let doc = JsonValue::parse(text.trim()).unwrap();
-        assert_eq!(doc.get("schema_version"), Some(&JsonValue::UInt(5)));
+        assert_eq!(doc.get("schema_version"), Some(&JsonValue::UInt(6)));
         assert_eq!(doc.get("git_rev"), Some(&JsonValue::Str("deadbee".into())));
         assert_eq!(doc.get("repeats"), Some(&JsonValue::UInt(3)));
         assert_eq!(doc.get("peak_rss_kb"), Some(&JsonValue::UInt(1234)));
@@ -284,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn document_records_engine_knobs_per_workload() {
+    fn document_records_the_memo_knob_per_workload() {
         let g = gramer_graph::generate::cycle(12);
         let cfg = gramer::GramerConfig::default();
         let pre = gramer::preprocess(&g, &cfg).unwrap();
@@ -295,7 +289,6 @@ mod tests {
             .unwrap();
         let w = WorkloadRuns {
             name: "W",
-            sim_threads: 4,
             memo: "65536".to_string(),
             walls: vec![0.5],
             report,
@@ -306,7 +299,6 @@ mod tests {
             Some(JsonValue::Array(a)) => a.clone(),
             other => panic!("workloads missing: {other:?}"),
         };
-        assert_eq!(cells[0].get("sim_threads"), Some(&JsonValue::UInt(4)));
         assert_eq!(cells[0].get("memo"), Some(&JsonValue::Str("65536".into())));
         // The cell ran with NoMemo, so the pinned counter is zero.
         assert_eq!(cells[0].get("memo_hits"), Some(&JsonValue::UInt(0)));

@@ -20,10 +20,10 @@
 //!    cooperative [`gramer::progress`] token (the simulator ticks once per
 //!    scheduled event), recording it as [`PointStatus::TimedOut`];
 //! 5. **journals completions**: each finished point is appended to a
-//!    crash-safe JSONL journal (`results/.journal/<sweep>.jsonl`,
-//!    write-temp-then-rename, fsync'd), so `--resume` can replay completed
-//!    points after a crash or SIGKILL and still emit byte-identical
-//!    `points` data;
+//!    crash-safe JSONL journal (`results/.journal/<sweep>.jsonl`, written
+//!    through [`gramer::supervise::write_json_lines`]), so `--resume` can
+//!    replay completed points after a crash or SIGKILL and still emit
+//!    byte-identical `points` data;
 //! 6. re-assembles results in **declaration order** regardless of
 //!    completion order, making the JSON point data byte-identical across
 //!    `--jobs` settings;
@@ -357,7 +357,7 @@ impl<'a> Sweep<'a> {
             std::process::exit(0);
         }
         crate::set_metrics_enabled(args.metrics);
-        crate::set_engine_overrides(args.sim_threads, args.memo);
+        crate::set_memo_override(args.memo);
         if let Err(e) = crate::set_artifact_cache(args.artifact_cache.as_deref()) {
             eprintln!(
                 "[{}] warning: --artifact-cache disabled ({e}); preprocessing inline",
@@ -416,8 +416,18 @@ impl<'a> Sweep<'a> {
         let started = Instant::now();
 
         // Journal bookkeeping: load previously completed points when
-        // resuming, and keep the journal handle for appends.
-        let mut journal = opts.journal.as_ref().map(|p| Journal::open(p));
+        // resuming, and keep the journal handle for appends. A journal
+        // that exists but cannot be read is left alone rather than
+        // overwritten by the first append.
+        let mut journal = opts.journal.as_deref().and_then(|path| {
+            let open = Journal::open(path);
+            if let Err(e) = &open {
+                eprintln!(
+                    "[{name}] warning: cannot read journal {path:?} ({e}); running without it"
+                );
+            }
+            open.ok()
+        });
         let replayed: Vec<Option<PointRecord>> = {
             let completed = if opts.resume {
                 journal
@@ -526,7 +536,7 @@ impl<'a> Sweep<'a> {
                     completed.secs,
                 );
                 if let Some(j) = journal.as_mut() {
-                    if let Err(e) = j.append(&journal_entry_for(&points[i], &completed)) {
+                    if let Err(e) = j.append(journal_entry_for(&points[i], &completed)) {
                         eprintln!("[{name}] journal write failed: {e}");
                         // Stop retrying a dead journal (full disk etc.).
                         journal_dead = true;
@@ -735,32 +745,27 @@ fn run_point(
 
 /// A crash-safe JSONL journal of completed sweep points.
 ///
-/// Every append rewrites the whole file to a temporary sibling, fsyncs
-/// it, and renames it over the journal — so the journal on disk is always
-/// a complete, well-formed prefix of the sweep, even across SIGKILL.
-/// (Sweeps are at most a few hundred points, so the O(n²) rewrite cost is
-/// noise next to simulation time.)
+/// Every append rewrites the whole file through
+/// [`supervise::write_json_lines`] (temp file, fsync, rename), so the
+/// journal on disk is always a complete, well-formed prefix of the
+/// sweep, even across SIGKILL. (Sweeps are at most a few hundred points,
+/// so the O(n²) rewrite cost is noise next to simulation time.)
 struct Journal {
     path: PathBuf,
-    lines: Vec<String>,
+    entries: Vec<JsonValue>,
 }
 
 impl Journal {
-    /// Opens `path`, loading any lines an earlier (possibly killed) run
-    /// left behind. Unreadable files start an empty journal.
-    fn open(path: &Path) -> Journal {
-        let lines = std::fs::read_to_string(path)
-            .map(|text| {
-                text.lines()
-                    .filter(|l| !l.trim().is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        Journal {
+    /// Opens `path`, loading the entries an earlier (possibly killed) run
+    /// left behind; torn or corrupt lines are dropped, and a missing file
+    /// starts an empty journal.
+    fn open(path: &Path) -> std::io::Result<Journal> {
+        let mut entries = Vec::new();
+        supervise::read_json_lines(path, |entry| entries.push(entry))?;
+        Ok(Journal {
             path: path.to_path_buf(),
-            lines,
-        }
+            entries,
+        })
     }
 
     /// Successfully completed entries keyed by point id; when a point
@@ -768,16 +773,13 @@ impl Journal {
     /// last entry wins.
     fn completed_by_id(&self) -> std::collections::HashMap<String, JsonValue> {
         let mut map = std::collections::HashMap::new();
-        for line in &self.lines {
-            let Ok(entry) = JsonValue::parse(line) else {
-                continue; // torn or corrupt line: ignore
-            };
+        for entry in &self.entries {
             let Some(id) = entry.get("id").and_then(JsonValue::as_str) else {
                 continue;
             };
             let ok = entry.get("status").and_then(JsonValue::as_str) == Some("ok");
             if ok {
-                map.insert(id.to_string(), entry);
+                map.insert(id.to_string(), entry.clone());
             } else {
                 // A later failure supersedes an earlier success for the
                 // same id (shouldn't happen, but last-wins is the rule).
@@ -788,21 +790,9 @@ impl Journal {
     }
 
     /// Appends one entry crash-safely (rewrite + fsync + rename).
-    fn append(&mut self, entry: &JsonValue) -> std::io::Result<()> {
-        use std::io::Write;
-        self.lines.push(entry.to_string());
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = self.path.with_extension("jsonl.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            for line in &self.lines {
-                writeln!(f, "{line}")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
+    fn append(&mut self, entry: JsonValue) -> std::io::Result<()> {
+        self.entries.push(entry);
+        supervise::write_json_lines(&self.path, &self.entries)
     }
 }
 
@@ -1333,7 +1323,7 @@ mod tests {
         let journal = temp_path("torn.jsonl");
         std::fs::write(
             &journal,
-            "{\"id\": \"d/p1/c\", \"status\": \"ok\", \"attempts\": 1, \"metrics\": {\"v\": 1}, \"report\": null}\n{\"id\": \"d/p2/c\", \"status\": \"o",
+            b"{\"id\": \"d/p1/c\", \"status\": \"ok\", \"attempts\": 1, \"metrics\": {\"v\": 1}, \"report\": null}\n\xff\xfe\n{\"id\": \"d/p2/c\", \"status\": \"o",
         )
         .unwrap();
         let reran = AtomicU64::new(0);
@@ -1352,11 +1342,30 @@ mod tests {
             journal: Some(journal.clone()),
             ..SweepOptions::default()
         });
-        // p1 replays; the torn p2 line is ignored and p2 re-runs.
+        // p1 replays; the non-UTF-8 line and the torn p2 line are
+        // ignored and p2 re-runs.
         assert_eq!(reran.load(Ordering::Relaxed), 1);
         assert!(r.records.iter().all(PointRecord::is_ok));
         assert_eq!(r.records[0].metric_f64("v"), Some(1.0));
         let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn unreadable_journal_is_left_alone() {
+        // A directory squatting on the journal path cannot be read: the
+        // sweep runs without a journal instead of replacing it.
+        let journal = temp_path("squatted.jsonl");
+        std::fs::create_dir_all(journal.join("keep")).unwrap();
+        let mut s = Sweep::new("squatted");
+        s.point("d", "p", "c", PointOutput::new);
+        let opts = SweepOptions {
+            resume: true,
+            journal: Some(journal.clone()),
+            ..SweepOptions::default()
+        };
+        assert!(s.run_with(&opts).records[0].is_ok());
+        assert!(journal.join("keep").is_dir(), "the journal was clobbered");
+        let _ = std::fs::remove_dir_all(&journal);
     }
 
     #[test]

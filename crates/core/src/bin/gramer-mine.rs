@@ -7,8 +7,7 @@
 //!             [--query SPEC|@FILE]
 //!             [--cache DIR] [--pus N] [--slots N] [--tau F] [--budget-frac F]
 //!             [--lambda F] [--no-steal] [--access-path fast|exact]
-//!             [--sim-threads N] [--memo on|off|BYTES]
-//!             [--adaptive-lambda] [--repin] [--counts]
+//!             [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts]
 //!             [--json PATH] [--metrics-out PATH] [--metrics-summary]
 //!             [--metrics-window N]
 //! ```
@@ -36,15 +35,18 @@
 //! order, the exact serialization `gramer-serve` returns from
 //! `GET /jobs/<id>/report`) to `PATH`, or stdout for `-`.
 //!
+//! Application specs are parsed by `gramer::AppSpec`, the grammar
+//! `gramer-serve` jobs use too; a spec the simulator cannot run (a size
+//! outside `2..=8`, a degenerate query) is a usage error before any
+//! graph work.
+//!
 //! `--app` accepts a comma-separated list; each application then runs as
-//! an independent *simulation cell* over the same preprocessed graph, and
-//! `--sim-threads N` (or the `GRAMER_SIM_THREADS` environment variable;
-//! default 1) runs up to `N` cells on parallel host threads. Results are
-//! reported in list order and every cell is bit-identical to a standalone
-//! single-app run — parallelism is a host-side throughput knob only (see
-//! `gramer::shard`). With a multi-app list `--json` writes a JSON *array*
-//! of `RunReport` documents (list order), and the `--metrics-*` flags are
-//! rejected: telemetry attaches to exactly one simulation.
+//! an independent *simulation cell* over the same preprocessed graph, on
+//! as many host threads as the host offers. Results are reported in list
+//! order and every cell is bit-identical to a standalone single-app run
+//! (see `gramer::shard`). With a multi-app list `--json` writes a JSON
+//! *array* of `RunReport` documents (list order), and the `--metrics-*`
+//! flags are rejected: telemetry attaches to exactly one simulation.
 //!
 //! `--memo on` (or `--memo BYTES` for an explicit byte budget) enables the
 //! recurrent-pattern memo: a byte-budgeted LRU table that caches pairwise
@@ -81,10 +83,9 @@
 //! (default 1024). Telemetry never changes simulated results.
 
 use gramer::telemetry::{Telemetry, TelemetryConfig};
-use gramer::{preprocess, GramerConfig, MemoryBudget, PreprocessCache, Preprocessed, Simulator};
+use gramer::{preprocess, AppSpec, GramerConfig, MemoryBudget, PreprocessCache, Preprocessed};
 use gramer_graph::{artifact, generate, io, GraphArtifact};
-use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
-use gramer_mining::{EcmApp, MiningResult, QueryApp, QueryGraph};
+use gramer_mining::{MiningResult, QueryGraph};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -93,7 +94,9 @@ struct Options {
     demo: bool,
     artifact: Option<String>,
     cache: Option<String>,
-    app: String,
+    /// The applications to run, each with its lowercased spec; more than
+    /// one only for a comma-separated `--app` list.
+    apps: Vec<(String, AppSpec)>,
     config: GramerConfig,
     show_counts: bool,
     json_out: Option<String>,
@@ -113,13 +116,13 @@ fn usage() -> ! {
         "usage: gramer-mine <edge-list | --demo | --artifact PATH> \
          --app <3-cf|4-cf|5-cf|3-mc|4-mc|fsm:<t>>[,<app>...] \\\n         [--query SPEC|@FILE] \
          [--cache DIR] \
-         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--access-path fast|exact] [--sim-threads N] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
+         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--access-path fast|exact] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
     );
     std::process::exit(2)
 }
 
 fn parse_args() -> Options {
-    let mut sim_threads: Option<usize> = None;
+    let mut app = "3-cf".to_string();
     let mut app_set = false;
     let mut query: Option<String> = None;
     let mut opts = Options {
@@ -127,7 +130,7 @@ fn parse_args() -> Options {
         demo: false,
         artifact: None,
         cache: None,
-        app: "3-cf".to_string(),
+        apps: Vec::new(),
         config: GramerConfig::default(),
         show_counts: false,
         json_out: None,
@@ -148,7 +151,7 @@ fn parse_args() -> Options {
             "--artifact" => opts.artifact = Some(value("--artifact")),
             "--cache" => opts.cache = Some(value("--cache")),
             "--app" => {
-                opts.app = value("--app");
+                app = value("--app");
                 app_set = true
             }
             "--query" => query = Some(value("--query")),
@@ -167,7 +170,6 @@ fn parse_args() -> Options {
                         usage()
                     })
             }
-            "--sim-threads" => sim_threads = Some(parse_num(&value("--sim-threads"))),
             "--memo" => {
                 opts.config.memo = value("--memo").parse().unwrap_or_else(|e: String| {
                     eprintln!("{e}");
@@ -211,8 +213,7 @@ fn parse_args() -> Options {
             usage()
         }
         // `@FILE` reads the line-oriented text form; anything else is the
-        // compact spec. Parse now so a malformed query fails before any
-        // graph work, and normalize to the compact form for `run_spec`.
+        // compact spec. Normalize to the compact `query:` app spec.
         let text = if let Some(path) = spec.strip_prefix('@') {
             std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot read query file {path}: {e}");
@@ -225,21 +226,34 @@ fn parse_args() -> Options {
             eprintln!("bad query: {e}");
             usage()
         });
-        opts.app = format!("query:{parsed}");
+        app = format!("query:{parsed}");
     }
-    if opts.app.contains("query:") && !opts.app.starts_with("query:") {
+    let app = app.to_ascii_lowercase();
+    if app.contains("query:") && !app.starts_with("query:") {
         eprintln!("query specs cannot appear in a multi-application --app list");
         usage()
     }
-    let multi_app = opts.app.contains(',') && !opts.app.starts_with("query:");
-    if multi_app && opts.metrics_enabled() {
+    // A query spec's own commas are not list separators.
+    let specs: Vec<&str> = if app.starts_with("query:") {
+        vec![&app]
+    } else {
+        app.split(',').map(str::trim).collect()
+    };
+    if specs.len() > 1 && opts.metrics_enabled() {
         eprintln!("--metrics-* flags cannot be combined with a multi-application --app list");
         usage()
     }
-    opts.config.sim_threads = gramer::shard::resolve_sim_threads(sim_threads).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
-    });
+    // Parse every spec now, so one the simulator cannot run fails before
+    // any graph work.
+    for spec in specs {
+        match spec.parse() {
+            Ok(app) => opts.apps.push((spec.to_string(), app)),
+            Err(e) => {
+                eprintln!("bad application {spec:?}: {e}");
+                usage()
+            }
+        }
+    }
     opts
 }
 
@@ -356,82 +370,21 @@ fn store_best_effort(
     }
 }
 
-/// Parses one application spec (`3-cf`, `4-mc`, `fsm:100`, …) and runs it
-/// over `pre` under `cfg`. This is the body of one *simulation cell*:
-/// everything it touches is owned or immutable, so any number of calls
-/// may execute on parallel host threads without perturbing each other
-/// (see `gramer::shard`).
-fn run_spec(
-    pre: &Preprocessed,
-    spec: &str,
-    cfg: GramerConfig,
-    tel: Option<&mut Telemetry>,
-) -> Result<gramer::RunReport, String> {
-    if let Some(q) = spec.strip_prefix("query:") {
-        let query = QueryGraph::parse(q).map_err(|e| format!("bad query spec: {e}"))?;
-        let app = QueryApp::new(query)?;
-        let sim = Simulator::new(pre, cfg).map_err(|e| e.to_string())?;
-        return match tel {
-            Some(tel) => sim
-                .run_query_telemetry(&app, tel)
-                .map_err(|e| e.to_string()),
-            None => sim.run_query(&app).map_err(|e| e.to_string()),
-        };
-    }
-    if let Some(t) = spec.strip_prefix("fsm:") {
-        let threshold: u64 = t.parse().map_err(|_| format!("bad FSM threshold {t:?}"))?;
-        DynRun::run(&FrequentSubgraphMining::new(threshold), pre, cfg, tel)
-    } else {
-        let (k, kind) = spec
-            .split_once('-')
-            .ok_or_else(|| format!("bad app spec {spec:?}"))?;
-        let k: usize = k.parse().map_err(|_| format!("bad size in {spec:?}"))?;
-        match kind {
-            "cf" => DynRun::run(&CliqueFinding::new(k)?, pre, cfg, tel),
-            "mc" => DynRun::run(&MotifCounting::new(k)?, pre, cfg, tel),
-            other => Err(format!("unknown application kind {other:?}")),
-        }
-    }
-}
-
 fn run_app(
     pre: &Preprocessed,
     opts: &Options,
-) -> Result<(String, gramer::RunReport, Option<Telemetry>), String> {
+    app: &AppSpec,
+) -> Result<(gramer::RunReport, Option<Telemetry>), String> {
     let mut tel = opts.metrics_enabled().then(|| {
         Telemetry::new(TelemetryConfig {
             window_cycles: opts.metrics_window.unwrap_or(1024),
             ..TelemetryConfig::default()
         })
     });
-    let spec = opts.app.to_ascii_lowercase();
-    let report = run_spec(pre, &spec, opts.config.clone(), tel.as_mut())?;
-    Ok((spec, report, tel))
-}
-
-/// Object-safe run adapter (the simulator API is generic).
-trait DynRun {
-    fn run(
-        &self,
-        pre: &gramer::Preprocessed,
-        cfg: GramerConfig,
-        tel: Option<&mut Telemetry>,
-    ) -> Result<gramer::RunReport, String>;
-}
-
-impl<A: EcmApp> DynRun for A {
-    fn run(
-        &self,
-        pre: &gramer::Preprocessed,
-        cfg: GramerConfig,
-        tel: Option<&mut Telemetry>,
-    ) -> Result<gramer::RunReport, String> {
-        let sim = Simulator::new(pre, cfg).map_err(|e| e.to_string())?;
-        match tel {
-            Some(tel) => sim.run_telemetry(self, tel).map_err(|e| e.to_string()),
-            None => sim.run(self).map_err(|e| e.to_string()),
-        }
-    }
+    let report = app
+        .run(pre, opts.config.clone(), tel.as_mut())
+        .map_err(|e| e.to_string())?;
+    Ok((report, tel))
 }
 
 fn print_counts(result: &MiningResult) {
@@ -461,8 +414,7 @@ fn write_metrics(tel: &Telemetry, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints the human-readable rollup of one run to stdout (the historical
-/// single-app output; the multi-app path emits it once per cell).
+/// Prints the human-readable rollup of one run to stdout.
 fn print_report(report: &gramer::RunReport, show_counts: bool) {
     println!("{}", report.summary());
     println!(
@@ -509,37 +461,33 @@ fn write_json(reports: &[gramer::RunReport], path: &str) -> Result<(), String> {
     }
 }
 
-/// Runs a comma-separated `--app` list as independent simulation cells on
-/// up to `sim_threads` host threads. Output order is list order no matter
-/// how the cells interleave, and each cell's report is bit-identical to a
+/// Runs the `--app` list as independent simulation cells on the host's
+/// available threads and prints each report in list order, headed by its
+/// spec when there are several. Each cell's report is bit-identical to a
 /// standalone single-app run (`gramer::shard` holds the argument).
-fn run_multi(pre: &Preprocessed, opts: &Options) -> ExitCode {
-    let specs: Vec<String> = opts
-        .app
-        .split(',')
-        .map(|s| s.trim().to_ascii_lowercase())
-        .collect();
-    if specs.iter().any(String::is_empty) {
-        eprintln!("error: empty application in --app list {:?}", opts.app);
-        return ExitCode::FAILURE;
-    }
-    let cells: Vec<_> = specs
+fn run_all(pre: &Preprocessed, opts: &Options) -> ExitCode {
+    let cells: Vec<_> = opts
+        .apps
         .iter()
-        .map(|spec| {
-            let cfg = opts.config.clone();
-            move || run_spec(pre, spec, cfg, None)
-        })
+        .map(|(_, app)| move || run_app(pre, opts, app))
         .collect();
-    let results = gramer::shard::run_cells(opts.config.sim_threads, cells);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let results = gramer::shard::run_cells(threads, cells);
 
-    let mut reports = Vec::with_capacity(specs.len());
+    let multi = results.len() > 1;
+    let mut reports = Vec::with_capacity(results.len());
+    let mut tel = None;
     let mut failed = false;
-    for (spec, result) in specs.iter().zip(results) {
+    for ((spec, _), result) in opts.apps.iter().zip(results) {
         match result {
-            Ok(report) => {
-                println!("== {spec} ==");
+            Ok((report, cell_tel)) => {
+                if multi {
+                    println!("== {spec} ==");
+                }
                 print_report(&report, opts.show_counts);
                 reports.push(report);
+                // Only a single-app run records telemetry.
+                tel = cell_tel;
             }
             Err(e) => {
                 eprintln!("error: {spec}: {e}");
@@ -550,13 +498,18 @@ fn run_multi(pre: &Preprocessed, opts: &Options) -> ExitCode {
     if failed {
         return ExitCode::FAILURE;
     }
-    if let Some(path) = opts.json_out.as_deref() {
-        if let Err(e) = write_json(&reports, path) {
+    let written = match opts.json_out.as_deref() {
+        Some(path) => write_json(&reports, path),
+        None => Ok(()),
+    }
+    .and_then(|()| tel.map_or(Ok(()), |tel| write_metrics(&tel, opts)));
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -573,31 +526,5 @@ fn main() -> ExitCode {
         pre.graph.num_vertices(),
         pre.graph.num_edges()
     );
-
-    if opts.app.contains(',') && !opts.app.starts_with("query:") {
-        return run_multi(&pre, &opts);
-    }
-
-    match run_app(&pre, &opts) {
-        Ok((_, report, tel)) => {
-            print_report(&report, opts.show_counts);
-            if let Some(path) = opts.json_out.as_deref() {
-                if let Err(e) = write_json(std::slice::from_ref(&report), path) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(tel) = &tel {
-                if let Err(e) = write_metrics(tel, &opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    run_all(&pre, &opts)
 }

@@ -99,9 +99,6 @@ impl std::str::FromStr for MemoMode {
     }
 }
 
-/// Upper bound accepted for [`GramerConfig::sim_threads`].
-pub const MAX_SIM_THREADS: usize = 64;
-
 /// Upper bound accepted for `num_pus × slots_per_pu`. The simulator
 /// allocates per-slot state up front, so an unbounded product aborts the
 /// process on allocation instead of failing validation; the largest
@@ -164,13 +161,6 @@ pub struct GramerConfig {
     /// simulated quantity (`--access-path=exact` in the experiment bins
     /// selects the reference machinery).
     pub access_path: AccessPath,
-    /// Host threads for running *independent* simulation cells in
-    /// parallel (see [`crate::shard`]). A single simulation cell is
-    /// always executed serially, so this knob never affects simulated
-    /// results; it bounds the worker pool when a caller hands several
-    /// cells to [`crate::shard::run_cells`]. Must lie in
-    /// `1..=`[`MAX_SIM_THREADS`].
-    pub sim_threads: usize,
     /// Recurrent-pattern memoization of the connectivity probe (see
     /// [`MemoMode`]). A modeled structure: changes cycles and memory
     /// traffic, never mined results.
@@ -212,7 +202,6 @@ impl Default for GramerConfig {
             setup_seconds: 5e-3,
             pcie_bandwidth: 12e9,
             access_path: AccessPath::default(),
-            sim_threads: 1,
             memo: MemoMode::Off,
             adaptive_lambda: false,
             repin: false,
@@ -267,9 +256,6 @@ impl GramerConfig {
             if !(0.0..=1.0).contains(&f) {
                 return Err(ConfigError::BadFraction(f));
             }
-        }
-        if !(1..=MAX_SIM_THREADS).contains(&self.sim_threads) {
-            return Err(ConfigError::BadSimThreads(self.sim_threads));
         }
         if let MemoMode::On { bytes } = self.memo {
             if bytes < gramer_mining::MEMO_ENTRY_BYTES {
@@ -431,26 +417,6 @@ mod tests {
             .validate()
             .unwrap();
         }
-    }
-
-    #[test]
-    fn sim_threads_range_enforced() {
-        for bad in [0usize, MAX_SIM_THREADS + 1] {
-            let c = GramerConfig {
-                sim_threads: bad,
-                ..GramerConfig::default()
-            };
-            assert_eq!(c.validate(), Err(ConfigError::BadSimThreads(bad)));
-            assert_eq!(
-                c.validate().map_err(|e| e.kind()),
-                Err("config-bad-sim-threads")
-            );
-        }
-        let ok = GramerConfig {
-            sim_threads: MAX_SIM_THREADS,
-            ..GramerConfig::default()
-        };
-        ok.validate().unwrap();
     }
 
     #[test]

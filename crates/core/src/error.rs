@@ -44,8 +44,6 @@ pub enum ConfigError {
     BadLambda(f64),
     /// Explicit τ outside `(0, 0.5]` (or NaN).
     BadTau(f64),
-    /// `sim_threads` outside `1..=`[`crate::config::MAX_SIM_THREADS`].
-    BadSimThreads(usize),
     /// A memo budget below one table entry (see
     /// [`gramer_mining::MEMO_ENTRY_BYTES`]).
     BadMemoBudget(u64),
@@ -75,7 +73,6 @@ impl ConfigError {
             ConfigError::BadClock(_) => "config-bad-clock",
             ConfigError::BadLambda(_) => "config-bad-lambda",
             ConfigError::BadTau(_) => "config-bad-tau",
-            ConfigError::BadSimThreads(_) => "config-bad-sim-threads",
             ConfigError::BadMemoBudget(_) => "config-bad-memo-budget",
             ConfigError::ArtifactTauMismatch { .. } => "config-artifact-tau",
         }
@@ -107,11 +104,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "lambda must be finite and non-negative, got {v}")
             }
             ConfigError::BadTau(v) => write!(f, "tau must be in (0, 0.5], got {v}"),
-            ConfigError::BadSimThreads(n) => write!(
-                f,
-                "sim_threads must be in 1..={}, got {n}",
-                crate::config::MAX_SIM_THREADS
-            ),
             ConfigError::BadMemoBudget(b) => write!(
                 f,
                 "memo budget must hold at least one entry ({} bytes), got {b}",

@@ -12,7 +12,10 @@
 //!   simulated cycle counts exceed 2^53);
 //! * floats serialize via Rust's shortest-roundtrip formatting, and
 //!   non-finite floats serialize as `null` (JSON has no NaN/Inf);
-//! * [`JsonValue::parse`] round-trips everything the serializer emits.
+//! * [`JsonValue::parse`] round-trips everything the serializer emits,
+//!   and refuses documents nested deeper than [`MAX_NESTING`] with a
+//!   typed error, so hostile input cannot overflow the parsing thread's
+//!   stack.
 //!
 //! # Example
 //!
@@ -29,6 +32,11 @@
 //! ```
 
 use std::fmt;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level; the documents the repository writes nest at
+/// most a handful of levels deep.
+pub const MAX_NESTING: usize = 128;
 
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,10 +233,15 @@ impl JsonValue {
 
     /// Parses a JSON document. Integers without fraction/exponent land in
     /// [`JsonValue::Int`]/[`JsonValue::UInt`]; everything else numeric in
-    /// [`JsonValue::Float`].
+    /// [`JsonValue::Float`]. Nesting deeper than [`MAX_NESTING`] is an
+    /// error at the offset of the first bracket past the limit.
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -309,6 +322,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -360,13 +375,28 @@ impl Parser<'_> {
         }
     }
 
+    /// Opens one array/object level, refusing to pass [`MAX_NESTING`].
+    fn descend(&mut self, open: u8) -> Result<(), JsonParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        self.expect(open)
+    }
+
+    /// Closes the level [`Parser::descend`] opened.
+    fn ascend(&mut self, v: JsonValue) -> Result<JsonValue, JsonParseError> {
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(v)
+    }
+
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'[')?;
+        self.descend(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return self.ascend(JsonValue::Array(items));
         }
         loop {
             self.skip_ws();
@@ -374,22 +404,18 @@ impl Parser<'_> {
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
+                Some(b']') => return self.ascend(JsonValue::Array(items)),
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'{')?;
+        self.descend(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
+            return self.ascend(JsonValue::Object(pairs));
         }
         loop {
             self.skip_ws();
@@ -402,10 +428,7 @@ impl Parser<'_> {
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
-                }
+                Some(b'}') => return self.ascend(JsonValue::Object(pairs)),
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
@@ -594,6 +617,28 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("1 2").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_with_a_typed_error() {
+        for (open, leaf, close) in [("[", "", "]"), ("{\"k\":", "0", "}")] {
+            let doc = |depth: usize| format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth));
+            assert!(JsonValue::parse(&doc(MAX_NESTING)).is_ok());
+            let err = JsonValue::parse(&doc(MAX_NESTING + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            // The offset is the first opener past the limit.
+            assert_eq!(err.offset, MAX_NESTING * open.len());
+        }
+        // 4 MiB of `[`, the daemon's whole body budget, fails on a thread
+        // with a 256 KiB stack instead of overflowing it.
+        let body = "[".repeat(4 << 20);
+        let deep = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || JsonValue::parse(&body).map_err(|e| e.offset))
+            .expect("spawn")
+            .join()
+            .expect("the parser must not overflow its stack");
+        assert_eq!(deep, Err(MAX_NESTING));
     }
 
     #[test]

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod app;
 mod cache;
 mod config;
 mod events;
@@ -63,10 +64,9 @@ pub mod shard;
 pub mod supervise;
 pub mod telemetry;
 
+pub use app::AppSpec;
 pub use cache::PreprocessCache;
-pub use config::{
-    GramerConfig, MemoMode, MemoryBudget, MemoryMode, MAX_SIM_THREADS, MAX_TOTAL_SLOTS,
-};
+pub use config::{GramerConfig, MemoMode, MemoryBudget, MemoryMode, MAX_TOTAL_SLOTS};
 pub use error::{ConfigError, SimError};
 pub use gramer_memsim::AccessPath;
 pub use preprocess::{modeled_preprocess_seconds, preprocess, Preprocessed};

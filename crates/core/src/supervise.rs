@@ -1,13 +1,16 @@
-//! Shared panic quarantine for supervised execution.
+//! Shared panic quarantine and JSONL journal files for supervised
+//! execution.
 //!
 //! Two subsystems run untrusted-ish work on worker threads and must
 //! survive it misbehaving: the experiment-sweep runner in `gramer-bench`
 //! (one sweep point per task) and the `gramer-serve` daemon (one mining
-//! job per task). Both need the same mechanism — run a closure under
-//! [`std::panic::catch_unwind`], capture the panic *message and location*
-//! through a scoped hook instead of letting the default hook spam stderr,
-//! and distinguish three outcomes: a typed error, a genuine panic, and a
-//! cooperative cancellation unwind from [`crate::progress`].
+//! job per task). Both journal their tasks through [`read_json_lines`]
+//! and [`write_json_lines`], and both need the same mechanism — run a
+//! closure under [`std::panic::catch_unwind`], capture the panic
+//! *message and location* through a scoped hook instead of letting the
+//! default hook spam stderr, and distinguish three outcomes: a typed
+//! error, a genuine panic, and a cooperative cancellation unwind from
+//! [`crate::progress`].
 //!
 //! This module is that one implementation. The process-global panic hook
 //! is installed once and chains to the previously installed hook for
@@ -32,8 +35,12 @@
 //! ```
 
 use crate::error::SimError;
+use crate::json::JsonValue;
 use crate::progress;
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
+use std::io;
+use std::path::Path;
 use std::sync::Once;
 
 thread_local! {
@@ -127,6 +134,57 @@ pub fn run_quarantined<T>(f: impl FnOnce() -> Result<T, SimError>) -> Outcome<T>
     }
 }
 
+/// Reads the JSONL file at `path`, one document per `\n`-terminated
+/// line, handing each parsed document to `each` in file order. Lines
+/// that are not UTF-8 or not JSON (a torn write, a hand edit, disk
+/// corruption) are skipped, never fatal, and a missing file reads as
+/// empty. Returns the number of skipped lines; blank lines do not count.
+///
+/// # Errors
+///
+/// Only I/O errors other than [`io::ErrorKind::NotFound`].
+pub fn read_json_lines(path: &Path, mut each: impl FnMut(JsonValue)) -> io::Result<usize> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    let mut skipped = 0;
+    for line in bytes.split(|&b| b == b'\n') {
+        let text = std::str::from_utf8(line).map(str::trim);
+        if text == Ok("") {
+            continue;
+        }
+        match text.ok().and_then(|text| JsonValue::parse(text).ok()) {
+            Some(value) => each(value),
+            None => skipped += 1,
+        }
+    }
+    Ok(skipped)
+}
+
+/// Replaces the file at `path` with one compact JSON document per line,
+/// creating its parent directory. The write is atomic and streamed (see
+/// [`gramer_graph::artifact::replace_file`]): a crash leaves the old
+/// file or the new one, never a torn mix.
+///
+/// # Errors
+///
+/// Any I/O error; the previous file is then left untouched.
+pub fn write_json_lines<V: Borrow<JsonValue>>(
+    path: &Path,
+    values: impl IntoIterator<Item = V>,
+) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    gramer_graph::artifact::replace_file(path, |w| {
+        values
+            .into_iter()
+            .try_for_each(|value| writeln!(w, "{}", value.borrow()))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,5 +246,26 @@ mod tests {
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_lines_roundtrip_and_skip_unreadable_lines() {
+        let dir = std::env::temp_dir().join(format!("gramer-jsonl-{}", std::process::id()));
+        let path = dir.join("nested").join("log.jsonl");
+        let read = |path: &Path| {
+            let mut values = Vec::new();
+            read_json_lines(path, |v| values.push(v)).map(|skipped| (values, skipped))
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(read(&path).expect("missing file"), (Vec::new(), 0));
+        let docs = [JsonValue::from(1u64), JsonValue::from("two")];
+        write_json_lines(&path, &docs).expect("write creates the parent");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        assert_eq!(bytes, b"1\n\"two\"\n");
+        // A non-UTF-8 line, a blank line and a torn trailing line.
+        bytes.extend_from_slice(b"\xff\xfe\n\n{\"id\": 3, \"sta");
+        std::fs::write(&path, &bytes).expect("corrupt");
+        assert_eq!(read(&path).expect("corrupt file"), (docs.to_vec(), 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

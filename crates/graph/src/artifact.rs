@@ -302,48 +302,65 @@ pub fn encode(contents: &ArtifactContents<'_>) -> Result<Vec<u8>, GraphError> {
     Ok(buf)
 }
 
-/// Serializes `contents` and writes it to `path` atomically
-/// (write-temp, fsync, rename) so concurrent readers never observe a
-/// partially written artifact.
-///
-/// The temporary name carries a *(pid, per-process counter)* suffix, so
-/// concurrent writers — two cache-filling threads in one process, or two
-/// processes racing on the same cache entry — each write their own
-/// private temp file and the last rename wins. Readers therefore always
-/// see either the old complete file or a new complete file, never an
-/// interleaved torn write.
+/// Serializes `contents` and writes it to `path` atomically through
+/// [`replace_file`], so concurrent readers never observe a partially
+/// written artifact.
 ///
 /// # Errors
 ///
 /// The input errors of [`encode`] plus [`GraphError::Io`] on any
 /// filesystem failure.
 pub fn write_file(contents: &ArtifactContents<'_>, path: &Path) -> Result<(), GraphError> {
+    let bytes = encode(contents)?;
+    Ok(replace_file(path, |w| w.write_all(&bytes))?)
+}
+
+/// Replaces the file at `path` atomically with what `write` streams
+/// into a buffered temp sibling, which is then fsynced and renamed over
+/// `path`. The temp name carries a *(pid, per-process counter)* suffix,
+/// so concurrent writers — two cache-filling threads in one process, or
+/// two processes racing on the same file — each write their own temp
+/// file and the last rename wins: readers see the old complete file or
+/// a new complete one, never a torn write. On failure the temp file is
+/// removed and `path` is untouched.
+///
+/// # Errors
+///
+/// Any I/O error from `write` or the create, fsync or rename, and
+/// [`std::io::ErrorKind::InvalidInput`] when `path` has no file name.
+pub fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-    let bytes = encode(contents)?;
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        GraphError::invalid(format!("artifact path {} has no file name", path.display()))
-    })?;
+    let Some(file_name) = path.file_name() else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} has no file name", path.display()),
+        ));
+    };
     let mut tmp_name = file_name.to_os_string();
     tmp_name.push(format!(
         ".tmp.{}.{}",
         std::process::id(),
         WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    if let Err(e) = std::fs::rename(&tmp, path) {
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|f| {
+        let mut w = std::io::BufWriter::new(f);
+        write(&mut w)?;
+        let file = w
+            .into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
-        return Err(GraphError::Io(e));
     }
-    Ok(())
+    written
 }
 
 /// A validated, loaded `.gra` artifact.
@@ -1044,6 +1061,24 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let art = GraphArtifact::open(&path).unwrap();
         assert_eq!(art.to_csr(), r.graph);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replace_file_over_a_directory_fails_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("gra-replace-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let target = dir.join("occupied");
+        std::fs::create_dir_all(&target).unwrap();
+        assert!(replace_file(&target, |w| w.write_all(b"bytes")).is_err());
+        assert!(target.is_dir(), "the directory must be left in place");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["occupied"], "no .tmp. sibling may remain");
+        // A path without a file name is refused before anything is written.
+        assert!(replace_file(Path::new("/"), |_| Ok(())).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

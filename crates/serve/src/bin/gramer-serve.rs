@@ -33,6 +33,7 @@
 //! writes the body to a file (byte-identical to `gramer-mine --json`).
 
 use gramer::json::JsonValue;
+use gramer_graph::artifact;
 use gramer_serve::http;
 use gramer_serve::server::{Server, ServerConfig};
 use gramer_serve::ChaosConfig;
@@ -161,9 +162,7 @@ fn daemon_main(args: &[String]) -> ExitCode {
     if let Some(path) = &addr_file {
         // Atomic publish: scripts poll for the file, so it must never be
         // observed half-written.
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        let write =
-            std::fs::write(&tmp, format!("{addr}\n")).and_then(|()| std::fs::rename(&tmp, path));
+        let write = artifact::replace_file(path.as_ref(), |w| writeln!(w, "{addr}"));
         if let Err(e) = write {
             eprintln!("gramer-serve: cannot write --addr-file {path}: {e}");
             return ExitCode::FAILURE;

@@ -15,9 +15,7 @@
 
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
-use gramer::{GramerConfig, MemoryBudget, Preprocessed, RunReport, SimError, Simulator};
-use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
-use gramer_mining::{EcmApp, QueryApp, QueryGraph};
+use gramer::{AppSpec, GramerConfig, MemoryBudget, Preprocessed, RunReport, SimError};
 use std::path::PathBuf;
 
 /// Where a job's graph comes from.
@@ -66,7 +64,8 @@ impl GraphSource {
 pub struct JobSpec {
     /// The graph to mine.
     pub graph: GraphSource,
-    /// Application spec (`3-cf`, `4-mc`, `fsm:<t>`, ...).
+    /// Application spec (`3-cf`, `4-mc`, `fsm:<t>`, ...), lowercased;
+    /// it parses as an [`AppSpec`].
     pub app: String,
     /// Simulator configuration after applying the spec's knob overrides.
     pub config: GramerConfig,
@@ -124,7 +123,9 @@ impl JobSpec {
             .and_then(JsonValue::as_str)
             .ok_or("missing \"app\"")?
             .to_ascii_lowercase();
-        validate_app_spec(&app)?;
+        // Building the app at admission refuses every spec a worker
+        // could not run (a bad size, a degenerate query) with a 400.
+        app.parse::<AppSpec>()?;
 
         let mut config = GramerConfig::default();
         if let Some(c) = v.get("config") {
@@ -199,13 +200,6 @@ fn apply_config_overrides(config: &mut GramerConfig, c: &JsonValue) -> Result<()
                 let s = value.as_str().ok_or("\"access_path\" must be a string")?;
                 config.access_path = s.parse()?;
             }
-            "sim_threads" => {
-                // Range is enforced by `config.validate()` after all
-                // overrides land, so an out-of-range value becomes the
-                // same typed rejection as any other bad knob.
-                config.sim_threads =
-                    value.as_u64().ok_or("\"sim_threads\" must be an integer")? as usize;
-            }
             "memo" => {
                 let s = value.as_str().ok_or("\"memo\" must be a string")?;
                 config.memo = s.parse()?;
@@ -224,35 +218,9 @@ fn apply_config_overrides(config: &mut GramerConfig, c: &JsonValue) -> Result<()
     Ok(())
 }
 
-/// Checks an app spec parses without building the app (admission-time
-/// validation; the worker builds the real app).
-fn validate_app_spec(spec: &str) -> Result<(), String> {
-    if let Some(t) = spec.strip_prefix("fsm:") {
-        t.parse::<u64>()
-            .map(|_| ())
-            .map_err(|_| format!("bad FSM threshold {t:?}"))
-    } else if let Some(q) = spec.strip_prefix("query:") {
-        // Full parse at admission: a malformed query graph is a typed
-        // 400, never a queued job that fails on a worker.
-        QueryGraph::parse(q)
-            .map(|_| ())
-            .map_err(|e| format!("bad query spec: {e}"))
-    } else {
-        let (k, kind) = spec
-            .split_once('-')
-            .ok_or_else(|| format!("bad app spec {spec:?}"))?;
-        k.parse::<usize>()
-            .map_err(|_| format!("bad size in {spec:?}"))?;
-        match kind {
-            "cf" | "mc" => Ok(()),
-            other => Err(format!("unknown application kind {other:?}")),
-        }
-    }
-}
-
-/// Runs `app_spec` on `pre` under `config`, optionally recording
-/// telemetry — the same adapter `gramer-mine` uses, shared so served
-/// reports are byte-identical to CLI reports by construction.
+/// Parses `app_spec` as an [`AppSpec`] and runs it on `pre` under
+/// `config`, optionally recording telemetry. `gramer-mine` runs the same
+/// [`AppSpec::run`], so served reports are byte-identical to CLI reports.
 ///
 /// # Errors
 ///
@@ -263,77 +231,15 @@ pub fn run_app_spec(
     config: GramerConfig,
     telemetry_window: Option<u64>,
 ) -> Result<(RunReport, Option<Telemetry>), SimError> {
-    let run = |app: &dyn DynRun| -> Result<(RunReport, Option<Telemetry>), SimError> {
-        let mut tel = telemetry_window.map(|window_cycles| {
-            Telemetry::new(TelemetryConfig {
-                window_cycles,
-                ..TelemetryConfig::default()
-            })
-        });
-        let report = app.run(pre, config.clone(), tel.as_mut())?;
-        Ok((report, tel))
-    };
-    if let Some(t) = app_spec.strip_prefix("fsm:") {
-        let threshold: u64 = t
-            .parse()
-            .map_err(|_| SimError::App(format!("bad FSM threshold {t:?}")))?;
-        return run(&FrequentSubgraphMining::new(threshold));
-    }
-    if let Some(q) = app_spec.strip_prefix("query:") {
-        // Filtered subgraph query: same report shape, plus the gated
-        // `query` stats block (see `Simulator::run_query`).
-        let query =
-            QueryGraph::parse(q).map_err(|e| SimError::App(format!("bad query spec: {e}")))?;
-        let app = QueryApp::new(query).map_err(SimError::App)?;
-        let mut tel = telemetry_window.map(|window_cycles| {
-            Telemetry::new(TelemetryConfig {
-                window_cycles,
-                ..TelemetryConfig::default()
-            })
-        });
-        let sim = Simulator::new(pre, config)?;
-        let report = match tel.as_mut() {
-            Some(t) => sim.run_query_telemetry(&app, t)?,
-            None => sim.run_query(&app)?,
-        };
-        return Ok((report, tel));
-    }
-    let (k, kind) = app_spec
-        .split_once('-')
-        .ok_or_else(|| SimError::App(format!("bad app spec {app_spec:?}")))?;
-    let k: usize = k
-        .parse()
-        .map_err(|_| SimError::App(format!("bad size in {app_spec:?}")))?;
-    match kind {
-        "cf" => run(&CliqueFinding::new(k).map_err(SimError::App)?),
-        "mc" => run(&MotifCounting::new(k).map_err(SimError::App)?),
-        other => Err(SimError::App(format!("unknown application kind {other:?}"))),
-    }
-}
-
-/// Object-safe run adapter (the simulator API is generic over the app).
-trait DynRun {
-    fn run(
-        &self,
-        pre: &Preprocessed,
-        cfg: GramerConfig,
-        tel: Option<&mut Telemetry>,
-    ) -> Result<RunReport, SimError>;
-}
-
-impl<A: EcmApp> DynRun for A {
-    fn run(
-        &self,
-        pre: &Preprocessed,
-        cfg: GramerConfig,
-        tel: Option<&mut Telemetry>,
-    ) -> Result<RunReport, SimError> {
-        let sim = Simulator::new(pre, cfg)?;
-        match tel {
-            Some(tel) => sim.run_telemetry(self, tel),
-            None => sim.run(self),
-        }
-    }
+    let app: AppSpec = app_spec.parse().map_err(SimError::App)?;
+    let mut tel = telemetry_window.map(|window_cycles| {
+        Telemetry::new(TelemetryConfig {
+            window_cycles,
+            ..TelemetryConfig::default()
+        })
+    });
+    let report = app.run(pre, config, tel.as_mut())?;
+    Ok((report, tel))
 }
 
 /// Where a job is in its lifecycle.
@@ -563,12 +469,19 @@ mod tests {
 
     #[test]
     fn rejects_bad_app_and_unknown_knob() {
-        let v =
-            JsonValue::parse("{\"graph\": {\"gen\": \"demo\"}, \"app\": \"9-zz\"}").expect("json");
-        assert!(JobSpec::from_json(&v).is_err());
+        // Sizes outside the supported embedding range are refused at
+        // admission, not failed later on a worker.
+        for app in ["9-zz", "99-cf", "1-mc", "0-cf", "9-mc"] {
+            let v = JsonValue::parse(&format!(
+                "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"{app}\"}}"
+            ))
+            .expect("json");
+            assert!(JobSpec::from_json(&v).is_err(), "{app} must be refused");
+        }
         // `scheduler` and `epoch` are not knobs: the simulator has one
-        // event engine.
-        for knob in ["warp", "scheduler", "epoch"] {
+        // event engine. `sim_threads` is not one either: a job is one
+        // simulation, and the host picks its own threads.
+        for knob in ["warp", "scheduler", "epoch", "sim_threads"] {
             let v = JsonValue::parse(&format!(
                 "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \
                  \"config\": {{\"{knob}\": \"off\"}}}}"
@@ -604,14 +517,13 @@ mod tests {
         let v = JsonValue::parse(
             "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-mc\", \
              \"config\": {\"pus\": 4, \"tau\": 0.05, \"access_path\": \"exact\", \
-             \"work_stealing\": false, \"sim_threads\": 4}}",
+             \"work_stealing\": false}}",
         )
         .expect("json");
         let spec = JobSpec::from_json(&v).expect("valid");
         assert_eq!(spec.config.num_pus, 4);
         assert_eq!(spec.config.tau, Some(0.05));
         assert!(!spec.config.work_stealing);
-        assert_eq!(spec.config.sim_threads, 4);
     }
 
     #[test]
@@ -666,28 +578,6 @@ mod tests {
             let err = JobSpec::from_json(&v).unwrap_err();
             assert!(err.contains("metrics"), "metrics={bad}: {err}");
         }
-    }
-
-    #[test]
-    fn sim_threads_out_of_range_is_rejected_at_admission() {
-        // Zero and above-MAX both fail `config.validate()`, which the
-        // server surfaces as a typed 400 — never a queued job.
-        for bad in ["0", "65"] {
-            let v = JsonValue::parse(&format!(
-                "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \
-                 \"config\": {{\"sim_threads\": {bad}}}}}"
-            ))
-            .expect("json");
-            let err = JobSpec::from_json(&v).unwrap_err();
-            assert!(err.contains("sim_threads"), "bad={bad}: {err}");
-        }
-        // A non-integer is rejected by the override parser itself.
-        let v = JsonValue::parse(
-            "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\", \
-             \"config\": {\"sim_threads\": \"many\"}}",
-        )
-        .expect("json");
-        assert!(JobSpec::from_json(&v).unwrap_err().contains("sim_threads"));
     }
 
     #[test]

@@ -3,24 +3,24 @@
 //! The daemon's only durable state is one JSONL file: each line is the
 //! latest [`JobRecord`] snapshot for one job (JSON from
 //! [`JobRecord::to_json_value`]). On every state change the supervisor
-//! rewrites the whole file through a temp file, fsyncs it, and renames
-//! it into place — the same temp+fsync+rename discipline as the `.gra`
-//! artifact writer — so a crash at any instant leaves either the old
-//! journal or the new one, never a torn mix.
+//! rewrites the whole file through [`gramer::supervise::write_json_lines`]
+//! — temp file, fsync, rename, the `.gra` artifact writer's discipline —
+//! so a crash at any instant leaves either the old journal or the new
+//! one, never a torn mix.
 //!
-//! Replay is forgiving by design: a torn or corrupt line (the crash may
-//! have happened mid-write under an older append-style journal, or the
-//! file may have been hand-edited) is skipped, not fatal, and when a job
-//! id appears on multiple lines the last structurally valid one wins.
-//! Terminal records are restored as-is — completed results survive a
-//! restart byte-for-byte — while `queued`/`running` records are returned
-//! for the supervisor to re-enqueue: a job that was mid-flight when the
-//! daemon died runs again rather than being silently lost.
+//! Replay is forgiving by design: a torn, non-UTF-8 or otherwise corrupt
+//! line (the crash may have happened mid-write under an older
+//! append-style journal, or the file may have been hand-edited) is
+//! skipped, not fatal, and when a job id appears on multiple lines the
+//! last structurally valid one wins. Terminal records are restored
+//! as-is — completed results survive a restart byte-for-byte — while
+//! `queued`/`running` records are returned for the supervisor to
+//! re-enqueue: a job that was mid-flight when the daemon died runs again
+//! rather than being silently lost.
 
 use crate::job::{JobRecord, JobStatus};
-use gramer::json::JsonValue;
-use std::fs::{self, File};
-use std::io::{self, Write};
+use gramer::supervise::{read_json_lines, write_json_lines};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// A journal bound to one file path.
@@ -61,30 +61,17 @@ impl JobJournal {
     /// Only real I/O errors (permission, hardware); corruption is
     /// reported via [`Replay::skipped_lines`] instead.
     pub fn replay(&self) -> io::Result<Replay> {
-        let text = match fs::read_to_string(&self.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
         let mut latest: std::collections::BTreeMap<u64, JobRecord> =
             std::collections::BTreeMap::new();
-        let mut skipped = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
+        let mut not_records = 0;
+        let unreadable = read_json_lines(&self.path, |value| match JobRecord::from_json(&value) {
+            Some(rec) => {
+                latest.insert(rec.id, rec);
             }
-            let record = JsonValue::parse(line)
-                .ok()
-                .and_then(|v| JobRecord::from_json(&v));
-            match record {
-                Some(rec) => {
-                    latest.insert(rec.id, rec);
-                }
-                None => skipped += 1,
-            }
-        }
+            None => not_records += 1,
+        })?;
         let mut replay = Replay {
-            skipped_lines: skipped,
+            skipped_lines: unreadable + not_records,
             ..Replay::default()
         };
         for (_, mut rec) in latest {
@@ -108,29 +95,10 @@ impl JobJournal {
         &self,
         records: impl IntoIterator<Item = &'a JobRecord>,
     ) -> io::Result<()> {
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        let mut file = File::create(&tmp)?;
-        for rec in records {
-            let line = rec.to_json_value().to_string();
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-        }
-        file.sync_all()?;
-        drop(file);
-        match fs::rename(&tmp, &self.path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_json_lines(
+            &self.path,
+            records.into_iter().map(JobRecord::to_json_value),
+        )
     }
 }
 
@@ -138,6 +106,8 @@ impl JobJournal {
 mod tests {
     use super::*;
     use crate::job::JobError;
+    use gramer::json::JsonValue;
+    use std::fs;
 
     fn spec() -> JsonValue {
         JsonValue::parse("{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\"}").expect("json")
@@ -191,14 +161,15 @@ mod tests {
         let mut done = JobRecord::new(1, spec(), JobStatus::Queued);
         done.status = JobStatus::Completed;
         journal.write_snapshot([&done]).expect("snapshot");
-        // Simulate an append crash: half a JSON object at the end.
-        let mut text = fs::read_to_string(&path).expect("read");
-        text.push_str("{\"id\": 2, \"status\": \"que");
-        fs::write(&path, text).expect("write");
+        // Simulate an append crash: a line of non-UTF-8 garbage and half
+        // a JSON object at the end.
+        let mut bytes = fs::read(&path).expect("read");
+        bytes.extend_from_slice(b"\xff\xfe\n{\"id\": 2, \"status\": \"que");
+        fs::write(&path, bytes).expect("write");
 
         let replay = journal.replay().expect("replay");
         assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.skipped_lines, 1);
+        assert_eq!(replay.skipped_lines, 2);
         assert_eq!(replay.records[0].id, 1);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,6 @@
 //! End-to-end acceptance tests for the daemon: byte-identical served
-//! reports, panic containment, queue-full back-pressure, and graceful
-//! shutdown with an intact journal.
+//! reports, panic containment, hostile request bodies, queue-full
+//! back-pressure, and graceful shutdown with an intact journal.
 
 use gramer::json::JsonValue;
 use gramer_serve::http;
@@ -127,6 +127,38 @@ fn injected_panic_is_contained_and_daemon_stays_up() {
     handle.join().expect("join");
 }
 
+fn error_kind(doc: &JsonValue) -> Option<&str> {
+    doc.get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(JsonValue::as_str)
+}
+
+/// A spec the simulator cannot run and a body nested past the JSON depth
+/// limit (4 MiB of `[`, the whole body budget) are typed 400s, and the
+/// daemon keeps answering.
+#[test]
+fn hostile_submissions_are_typed_400s_and_daemon_stays_up() {
+    let (addr, shutdown, handle) = spawn(ServerConfig {
+        supervisor: SupervisorConfig {
+            workers: 0,
+            ..SupervisorConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let unrunnable = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"99-cf\"}";
+    for (body, kind) in [
+        (unrunnable.to_string(), "invalid_spec"),
+        ("[".repeat(4 << 20), "malformed"),
+    ] {
+        let (status, doc) = submit(&addr, &body);
+        assert_eq!((status, error_kind(&doc)), (400, Some(kind)), "{doc}");
+        let (status, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(status, 200);
+    }
+    shutdown.request();
+    handle.join().expect("join");
+}
+
 #[test]
 fn full_queue_answers_typed_429() {
     let (addr, shutdown, handle) = spawn(ServerConfig {
@@ -144,12 +176,7 @@ fn full_queue_answers_typed_429() {
     }
     let (status, doc) = submit(&addr, spec);
     assert_eq!(status, 429);
-    assert_eq!(
-        doc.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(JsonValue::as_str),
-        Some("queue_full")
-    );
+    assert_eq!(error_kind(&doc), Some("queue_full"));
     // Back-pressure is observable in /stats.
     let (_, stats) = http::request(&addr, "GET", "/stats", None).expect("stats");
     let stats = JsonValue::parse(&stats).expect("json");

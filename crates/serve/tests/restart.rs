@@ -69,10 +69,7 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
         .and_then(JsonValue::as_u64)
         .expect("id");
     let done = wait_terminal(&addr, completed_id, Duration::from_secs(60));
-    assert_eq!(
-        done.get("status").and_then(JsonValue::as_str),
-        Some("completed")
-    );
+    assert_eq!(field(&done, &["status"]), Some("completed"));
     let attempts_before = done
         .get("attempts")
         .and_then(JsonValue::as_u64)
@@ -110,10 +107,7 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
         ..ServerConfig::default()
     });
     let restored = wait_terminal(&addr, completed_id, Duration::from_secs(5));
-    assert_eq!(
-        restored.get("status").and_then(JsonValue::as_str),
-        Some("completed")
-    );
+    assert_eq!(field(&restored, &["status"]), Some("completed"));
     assert_eq!(
         restored.get("attempts").and_then(JsonValue::as_u64),
         Some(attempts_before),
@@ -129,7 +123,7 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
     for id in [queued_a, queued_b] {
         let done = wait_terminal(&addr, id, Duration::from_secs(60));
         assert_eq!(
-            done.get("status").and_then(JsonValue::as_str),
+            field(&done, &["status"]),
             Some("completed"),
             "interrupted job {id} must be re-run to completion: {done}"
         );
@@ -157,25 +151,28 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A PU x slot product the simulator cannot allocate is a typed 400 at
-/// admission. A journal that already holds such a job as `running`
-/// (written by a daemon that admitted it) must end it `failed` with kind
-/// `invalid` on restart instead of re-running it, and the daemon keeps
-/// answering.
-#[test]
-fn oversized_slot_config_is_refused_at_admission_and_on_replay() {
-    let dir = std::env::temp_dir().join(format!("gramer-restart-slots-{}", std::process::id()));
+/// Seeds a fresh journal with `record` followed by the raw bytes `tail`,
+/// then starts a one-worker daemon over it. Returns the temp dir too.
+fn restart_over(
+    tag: &str,
+    record: &JobRecord,
+    tail: &[u8],
+) -> (
+    std::path::PathBuf,
+    String,
+    Arc<gramer_serve::server::ServerShutdown>,
+    std::thread::JoinHandle<()>,
+) {
+    let dir = std::env::temp_dir().join(format!("gramer-restart-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let journal_path = dir.join("jobs.jsonl");
-    let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\", \
-                \"config\": {\"pus\": 100000, \"slots\": 100000}}";
-    let mut record = JobRecord::new(1, JsonValue::parse(spec).expect("json"), JobStatus::Running);
-    record.attempts = 1;
     JobJournal::new(&journal_path)
-        .write_snapshot([&record])
+        .write_snapshot([record])
         .expect("seed journal");
-
+    let mut bytes = std::fs::read(&journal_path).expect("read journal");
+    bytes.extend_from_slice(tail);
+    std::fs::write(&journal_path, bytes).expect("write journal");
     let (addr, shutdown, handle) = spawn(ServerConfig {
         supervisor: SupervisorConfig {
             workers: 1,
@@ -184,27 +181,83 @@ fn oversized_slot_config_is_refused_at_admission_and_on_replay() {
         },
         ..ServerConfig::default()
     });
+    (dir, addr, shutdown, handle)
+}
+
+fn field<'a>(doc: &'a JsonValue, path: &[&str]) -> Option<&'a str> {
+    path.iter()
+        .try_fold(doc, |v, key| v.get(key))
+        .and_then(JsonValue::as_str)
+}
+
+/// Starts a daemon over a journal holding one job with the knob
+/// overrides `config` in state `status`, as a daemon that admitted it
+/// would have written it. On restart the job must end `failed` with kind
+/// `invalid` instead of running; a fresh submission of the same spec is
+/// a typed 400; the daemon keeps answering throughout.
+fn refused_at_admission_and_on_replay(tag: &str, config: &str, status: JobStatus) {
+    let spec = format!(
+        "{{\"graph\": {{\"gen\": \"ba:120:3:5\"}}, \"app\": \"3-cf\", \"config\": {config}}}"
+    );
+    let mut record = JobRecord::new(1, JsonValue::parse(&spec).expect("json"), status);
+    record.attempts = u32::from(status == JobStatus::Running);
+    let (dir, addr, shutdown, handle) = restart_over(tag, &record, b"");
     let done = wait_terminal(&addr, 1, Duration::from_secs(60));
-    assert_eq!(
-        done.get("status").and_then(JsonValue::as_str),
-        Some("failed"),
-        "{done}"
-    );
-    assert_eq!(
-        done.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(JsonValue::as_str),
-        Some("invalid"),
-        "{done}"
-    );
+    assert_eq!(field(&done, &["status"]), Some("failed"), "{done}");
+    assert_eq!(field(&done, &["error", "kind"]), Some("invalid"), "{done}");
     let (code, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!(code, 200);
 
-    let (code, body) = http::request(&addr, "POST", "/jobs", Some(spec)).expect("submit");
+    let (code, body) = http::request(&addr, "POST", "/jobs", Some(&spec)).expect("submit");
     assert_eq!(code, 400, "{body}");
     assert!(body.contains("invalid_spec"), "{body}");
     let (code, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!(code, 200);
+
+    shutdown.request();
+    handle.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A PU x slot product the simulator cannot allocate, journaled as
+/// `running`.
+#[test]
+fn oversized_slot_config_is_refused_at_admission_and_on_replay() {
+    refused_at_admission_and_on_replay(
+        "slots",
+        "{\"pus\": 100000, \"slots\": 100000}",
+        JobStatus::Running,
+    );
+}
+
+/// `sim_threads` is not a knob (no knob sets a thread count), journaled
+/// as `queued`.
+#[test]
+fn sim_threads_knob_is_refused_at_admission_and_on_replay() {
+    refused_at_admission_and_on_replay("threads", "{\"sim_threads\": 4}", JobStatus::Queued);
+}
+
+/// A journal line that is not UTF-8 (disk corruption, a hand edit) is
+/// skipped on replay: the daemon starts and restores the valid record.
+#[test]
+fn restart_over_a_non_utf8_journal_line_restores_the_valid_records() {
+    let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
+    let mut record = JobRecord::new(
+        1,
+        JsonValue::parse(spec).expect("json"),
+        JobStatus::Completed,
+    );
+    record.report_json = Some(JsonValue::parse("{\"cycles\": 42}").expect("json"));
+    let (dir, addr, shutdown, handle) = restart_over("utf8", &record, b"\xff\xfe\n");
+    let restored = wait_terminal(&addr, 1, Duration::from_secs(5));
+    assert_eq!(
+        field(&restored, &["status"]),
+        Some("completed"),
+        "{restored}"
+    );
+    let (code, report) = http::request(&addr, "GET", "/jobs/1/report", None).expect("report");
+    assert_eq!(code, 200);
+    assert_eq!(JsonValue::parse(&report).ok(), record.report_json);
 
     shutdown.request();
     handle.join().expect("join");
@@ -265,11 +318,7 @@ fn eight_concurrent_submitters_get_deterministic_admission_and_share_the_session
 
     for id in &all_ids {
         let done = wait_terminal(&addr, *id, Duration::from_secs(120));
-        assert_eq!(
-            done.get("status").and_then(JsonValue::as_str),
-            Some("completed"),
-            "{done}"
-        );
+        assert_eq!(field(&done, &["status"]), Some("completed"), "{done}");
     }
 
     // Warm-hit accounting: one build, everyone else hits. Concurrent

@@ -8,14 +8,13 @@
 #   fmt     cargo fmt --check              (tree must be rustfmt-clean)
 #   build   cargo build --release          (all crates + experiment bins)
 #   test    cargo test -q --workspace      (unit + integration + doc tests)
-#   golden  golden + telemetry suites x {fast,exact} access paths and a
-#           GRAMER_SIM_THREADS=4 sharded-cells pass (access path and cell
-#           parallelism are host-side choices; every cell must match the
+#   golden  golden + telemetry suites x {fast,exact} access paths (the
+#           access path is a host-side choice; every cell must match the
 #           golden constants bit-for-bit, and the engine must match its
 #           heap-order reference); plus the memo dimension: a
 #           GRAMER_MEMO=on golden cell (mining results pinned, timing
 #           free to improve) and a gramer-mine --memo off byte-compare
-#           against the default run
+#           against the default multi-app run
 #   query   query-matrix: the pinned labeled queries of tests/query.rs
 #           x {fast,exact}, plus a GRAMER_MEMO=on leg (filtered match
 #           totals and filter-probe counters are pinned across every
@@ -69,26 +68,20 @@ stage_golden() {
     # branches on GRAMER_MEMO internally.
     echo "   -- memo=on golden cell (results pinned, timing free)"
     GRAMER_MEMO=on cargo test -q --test golden
-    # Sharded-cells pass: gramer-mine must produce byte-identical reports
-    # with 4 host threads over a multi-app cell list.
-    echo "   -- sim-threads=4 sharded cells byte-identity (gramer-mine)"
+    # `--memo off` is the bit-exact reference path: explicitly passing it
+    # must reproduce the default multi-app run byte-for-byte (JSON and
+    # stdout).
+    echo "   -- --memo off byte-identity with the default run (gramer-mine)"
     cargo build --release -q -p gramer --bin gramer-mine
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "${tmp:-}"; trap - RETURN' RETURN
-    target/release/gramer-mine --demo --app 3-cf,3-mc,4-cf --sim-threads 1 \
-        --json "$tmp/serial.json" > "$tmp/serial.out" 2> /dev/null
-    GRAMER_SIM_THREADS=4 target/release/gramer-mine --demo --app 3-cf,3-mc,4-cf \
-        --json "$tmp/sharded.json" > "$tmp/sharded.out" 2> /dev/null
-    cmp "$tmp/serial.json" "$tmp/sharded.json"
-    cmp "$tmp/serial.out" "$tmp/sharded.out"
-    # `--memo off` is the bit-exact reference path: explicitly passing it
-    # must reproduce the default run byte-for-byte (JSON and stdout).
-    echo "   -- --memo off byte-identity with the default run (gramer-mine)"
+    target/release/gramer-mine --demo --app 3-cf,3-mc,4-cf \
+        --json "$tmp/default.json" > "$tmp/default.out" 2> /dev/null
     target/release/gramer-mine --demo --app 3-cf,3-mc,4-cf --memo off \
         --json "$tmp/memo-off.json" > "$tmp/memo-off.out" 2> /dev/null
-    cmp "$tmp/serial.json" "$tmp/memo-off.json"
-    cmp "$tmp/serial.out" "$tmp/memo-off.out"
+    cmp "$tmp/default.json" "$tmp/memo-off.json"
+    cmp "$tmp/default.out" "$tmp/memo-off.out"
 }
 
 stage_query() {

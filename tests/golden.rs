@@ -265,17 +265,14 @@ fn epoch_engine_matches_interleaved_on_golden_workloads() {
 }
 
 /// Running the two golden workloads as independent cells on a sharded
-/// pool (`sim_threads=4`) must yield byte-identical serialized reports,
-/// in the same order, as the serial `sim_threads=1` path — host
-/// parallelism across cells never touches a simulated quantity, and
-/// result order is cell order by construction (see `gramer::shard`).
+/// pool (4 threads) must yield byte-identical serialized reports, in the
+/// same order, as the serial 1-thread path — host parallelism across
+/// cells never touches a simulated quantity, and result order is cell
+/// order by construction (see `gramer::shard`).
 #[test]
 fn sharded_cells_reports_are_bit_identical_to_serial() {
     let run_matrix = |threads: usize| -> Vec<String> {
-        let cfg = GramerConfig {
-            sim_threads: threads,
-            ..base_config()
-        };
+        let cfg = base_config();
         let cells: Vec<Box<dyn FnOnce() -> String + Send>> = vec![
             Box::new({
                 let cfg = cfg.clone();
@@ -300,7 +297,7 @@ fn sharded_cells_reports_are_bit_identical_to_serial() {
     let sharded = run_matrix(4);
     assert_eq!(
         serial, sharded,
-        "sim_threads=4 diverged from sim_threads=1 on the golden cells"
+        "4 threads diverged from 1 thread on the golden cells"
     );
     assert_eq!(serial.len(), 2);
 }

@@ -317,17 +317,21 @@ pub fn write_file(contents: &ArtifactContents<'_>, path: &Path) -> Result<(), Gr
 
 /// Replaces the file at `path` atomically with what `write` streams
 /// into a buffered temp sibling, which is then fsynced and renamed over
-/// `path`. The temp name carries a *(pid, per-process counter)* suffix,
-/// so concurrent writers — two cache-filling threads in one process, or
-/// two processes racing on the same file — each write their own temp
-/// file and the last rename wins: readers see the old complete file or
-/// a new complete one, never a torn write. On failure the temp file is
-/// removed and `path` is untouched.
+/// `path`; the parent directory is fsynced last, so the rename itself
+/// survives a power cut. The temp name carries a *(pid, per-process
+/// counter)* suffix, so concurrent writers — two cache-filling threads
+/// in one process, or two processes racing on the same file — each
+/// write their own temp file and the last rename wins: readers see the
+/// old complete file or a new complete one, never a torn write. On a
+/// failure before the rename the temp file is removed and `path` is
+/// untouched.
 ///
 /// # Errors
 ///
-/// Any I/O error from `write` or the create, fsync or rename, and
-/// [`std::io::ErrorKind::InvalidInput`] when `path` has no file name.
+/// Any I/O error from `write` or the create, fsync, rename or directory
+/// sync, and [`std::io::ErrorKind::InvalidInput`] when `path` has no
+/// file name. After a directory-sync error the new contents are in
+/// place but may not survive a power cut.
 pub fn replace_file(
     path: &Path,
     write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
@@ -359,8 +363,16 @@ pub fn replace_file(
     });
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
+        return written;
     }
-    written
+    // Without this a power cut can still lose the rename. Only Unix
+    // opens a directory as a file to sync it.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// A validated, loaded `.gra` artifact.

@@ -1,26 +1,37 @@
 //! Crash-safe JSONL job journal.
 //!
-//! The daemon's only durable state is one JSONL file: each line is the
-//! latest [`JobRecord`] snapshot for one job (JSON from
-//! [`JobRecord::to_json_value`]). On every state change the supervisor
-//! rewrites the whole file through [`gramer::supervise::write_json_lines`]
-//! — temp file, fsync, rename, the `.gra` artifact writer's discipline —
-//! so a crash at any instant leaves either the old journal or the new
-//! one, never a torn mix.
+//! The daemon's only durable state is one JSONL file: each line is a
+//! [`JobRecord`] snapshot for one job (JSON from
+//! [`JobRecord::to_json_value`]), and when a job id appears on several
+//! lines the last one is its current state. The crash contract:
+//!
+//! * **Appends are synced one line at a time.** Each state change is one
+//!   line written by [`JobJournal::append`] with a single `write_all` and
+//!   synced before the call returns, so a change the daemon has
+//!   acknowledged is on disk.
+//! * **A crash leaves at most one torn last line**, which replay skips:
+//!   that job falls back to its previous line.
+//! * **Snapshots are atomic.** [`JobJournal::write_snapshot`] rewrites
+//!   the file with one line per record through
+//!   [`gramer::supervise::write_json_lines`] — temp file, fsync, rename,
+//!   directory fsync, the `.gra` artifact writer's discipline — so a
+//!   crash leaves the old file or the new one, never a torn mix. The
+//!   daemon snapshots at start (which also drops a torn tail before the
+//!   first append), at drain, and to compact the appends, which keeps
+//!   the file within about twice the live records.
 //!
 //! Replay is forgiving by design: a torn, non-UTF-8 or otherwise corrupt
-//! line (the crash may have happened mid-write under an older
-//! append-style journal, or the file may have been hand-edited) is
-//! skipped, not fatal, and when a job id appears on multiple lines the
-//! last structurally valid one wins. Terminal records are restored
-//! as-is — completed results survive a restart byte-for-byte — while
-//! `queued`/`running` records are returned for the supervisor to
-//! re-enqueue: a job that was mid-flight when the daemon died runs again
-//! rather than being silently lost.
+//! line (a crash mid-append, or a hand edit) is skipped, not fatal, and
+//! the last structurally valid line per job id wins. Terminal records
+//! are restored as-is — completed results survive a restart
+//! byte-for-byte — while `queued`/`running` records are returned for the
+//! supervisor to re-enqueue: a job that was mid-flight when the daemon
+//! died runs again rather than being silently lost.
 
 use crate::job::{JobRecord, JobStatus};
 use gramer::supervise::{read_json_lines, write_json_lines};
-use std::io;
+use std::fs::OpenOptions;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// A journal bound to one file path.
@@ -84,13 +95,36 @@ impl JobJournal {
         Ok(replay)
     }
 
+    /// Appends `record` as one compact line and syncs it before
+    /// returning.
+    ///
+    /// The file must exist already: an append never creates it, so a
+    /// journal that vanished is not restarted with a single line (the
+    /// caller writes a snapshot instead). A failed append may leave part
+    /// of its line behind, which the next append would be glued onto;
+    /// after any error the caller must write a snapshot before appending
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::NotFound`] when the file does not exist, and any
+    /// I/O error from the open, write or sync.
+    pub fn append(&self, record: &JobRecord) -> io::Result<()> {
+        let mut line = record.to_json_value().to_string();
+        line.push('\n');
+        let mut file = OpenOptions::new().append(true).open(&self.path)?;
+        file.write_all(line.as_bytes())?;
+        file.sync_data()
+    }
+
     /// Atomically replaces the journal with one snapshot line per
     /// record (callers pass records in id order for a readable file).
     ///
     /// # Errors
     ///
-    /// Any I/O error from the write, fsync, or rename; on error the
-    /// previous journal file is left untouched.
+    /// Any I/O error from the write, fsync, rename or directory sync; an
+    /// error before the rename leaves the previous journal file
+    /// untouched.
     pub fn write_snapshot<'a>(
         &self,
         records: impl IntoIterator<Item = &'a JobRecord>,
@@ -175,11 +209,15 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_is_an_empty_journal() {
+    fn missing_file_is_an_empty_journal_and_is_not_created_by_append() {
         let dir = temp_dir("missing");
         let journal = JobJournal::new(dir.join("nope.jsonl"));
         let replay = journal.replay().expect("replay");
         assert!(replay.records.is_empty());
+        let rec = JobRecord::new(1, spec(), JobStatus::Queued);
+        let err = journal.append(&rec).expect_err("append to a missing file");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(!journal.path().exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -187,13 +225,19 @@ mod tests {
     fn duplicate_ids_resolve_to_the_last_valid_line() {
         let dir = temp_dir("dup");
         let path = dir.join("jobs.jsonl");
+        let journal = JobJournal::new(&path);
         let queued = JobRecord::new(1, spec(), JobStatus::Queued);
         let mut done = queued.clone();
         done.status = JobStatus::Completed;
-        // Hand-build an append-style file with both generations.
-        let text = format!("{}\n{}\n", queued.to_json_value(), done.to_json_value());
-        fs::write(&path, text).expect("write");
-        let replay = JobJournal::new(&path).replay().expect("replay");
+        journal.write_snapshot([&queued]).expect("snapshot");
+        journal.append(&done).expect("append");
+        let text = fs::read_to_string(&path).expect("read");
+        assert_eq!(
+            text,
+            format!("{}\n{}\n", queued.to_json_value(), done.to_json_value()),
+            "an append adds one compact line in the snapshot's format"
+        );
+        let replay = journal.replay().expect("replay");
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].status, JobStatus::Completed);
         assert!(replay.requeued.is_empty());

@@ -21,12 +21,23 @@
 //! comparison between served and CLI-produced reports is meaningful —
 //! the tier-1 serve stage diffs them.
 //!
-//! Fault containment at this layer: each connection is handled on its
-//! own thread under the shared panic quarantine (a handler bug returns
-//! `500`, it does not kill the accept loop); concurrent connections are
-//! capped (excess get `503`); request heads and bodies are size-capped
-//! by [`crate::http`]; and a slow or stuck client is bounded by socket
-//! read/write timeouts.
+//! Connections are taken by a pool of acceptor threads. Each blocks in
+//! `accept` and handles the connection it takes itself, so an idle
+//! daemon costs nothing, a new connection is taken at once, and a
+//! request starts no thread. The acceptor that takes the last idle slot
+//! starts one more, so the pool grows to the peak number of concurrent
+//! connections plus one (at most `max_connections + 1`) and then stays.
+//! A drain request (a signal handler's [`ServerShutdown::request`] or
+//! `POST /shutdown`) wakes one acceptor by connecting to the bound
+//! address, or to loopback when that address is unspecified; each
+//! acceptor that leaves wakes the next the same way.
+//!
+//! Fault containment at this layer: each connection is handled under
+//! the shared panic quarantine (a handler bug returns `500`, and the
+//! acceptor keeps serving); a slow or stuck client holds only its own
+//! acceptor and is bounded by socket read/write timeouts; concurrent
+//! connections are capped (excess get `503`); and request heads and
+//! bodies are size-capped by [`crate::http`].
 
 use crate::http::{self, HttpError, Request, Response};
 use crate::job::JobStatus;
@@ -34,10 +45,11 @@ use crate::supervisor::{SubmitError, Supervisor, SupervisorConfig};
 use gramer::json::JsonValue;
 use gramer::supervise;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Server-layer knobs.
 #[derive(Debug, Clone)]
@@ -69,7 +81,15 @@ impl Default for ServerConfig {
 struct ServerShared {
     supervisor: Supervisor,
     shutdown: AtomicBool,
+    /// Where a drain request connects to wake an acceptor.
+    wake_addr: SocketAddr,
     active: AtomicUsize,
+    /// Acceptors blocked in `accept`.
+    idle: AtomicUsize,
+    /// Acceptors started beyond the one [`Server::run`] runs on.
+    acceptors: Mutex<Vec<JoinHandle<()>>>,
+    /// The listener failure that ended [`Server::run`], if any.
+    failure: Mutex<Option<io::Error>>,
     max_body_bytes: usize,
     max_connections: usize,
     io_timeout: Duration,
@@ -90,13 +110,24 @@ impl Server {
     /// Bind failures and journal-read failures.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let supervisor = Supervisor::start(cfg.supervisor)?;
         Ok(Server {
             listener,
             shared: Arc::new(ServerShared {
                 supervisor,
                 shutdown: AtomicBool::new(false),
+                wake_addr,
                 active: AtomicUsize::new(0),
+                idle: AtomicUsize::new(0),
+                acceptors: Mutex::new(Vec::new()),
+                failure: Mutex::new(None),
                 max_body_bytes: cfg.max_body_bytes,
                 max_connections: cfg.max_connections,
                 io_timeout: cfg.io_timeout,
@@ -113,8 +144,8 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle external code (the SIGTERM handler) may set to begin a
-    /// graceful drain; [`Server::run`] notices within ~5 ms.
+    /// A handle external code (the SIGTERM handler) may use to begin a
+    /// graceful drain; it wakes [`Server::run`] at once.
     pub fn shutdown_handle(&self) -> Arc<ServerShutdown> {
         Arc::new(ServerShutdown {
             shared: Arc::clone(&self.shared),
@@ -130,45 +161,90 @@ impl Server {
     /// Only unrecoverable listener failures; per-connection errors are
     /// contained and answered (or dropped) per connection.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.shared.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    if shared.active.fetch_add(1, Ordering::Relaxed) >= shared.max_connections {
-                        shared.active.fetch_sub(1, Ordering::Relaxed);
-                        let mut stream = stream;
-                        let _ = stream.set_nonblocking(false);
-                        let _ =
-                            Response::error(503, "overloaded", "too many concurrent connections")
-                                .write_to(&mut stream);
-                        continue;
-                    }
-                    std::thread::spawn(move || {
-                        handle_connection(&shared, stream);
-                        shared.active.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Drain: let open connections finish (bounded by the io
-        // timeout), then stop the workers and flush the journal.
-        let drain_deadline = std::time::Instant::now() + self.shared.io_timeout;
-        while self.shared.active.load(Ordering::Relaxed) > 0
-            && std::time::Instant::now() < drain_deadline
-        {
+        // Shared by the acceptors only, so the port closes once they are
+        // done, however long a `ServerShutdown` handle lives.
+        let listener = Arc::new(self.listener);
+        let shared = self.shared;
+        accept_loop(&listener, &shared);
+        // Drain: the other acceptors leave as the wake passes along,
+        // each after finishing its open connection (bounded by the io
+        // timeout); then stop the workers and flush the journal. An
+        // acceptor still held by a stuck client is left to its timeout.
+        let acceptors = std::mem::take(&mut *lock(&shared.acceptors));
+        let drain_deadline = Instant::now() + shared.io_timeout;
+        while acceptors.iter().any(|a| !a.is_finished()) && Instant::now() < drain_deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.shared.supervisor.shutdown_and_join();
-        Ok(())
+        for acceptor in acceptors.into_iter().filter(JoinHandle::is_finished) {
+            let _ = acceptor.join();
+        }
+        shared.supervisor.shutdown_and_join();
+        let failure = lock(&shared.failure).take();
+        failure.map_or(Ok(()), Err)
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One acceptor: takes connections and handles each on this thread
+/// until a drain request (or a listener failure) reaches it, then wakes
+/// the next acceptor.
+fn accept_loop(listener: &Arc<TcpListener>, shared: &Arc<ServerShared>) {
+    loop {
+        shared.idle.fetch_add(1, Ordering::SeqCst);
+        let accepted = listener.accept();
+        let still_idle = shared.idle.fetch_sub(1, Ordering::SeqCst) - 1;
+        let mut stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                lock(&shared.failure).get_or_insert(e);
+                shared.shutdown.store(true, Ordering::SeqCst);
+                break;
+            }
+        };
+        // A drain request sets the flag before it connects, so the
+        // connection that wakes an acceptor always finds it set.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        // Keep an acceptor waiting while this one is busy.
+        if still_idle == 0 {
+            spawn_acceptor(listener, shared);
+        }
+        if shared.active.fetch_add(1, Ordering::Relaxed) >= shared.max_connections {
+            let _ = Response::error(503, "overloaded", "too many concurrent connections")
+                .write_to(&mut stream);
+        } else {
+            // `route` runs quarantined; this also keeps a bug in the
+            // request reading or writing from ending the acceptor.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle_connection(shared, stream)
+            }));
+        }
+        shared.active.fetch_sub(1, Ordering::Relaxed);
+    }
+    let _ = TcpStream::connect_timeout(&shared.wake_addr, shared.io_timeout);
+}
+
+/// Starts one more acceptor, unless the pool is full or draining.
+fn spawn_acceptor(listener: &Arc<TcpListener>, shared: &Arc<ServerShared>) {
+    let mut acceptors = lock(&shared.acceptors);
+    // The drain takes this lock after setting the flag, so it never
+    // misses an acceptor started here.
+    if acceptors.len() >= shared.max_connections || shared.shutdown.load(Ordering::SeqCst) {
+        return;
+    }
+    let (listener, shared) = (Arc::clone(listener), Arc::clone(shared));
+    if let Ok(acceptor) = std::thread::Builder::new()
+        .name("gramer-serve-http".to_string())
+        .spawn(move || accept_loop(&listener, &shared))
+    {
+        acceptors.push(acceptor);
     }
 }
 
@@ -178,16 +254,24 @@ pub struct ServerShutdown {
 }
 
 impl ServerShutdown {
-    /// Requests a graceful drain (idempotent).
+    /// Requests a graceful drain (idempotent) and wakes the accept loop.
     pub fn request(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.request_shutdown();
+    }
+}
+
+impl ServerShared {
+    /// Sets the drain flag; the first request also connects to the
+    /// listener to wake an acceptor, which sees the flag, drops that
+    /// connection and wakes the next acceptor the same way.
+    fn request_shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, self.io_timeout);
+        }
     }
 }
 
 fn handle_connection(shared: &ServerShared, mut stream: TcpStream) {
-    // The stream inherits non-blocking from the listener on some
-    // platforms; force blocking + timeouts for the handler.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(shared.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.io_timeout));
 
@@ -254,7 +338,7 @@ fn route(shared: &ServerShared, request: &Request) -> Response {
             ),
         }),
         ("POST", ["shutdown"]) => {
-            shared.shutdown.store(true, Ordering::Relaxed);
+            shared.request_shutdown();
             Response::json(
                 200,
                 &JsonValue::object([("draining", JsonValue::Bool(true))]),
@@ -394,6 +478,103 @@ mod tests {
         assert_eq!(status, 200, "{metrics}");
         shutdown.request();
         handle.join().expect("join");
+    }
+
+    #[test]
+    fn shutdown_request_wakes_an_idle_accept_on_an_unspecified_address() {
+        let (addr, shutdown, handle) = spawn_server(ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            supervisor: SupervisorConfig {
+                workers: 0,
+                ..SupervisorConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        // One answered request proves the loop is up; afterwards no
+        // connection is pending and the loop is blocked in `accept`.
+        let port = addr.rsplit(':').next().expect("port");
+        let (status, _) =
+            http::request(&format!("127.0.0.1:{port}"), "GET", "/healthz", None).expect("healthz");
+        assert_eq!(status, 200);
+        let asked = std::time::Instant::now();
+        shutdown.request();
+        while !handle.is_finished() {
+            assert!(
+                asked.elapsed() < Duration::from_secs(2),
+                "run() still blocked 2 s after the drain request"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        handle.join().expect("drained");
+    }
+
+    #[test]
+    fn a_stalled_client_holds_only_its_own_acceptor() {
+        let (addr, shutdown, handle) = spawn_server(ServerConfig {
+            io_timeout: Duration::from_secs(2),
+            supervisor: SupervisorConfig {
+                workers: 0,
+                ..SupervisorConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        // Connects and sends nothing: its acceptor waits in the read
+        // until the io timeout.
+        let mut stalled = TcpStream::connect(&addr).expect("connect");
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        let (status, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(status, 200);
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "a request waited for the stalled client"
+        );
+        shutdown.request();
+        handle.join().expect("drained");
+        // The drain let the stalled read time out, which closed it.
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut stalled, &mut rest).expect("closed");
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn connections_over_the_cap_are_refused_by_the_spare_acceptor() {
+        let (addr, shutdown, handle) = spawn_server(ServerConfig {
+            max_connections: 1,
+            io_timeout: Duration::from_secs(2),
+            supervisor: SupervisorConfig {
+                workers: 0,
+                ..SupervisorConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let stalled = TcpStream::connect(&addr).expect("connect");
+        std::thread::sleep(Duration::from_millis(100));
+        // The spare acceptor answers 503 without reading the request, so
+        // the client may see a reset instead; either way it is not
+        // served, and not kept waiting for the stalled client.
+        let asked = Instant::now();
+        let refused = http::request(&addr, "GET", "/healthz", None);
+        assert!(
+            matches!(&refused, Ok((503, _)) | Err(_)),
+            "served over the cap: {refused:?}"
+        );
+        assert!(asked.elapsed() < Duration::from_secs(1));
+        // Closing the stalled connection frees the slot.
+        drop(stalled);
+        let freed = Instant::now();
+        while !matches!(http::request(&addr, "GET", "/healthz", None), Ok((200, _))) {
+            assert!(
+                freed.elapsed() < Duration::from_secs(2),
+                "the slot was not freed"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        shutdown.request();
+        handle.join().expect("drained");
     }
 
     #[test]

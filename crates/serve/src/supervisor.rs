@@ -13,12 +13,16 @@
 //!    (`timed_out`); simulator errors become `failed` with the
 //!    [`gramer::SimError::kind`] tag; over-budget submissions become
 //!    `rejected` records. Nothing is silently dropped.
-//! 3. **State survives restarts.** Each transition is journaled through
-//!    [`crate::journal::JobJournal`]; on start the journal is replayed,
-//!    terminal results are restored verbatim, and interrupted jobs are
-//!    re-queued. A journal *write* failure degrades the daemon to
-//!    in-memory operation (with a stderr warning) rather than failing
-//!    jobs — durability is best-effort, execution is not.
+//! 3. **State survives restarts.** Each transition appends the changed
+//!    record to the [`crate::journal::JobJournal`] and syncs it before
+//!    the call returns; a full snapshot runs only at start, at drain, and
+//!    as compaction, so a transition costs O(1) amortized however many
+//!    jobs the daemon holds. On start the journal is replayed, terminal
+//!    results are restored verbatim, and interrupted jobs are re-queued.
+//!    A journal *write* failure degrades the daemon to in-memory
+//!    operation (with a stderr warning) until a later snapshot succeeds,
+//!    rather than failing jobs — durability is best-effort, execution is
+//!    not.
 //! 4. **Back-pressure is explicit.** A full queue rejects new work with
 //!    a typed error the HTTP layer maps to 429; it never blocks the
 //!    accept loop or grows without bound.
@@ -111,6 +115,12 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
+/// Fewest appends between two compacting snapshots. A snapshot is due
+/// once the appends since the last one reach `max(live records, this)`,
+/// so its O(records) cost is spread over at least as many O(1)
+/// transitions, and the file holds at most `2 × records + 64` lines.
+const COMPACT_MIN_APPENDS: usize = 64;
+
 /// What the watchdog cancelled a job for.
 const CANCEL_NONE: u8 = 0;
 const CANCEL_DEADLINE: u8 = 1;
@@ -124,13 +134,20 @@ struct Watch {
     reason: AtomicU8,
 }
 
-/// Mutable supervisor state under one lock (records + queue share the
-/// lock so admission and journal snapshots are consistent).
+/// Mutable supervisor state under one lock (records, queue and journal
+/// bookkeeping share the lock so admission and journal writes are
+/// consistent, and one job's lines land in transition order).
 struct Jobs {
     records: BTreeMap<u64, JobRecord>,
     queue: VecDeque<u64>,
     next_id: u64,
     shutting_down: bool,
+    /// Journal lines appended since the last snapshot.
+    appends_since_snapshot: usize,
+    /// The next journal write must be a full snapshot: the last one
+    /// failed and may have left a partial line that an append would be
+    /// glued onto.
+    snapshot_due: bool,
 }
 
 #[derive(Default)]
@@ -144,6 +161,8 @@ struct Counters {
     queue_full: AtomicU64,
     retries: AtomicU64,
     journal_errors: AtomicU64,
+    journal_appends: AtomicU64,
+    journal_snapshots: AtomicU64,
 }
 
 struct Shared {
@@ -184,6 +203,8 @@ impl Supervisor {
             queue: VecDeque::new(),
             next_id: 1,
             shutting_down: false,
+            appends_since_snapshot: 0,
+            snapshot_due: false,
         };
         if let Some(journal) = &journal {
             let replay = journal.replay()?;
@@ -209,10 +230,12 @@ impl Supervisor {
             stop_watchdog: AtomicBool::new(false),
             cfg,
         });
-        // Normalize the journal right away so a replayed `running`
-        // record is durably back to `queued` even if we crash again
-        // before a worker picks it up.
-        shared.persist(&shared.lock_jobs());
+        // Snapshot unconditionally at start. It makes a replayed
+        // `running` record durably `queued` again before a worker picks
+        // it up, and it drops a torn last line left by a crash
+        // mid-append: the first append would otherwise be glued onto
+        // that line and become unreadable too.
+        shared.snapshot(&mut shared.lock_jobs());
 
         let workers = (0..shared.cfg.workers)
             .map(|i| {
@@ -282,7 +305,7 @@ impl Supervisor {
         }
         let snapshot = record.clone();
         jobs.records.insert(id, record);
-        self.shared.persist(&jobs);
+        self.shared.persist(&mut jobs, id);
         drop(jobs);
         self.shared.cvar.notify_one();
         Ok(snapshot)
@@ -405,6 +428,8 @@ impl Supervisor {
             ("queue_full_rejections", load(&c.queue_full)),
             ("retries", load(&c.retries)),
             ("journal_errors", load(&c.journal_errors)),
+            ("journal_appends", load(&c.journal_appends)),
+            ("journal_snapshots", load(&c.journal_snapshots)),
             (
                 "session_cache",
                 JsonValue::object([
@@ -419,8 +444,9 @@ impl Supervisor {
     }
 
     /// Graceful shutdown: stop accepting and handing out queued work,
-    /// let in-flight jobs finish, join the pool, flush the journal.
-    /// Queued jobs stay `queued` in the journal for the next start.
+    /// let in-flight jobs finish, join the pool, and compact the journal
+    /// into a snapshot. Queued jobs stay `queued` in the journal for the
+    /// next start.
     pub fn shutdown_and_join(&self) {
         {
             let mut jobs = self.shared.lock_jobs();
@@ -445,8 +471,7 @@ impl Supervisor {
         if let Some(watchdog) = watchdog {
             let _ = watchdog.join();
         }
-        let jobs = self.shared.lock_jobs();
-        self.shared.persist(&jobs);
+        self.shared.snapshot(&mut self.shared.lock_jobs());
     }
 }
 
@@ -460,19 +485,69 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Writes the journal snapshot for the current record set. Journal
-    /// failures degrade to in-memory operation with a warning; they
-    /// never fail the job.
-    fn persist(&self, jobs: &MutexGuard<'_, Jobs>) {
-        if let Some(journal) = &self.journal {
-            if let Err(e) = journal.write_snapshot(jobs.records.values()) {
-                let n = self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-                if n == 0 {
-                    eprintln!(
-                        "gramer-serve: journal write failed ({e}); continuing without durability"
-                    );
+    /// Journals the change to record `id`: one synced line appended, or
+    /// a full snapshot when one is due (an earlier write failed, the file
+    /// vanished, or the appends since the last snapshot reached
+    /// `max(live records, COMPACT_MIN_APPENDS)`). Journal failures
+    /// degrade to in-memory operation with a warning; they never fail
+    /// the job.
+    fn persist(&self, jobs: &mut Jobs, id: u64) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        let compact = jobs.appends_since_snapshot >= jobs.records.len().max(COMPACT_MIN_APPENDS);
+        if !jobs.snapshot_due && !compact {
+            let Some(record) = jobs.records.get(&id) else {
+                return;
+            };
+            match journal.append(record) {
+                Ok(()) => {
+                    jobs.appends_since_snapshot += 1;
+                    self.counters
+                        .journal_appends
+                        .fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                // Appending must not recreate a vanished file with one
+                // line; the snapshot below writes every record.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    self.journal_error(&e);
+                    jobs.snapshot_due = true;
+                    return;
                 }
             }
+        }
+        self.snapshot(jobs);
+    }
+
+    /// Rewrites the journal with every record (temp file, fsync, rename,
+    /// directory fsync).
+    fn snapshot(&self, jobs: &mut Jobs) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        match journal.write_snapshot(jobs.records.values()) {
+            Ok(()) => {
+                jobs.appends_since_snapshot = 0;
+                jobs.snapshot_due = false;
+                self.counters
+                    .journal_snapshots
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                self.journal_error(&e);
+                jobs.snapshot_due = true;
+            }
+        }
+    }
+
+    fn journal_error(&self, e: &std::io::Error) {
+        let n = self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
+        if n == 0 {
+            eprintln!(
+                "gramer-serve: journal write failed ({e}); continuing without durability until a snapshot succeeds"
+            );
         }
     }
 
@@ -481,7 +556,7 @@ impl Shared {
         if let Some(rec) = jobs.records.get_mut(&id) {
             f(rec);
         }
-        self.persist(&jobs);
+        self.persist(&mut jobs, id);
     }
 }
 
@@ -885,10 +960,7 @@ mod tests {
 
     #[test]
     fn journal_restores_completed_results_and_requeues_interrupted_jobs() {
-        let dir =
-            std::env::temp_dir().join(format!("gramer-supervisor-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = journal_dir("journal");
         let journal_path = dir.join("jobs.jsonl");
 
         // Generation 1: complete one job, leave one queued (workers=0
@@ -937,6 +1009,106 @@ mod tests {
         );
         let replayed = wait(&supervisor, queued.id);
         assert_eq!(replayed.status, JobStatus::Completed);
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn journal_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("gramer-supervisor-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    fn stat(supervisor: &Supervisor, key: &str) -> u64 {
+        supervisor
+            .stats_json()
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .expect("counter")
+    }
+
+    #[test]
+    fn journal_work_per_transition_is_constant_amortized() {
+        const JOBS: usize = 150;
+        let dir = journal_dir("amortized");
+        let journal_path = dir.join("jobs.jsonl");
+        let cfg = SupervisorConfig {
+            workers: 2,
+            queue_capacity: JOBS,
+            journal_path: Some(journal_path.clone()),
+            ..SupervisorConfig::default()
+        };
+        let supervisor = Supervisor::start(cfg.clone()).expect("start");
+        let apps = ["3-cf", "3-mc", "4-cf"];
+        let ids: Vec<u64> = (0..JOBS)
+            .map(|i| {
+                submit_json(&supervisor, &small_job(apps[i % apps.len()]))
+                    .expect("submit")
+                    .id
+            })
+            .collect();
+        let reports: Vec<String> = ids
+            .iter()
+            .map(|&id| {
+                let rec = wait(&supervisor, id);
+                assert_eq!(rec.status, JobStatus::Completed);
+                rec.report_json.expect("report").to_string()
+            })
+            .collect();
+        let appends = stat(&supervisor, "journal_appends");
+        let snapshots = stat(&supervisor, "journal_snapshots");
+        assert_eq!(stat(&supervisor, "journal_errors"), 0);
+        drop(supervisor); // simulated crash: no drain snapshot
+
+        assert!(
+            snapshots <= 1 + appends / COMPACT_MIN_APPENDS as u64,
+            "{snapshots} snapshots for {appends} appends"
+        );
+        let text = std::fs::read_to_string(&journal_path).expect("journal");
+        let lines = text.lines().count();
+        assert!(
+            lines <= 2 * JOBS + COMPACT_MIN_APPENDS,
+            "{lines} lines for {JOBS} records"
+        );
+        let supervisor =
+            Supervisor::start(SupervisorConfig { workers: 0, ..cfg }).expect("restart");
+        for (&id, report) in ids.iter().zip(&reports) {
+            let rec = supervisor.job(id).expect("restored record");
+            assert_eq!(rec.status, JobStatus::Completed);
+            assert_eq!(
+                rec.report_json.map(|r| r.to_string()).as_ref(),
+                Some(report)
+            );
+        }
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_vanished_journal_is_rewritten_whole_not_restarted_by_an_append() {
+        let dir = journal_dir("vanished");
+        let journal_path = dir.join("jobs.jsonl");
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 0,
+            journal_path: Some(journal_path.clone()),
+            ..SupervisorConfig::default()
+        })
+        .expect("start");
+        let first = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
+        std::fs::remove_file(&journal_path).expect("remove journal");
+        let second = submit_json(&supervisor, &small_job("3-mc")).expect("submit");
+        let ids: Vec<u64> = JobJournal::new(&journal_path)
+            .replay()
+            .expect("replay")
+            .records
+            .iter()
+            .map(|rec| rec.id)
+            .collect();
+        assert_eq!(ids, [first.id, second.id]);
+        assert_eq!(stat(&supervisor, "journal_errors"), 0);
+        assert_eq!(stat(&supervisor, "journal_snapshots"), 2);
         supervisor.shutdown_and_join();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -242,12 +242,7 @@ fn sim_threads_knob_is_refused_at_admission_and_on_replay() {
 #[test]
 fn restart_over_a_non_utf8_journal_line_restores_the_valid_records() {
     let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
-    let mut record = JobRecord::new(
-        1,
-        JsonValue::parse(spec).expect("json"),
-        JobStatus::Completed,
-    );
-    record.report_json = Some(JsonValue::parse("{\"cycles\": 42}").expect("json"));
+    let record = completed_record(spec);
     let (dir, addr, shutdown, handle) = restart_over("utf8", &record, b"\xff\xfe\n");
     let restored = wait_terminal(&addr, 1, Duration::from_secs(5));
     assert_eq!(
@@ -258,6 +253,107 @@ fn restart_over_a_non_utf8_journal_line_restores_the_valid_records() {
     let (code, report) = http::request(&addr, "GET", "/jobs/1/report", None).expect("report");
     assert_eq!(code, 200);
     assert_eq!(JsonValue::parse(&report).ok(), record.report_json);
+
+    shutdown.request();
+    handle.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn submit(addr: &str, spec: &str) -> u64 {
+    let (status, body) = http::request(addr, "POST", "/jobs", Some(spec)).expect("submit");
+    assert_eq!(status, 202, "{body}");
+    JsonValue::parse(&body)
+        .expect("json")
+        .get("id")
+        .and_then(JsonValue::as_u64)
+        .expect("id")
+}
+
+fn stat(addr: &str, key: &str) -> u64 {
+    let (_, stats) = http::request(addr, "GET", "/stats", None).expect("stats");
+    JsonValue::parse(&stats)
+        .expect("json")
+        .get(key)
+        .and_then(JsonValue::as_u64)
+        .expect("counter")
+}
+
+fn completed_record(spec: &str) -> JobRecord {
+    let mut record = JobRecord::new(
+        1,
+        JsonValue::parse(spec).expect("json"),
+        JobStatus::Completed,
+    );
+    record.report_json = Some(JsonValue::parse("{\"cycles\": 42}").expect("json"));
+    record
+}
+
+/// A crash mid-append leaves a last line without its newline. Appends
+/// after the restart must not be glued onto it: the journal as a crash
+/// would leave it now (read while the daemon runs, before any drain
+/// snapshot) replays to both jobs with no line skipped.
+#[test]
+fn appends_after_a_torn_tail_stay_readable() {
+    let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
+    let (dir, addr, shutdown, handle) = restart_over(
+        "torn-tail",
+        &completed_record(spec),
+        b"{\"id\": 2, \"status\": \"que",
+    );
+    let id = submit(&addr, spec);
+    assert_eq!(id, 2, "the torn line never admitted job 2");
+    let done = wait_terminal(&addr, id, Duration::from_secs(60));
+    assert_eq!(field(&done, &["status"]), Some("completed"), "{done}");
+
+    let replay = JobJournal::new(dir.join("jobs.jsonl"))
+        .replay()
+        .expect("replay");
+    assert_eq!(replay.skipped_lines, 0);
+    let ids: Vec<u64> = replay.records.iter().map(|rec| rec.id).collect();
+    assert_eq!(ids, [1, 2]);
+    assert_eq!(replay.records[1].status, JobStatus::Completed);
+
+    shutdown.request();
+    handle.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal path that turns into a directory makes writes fail: the
+/// failures are counted and jobs keep running. Once a file is back at
+/// the path, even one ending in a partial line as a failed append
+/// leaves it, the next transition writes a snapshot of every record.
+#[test]
+fn a_failing_journal_degrades_then_recovers_with_a_snapshot() {
+    let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
+    let (dir, addr, shutdown, handle) = restart_over("blocked", &completed_record(spec), b"");
+    let journal = JobJournal::new(dir.join("jobs.jsonl"));
+    std::fs::remove_file(journal.path()).expect("remove journal");
+    std::fs::create_dir(journal.path()).expect("directory in its place");
+
+    let during = submit(&addr, spec);
+    let done = wait_terminal(&addr, during, Duration::from_secs(60));
+    assert_eq!(field(&done, &["status"]), Some("completed"), "{done}");
+    assert!(stat(&addr, "journal_errors") >= 1);
+    let (code, _) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(code, 200);
+
+    std::fs::remove_dir(journal.path()).expect("free the path");
+    std::fs::write(journal.path(), b"{\"id\": 9").expect("partial line");
+    let snapshots = stat(&addr, "journal_snapshots");
+    let after = submit(&addr, spec);
+    assert_eq!(stat(&addr, "journal_snapshots"), snapshots + 1);
+    let replay = journal.replay().expect("replay");
+    assert_eq!(replay.skipped_lines, 0);
+    let ids: Vec<u64> = replay.records.iter().map(|rec| rec.id).collect();
+    assert_eq!(ids, [1, during, after]);
+    assert_eq!(replay.records[1].status, JobStatus::Completed);
+    let (code, report) =
+        http::request(&addr, "GET", &format!("/jobs/{during}/report"), None).expect("report");
+    assert_eq!(code, 200);
+    assert_eq!(
+        JsonValue::parse(&report).ok(),
+        replay.records[1].report_json
+    );
 
     shutdown.request();
     handle.join().expect("join");

@@ -33,7 +33,9 @@
 #   serve   gramer-serve daemon end-to-end: both golden workloads over
 #           HTTP byte-identical to gramer-mine --json, injected-panic
 #           containment, queue-full back-pressure, SIGTERM drain with an
-#           intact journal (see docs/DESIGN.md, service architecture)
+#           intact journal, and kill -9 recovery: a restart over the
+#           appended (never drained) journal serves both reports
+#           byte-identical again (see docs/DESIGN.md, service architecture)
 #   all     every stage above (the default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -168,8 +170,25 @@ wait_addr_file() {
     return 1
 }
 
+# Runs both golden jobs with --wait on the daemon at $2 and byte-compares
+# each served report with gramer-mine's; leaves each job id in $1/<w>.id.
+serve_goldens() {
+    local tmp="$1" addr="$2" pair w app id
+    for pair in golden-ba:4-cf golden-rmat:3-mc; do
+        w="${pair%%:*}"
+        app="${pair#*:}"
+        echo "   -- $w/$app over HTTP, byte-compared to gramer-mine --json"
+        target/release/gramer-serve client --addr "$addr" submit --artifact "$tmp/$w.gra" \
+            --app "$app" --wait > "$tmp/$w.summary.json"
+        id="$(grep -o '"id":[[:space:]]*[0-9]*' "$tmp/$w.summary.json" | head -n1 | grep -o '[0-9]*$')"
+        echo "$id" > "$tmp/$w.id"
+        target/release/gramer-serve client --addr "$addr" report "$id" --out "$tmp/$w.served.json"
+        cmp "$tmp/$w.served.json" "$tmp/$w.cli.json"
+    done
+}
+
 stage_serve() {
-    echo "== tier1: gramer-serve daemon (HTTP parity, panic containment, back-pressure, drain)"
+    echo "== tier1: gramer-serve daemon (HTTP parity, panic containment, back-pressure, drain, kill -9)"
     cargo build --release -q -p gramer -p gramer-serve --bins
     local tmp
     tmp="$(mktemp -d)"
@@ -192,17 +211,7 @@ stage_serve() {
     local addr
     addr="$(wait_addr_file "$tmp/addr" "$tmp/daemon.log")"
 
-    local pair w app id
-    for pair in golden-ba:4-cf golden-rmat:3-mc; do
-        w="${pair%%:*}"
-        app="${pair#*:}"
-        echo "   -- $w/$app over HTTP, byte-compared to gramer-mine --json"
-        "$serve" client --addr "$addr" submit --artifact "$tmp/$w.gra" --app "$app" --wait \
-            > "$tmp/$w.summary.json"
-        id="$(grep -o '"id":[[:space:]]*[0-9]*' "$tmp/$w.summary.json" | head -n1 | grep -o '[0-9]*$')"
-        "$serve" client --addr "$addr" report "$id" --out "$tmp/$w.served.json"
-        cmp "$tmp/$w.served.json" "$tmp/$w.cli.json"
-    done
+    serve_goldens "$tmp" "$addr"
 
     echo "   -- SIGTERM drains gracefully and leaves the journal intact"
     kill -TERM "$pid"
@@ -218,6 +227,29 @@ stage_serve() {
         cat "$tmp/jobs.jsonl" >&2
         exit 1
     }
+
+    # The drain above compacts the journal into a snapshot; only a crash
+    # leaves the appended lines for the next start to replay.
+    echo "   -- kill -9, then a restart over the same journal serves both reports again"
+    "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr-killed" --workers 2 \
+        --journal "$tmp/killed.jsonl" 2>> "$tmp/daemon.log" &
+    pid=$!
+    addr="$(wait_addr_file "$tmp/addr-killed" "$tmp/daemon.log")"
+    serve_goldens "$tmp" "$addr"
+    kill -KILL "$pid"
+    wait "$pid" 2> /dev/null || true
+    # No workers: the reports must come from the journal, not a re-run.
+    "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr-restarted" --workers 0 \
+        --journal "$tmp/killed.jsonl" 2>> "$tmp/daemon.log" &
+    pid=$!
+    addr="$(wait_addr_file "$tmp/addr-restarted" "$tmp/daemon.log")"
+    local w
+    for w in golden-ba golden-rmat; do
+        "$serve" client --addr "$addr" report "$(cat "$tmp/$w.id")" --out "$tmp/$w.restored.json"
+        cmp "$tmp/$w.restored.json" "$tmp/$w.cli.json"
+    done
+    "$serve" client --addr "$addr" shutdown > /dev/null
+    wait "$pid"
 
     echo "   -- injected panic ends in a typed state; daemon survives"
     "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr2" --workers 1 \

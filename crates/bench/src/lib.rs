@@ -69,6 +69,7 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+use std::time::Duration;
 
 pub mod perf;
 pub mod sweep;
@@ -390,8 +391,8 @@ pub struct SweepArgs {
     pub list: bool,
     /// Replay journaled completions instead of re-running them.
     pub resume: bool,
-    /// Per-point wall-clock budget in seconds.
-    pub point_timeout: Option<f64>,
+    /// Per-point wall-clock budget.
+    pub point_timeout: Option<Duration>,
     /// Extra attempts for failed (not timed-out) points.
     pub max_retries: u32,
     /// Journal path override (`None` → `results/.journal/<name>.jsonl`).
@@ -505,7 +506,7 @@ impl SweepArgs {
                     parsed.point_timeout = Some(
                         v.parse::<f64>()
                             .ok()
-                            .filter(|&s| s.is_finite() && s > 0.0)
+                            .and_then(gramer::progress::budget_from_secs)
                             .ok_or_else(|| {
                                 format!("--point-timeout expects positive seconds, got {v:?}")
                             })?,
@@ -675,6 +676,7 @@ mod tests {
         assert!(SweepArgs::try_parse(&["--bogus"]).is_err());
         assert!(SweepArgs::try_parse(&["--point-timeout", "-3"]).is_err());
         assert!(SweepArgs::try_parse(&["--point-timeout", "nan"]).is_err());
+        assert!(SweepArgs::try_parse(&["--point-timeout", "1e300"]).is_err());
         assert!(SweepArgs::try_parse(&["--max-retries", "-1"]).is_err());
     }
 
@@ -690,7 +692,7 @@ mod tests {
         ])
         .unwrap();
         assert!(a.resume);
-        assert_eq!(a.point_timeout, Some(2.5));
+        assert_eq!(a.point_timeout, Some(Duration::from_millis(2500)));
         assert_eq!(a.max_retries, 3);
         assert_eq!(a.journal, Some(PathBuf::from("j.jsonl")));
 

@@ -7,18 +7,19 @@
 //! [`Sweep::execute`]. The runner:
 //!
 //! 1. applies the `--filter` substring to the `dataset/app/config` ids;
-//! 2. executes the remaining points on a work-queue thread pool
-//!    (`--jobs N`, std threads + channels, no external dependencies) —
+//! 2. executes the remaining points through [`gramer::shard::run_cells`]
+//!    (`--jobs N` scoped std threads, no external dependencies) —
 //!    host-side parallelism only, so simulated results are unaffected;
 //! 3. **quarantines failures**: each point runs under
 //!    `std::panic::catch_unwind`, so a panicking or erroring point becomes
 //!    a structured [`PointStatus::Failed`] record instead of tearing down
 //!    the whole sweep; `--max-retries N` re-runs failed points with
 //!    exponential backoff before recording the failure;
-//! 4. **watches the clock**: with `--point-timeout SECS` a monitor thread
-//!    cancels any point that exceeds its wall-clock budget through the
-//!    cooperative [`gramer::progress`] token (the simulator ticks once per
-//!    scheduled event), recording it as [`PointStatus::TimedOut`];
+//! 4. **bounds the clock**: with `--point-timeout SECS` each attempt runs
+//!    under a [`gramer::progress`] token carrying that wall-clock budget.
+//!    The simulator checks it at every heartbeat flush (once per 256
+//!    events) and unwinds once it is spent, and the point is recorded as
+//!    [`PointStatus::TimedOut`]. No other thread watches the clock;
 //! 5. **journals completions**: each finished point is appended to a
 //!    crash-safe JSONL journal (`results/.journal/<sweep>.jsonl`, written
 //!    through [`gramer::supervise::write_json_lines`]), so `--resume` can
@@ -39,10 +40,9 @@
 use crate::SweepArgs;
 use gramer::json::JsonValue;
 use gramer::progress::{self, ProgressToken};
-use gramer::{supervise, ReportSummary, RunReport, SimError};
+use gramer::{shard, supervise, ReportSummary, RunReport, SimError};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What one sweep point produces: an optional full simulator report plus
@@ -235,48 +235,35 @@ impl PointRecord {
         self.output.report.as_ref()
     }
 
-    /// The deterministic JSON fields of this record, in schema order.
+    /// The deterministic JSON fields of this record, in schema order —
+    /// shared by the artifact's `points` array and the journal lines so
+    /// that a replayed record serializes byte-identically to a fresh one.
     fn record_fields(&self) -> Vec<(String, JsonValue)> {
-        record_fields_raw(
-            &self.dataset,
-            &self.app,
-            &self.config,
-            self.status,
-            self.attempts,
-            self.error.as_ref(),
-            &self.output,
-        )
+        vec![
+            (
+                "dataset".to_string(),
+                JsonValue::from(self.dataset.as_str()),
+            ),
+            ("app".to_string(), JsonValue::from(self.app.as_str())),
+            ("config".to_string(), JsonValue::from(self.config.as_str())),
+            ("status".to_string(), JsonValue::from(self.status.as_str())),
+            (
+                "attempts".to_string(),
+                JsonValue::from(u64::from(self.attempts)),
+            ),
+            (
+                "error".to_string(),
+                self.error
+                    .as_ref()
+                    .map_or(JsonValue::Null, PointError::to_json_value),
+            ),
+            (
+                "metrics".to_string(),
+                JsonValue::Object(self.output.metrics.to_vec()),
+            ),
+            ("report".to_string(), self.output.report_json()),
+        ]
     }
-}
-
-/// The deterministic JSON fields of one point, in schema order — shared
-/// by the artifact's `points` array and the journal lines so that a
-/// replayed record serializes byte-identically to a fresh one.
-fn record_fields_raw(
-    dataset: &str,
-    app: &str,
-    config: &str,
-    status: PointStatus,
-    attempts: u32,
-    error: Option<&PointError>,
-    output: &PointOutput,
-) -> Vec<(String, JsonValue)> {
-    vec![
-        ("dataset".to_string(), JsonValue::from(dataset)),
-        ("app".to_string(), JsonValue::from(app)),
-        ("config".to_string(), JsonValue::from(config)),
-        ("status".to_string(), JsonValue::from(status.as_str())),
-        ("attempts".to_string(), JsonValue::from(u64::from(attempts))),
-        (
-            "error".to_string(),
-            error.map_or(JsonValue::Null, PointError::to_json_value),
-        ),
-        (
-            "metrics".to_string(),
-            JsonValue::Object(output.metrics.to_vec()),
-        ),
-        ("report".to_string(), output.report_json()),
-    ]
 }
 
 /// Execution options for [`Sweep::run_with`] — the programmatic form of
@@ -289,8 +276,8 @@ pub struct SweepOptions {
     pub filter: Option<String>,
     /// Replay completed points from the journal instead of re-running.
     pub resume: bool,
-    /// Wall-clock budget per point attempt, seconds.
-    pub point_timeout: Option<f64>,
+    /// Wall-clock budget per point attempt.
+    pub point_timeout: Option<Duration>,
     /// Re-run a failed (not timed-out) point up to this many extra times.
     pub max_retries: u32,
     /// Journal path; `None` disables journaling (and `resume`).
@@ -419,7 +406,7 @@ impl<'a> Sweep<'a> {
         // resuming, and keep the journal handle for appends. A journal
         // that exists but cannot be read is left alone rather than
         // overwritten by the first append.
-        let mut journal = opts.journal.as_deref().and_then(|path| {
+        let journal = opts.journal.as_deref().and_then(|path| {
             let open = Journal::open(path);
             if let Err(e) = &open {
                 eprintln!(
@@ -443,12 +430,12 @@ impl<'a> Sweep<'a> {
                 .collect()
         };
 
-        // Indices still to run (everything not replayed).
-        let todo: Vec<usize> = replayed
+        // Points still to run (everything not replayed).
+        let todo: Vec<&SweepPoint<'a>> = points
             .iter()
-            .enumerate()
+            .zip(&replayed)
             .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| i)
+            .map(|(p, _)| p)
             .collect();
         let n_total = points.len();
         let n_todo = todo.len();
@@ -458,116 +445,45 @@ impl<'a> Sweep<'a> {
         }
         let jobs = opts.jobs.max(1).min(n_todo.max(1));
 
-        let next = AtomicUsize::new(0);
-        let stop_watchdog = AtomicBool::new(false);
-        // One watch slot per worker: (token, wall-clock deadline).
-        let watch_slots: Vec<Mutex<Option<(ProgressToken, Instant)>>> =
-            (0..jobs).map(|_| Mutex::new(None)).collect();
-        let (tx, rx) = mpsc::channel::<(usize, Completed)>();
-        let mut outputs: Vec<Option<Completed>> = Vec::new();
-        outputs.resize_with(n_total, || None);
-
-        std::thread::scope(|scope| {
-            let points = &points;
-            let todo = &todo;
-            let next = &next;
-            let watch_slots = &watch_slots;
-            let stop_watchdog = &stop_watchdog;
-            for w in 0..jobs {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n_todo {
-                        break;
-                    }
-                    let i = todo[k];
-                    let t0 = Instant::now();
-                    let (status, attempts, error, output) = run_point(
-                        &points[i],
-                        opts.point_timeout,
-                        opts.max_retries,
-                        &watch_slots[w],
-                    );
-                    let completed = Completed {
-                        output,
-                        status,
-                        attempts,
-                        error,
-                        secs: t0.elapsed().as_secs_f64(),
-                    };
-                    // The receiver only disconnects if the collector
-                    // panicked; nothing useful to do with the result then.
-                    let _ = tx.send((i, completed));
-                });
-            }
-            drop(tx);
-
-            // Watchdog: cancel any registered point past its deadline.
-            if opts.point_timeout.is_some() {
-                scope.spawn(move || {
-                    while !stop_watchdog.load(Ordering::Relaxed) {
-                        for slot in watch_slots {
-                            if let Some((token, deadline)) =
-                                slot.lock().unwrap_or_else(|e| e.into_inner()).as_ref()
-                            {
-                                if Instant::now() >= *deadline {
-                                    token.cancel();
-                                }
-                            }
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                });
-            }
-
-            // Collect on this thread so progress lines never interleave
-            // and the journal has a single writer.
-            let mut done = 0usize;
-            let mut journal_dead = false;
-            while let Ok((i, completed)) = rx.recv() {
-                done += 1;
-                let state = match completed.status {
-                    PointStatus::Ok => String::new(),
-                    other => format!(", {}", other.as_str()),
-                };
-                eprintln!(
-                    "[{name}] {done}/{n_todo} {} ({:.2}s, jobs={jobs}{state})",
-                    points[i].id(),
-                    completed.secs,
-                );
-                if let Some(j) = journal.as_mut() {
-                    if let Err(e) = j.append(journal_entry_for(&points[i], &completed)) {
-                        eprintln!("[{name}] journal write failed: {e}");
-                        // Stop retrying a dead journal (full disk etc.).
-                        journal_dead = true;
-                    }
-                }
-                if journal_dead {
-                    journal = None;
-                }
-                outputs[i] = Some(completed);
-            }
-            stop_watchdog.store(true, Ordering::Relaxed);
-        });
-
-        let records = points
+        // Each point logs its progress line and journals its record under
+        // one lock, so lines never interleave and the journal has one
+        // writer at a time.
+        let log = Mutex::new((0usize, journal));
+        let cells: Vec<_> = todo
             .into_iter()
-            .zip(replayed)
-            .zip(outputs)
-            .map(|((p, replay), slot)| match (replay, slot) {
-                (Some(r), _) => r,
-                (None, Some(c)) => PointRecord {
-                    dataset: p.dataset,
-                    app: p.app,
-                    config: p.config,
-                    output: c.output,
-                    status: c.status,
-                    attempts: c.attempts,
-                    error: c.error,
-                    wall_seconds: c.secs,
-                },
-                (None, None) => unreachable!("every queued point sends exactly one result"),
+            .map(|point| {
+                let (log, name) = (&log, &name);
+                move || {
+                    let record = run_point(point, opts.point_timeout, opts.max_retries);
+                    let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (done, journal) = &mut *log;
+                    *done += 1;
+                    let state = match record.status {
+                        PointStatus::Ok => String::new(),
+                        other => format!(", {}", other.as_str()),
+                    };
+                    eprintln!(
+                        "[{name}] {done}/{n_todo} {} ({:.2}s, jobs={jobs}{state})",
+                        record.id(),
+                        record.wall_seconds,
+                    );
+                    if let Some(j) = journal {
+                        if let Err(e) = j.append(journal_entry(&record)) {
+                            eprintln!("[{name}] journal write failed: {e}");
+                            // Stop retrying a dead journal (full disk etc.).
+                            *journal = None;
+                        }
+                    }
+                    record
+                }
             })
+            .collect();
+        // Fresh records come back in cell order, which is declaration
+        // order, so each one fills the next slot the journal left empty.
+        let mut fresh = shard::run_cells(jobs, cells).into_iter();
+        let records = replayed
+            .into_iter()
+            .filter_map(|replay| replay.or_else(|| fresh.next()))
             .collect();
 
         SweepResult {
@@ -585,28 +501,11 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// A worker's finished point, sent back to the collector thread.
-struct Completed {
-    output: PointOutput,
-    status: PointStatus,
-    attempts: u32,
-    error: Option<PointError>,
-    secs: f64,
-}
-
 /// The journal line for a freshly completed point: the deterministic
 /// record fields plus the point id the replayer keys on.
-fn journal_entry_for(point: &SweepPoint<'_>, c: &Completed) -> JsonValue {
-    let mut fields = vec![("id".to_string(), JsonValue::from(point.id()))];
-    fields.extend(record_fields_raw(
-        &point.dataset,
-        &point.app,
-        &point.config,
-        c.status,
-        c.attempts,
-        c.error.as_ref(),
-        &c.output,
-    ));
+fn journal_entry(record: &PointRecord) -> JsonValue {
+    let mut fields = vec![("id".to_string(), JsonValue::from(record.id()))];
+    fields.extend(record.record_fields());
     JsonValue::Object(fields)
 }
 
@@ -640,102 +539,66 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Panic quarantine
-// ---------------------------------------------------------------------------
-
-/// Outcome of one quarantined attempt.
-enum Attempt {
-    Ok(PointOutput),
-    Failed(PointError),
-    Cancelled,
-}
-
-/// Runs `f` with panics quarantined through the shared
-/// [`gramer::supervise`] implementation (one scoped-hook capture for the
-/// sweep runner and the `gramer-serve` daemon): a typed error or panic
-/// becomes an [`Attempt::Failed`]; a [`gramer::progress::Cancelled`]
-/// unwind (the watchdog's cooperative cancellation) becomes
-/// [`Attempt::Cancelled`].
-fn run_quarantined(f: impl FnOnce() -> Result<PointOutput, SimError>) -> Attempt {
-    match supervise::run_quarantined(f) {
-        supervise::Outcome::Ok(output) => Attempt::Ok(output),
-        supervise::Outcome::Err(e) => Attempt::Failed(PointError {
-            kind: e.kind().to_string(),
-            message: e.to_string(),
-        }),
-        supervise::Outcome::Panicked(message) => Attempt::Failed(PointError {
-            kind: "panic".to_string(),
-            message,
-        }),
-        supervise::Outcome::Cancelled => Attempt::Cancelled,
-    }
-}
-
 /// Base delay of the exponential retry backoff.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
 
-/// Runs one point to a final status: quarantined attempts, watchdog
-/// registration, and `max_retries` re-runs of failures (timeouts are not
-/// retried — a point that blew its budget once will blow it again).
-fn run_point(
-    point: &SweepPoint<'_>,
-    timeout: Option<f64>,
-    max_retries: u32,
-    watch: &Mutex<Option<(ProgressToken, Instant)>>,
-) -> (PointStatus, u32, Option<PointError>, PointOutput) {
+/// Runs one point to its final record: each attempt runs under a
+/// [`ProgressToken`] carrying the wall-clock budget and the shared
+/// [`gramer::supervise`] panic quarantine (the one the `gramer-serve`
+/// daemon uses), and failures are re-run up to `max_retries` times.
+/// Timeouts are not retried — a point that blew its budget once will
+/// blow it again.
+fn run_point(point: &SweepPoint<'_>, timeout: Option<Duration>, max_retries: u32) -> PointRecord {
+    let t0 = Instant::now();
     let mut attempts = 0u32;
-    loop {
+    let (status, error, output) = loop {
         attempts += 1;
-        let token = ProgressToken::new();
-        if let Some(secs) = timeout {
-            let deadline = Instant::now() + Duration::from_secs_f64(secs.max(0.0));
-            *watch.lock().unwrap_or_else(|e| e.into_inner()) = Some((token.clone(), deadline));
-        }
-        let guard = progress::install(token);
+        let guard = progress::install(ProgressToken::with_budget(timeout, None));
         // Discard any telemetry stash a previous (failed) attempt on this
-        // worker thread left behind, so an Ok attempt can only pick up
-        // its own recording.
+        // thread left behind, so an Ok attempt can only pick up its own
+        // recording.
         crate::take_point_telemetry();
-        let outcome = run_quarantined(|| (point.run)());
+        let outcome = supervise::run_quarantined(|| (point.run)());
         drop(guard);
-        if timeout.is_some() {
-            *watch.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        }
-        match outcome {
-            Attempt::Ok(mut output) => {
+        let error = match outcome {
+            supervise::Outcome::Ok(mut output) => {
                 if let Some(tel) = crate::take_point_telemetry() {
                     output.metrics.push(("telemetry".to_string(), tel));
                 }
-                return (PointStatus::Ok, attempts, None, output);
+                break (PointStatus::Ok, None, output);
             }
-            Attempt::Cancelled => {
-                let budget = timeout.unwrap_or(0.0);
-                return (
-                    PointStatus::TimedOut,
-                    attempts,
-                    Some(PointError {
-                        kind: "timeout".to_string(),
-                        message: format!("point exceeded its {budget}s wall-clock budget"),
-                    }),
-                    PointOutput::new(),
-                );
+            supervise::Outcome::Cancelled(_) => {
+                let budget = timeout.map_or(0.0, |t| t.as_secs_f64());
+                let error = PointError {
+                    kind: "timeout".to_string(),
+                    message: format!("point exceeded its {budget}s wall-clock budget"),
+                };
+                break (PointStatus::TimedOut, Some(error), PointOutput::new());
             }
-            Attempt::Failed(error) => {
-                if attempts <= max_retries {
-                    // Exponential backoff before the re-run.
-                    let delay = RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempts - 1).min(64);
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                return (
-                    PointStatus::Failed,
-                    attempts,
-                    Some(error),
-                    PointOutput::new(),
-                );
-            }
+            supervise::Outcome::Err(e) => PointError {
+                kind: e.kind().to_string(),
+                message: e.to_string(),
+            },
+            supervise::Outcome::Panicked(message) => PointError {
+                kind: "panic".to_string(),
+                message,
+            },
+        };
+        if attempts > max_retries {
+            break (PointStatus::Failed, Some(error), PointOutput::new());
         }
+        // Exponential backoff before the re-run.
+        std::thread::sleep(RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempts - 1).min(64));
+    };
+    PointRecord {
+        dataset: point.dataset.clone(),
+        app: point.app.clone(),
+        config: point.config.clone(),
+        output,
+        status,
+        attempts,
+        error,
+        wall_seconds: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -926,7 +789,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_sweep<'a>(ran: &'a AtomicU64) -> Sweep<'a> {
         let mut s = Sweep::new("test");
@@ -1210,30 +1073,37 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_times_out_stalling_point() {
-        let mut s = Sweep::new("watchdog");
-        s.point("d", "stall", "c", || -> PointOutput {
-            // A cooperative stall: ticks (so it is cancellable) but never
-            // finishes on its own.
-            loop {
-                progress::tick();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        s.point("d", "quick", "c", || PointOutput::new().metric("x", 1u64));
-        let t0 = Instant::now();
-        let r = s.run_with(&SweepOptions {
-            jobs: 2,
-            point_timeout: Some(0.2),
-            ..SweepOptions::default()
-        });
-        // Generous bound (1-CPU CI): the stall must end well before the
-        // 60s test timeout, and the sweep must complete.
-        assert!(t0.elapsed() < Duration::from_secs(30));
-        let stalled = r.find("d", "stall", "c").unwrap();
-        assert_eq!(stalled.status, PointStatus::TimedOut);
-        assert_eq!(stalled.error.as_ref().unwrap().kind, "timeout");
-        assert!(r.find("d", "quick", "c").unwrap().is_ok());
+    fn point_timeout_stops_a_stalling_point() {
+        // With one job the points run on the calling thread; with two,
+        // on scoped worker threads.
+        for jobs in [1, 2] {
+            let mut s = Sweep::new("timeout");
+            s.point("d", "stall", "c", || -> PointOutput {
+                // A cooperative stall: ticks (so its budget is checked)
+                // but never finishes on its own.
+                loop {
+                    progress::tick();
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            });
+            s.point("d", "quick", "c", || PointOutput::new().metric("x", 1u64));
+            let t0 = Instant::now();
+            let r = s.run_with(&SweepOptions {
+                jobs,
+                point_timeout: Some(Duration::from_millis(200)),
+                ..SweepOptions::default()
+            });
+            // Generous bound (1-CPU CI): the stall must end well before
+            // the 60s test timeout, and the sweep must complete.
+            assert!(t0.elapsed() < Duration::from_secs(30), "jobs={jobs}");
+            assert_eq!(r.jobs, jobs);
+            let stalled = r.find("d", "stall", "c").unwrap();
+            assert_eq!(stalled.status, PointStatus::TimedOut, "jobs={jobs}");
+            let error = stalled.error.as_ref().unwrap();
+            assert_eq!(error.kind, "timeout");
+            assert_eq!(error.message, "point exceeded its 0.2s wall-clock budget");
+            assert!(r.find("d", "quick", "c").unwrap().is_ok());
+        }
     }
 
     #[test]

@@ -1,77 +1,101 @@
-//! Cooperative progress reporting and cancellation for long simulations.
+//! Cooperative progress reporting and run budgets for long simulations.
 //!
-//! The sweep runner in `gramer-bench` runs each sweep point under a
-//! wall-clock watchdog. The watchdog needs two things from the simulator:
-//! a *liveness signal* (is the point still computing?) and a *kill switch*
-//! (stop a point that exceeded its budget). Both flow through a
-//! [`ProgressToken`]:
+//! The sweep runner in `gramer-bench` bounds each sweep point with a
+//! wall-clock budget, and `gramer-serve` bounds each job with a deadline
+//! and a step budget. Both fix the budget in a [`ProgressToken`] when
+//! they create it ([`ProgressToken::with_budget`]) and install the token
+//! on the thread that runs the work. No other thread watches it: the
+//! simulating thread enforces the budget itself.
 //!
-//! * the simulator's event loop hoists the installed token out of the
+//! * The simulator's event loop hoists the installed token out of the
 //!   thread-local once per run ([`current`]) and calls
-//!   [`ProgressToken::checkpoint`] once per 256 events, which bumps the
-//!   token's heartbeat counter — the watchdog reads it to report
-//!   liveness;
-//! * when the watchdog decides a point is over budget it calls
-//!   [`ProgressToken::cancel`]; the *next* [`tick`] or checkpoint on the
-//!   simulating thread unwinds with a [`Cancelled`] payload, which the
-//!   sweep runner's panic quarantine converts into a structured
-//!   `timed_out` record.
+//!   [`ProgressToken::checkpoint`] once per 256 events. Each flush bumps
+//!   the token's heartbeat and checks the budget: the heartbeat against
+//!   the tick budget, and one clock read against the deadline.
+//! * A flush that finds a budget spent unwinds with a [`Cancelled`]
+//!   payload naming it. The sweep runner's and the daemon's panic
+//!   quarantine ([`crate::supervise`]) turn that unwind into a
+//!   structured `timed_out` record.
 //!
-//! Cancellation is cooperative: code that never ticks cannot be stopped.
-//! The simulator ticks every few hundred event-loop iterations, so real
-//! sweep points still respond within microseconds; arbitrary user
-//! closures are only covered if they call [`tick`] themselves.
+//! Enforcement is cooperative: code that never ticks cannot be stopped.
+//! A batch of 256 simulator events is bounded host work, so a simulation
+//! stops within one batch of spending its budget; arbitrary user closures
+//! are only covered if they call [`tick`] themselves. A tick budget counts
+//! heartbeats, not host time, so whether it is spent does not depend on
+//! how fast the host runs.
 //!
-//! Tokens are installed per thread ([`install`]) so a multi-threaded sweep
-//! can watch each worker independently; [`tick`] is a no-op when no token
-//! is installed, which keeps standalone `Simulator::run` calls unaffected.
+//! Tokens are installed per thread ([`install`]); [`tick`] is a no-op when
+//! no token is installed, which keeps standalone `Simulator::run` calls
+//! unaffected.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Panic payload carried by a cancellation unwind.
+/// Panic payload carried by a budget unwind, naming the spent budget.
 ///
-/// Catchers (the sweep runner's quarantine) downcast the payload of
-/// `catch_unwind` to this type to distinguish "the watchdog stopped this
-/// point" from a genuine crash.
+/// Catchers (the quarantine in [`crate::supervise`]) downcast the payload
+/// of `catch_unwind` to this type to tell "this run spent its budget"
+/// from a genuine crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
+pub enum Cancelled {
+    /// The heartbeat passed the token's tick budget.
+    Ticks,
+    /// The token's wall-clock deadline passed.
+    Deadline,
+}
 
-/// A shared heartbeat + cancellation flag pair watching one thread.
+/// A shared heartbeat counter plus the budget it runs under.
 ///
-/// Cloning shares the underlying counters (the watchdog keeps one clone,
-/// the worker installs the other).
+/// Cloning shares the heartbeat (the creator keeps one clone to read it,
+/// the worker installs the other); the budget is fixed at creation.
 #[derive(Debug, Clone, Default)]
 pub struct ProgressToken {
     heartbeat: Arc<AtomicU64>,
-    cancel: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+    max_ticks: Option<u64>,
 }
 
 impl ProgressToken {
-    /// Creates a fresh token (heartbeat 0, not cancelled).
+    /// Creates an unbounded token (heartbeat 0, no budget).
     pub fn new() -> Self {
         ProgressToken::default()
     }
 
+    /// Creates a token whose [`checkpoint`](ProgressToken::checkpoint)
+    /// unwinds once `deadline` has passed since this call, or once the
+    /// heartbeat exceeds `max_ticks`. `None` leaves that budget unbounded,
+    /// and so does a deadline too far ahead for [`Instant`] to hold.
+    pub fn with_budget(deadline: Option<Duration>, max_ticks: Option<u64>) -> Self {
+        ProgressToken {
+            heartbeat: Arc::default(),
+            deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
+            max_ticks,
+        }
+    }
+
     /// Records `n` units of forward progress directly on this token —
-    /// `n` [`tick`]s without the thread-local lookup.
+    /// `n` [`tick`]s without the thread-local lookup — then checks the
+    /// budget.
     ///
-    /// The epoch-batched simulator loop clones the installed token out
-    /// of the thread-local once per run ([`current`]) and then
-    /// checkpoints against it: an epoch boundary is a plain relaxed
-    /// load, which keeps the watchdog's cancellation-latency bound (at
-    /// least one check per epoch) essentially free. Like [`tick`],
-    /// unwinds with a [`Cancelled`] payload — before bumping the
-    /// heartbeat — when cancellation has been requested; `checkpoint(0)`
-    /// is a pure cancellation check.
+    /// The simulator's event loop clones the installed token out of the
+    /// thread-local once per run ([`current`]) and flushes its heartbeat
+    /// here once per 256 events, so the budget check (one clock read when
+    /// a deadline is set) costs nothing measurable.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with a [`Cancelled`] payload when the heartbeat now
+    /// exceeds the tick budget, or the deadline has passed.
     #[inline]
     pub fn checkpoint(&self, n: u64) {
-        if self.cancel.load(Ordering::Relaxed) {
-            std::panic::panic_any(Cancelled);
+        let beats = self.heartbeat.fetch_add(n, Ordering::Relaxed) + n;
+        if self.max_ticks.is_some_and(|max| beats > max) {
+            std::panic::panic_any(Cancelled::Ticks);
         }
-        if n > 0 {
-            self.heartbeat.fetch_add(n, Ordering::Relaxed);
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            std::panic::panic_any(Cancelled::Deadline);
         }
     }
 
@@ -79,17 +103,16 @@ impl ProgressToken {
     pub fn heartbeat(&self) -> u64 {
         self.heartbeat.load(Ordering::Relaxed)
     }
+}
 
-    /// Requests cancellation: the next [`tick`] on the installed thread
-    /// unwinds with a [`Cancelled`] payload.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
+/// A budget given in seconds, as a [`Duration`]: `None` unless `secs`
+/// is a positive number of seconds that a `Duration` can hold (not
+/// zero, negative, NaN, infinite, or past ~1.8e19 s). Every entry point
+/// that reads a budget in seconds converts it here, once.
+pub fn budget_from_secs(secs: f64) -> Option<Duration> {
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| !d.is_zero())
 }
 
 thread_local! {
@@ -123,17 +146,17 @@ pub fn install(token: ProgressToken) -> InstallGuard {
 ///
 /// Long-running loops hoist this out of the thread-local once and call
 /// [`ProgressToken::checkpoint`] instead of paying the [`tick`] lookup
-/// per batch. The clone shares the installed token's counters, so the
-/// watchdog observes heartbeats and delivers cancellation identically.
+/// per batch. The clone shares the installed token's heartbeat and
+/// budget, so it is enforced identically.
 pub fn current() -> Option<ProgressToken> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
 /// Records one unit of forward progress on the current thread.
 ///
-/// No-op when no token is installed. If the installed token has been
-/// [cancelled](ProgressToken::cancel), unwinds with a [`Cancelled`]
-/// payload instead of returning.
+/// No-op when no token is installed. When the installed token's budget
+/// is spent, unwinds with a [`Cancelled`] payload instead of returning
+/// (see [`ProgressToken::checkpoint`]).
 #[inline]
 pub fn tick() {
     CURRENT.with(|c| {
@@ -147,6 +170,16 @@ pub fn tick() {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Runs `f`, which must unwind, and returns the budget it spent.
+    fn spent(f: impl FnOnce()) -> Cancelled {
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Err(payload) => *payload
+                .downcast_ref::<Cancelled>()
+                .expect("a Cancelled payload"),
+            Ok(()) => panic!("the budget never fired"),
+        }
+    }
 
     #[test]
     fn tick_without_token_is_noop() {
@@ -169,40 +202,53 @@ mod tests {
     }
 
     #[test]
-    fn cancel_unwinds_next_tick_with_typed_payload() {
-        let tok = ProgressToken::new();
-        let watcher = tok.clone();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = install(tok);
+    fn tick_budget_unwinds_with_the_ticks_reason() {
+        let tok = ProgressToken::with_budget(None, Some(2));
+        let reason = spent(|| {
+            let _guard = install(tok.clone());
             tick();
-            watcher.cancel();
+            tick(); // heartbeat 2: at the budget, not past it
             tick(); // unwinds here
-            unreachable!("tick after cancel must not return");
-        }));
-        let payload = match caught {
-            Err(p) => p,
-            Ok(_) => panic!("closure returned normally"),
-        };
-        assert!(payload.downcast_ref::<Cancelled>().is_some());
-        assert_eq!(watcher.heartbeat(), 1);
+            unreachable!("tick past the budget must not return");
+        });
+        assert_eq!(reason, Cancelled::Ticks);
+        assert_eq!(tok.heartbeat(), 3);
         // The guard restored the empty state during unwind.
         tick();
-        assert_eq!(watcher.heartbeat(), 1);
+        assert_eq!(tok.heartbeat(), 3);
     }
 
     #[test]
-    fn checkpoint_batches_heartbeat_and_checks_cancel() {
-        let tok = ProgressToken::new();
-        let watcher = tok.clone();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            tok.checkpoint(256);
-            tok.checkpoint(0); // cancel check only, no heartbeat change
-            watcher.cancel();
-            tok.checkpoint(0); // unwinds here despite the zero batch
-            unreachable!("checkpoint after cancel must not return");
-        }));
-        assert!(caught.is_err());
-        assert_eq!(watcher.heartbeat(), 256);
+    fn checkpoint_batches_heartbeat_against_the_budget() {
+        let tok = ProgressToken::with_budget(None, Some(300));
+        tok.checkpoint(256);
+        assert_eq!(tok.heartbeat(), 256);
+        assert_eq!(spent(|| tok.checkpoint(256)), Cancelled::Ticks);
+        assert_eq!(tok.heartbeat(), 512);
+    }
+
+    #[test]
+    fn zero_deadline_unwinds_at_the_first_checkpoint() {
+        let tok = ProgressToken::with_budget(Some(Duration::ZERO), None);
+        assert_eq!(spent(|| tok.checkpoint(1)), Cancelled::Deadline);
+        assert_eq!(tok.heartbeat(), 1);
+    }
+
+    #[test]
+    fn unrepresentable_deadline_never_fires() {
+        let tok = ProgressToken::with_budget(Some(Duration::MAX), Some(u64::MAX));
+        tok.checkpoint(1 << 20);
+        let _guard = install(tok.clone());
+        tick();
+        assert_eq!(tok.heartbeat(), (1 << 20) + 1);
+    }
+
+    #[test]
+    fn budgets_in_seconds_must_fit_a_duration() {
+        assert_eq!(budget_from_secs(2.5), Some(Duration::from_millis(2500)));
+        for bad in [0.0, -1.0, 1e-300, 1e300, f64::NAN, f64::INFINITY] {
+            assert_eq!(budget_from_secs(bad), None, "{bad}");
+        }
     }
 
     #[test]

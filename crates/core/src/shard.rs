@@ -11,7 +11,9 @@
 //! (asserted by `serial_and_sharded_results_are_identical_and_ordered`
 //! below and the golden-matrix integration tests), and the thread count
 //! is the caller's choice of host resources, not a configuration knob:
-//! `gramer-mine` passes the host's available parallelism.
+//! `gramer-mine` passes the host's available parallelism, and the
+//! experiment-sweep runner in `gramer-bench` runs its points through
+//! [`run_cells`] on `--jobs` threads.
 //!
 //! Threads claim the next unclaimed cell until none remain. Claim order
 //! affects only wall-clock time, never output — determinism comes from

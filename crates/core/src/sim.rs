@@ -22,13 +22,10 @@ const IDLE_RETRY_CYCLES: u64 = 32;
 /// Extra cycles charged when a steal succeeds (stealing-buffer pop plus
 /// ancestor transfer, §V-C).
 const STEAL_PENALTY_CYCLES: u64 = 2;
-/// Executed events per heartbeat flush. The thread-local lookup in
-/// `tick` costs as much as several queue operations, so the event loop
-/// batches it; cancellation latency stays well under a millisecond at
-/// any realistic event rate. The engine additionally checks for
-/// cancellation at every epoch boundary (a single relaxed load on a
-/// hoisted token), so the watchdog's latency bound never degrades to
-/// "once per batch" even on sparse event populations.
+/// Executed events per heartbeat flush. Each flush bumps the installed
+/// progress token's heartbeat and checks its budget (one clock read when
+/// a deadline is set), so the event loop batches it. A batch is bounded
+/// host work, so a run stops within one batch of spending its budget.
 const PROGRESS_BATCH: u64 = 256;
 /// Window width of the λ-autotuner (`--adaptive-lambda`): the on-chip
 /// hit ratio is sampled as a delta every this many simulated cycles.
@@ -724,10 +721,10 @@ impl<'p> Simulator<'p> {
     /// subsystem cannot be built.
     ///
     /// The event loop reports forward progress through
-    /// [`crate::progress`] once per small batch of executed events and
-    /// at least once per epoch, so a watchdog (the sweep runner's
-    /// per-point timeout) can observe liveness and cancel a run
-    /// cooperatively with negligible hot-path overhead.
+    /// [`crate::progress`] once per batch of 256 executed events, and
+    /// unwinds there once the installed token's budget (the sweep
+    /// runner's per-point timeout, a daemon job's deadline or step
+    /// budget) is spent, with negligible hot-path overhead.
     pub fn run<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
         self.dispatch(app, &mut NullSink, &mut NoFilter)
     }
@@ -835,18 +832,11 @@ impl<'p> Simulator<'p> {
         }
         sink.on_begin(self.config.num_pus);
 
-        // Hoist the progress token out of the thread-local once: the
-        // per-epoch cancellation check is then a single relaxed load,
-        // and heartbeats flush in 256-event batches.
+        // Hoist the progress token out of the thread-local once;
+        // heartbeats flush in 256-event batches.
         let token = progress::current();
         let mut tick_backlog = 0u64;
         while let Some(t) = cal.advance() {
-            if let Some(tok) = &token {
-                // Epoch boundary: cancellation check independent of the
-                // heartbeat batch, keeping watchdog latency bounded by
-                // one epoch even when events are sparse.
-                tok.checkpoint(0);
-            }
             while let Some(id) = cal.take_at_cur() {
                 let mut t_run = t;
                 loop {
@@ -880,7 +870,7 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        // Flush the partial heartbeat batch (also a final cancel check).
+        // Flush the partial heartbeat batch (also a final budget check).
         if let Some(tok) = &token {
             tok.checkpoint(tick_backlog);
         }
@@ -1207,8 +1197,7 @@ mod tests {
         drop(guard);
         // Heartbeats are batched (one flush per 256 executed events,
         // remainder flushed at the end), so the total still equals the
-        // executed-event count — at least one per recorded step — while
-        // the watchdog only observes it in coarse jumps.
+        // executed-event count — at least one per recorded step.
         assert!(tok.heartbeat() >= report.steps);
         assert!(tok.heartbeat() > 0);
     }
@@ -1237,46 +1226,31 @@ mod tests {
         }
     }
 
-    /// A sink that requests cancellation from *inside* an epoch: the
-    /// cancel lands mid-drain, and the driver must still unwind at its
-    /// next checkpoint — within one heartbeat batch — rather than only
-    /// between runs. Verifies the watchdog latency bound of the epoch
-    /// engine.
-    struct CancelAfterEvents {
-        after: u64,
-        seen: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        tok: ProgressToken,
-    }
+    /// A sink that counts the events the engine hands out.
+    struct CountEvents(u64);
 
-    impl TelemetrySink for CancelAfterEvents {
+    impl TelemetrySink for CountEvents {
         const ACTIVE: bool = true;
 
         fn on_event(&mut self, _now: u64, _mem: &MemorySubsystem, _depth: usize) {
-            let seen = self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            if seen == self.after {
-                self.tok.cancel();
-            }
+            self.0 += 1;
         }
     }
 
+    /// A tick budget spent mid-epoch stops the run at the next heartbeat
+    /// flush: at most one batch of events runs past the budget.
     #[test]
     fn cancel_mid_epoch_unwinds_within_latency_bound() {
         let g = small_graph();
         let cfg = GramerConfig::default();
         let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
-        const CANCEL_AT: u64 = 1000;
-        let seen = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let tok = ProgressToken::new();
+        const BUDGET: u64 = 1000;
+        let mut sink = CountEvents(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = install(tok.clone());
-            let mut sink = CancelAfterEvents {
-                after: CANCEL_AT,
-                seen: seen.clone(),
-                tok: tok.clone(),
-            };
+            let _guard = install(ProgressToken::with_budget(None, Some(BUDGET)));
             let sim = Simulator::new(&pre, cfg.clone()).unwrap();
-            sim.run_epochs::<_, CancelAfterEvents, NoMemo, NoFilter>(
+            sim.run_epochs::<_, CountEvents, NoMemo, NoFilter>(
                 &app,
                 &mut sink,
                 &mut NoMemo,
@@ -1285,18 +1259,15 @@ mod tests {
         }));
         let payload = match caught {
             Err(p) => p,
-            Ok(_) => panic!("cancelled run returned normally"),
+            Ok(_) => panic!("a run past its budget returned normally"),
         };
-        assert!(payload.downcast_ref::<Cancelled>().is_some());
-        let executed = seen.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(executed >= CANCEL_AT, "cancel point never reached");
-        // Latency bound: the driver checks at every heartbeat batch and
-        // at every epoch boundary, so at most one batch of events can
-        // execute after cancellation.
+        assert_eq!(payload.downcast_ref::<Cancelled>(), Some(&Cancelled::Ticks));
+        let executed = sink.0;
+        assert!(executed >= BUDGET, "stopped before the budget was spent");
         assert!(
-            executed - CANCEL_AT <= PROGRESS_BATCH,
-            "cancellation latency too high: {} events after cancel",
-            executed - CANCEL_AT
+            executed - BUDGET <= PROGRESS_BATCH,
+            "budget latency too high: {} events past the budget",
+            executed - BUDGET
         );
     }
 
@@ -1408,19 +1379,22 @@ mod tests {
     }
 
     #[test]
-    fn precancelled_token_stops_epoch_run_before_any_event() {
+    fn spent_deadline_stops_epoch_run_at_the_first_flush() {
         let g = small_graph();
         let cfg = GramerConfig::default();
         let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(3).unwrap();
-        let tok = ProgressToken::new();
-        tok.cancel();
+        let tok = ProgressToken::with_budget(Some(std::time::Duration::ZERO), None);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let _guard = install(tok.clone());
             Simulator::new(&pre, cfg.clone()).unwrap().run(&app)
         }));
-        assert!(caught.is_err());
-        // The first epoch-boundary check fires before any event executes.
-        assert_eq!(tok.heartbeat(), 0);
+        let payload = caught.err().expect("a spent deadline unwinds");
+        assert_eq!(
+            payload.downcast_ref::<Cancelled>(),
+            Some(&Cancelled::Deadline)
+        );
+        // The first heartbeat flush checks the clock and stops the run.
+        assert_eq!(tok.heartbeat(), PROGRESS_BATCH);
     }
 }

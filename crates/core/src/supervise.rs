@@ -9,7 +9,7 @@
 //! closure under [`std::panic::catch_unwind`], capture the panic
 //! *message and location* through a scoped hook instead of letting the
 //! default hook spam stderr, and distinguish three outcomes: a typed
-//! error, a genuine panic, and a cooperative cancellation unwind from
+//! error, a genuine panic, and the unwind of a spent run budget from
 //! [`crate::progress`].
 //!
 //! This module is that one implementation. The process-global panic hook
@@ -91,9 +91,9 @@ pub enum Outcome<T> {
     /// The closure panicked; the captured message includes the panic
     /// location when available.
     Panicked(String),
-    /// The closure unwound with a [`progress::Cancelled`] payload — the
-    /// cooperative watchdog cancellation, not a crash.
-    Cancelled,
+    /// The closure unwound with a [`progress::Cancelled`] payload: it
+    /// spent the named budget of its installed token. Not a crash.
+    Cancelled(progress::Cancelled),
 }
 
 impl<T> Outcome<T> {
@@ -107,11 +107,11 @@ impl<T> Outcome<T> {
 ///
 /// A typed error becomes [`Outcome::Err`]; a panic becomes
 /// [`Outcome::Panicked`] carrying the captured message; a
-/// [`progress::Cancelled`] unwind (cooperative watchdog cancellation)
-/// becomes [`Outcome::Cancelled`]. The quarantine is re-entrant safe in
-/// the sense that the thread-local capture slot is cleared on entry, so a
-/// stale message from an earlier execution can never be attributed to a
-/// later one.
+/// [`progress::Cancelled`] unwind (a spent run budget) becomes
+/// [`Outcome::Cancelled`] with the same reason. The quarantine is
+/// re-entrant safe in the sense that the thread-local capture slot is
+/// cleared on entry, so a stale message from an earlier execution can
+/// never be attributed to a later one.
 pub fn run_quarantined<T>(f: impl FnOnce() -> Result<T, SimError>) -> Outcome<T> {
     install_quarantine_hook();
     CAPTURED_PANIC.with(|c| *c.borrow_mut() = None);
@@ -121,16 +121,15 @@ pub fn run_quarantined<T>(f: impl FnOnce() -> Result<T, SimError>) -> Outcome<T>
     match result {
         Ok(Ok(value)) => Outcome::Ok(value),
         Ok(Err(e)) => Outcome::Err(e),
-        Err(payload) => {
-            if payload.downcast_ref::<progress::Cancelled>().is_some() {
-                Outcome::Cancelled
-            } else {
+        Err(payload) => match payload.downcast_ref::<progress::Cancelled>() {
+            Some(&spent) => Outcome::Cancelled(spent),
+            None => {
                 let message = CAPTURED_PANIC
                     .with(|c| c.borrow_mut().take())
                     .unwrap_or_else(|| "panic with no captured message".to_string());
                 Outcome::Panicked(message)
             }
-        }
+        },
     }
 }
 
@@ -221,14 +220,16 @@ mod tests {
 
     #[test]
     fn cancellation_unwind_is_not_a_panic() {
-        let tok = ProgressToken::new();
-        tok.cancel();
+        let tok = ProgressToken::with_budget(None, Some(0));
         let out = run_quarantined(|| -> Result<(), SimError> {
             let _guard = progress::install(tok);
             progress::tick();
-            unreachable!("tick after cancel must unwind");
+            unreachable!("tick past a spent budget must unwind");
         });
-        assert!(matches!(out, Outcome::Cancelled));
+        assert!(matches!(
+            out,
+            Outcome::Cancelled(progress::Cancelled::Ticks)
+        ));
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! writes the body to a file (byte-identical to `gramer-mine --json`).
 
 use gramer::json::JsonValue;
+use gramer::progress;
 use gramer_graph::artifact;
 use gramer_serve::http;
 use gramer_serve::server::{Server, ServerConfig};
@@ -112,8 +113,12 @@ fn daemon_main(args: &[String]) -> ExitCode {
             }
             "--journal" => cfg.supervisor.journal_path = Some(value("--journal").into()),
             "--deadline" => {
-                cfg.supervisor.default_deadline_seconds =
-                    parse_or_usage(&value("--deadline"), "--deadline")
+                let secs: f64 = parse_or_usage(&value("--deadline"), "--deadline");
+                cfg.supervisor.default_deadline =
+                    progress::budget_from_secs(secs).unwrap_or_else(|| {
+                        eprintln!("--deadline expects positive seconds, got {secs}");
+                        usage()
+                    })
             }
             "--max-retries" => {
                 cfg.supervisor.default_max_retries =

@@ -11,8 +11,8 @@
 //! `0..1000` is partitioned into `[0, panic)` → panic,
 //! `[panic, panic+io)` → I/O error, `[panic+io, panic+io+delay)` →
 //! delay. Delays sleep in small slices and tick the ambient progress
-//! token between slices, so the watchdog can still cancel a delayed job
-//! — a delay fault composes with deadline enforcement instead of
+//! token between slices, so a delayed job still stops at its deadline —
+//! a delay fault composes with deadline enforcement instead of
 //! defeating it.
 
 use gramer::progress;
@@ -142,7 +142,7 @@ impl ChaosConfig {
             ))),
             Fault::Delay => {
                 // Sleep in slices, ticking the ambient progress token so
-                // an installed watchdog can cancel mid-delay.
+                // a spent budget stops the job mid-delay.
                 let mut remaining = self.delay_ms;
                 while remaining > 0 {
                     let slice = remaining.min(5);

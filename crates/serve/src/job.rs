@@ -15,8 +15,9 @@
 
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
-use gramer::{AppSpec, GramerConfig, MemoryBudget, Preprocessed, RunReport, SimError};
+use gramer::{progress, AppSpec, GramerConfig, MemoryBudget, Preprocessed, RunReport, SimError};
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Where a job's graph comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +70,8 @@ pub struct JobSpec {
     pub app: String,
     /// Simulator configuration after applying the spec's knob overrides.
     pub config: GramerConfig,
-    /// Per-job wall-clock budget override, seconds.
-    pub deadline_seconds: Option<f64>,
+    /// Per-job wall-clock budget override (`deadline_seconds`).
+    pub deadline: Option<Duration>,
     /// Per-job retry override for transient failures.
     pub max_retries: Option<u32>,
     /// Whether to record and keep the telemetry rollup.
@@ -133,12 +134,12 @@ impl JobSpec {
         }
         config.validate().map_err(|e| e.to_string())?;
 
-        let deadline_seconds = match v.get("deadline_seconds") {
+        let deadline = match v.get("deadline_seconds") {
             None | Some(JsonValue::Null) => None,
             Some(x) => Some(
                 x.as_f64()
-                    .filter(|d| d.is_finite() && *d > 0.0)
-                    .ok_or("\"deadline_seconds\" must be a positive number")?,
+                    .and_then(progress::budget_from_secs)
+                    .ok_or("\"deadline_seconds\" must be a positive number of seconds")?,
             ),
         };
         let max_retries = match v.get("max_retries") {
@@ -158,7 +159,7 @@ impl JobSpec {
             graph,
             app,
             config,
-            deadline_seconds,
+            deadline,
             max_retries,
             metrics,
         })
@@ -255,7 +256,7 @@ pub enum JobStatus {
     Failed,
     /// Every attempt ended in a panic (quarantined, daemon unharmed).
     Panicked,
-    /// Cancelled by the watchdog: wall-clock deadline or step budget.
+    /// Spent its wall-clock deadline or step budget.
     TimedOut,
     /// Refused at admission (budget or validation), never queued.
     Rejected,
@@ -456,7 +457,23 @@ mod tests {
         assert_eq!(spec.graph, GraphSource::Gen("golden-ba".to_string()));
         assert_eq!(spec.app, "3-cf");
         assert!(spec.metrics);
-        assert_eq!(spec.deadline_seconds, None);
+        assert_eq!(spec.deadline, None);
+    }
+
+    #[test]
+    fn deadlines_a_duration_cannot_hold_are_refused() {
+        let with_deadline = |d: &str| {
+            JsonValue::parse(&format!(
+                "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \"deadline_seconds\": {d}}}"
+            ))
+            .expect("json")
+        };
+        let spec = JobSpec::from_json(&with_deadline("2.5")).expect("valid");
+        assert_eq!(spec.deadline, Some(Duration::from_millis(2500)));
+        for bad in ["0", "-1", "1e300", "1e-300", "\"10\""] {
+            let err = JobSpec::from_json(&with_deadline(bad)).unwrap_err();
+            assert!(err.contains("deadline_seconds"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   plus `rejected` at admission), and JSON round-tripping;
 //! * [`supervisor`] — admission control, the bounded worker pool, panic
 //!   quarantine (shared with the sweep runner via
-//!   [`gramer::supervise`]), watchdog cancellation through
-//!   [`gramer::progress`] tokens, retry with exponential backoff, and
-//!   the crash-safe journal;
+//!   [`gramer::supervise`]), deadlines and step budgets carried by
+//!   [`gramer::progress`] tokens and enforced on the worker itself,
+//!   retry with exponential backoff, and the crash-safe journal;
 //! * [`journal`] — the atomic-rewrite JSONL journal and its forgiving
 //!   replay;
 //! * [`session`] — the shared in-memory LRU cache of preprocessed

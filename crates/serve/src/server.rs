@@ -294,7 +294,7 @@ fn handle_connection(shared: &ServerShared, mut stream: TcpStream) {
     let response = match supervise::run_quarantined(|| Ok(route(shared, &request))) {
         supervise::Outcome::Ok(response) => response,
         supervise::Outcome::Panicked(message) => Response::error(500, "panic", &message),
-        supervise::Outcome::Err(_) | supervise::Outcome::Cancelled => {
+        supervise::Outcome::Err(_) | supervise::Outcome::Cancelled(_) => {
             Response::error(500, "internal", "handler aborted")
         }
     };

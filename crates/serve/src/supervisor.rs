@@ -1,17 +1,20 @@
 //! The job supervisor: admission control, a bounded worker pool, panic
-//! quarantine, watchdog cancellation, retry with backoff, and the
-//! crash-safe journal.
+//! quarantine, run budgets, retry with backoff, and the crash-safe
+//! journal.
 //!
 //! Fault-containment invariants, in decreasing order of importance:
 //!
 //! 1. **The daemon never dies because of a job.** Every attempt runs
 //!    under [`gramer::supervise::run_quarantined`]; a panicking job ends
 //!    in a typed `panicked` record, not an aborted process.
-//! 2. **Every admitted job reaches a typed terminal state.** The
-//!    watchdog cancels jobs over their wall-clock deadline or step
-//!    budget via the cooperative [`gramer::progress`] token
-//!    (`timed_out`); simulator errors become `failed` with the
-//!    [`gramer::SimError::kind`] tag; over-budget submissions become
+//! 2. **Every admitted job reaches a typed terminal state.** Each
+//!    attempt runs under a [`gramer::progress`] token that carries the
+//!    job's wall-clock deadline and the step budget; the worker's own
+//!    simulation checks it at every heartbeat flush and unwinds once
+//!    either is spent (`timed_out`, with a message naming which). No
+//!    other thread watches the job, so a step budget ends a job the same
+//!    way whatever the host speed. Simulator errors become `failed` with
+//!    the [`gramer::SimError::kind`] tag; over-budget submissions become
 //!    `rejected` records. Nothing is silently dropped.
 //! 3. **State survives restarts.** Each transition appends the changed
 //!    record to the [`crate::journal::JobJournal`] and syncs it before
@@ -37,11 +40,12 @@ use crate::job::{run_app_spec, GraphSource, JobError, JobRecord, JobSpec, JobSta
 use crate::journal::JobJournal;
 use crate::session::SessionCache;
 use gramer::json::JsonValue;
+use gramer::telemetry::TelemetryConfig;
 use gramer::{progress, supervise, Preprocessed, SimError};
 use gramer_graph::{artifact, generate, io};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,28 +59,20 @@ pub struct SupervisorConfig {
     /// Maximum queued (admitted, not yet running) jobs before
     /// submissions are rejected with a queue-full error.
     pub queue_capacity: usize,
-    /// Wall-clock budget for a job that does not set its own, seconds.
-    pub default_deadline_seconds: f64,
-    /// Largest per-job deadline a submission may request, seconds.
-    pub max_deadline_seconds: f64,
+    /// Wall-clock budget for a job that does not set its own.
+    pub default_deadline: Duration,
     /// Retry budget for transient failures when the job does not set
     /// its own.
     pub default_max_retries: u32,
-    /// Largest retry budget a submission may request.
-    pub max_retries_cap: u32,
     /// Admission cap on the job's estimated graph bytes (edge-list /
     /// artifact file size, inline text length; generated graphs are
     /// bounded by their spec instead).
     pub max_graph_bytes: u64,
-    /// Step (heartbeat-tick) budget per attempt; 0 disables it.
+    /// Step budget per attempt: an attempt whose heartbeat passes it
+    /// ends `timed_out`. 0 disables it.
     pub max_steps: u64,
-    /// Base backoff before the first retry, milliseconds (doubles per
-    /// attempt, capped at 1 s).
-    pub retry_backoff_ms: u64,
     /// Byte budget of the in-memory session cache.
     pub session_cache_bytes: u64,
-    /// Telemetry window width (cycles) for jobs that request metrics.
-    pub telemetry_window: u64,
     /// Fault injection; [`ChaosConfig::default`] injects nothing.
     pub chaos: ChaosConfig,
     /// Journal file; `None` runs without durability.
@@ -88,15 +84,11 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             workers: 2,
             queue_capacity: 64,
-            default_deadline_seconds: 60.0,
-            max_deadline_seconds: 600.0,
+            default_deadline: Duration::from_secs(60),
             default_max_retries: 1,
-            max_retries_cap: 5,
             max_graph_bytes: 1 << 30,
             max_steps: 0,
-            retry_backoff_ms: 25,
             session_cache_bytes: 256 << 20,
-            telemetry_window: 1024,
             chaos: ChaosConfig::default(),
             journal_path: None,
         }
@@ -121,18 +113,14 @@ pub enum SubmitError {
 /// transitions, and the file holds at most `2 × records + 64` lines.
 const COMPACT_MIN_APPENDS: usize = 64;
 
-/// What the watchdog cancelled a job for.
-const CANCEL_NONE: u8 = 0;
-const CANCEL_DEADLINE: u8 = 1;
-const CANCEL_STEPS: u8 = 2;
-
-struct Watch {
-    token: progress::ProgressToken,
-    started: Instant,
-    deadline: Duration,
-    max_steps: u64,
-    reason: AtomicU8,
-}
+/// Largest per-job deadline a submission may request.
+const MAX_DEADLINE: Duration = Duration::from_secs(600);
+/// Largest retry budget a submission may request.
+const MAX_RETRIES_CAP: u32 = 5;
+/// Backoff before the first retry of a transient failure; it doubles
+/// per attempt up to [`RETRY_BACKOFF_CAP`].
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
+const RETRY_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Mutable supervisor state under one lock (records, queue and journal
 /// bookkeeping share the lock so admission and journal writes are
@@ -170,10 +158,8 @@ struct Shared {
     jobs: Mutex<Jobs>,
     cvar: Condvar,
     session: SessionCache,
-    running: Mutex<HashMap<u64, Arc<Watch>>>,
     journal: Option<JobJournal>,
     counters: Counters,
-    stop_watchdog: AtomicBool,
 }
 
 /// The supervisor: owns the worker pool and all job state.
@@ -184,13 +170,12 @@ struct Shared {
 pub struct Supervisor {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    watchdog: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Supervisor {
-    /// Starts the worker pool (and watchdog), replaying the journal if
-    /// one is configured: terminal records are restored verbatim,
-    /// interrupted ones re-queued.
+    /// Starts the worker pool, replaying the journal if one is
+    /// configured: terminal records are restored verbatim, interrupted
+    /// ones re-queued.
     ///
     /// # Errors
     ///
@@ -224,10 +209,8 @@ impl Supervisor {
             session: SessionCache::new(cfg.session_cache_bytes),
             jobs: Mutex::new(jobs),
             cvar: Condvar::new(),
-            running: Mutex::new(HashMap::new()),
             journal,
             counters: Counters::default(),
-            stop_watchdog: AtomicBool::new(false),
             cfg,
         });
         // Snapshot unconditionally at start. It makes a replayed
@@ -245,20 +228,9 @@ impl Supervisor {
                     .spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        let watchdog = if shared.cfg.workers > 0 {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("gramer-serve-watchdog".to_string())
-                    .spawn(move || watchdog_loop(&shared))?,
-            )
-        } else {
-            None
-        };
         Ok(Supervisor {
             shared,
             workers: Mutex::new(workers),
-            watchdog: Mutex::new(watchdog),
         })
     }
 
@@ -315,22 +287,23 @@ impl Supervisor {
     /// `rejected` record rather than an HTTP-level refusal).
     fn admission_error(&self, spec: &JobSpec) -> Option<JobError> {
         let cfg = &self.shared.cfg;
-        if let Some(d) = spec.deadline_seconds {
-            if d > cfg.max_deadline_seconds {
+        if let Some(d) = spec.deadline {
+            if d > MAX_DEADLINE {
                 return Some(JobError::new(
                     "over_budget",
                     format!(
-                        "deadline {d}s exceeds the {}s cap",
-                        cfg.max_deadline_seconds
+                        "deadline {}s exceeds the {}s cap",
+                        d.as_secs_f64(),
+                        MAX_DEADLINE.as_secs()
                     ),
                 ));
             }
         }
         if let Some(r) = spec.max_retries {
-            if r > cfg.max_retries_cap {
+            if r > MAX_RETRIES_CAP {
                 return Some(JobError::new(
                     "over_budget",
-                    format!("max_retries {r} exceeds the cap of {}", cfg.max_retries_cap),
+                    format!("max_retries {r} exceeds the cap of {MAX_RETRIES_CAP}"),
                 ));
             }
         }
@@ -461,15 +434,6 @@ impl Supervisor {
         );
         for handle in workers {
             let _ = handle.join();
-        }
-        self.shared.stop_watchdog.store(true, Ordering::Relaxed);
-        let watchdog = self
-            .watchdog
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(watchdog) = watchdog {
-            let _ = watchdog.join();
         }
         self.shared.snapshot(&mut self.shared.lock_jobs());
     }
@@ -615,10 +579,8 @@ fn run_job(shared: &Shared, id: u64) {
         }
     };
     let cfg = &shared.cfg;
-    let deadline = Duration::from_secs_f64(
-        spec.deadline_seconds
-            .unwrap_or(cfg.default_deadline_seconds),
-    );
+    let deadline = spec.deadline.unwrap_or(cfg.default_deadline);
+    let max_steps = (cfg.max_steps > 0).then_some(cfg.max_steps);
     let max_retries = spec.max_retries.unwrap_or(cfg.default_max_retries);
 
     let mut attempt: u32 = 0;
@@ -629,25 +591,14 @@ fn run_job(shared: &Shared, id: u64) {
             rec.attempts = attempt;
         });
 
-        let token = progress::ProgressToken::new();
-        let watch = Arc::new(Watch {
-            token: token.clone(),
-            started: Instant::now(),
-            deadline,
-            max_steps: cfg.max_steps,
-            reason: AtomicU8::new(CANCEL_NONE),
-        });
-        shared
-            .running
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(id, Arc::clone(&watch));
-
+        let token = progress::ProgressToken::with_budget(Some(deadline), max_steps);
         let outcome = supervise::run_quarantined(|| {
-            let _guard = progress::install(token.clone());
+            let _guard = progress::install(token);
             shared.cfg.chaos.inject(id, attempt - 1)?;
             let (pre, cache_hit) = resolve_preprocessed(shared, &spec)?;
-            let window = spec.metrics.then_some(cfg.telemetry_window);
+            let window = spec
+                .metrics
+                .then(|| TelemetryConfig::default().window_cycles);
             let (report, tel) = run_app_spec(&spec.app, &pre, spec.config.clone(), window)?;
             Ok(AttemptOutput {
                 report_json: report.to_json_value(),
@@ -655,12 +606,6 @@ fn run_job(shared: &Shared, id: u64) {
                 cache_hit,
             })
         });
-
-        shared
-            .running
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&id);
 
         match outcome {
             supervise::Outcome::Ok(out) => {
@@ -678,8 +623,8 @@ fn run_job(shared: &Shared, id: u64) {
                 let message = e.to_string();
                 if chaos::is_injected_io(&message) && attempt <= max_retries {
                     shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = (shared.cfg.retry_backoff_ms << (attempt - 1)).min(1000);
-                    std::thread::sleep(Duration::from_millis(backoff));
+                    let backoff = RETRY_BACKOFF * 2u32.saturating_pow(attempt - 1);
+                    std::thread::sleep(backoff.min(RETRY_BACKOFF_CAP));
                     continue;
                 }
                 finish(
@@ -699,12 +644,14 @@ fn run_job(shared: &Shared, id: u64) {
                 );
                 return;
             }
-            supervise::Outcome::Cancelled => {
-                let why = match watch.reason.load(Ordering::Relaxed) {
-                    CANCEL_STEPS => {
+            supervise::Outcome::Cancelled(spent) => {
+                let why = match spent {
+                    progress::Cancelled::Ticks => {
                         format!("step budget of {} heartbeat ticks exhausted", cfg.max_steps)
                     }
-                    _ => format!("deadline of {:.3}s exceeded", deadline.as_secs_f64()),
+                    progress::Cancelled::Deadline => {
+                        format!("deadline of {:.3}s exceeded", deadline.as_secs_f64())
+                    }
                 };
                 finish(
                     shared,
@@ -778,30 +725,6 @@ fn resolve_preprocessed(
     }
 }
 
-fn watchdog_loop(shared: &Shared) {
-    while !shared.stop_watchdog.load(Ordering::Relaxed) {
-        {
-            let running = shared
-                .running
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for watch in running.values() {
-                if watch.token.is_cancelled() {
-                    continue;
-                }
-                if watch.started.elapsed() > watch.deadline {
-                    watch.reason.store(CANCEL_DEADLINE, Ordering::Relaxed);
-                    watch.token.cancel();
-                } else if watch.max_steps > 0 && watch.token.heartbeat() > watch.max_steps {
-                    watch.reason.store(CANCEL_STEPS, Ordering::Relaxed);
-                    watch.token.cancel();
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,7 +768,6 @@ mod tests {
         let supervisor = Supervisor::start(SupervisorConfig {
             workers: 0,
             queue_capacity: 1,
-            max_deadline_seconds: 10.0,
             ..SupervisorConfig::default()
         })
         .expect("start");
@@ -920,7 +842,6 @@ mod tests {
             workers: 1,
             chaos,
             default_max_retries: 3,
-            retry_backoff_ms: 1,
             ..SupervisorConfig::default()
         })
         .expect("start");
@@ -941,12 +862,14 @@ mod tests {
     }
 
     #[test]
-    fn deadline_overrun_times_out_via_the_watchdog() {
+    fn deadline_overrun_times_out_at_the_next_tick() {
+        // The injected delay ticks every 5 ms; the first tick past the
+        // deadline unwinds the attempt on the worker itself.
         let chaos = ChaosConfig::parse("delay=1000,delay-ms=60000,seed=3").expect("chaos");
         let supervisor = Supervisor::start(SupervisorConfig {
             workers: 1,
             chaos,
-            default_deadline_seconds: 0.2,
+            default_deadline: Duration::from_millis(200),
             default_max_retries: 0,
             ..SupervisorConfig::default()
         })
@@ -954,8 +877,52 @@ mod tests {
         let rec = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
         let rec = wait(&supervisor, rec.id);
         assert_eq!(rec.status, JobStatus::TimedOut);
-        assert_eq!(rec.error.as_ref().map(|e| e.kind.as_str()), Some("timeout"));
+        let error = rec.error.expect("typed error");
+        assert_eq!(error.kind, "timeout");
+        assert_eq!(error.message, "deadline of 0.200s exceeded");
         supervisor.shutdown_and_join();
+    }
+
+    #[test]
+    fn step_budget_ends_a_job_whatever_the_host_speed() {
+        // A job this small ends in a few milliseconds, faster than any
+        // polling interval: only a budget the worker checks itself can
+        // stop it. Its heartbeat is measured by running it here.
+        let job = r#"{"graph": {"gen": "ba:30:2:1"}, "app": "3-cf"}"#;
+        let spec = JobSpec::from_json(&JsonValue::parse(job).expect("json")).expect("spec");
+        let graph = generate::named("ba:30:2:1").expect("graph");
+        let pre = gramer::preprocess(&graph, &spec.config).expect("preprocess");
+        let token = progress::ProgressToken::new();
+        let guard = progress::install(token.clone());
+        run_app_spec(&spec.app, &pre, spec.config.clone(), None).expect("run");
+        drop(guard);
+        let heartbeat = token.heartbeat();
+        assert!(heartbeat > 1, "heartbeat {heartbeat}");
+
+        for max_steps in [1, heartbeat - 1, heartbeat] {
+            let supervisor = Supervisor::start(SupervisorConfig {
+                workers: 1,
+                max_steps,
+                ..SupervisorConfig::default()
+            })
+            .expect("start");
+            for _ in 0..5 {
+                let rec = submit_json(&supervisor, job).expect("submit");
+                let rec = wait(&supervisor, rec.id);
+                if max_steps == heartbeat {
+                    assert_eq!(rec.status, JobStatus::Completed);
+                    continue;
+                }
+                assert_eq!(rec.status, JobStatus::TimedOut, "max_steps {max_steps}");
+                let error = rec.error.expect("typed error");
+                assert_eq!(error.kind, "timeout");
+                assert_eq!(
+                    error.message,
+                    format!("step budget of {max_steps} heartbeat ticks exhausted")
+                );
+            }
+            supervisor.shutdown_and_join();
+        }
     }
 
     #[test]
@@ -1009,6 +976,32 @@ mod tests {
         );
         let replayed = wait(&supervisor, queued.id);
         assert_eq!(replayed.status, JobStatus::Completed);
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journaled_deadline_a_duration_cannot_hold_fails_typed() {
+        // A hand-edited journal can carry what admission refuses; the
+        // worker must fail the job, not die converting the deadline.
+        let dir = journal_dir("huge-deadline");
+        let journal_path = dir.join("jobs.jsonl");
+        let spec = JsonValue::parse(
+            "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\", \"deadline_seconds\": 1e300}",
+        )
+        .expect("json");
+        JobJournal::new(&journal_path)
+            .write_snapshot([&JobRecord::new(1, spec, JobStatus::Queued)])
+            .expect("journal");
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            journal_path: Some(journal_path),
+            ..SupervisorConfig::default()
+        })
+        .expect("start");
+        let rec = wait(&supervisor, 1);
+        assert_eq!(rec.status, JobStatus::Failed);
+        assert_eq!(rec.error.map(|e| e.kind), Some("invalid".to_string()));
         supervisor.shutdown_and_join();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -31,7 +31,6 @@ fn fifty_plus_jobs_under_chaos_all_reach_typed_terminal_states() {
             queue_capacity: JOBS + 8,
             chaos,
             default_max_retries: 2,
-            retry_backoff_ms: 1,
             ..SupervisorConfig::default()
         },
         ..ServerConfig::default()

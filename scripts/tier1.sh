@@ -35,7 +35,9 @@
 #           containment, queue-full back-pressure, SIGTERM drain with an
 #           intact journal, and kill -9 recovery: a restart over the
 #           appended (never drained) journal serves both reports
-#           byte-identical again (see docs/DESIGN.md, service architecture)
+#           byte-identical again; a --max-steps 1 job ends timed_out
+#           however fast it runs, and --deadline -1 is a usage error
+#           (see docs/DESIGN.md, service architecture)
 #   all     every stage above (the default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -188,7 +190,7 @@ serve_goldens() {
 }
 
 stage_serve() {
-    echo "== tier1: gramer-serve daemon (HTTP parity, panic containment, back-pressure, drain, kill -9)"
+    echo "== tier1: gramer-serve daemon (HTTP parity, panic containment, back-pressure, drain, kill -9, run budgets)"
     cargo build --release -q -p gramer -p gramer-serve --bins
     local tmp
     tmp="$(mktemp -d)"
@@ -279,6 +281,31 @@ stage_serve() {
     grep -q 'queue_full' "$tmp/full.json"
     "$serve" client --addr "$addr" shutdown > /dev/null
     wait "$pid"
+
+    # The job finishes in far less time than any polling interval, so
+    # only a budget the worker checks itself can catch it.
+    echo "   -- a job past --max-steps ends timed_out, whatever the host speed"
+    "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr4" --workers 1 --max-steps 1 \
+        2>> "$tmp/daemon.log" &
+    pid=$!
+    addr="$(wait_addr_file "$tmp/addr4" "$tmp/daemon.log")"
+    if "$serve" client --addr "$addr" submit --gen ba:30:2:1 --app 3-cf --wait \
+        > "$tmp/budget.json"; then
+        echo "tier1 serve: a job past its step budget reported success" >&2
+        exit 1
+    fi
+    grep -q '"status":[[:space:]]*"timed_out"' "$tmp/budget.json"
+    "$serve" client --addr "$addr" shutdown > /dev/null
+    wait "$pid"
+
+    echo "   -- --deadline -1 is a usage error and publishes no address"
+    local code=0
+    timeout 30 "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr5" --deadline -1 \
+        2>> "$tmp/daemon.log" || code=$?
+    if [ "$code" -ne 2 ] || [ -e "$tmp/addr5" ]; then
+        echo "tier1 serve: --deadline -1 exited $code instead of a usage error" >&2
+        exit 1
+    fi
     echo "   -- serve stage green"
 }
 

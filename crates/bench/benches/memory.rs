@@ -1,4 +1,4 @@
-//! Host-side cost of the memory-hierarchy components: replacement
+//! Host-side cost of the memory-hierarchy components: the two replacement
 //! policies, hybrid controller, banked subsystem.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,9 +26,6 @@ fn policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_policy");
     for (name, kind) in [
         ("lru", PolicyKind::Lru),
-        ("fifo", PolicyKind::Fifo),
-        ("lirs", PolicyKind::Lirs),
-        ("slru", PolicyKind::SegmentedLru),
         ("locality", PolicyKind::LocalityPreserved { lambda: 1.0 }),
     ] {
         group.bench_function(BenchmarkId::new("access", name), |b| {

@@ -245,6 +245,9 @@ impl GramerConfig {
         if self.partitions == 0 {
             return Err(ConfigError::ZeroPartitions);
         }
+        if self.dram.channels == 0 {
+            return Err(ConfigError::ZeroDramChannels);
+        }
         if let Some(tau) = self.tau {
             if !(tau > 0.0 && tau <= 0.5) {
                 return Err(ConfigError::BadTau(tau));
@@ -417,6 +420,17 @@ mod tests {
             .validate()
             .unwrap();
         }
+    }
+
+    #[test]
+    fn zero_dram_channels_rejected() {
+        let mut c = GramerConfig::default();
+        c.dram.channels = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroDramChannels));
+        assert_eq!(
+            c.validate().map_err(|e| e.kind()),
+            Err("config-zero-dram-channels")
+        );
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub enum ConfigError {
     },
     /// `partitions == 0`.
     ZeroPartitions,
+    /// `dram.channels == 0`.
+    ZeroDramChannels,
     /// `ancestor_depth < 2`.
     AncestorDepthTooSmall(usize),
     /// Non-positive (or non-finite) clock frequency.
@@ -69,6 +71,7 @@ impl ConfigError {
             ConfigError::ZeroSlots => "config-zero-slots",
             ConfigError::TooManySlots { .. } => "config-too-many-slots",
             ConfigError::ZeroPartitions => "config-zero-partitions",
+            ConfigError::ZeroDramChannels => "config-zero-dram-channels",
             ConfigError::AncestorDepthTooSmall(_) => "config-ancestor-depth",
             ConfigError::BadClock(_) => "config-bad-clock",
             ConfigError::BadLambda(_) => "config-bad-lambda",
@@ -96,6 +99,7 @@ impl fmt::Display for ConfigError {
                 crate::config::MAX_TOTAL_SLOTS
             ),
             ConfigError::ZeroPartitions => write!(f, "need at least one memory partition"),
+            ConfigError::ZeroDramChannels => write!(f, "need at least one DRAM channel"),
             ConfigError::AncestorDepthTooSmall(d) => {
                 write!(f, "ancestor depth too small: {d} (need >= 2)")
             }

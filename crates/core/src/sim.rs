@@ -953,6 +953,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_dram_channels_fail_typed_not_panicking() {
+        let g = small_graph();
+        let pre = preprocess(&g, &GramerConfig::default()).unwrap();
+        let mut cfg = GramerConfig::default();
+        cfg.dram.channels = 0;
+        assert_eq!(
+            Simulator::new(&pre, cfg).err(),
+            Some(ConfigError::ZeroDramChannels)
+        );
+    }
+
+    #[test]
     fn counts_match_reference_mc() {
         let g = small_graph();
         let cfg = GramerConfig::default();

@@ -1,5 +1,5 @@
 use crate::error::MemError;
-use crate::policy::{LineMeta, PolicyKind, ReplacePolicy};
+use crate::policy::PolicyKind;
 
 /// A set-associative cache over abstract item IDs.
 ///
@@ -25,18 +25,11 @@ pub struct SetAssociativeCache {
     /// `tags[s*ways..s*ways+set_len[s]]`, in fill order). The hit scan
     /// reads `ways` consecutive u64s — one cache line for a 4-way set.
     tags: Vec<u64>,
-    /// Recency registers, parallel to `tags`. This is the only per-line
-    /// state *written* on a hit, so it is kept as a dense 16-byte record:
-    /// the mutable working set of a hot cache bank stays at 2/5 of what a
-    /// flat array of [`LineMeta`] records would touch (the simulator is
-    /// bound by host-cache pressure, and the hit path fires millions of
-    /// times per run while evictions are measured in thousands).
-    rec: Vec<Recency>,
-    /// Fill times, parallel to `tags`; read only when a policy consults
-    /// victim metadata and written only on fills.
-    inserted: Vec<u64>,
-    /// Priority ranks, parallel to `tags`; same cold access pattern as
-    /// `inserted`.
+    /// Access-counter value of each line's last reference, parallel to
+    /// `tags`: the only per-line state a hit writes.
+    last_used: Vec<u64>,
+    /// Priority ranks, parallel to `tags`; written on fills and read
+    /// only by the Eq. 2 victim choice.
     ranks: Vec<u32>,
     set_len: Vec<u16>,
     num_sets: usize,
@@ -47,21 +40,8 @@ pub struct SetAssociativeCache {
     /// hardware divide (the divide dominated the hit path).
     mod_m: u64,
     clock: u64,
-    policy: Box<dyn ReplacePolicy + Send>,
-    /// Scratch buffer where a full set's [`LineMeta`] view is materialized
-    /// for [`ReplacePolicy::victim`] (evictions are rare, the assembly
-    /// cost is noise; keeping the policy trait on whole records keeps
-    /// custom policies simple).
-    victim_scratch: Vec<LineMeta>,
+    policy: PolicyKind,
     evictions: u64,
-}
-
-/// The per-line recency registers updated on every hit (see
-/// [`SetAssociativeCache::rec`]).
-#[derive(Debug, Clone, Copy)]
-struct Recency {
-    last_used: u64,
-    prev_used: u64,
 }
 
 impl SetAssociativeCache {
@@ -70,8 +50,7 @@ impl SetAssociativeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets == 0` or `ways == 0`; use [`Self::try_new`] to get
-    /// a typed error instead.
+    /// Panics on geometry or a λ that [`Self::try_new`] rejects.
     pub fn new(sets: usize, ways: usize, block_bits: u32, policy: PolicyKind) -> Self {
         match SetAssociativeCache::try_new(sets, ways, block_bits, policy) {
             Ok(c) => c,
@@ -79,8 +58,9 @@ impl SetAssociativeCache {
         }
     }
 
-    /// Fallible constructor: rejects degenerate geometry with a typed
-    /// [`MemError`] instead of panicking.
+    /// Fallible constructor: rejects zero sets or ways, more than
+    /// `u16::MAX` ways, a line count that overflows `usize`, and a bad λ
+    /// with a typed [`MemError`] instead of panicking.
     pub fn try_new(
         sets: usize,
         ways: usize,
@@ -93,25 +73,21 @@ impl SetAssociativeCache {
         if ways == 0 {
             return Err(MemError::ZeroWays);
         }
+        let lines = match sets.checked_mul(ways) {
+            Some(lines) if ways <= u16::MAX as usize => lines,
+            _ => return Err(MemError::TooManyLines { sets, ways }),
+        };
         Ok(SetAssociativeCache {
-            tags: vec![0u64; sets * ways],
-            rec: vec![
-                Recency {
-                    last_used: 0,
-                    prev_used: 0
-                };
-                sets * ways
-            ],
-            inserted: vec![0u64; sets * ways],
-            ranks: vec![0u32; sets * ways],
+            tags: vec![0u64; lines],
+            last_used: vec![0u64; lines],
+            ranks: vec![0u32; lines],
             set_len: vec![0u16; sets],
             num_sets: sets,
             ways,
             block_bits,
             mod_m: (u64::MAX / sets as u64).wrapping_add(1),
             clock: 0,
-            policy: policy.try_build()?,
-            victim_scratch: Vec::with_capacity(ways),
+            policy: policy.checked()?,
             evictions: 0,
         })
     }
@@ -139,22 +115,20 @@ impl SetAssociativeCache {
         self.evictions
     }
 
-    /// Number of lines currently resident (≤ `sets × ways`). A warm-up
-    /// gauge for the telemetry layer: the ramp from 0 to steady state is
-    /// the cold-start segment of the hit-rate curve.
-    pub fn occupied_lines(&self) -> usize {
-        self.set_len.iter().map(|&l| l as usize).sum()
+    /// The replacement policy, with its current λ.
+    pub fn policy(&self) -> PolicyKind {
+        self.policy
     }
 
-    /// Name of the active replacement policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Retunes the replacement policy's balancing factor λ (no-op for
-    /// policies without one). See [`ReplacePolicy::set_lambda`].
+    /// Retunes the Eq. 2 balancing factor λ (the adaptive autotuner's
+    /// hook; a no-op under LRU). A negative, NaN or infinite λ is
+    /// rejected with [`MemError::BadLambda`] and leaves the previous one
+    /// in place.
     pub fn set_lambda(&mut self, lambda: f64) -> Result<(), MemError> {
-        self.policy.set_lambda(lambda)
+        if let PolicyKind::LocalityPreserved { .. } = self.policy {
+            self.policy = PolicyKind::LocalityPreserved { lambda }.checked()?;
+        }
+        Ok(())
     }
 
     /// Set selection: standard modulo indexing, as in the 4-way
@@ -186,9 +160,7 @@ impl SetAssociativeCache {
 
         for (i, t) in self.tags[base..base + len].iter().enumerate() {
             if *t == tag {
-                let r = &mut self.rec[base + i];
-                r.prev_used = r.last_used;
-                r.last_used = self.clock;
+                self.last_used[base + i] = self.clock;
                 return true;
             }
         }
@@ -197,30 +169,17 @@ impl SetAssociativeCache {
             self.set_len[set_idx] = (len + 1) as u16;
             base + len
         } else {
-            // Materialize the set's LineMeta view for the policy; the
-            // fields live scattered across the SoA arrays, but evictions
-            // are orders of magnitude rarer than hits.
-            self.victim_scratch.clear();
-            for i in base..base + len {
-                self.victim_scratch.push(LineMeta {
-                    tag: self.tags[i],
-                    last_used: self.rec[i].last_used,
-                    prev_used: self.rec[i].prev_used,
-                    inserted: self.inserted[i],
-                    rank: self.ranks[i],
-                });
-            }
-            let victim = self.policy.victim(&self.victim_scratch, self.clock);
-            debug_assert!(victim < len);
+            let lines = base..base + len;
+            let victim = self.policy.victim(
+                &self.last_used[lines.clone()],
+                &self.ranks[lines],
+                self.clock,
+            );
             self.evictions += 1;
             base + victim
         };
         self.tags[slot] = tag;
-        self.rec[slot] = Recency {
-            last_used: self.clock,
-            prev_used: 0,
-        };
-        self.inserted[slot] = self.clock;
+        self.last_used[slot] = self.clock;
         self.ranks[slot] = rank;
         false
     }
@@ -234,7 +193,9 @@ impl SetAssociativeCache {
         self.tags[base..base + len].contains(&tag)
     }
 
-    /// Number of resident lines (for occupancy assertions).
+    /// Number of resident lines (≤ `sets × ways`). Also a warm-up gauge
+    /// for the telemetry layer: the ramp from 0 to steady state is the
+    /// cold-start segment of the hit-rate curve.
     pub fn resident_lines(&self) -> usize {
         self.set_len.iter().map(|&l| l as usize).sum()
     }
@@ -253,7 +214,6 @@ mod tests {
 
     #[test]
     fn try_new_rejects_degenerate_geometry() {
-        use crate::error::MemError;
         assert_eq!(
             SetAssociativeCache::try_new(0, 2, 0, PolicyKind::Lru).err(),
             Some(MemError::ZeroSets)
@@ -303,8 +263,28 @@ mod tests {
     }
 
     #[test]
+    fn try_new_rejects_geometry_it_cannot_hold() {
+        // A u16 set length cannot count 65,536 ways.
+        assert_eq!(
+            SetAssociativeCache::try_new(1, 70_000, 0, PolicyKind::Lru).err(),
+            Some(MemError::TooManyLines {
+                sets: 1,
+                ways: 70_000
+            })
+        );
+        assert_eq!(
+            SetAssociativeCache::try_new(usize::MAX / 2, 4, 0, PolicyKind::Lru).err(),
+            Some(MemError::TooManyLines {
+                sets: usize::MAX / 2,
+                ways: 4
+            })
+        );
+        assert!(SetAssociativeCache::try_new(1, u16::MAX as usize, 0, PolicyKind::Lru).is_ok());
+    }
+
+    #[test]
     fn capacity_never_exceeded() {
-        let mut c = SetAssociativeCache::new(4, 2, 0, PolicyKind::Fifo);
+        let mut c = SetAssociativeCache::new(4, 2, 0, PolicyKind::Lru);
         for i in 0..1000u64 {
             c.access(i, 0);
             assert!(c.resident_lines() <= 8);
@@ -331,6 +311,98 @@ mod tests {
             c.access(i, 900 + i as u32);
         }
         assert!(c.contains(0), "hot line was evicted by cold stream");
+    }
+
+    /// A one-set cache of `ranks.len()` ways filled with items
+    /// `0..ranks.len()` at the given ranks, in order.
+    fn filled(lambda: f64, ranks: &[u32]) -> SetAssociativeCache {
+        let mut c =
+            SetAssociativeCache::new(1, ranks.len(), 0, PolicyKind::LocalityPreserved { lambda });
+        for (item, &rank) in ranks.iter().enumerate() {
+            assert!(!c.access(item as u64, rank));
+        }
+        c
+    }
+
+    #[test]
+    fn locality_lambda_zero_is_pure_rank() {
+        // The highest rank number (lowest priority) goes, however recently
+        // it was used.
+        let mut c = filled(0.0, &[10, 99, 5]);
+        assert!(c.access(1, 99));
+        c.access(100, 0);
+        assert!(c.contains(0) && !c.contains(1) && c.contains(2));
+    }
+
+    #[test]
+    fn locality_policy_balances_rank_and_recency() {
+        // rank 100 + rec 2 beats rank 0 + rec 1: while both are fresh the
+        // low-priority line goes.
+        let mut c = filled(1.0, &[100, 0]);
+        c.access(100, 0);
+        assert!(!c.contains(0) && c.contains(1));
+        // A hot-rank line gone stale loses to a fresh low-priority one:
+        // rank 0 + rec 202 beats rank 100 + rec 1.
+        let mut c = filled(1.0, &[0, 100]);
+        for _ in 0..200 {
+            assert!(c.access(1, 100));
+        }
+        c.access(100, 0);
+        assert!(!c.contains(0) && c.contains(1));
+    }
+
+    #[test]
+    fn locality_large_lambda_approaches_lru() {
+        let mut lru = SetAssociativeCache::new(1, 3, 0, PolicyKind::Lru);
+        let mut loc = filled(1e12, &[1000, 0, 500]);
+        for (item, rank) in [(0, 1000), (1, 0), (2, 500)] {
+            lru.access(item, rank);
+        }
+        for item in [2, 0, 7] {
+            assert_eq!(lru.access(item, 0), loc.access(item, 0));
+        }
+        // Item 1 was least recently used: both evicted it.
+        assert!(!lru.contains(1) && !loc.contains(1));
+        assert_eq!(lru.evictions(), 1);
+        assert_eq!(loc.evictions(), 1);
+    }
+
+    #[test]
+    fn bad_lambda_is_rejected() {
+        for lambda in [-1.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                SetAssociativeCache::try_new(1, 2, 0, PolicyKind::LocalityPreserved { lambda })
+                    .err(),
+                Some(MemError::BadLambda)
+            );
+        }
+        assert!(SetAssociativeCache::try_new(
+            1,
+            2,
+            0,
+            PolicyKind::LocalityPreserved { lambda: 0.0 }
+        )
+        .is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda")]
+    fn new_panics_on_negative_lambda() {
+        let _ = SetAssociativeCache::new(1, 2, 0, PolicyKind::LocalityPreserved { lambda: -1.0 });
+    }
+
+    #[test]
+    fn set_lambda_retunes_locality_policy_and_rejects_bad_values() {
+        let mut c = filled(1.0, &[0, 0]);
+        assert!(c.set_lambda(4.0).is_ok());
+        assert_eq!(c.policy(), PolicyKind::LocalityPreserved { lambda: 4.0 });
+        assert_eq!(c.set_lambda(-1.0).err(), Some(MemError::BadLambda));
+        // A rejected retune leaves the previous λ in place.
+        assert_eq!(c.policy(), PolicyKind::LocalityPreserved { lambda: 4.0 });
+        // LRU has no λ: it accepts and ignores the call.
+        let mut lru = SetAssociativeCache::new(1, 2, 0, PolicyKind::Lru);
+        assert!(lru.set_lambda(123.0).is_ok());
+        assert_eq!(lru.policy(), PolicyKind::Lru);
     }
 
     #[test]

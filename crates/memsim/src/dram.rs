@@ -1,3 +1,5 @@
+use crate::error::MemError;
+
 /// Configuration for the off-chip DRAM model.
 ///
 /// The Alveo U250 card carries four DDR4 channels (§VI-A); at the
@@ -51,15 +53,27 @@ impl DramModel {
     ///
     /// # Panics
     ///
-    /// Panics if `config.channels == 0`.
+    /// Panics if `config.channels == 0`; use [`Self::try_new`] to get a
+    /// typed error instead.
     pub fn new(config: DramConfig) -> Self {
-        assert!(config.channels > 0, "need at least one DRAM channel");
-        DramModel {
+        match DramModel::try_new(config) {
+            Ok(d) => d,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible constructor: rejects zero channels with
+    /// [`MemError::ZeroChannels`] instead of panicking.
+    pub fn try_new(config: DramConfig) -> Result<Self, MemError> {
+        if config.channels == 0 {
+            return Err(MemError::ZeroChannels);
+        }
+        Ok(DramModel {
             channel_free: vec![0; config.channels],
             next_channel: 0,
             requests: 0,
             config,
-        }
+        })
     }
 
     /// Services a request issued at cycle `now`; returns its completion
@@ -125,6 +139,25 @@ mod tests {
         let b = dram.service(100);
         assert!(b >= a);
         assert_eq!(b, 140);
+    }
+
+    #[test]
+    fn zero_channels_is_a_typed_error() {
+        let zero = DramConfig {
+            channels: 0,
+            ..DramConfig::default()
+        };
+        assert_eq!(DramModel::try_new(zero).err(), Some(MemError::ZeroChannels));
+        assert!(DramModel::try_new(DramConfig::default()).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one DRAM channel")]
+    fn new_still_panics_on_zero_channels() {
+        let _ = DramModel::new(DramConfig {
+            channels: 0,
+            ..DramConfig::default()
+        });
     }
 
     #[test]

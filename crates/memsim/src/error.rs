@@ -14,12 +14,23 @@ pub enum MemError {
     ZeroSets,
     /// A cache was configured with zero ways (associativity).
     ZeroWays,
+    /// A cache was configured with more than `u16::MAX` ways, or with
+    /// more lines than `usize` can count.
+    TooManyLines {
+        /// The configured set count.
+        sets: usize,
+        /// The configured associativity.
+        ways: usize,
+    },
     /// A [`crate::MemorySubsystem`] was configured with zero partitions.
     ZeroPartitions,
-    /// A [`crate::policy::LocalityPreserved`] policy was given a λ that
-    /// is negative, NaN or infinite. Runtime-tuned λ values (the adaptive
-    /// autotuner) flow through [`crate::policy::LocalityPreserved::try_new`],
-    /// so a bad value is a typed failure, not a panic.
+    /// A [`crate::DramModel`] was configured with zero channels.
+    ZeroChannels,
+    /// A [`crate::policy::PolicyKind::LocalityPreserved`] policy was given
+    /// a λ that is negative, NaN or infinite. Runtime-tuned λ values (the
+    /// adaptive autotuner) flow through
+    /// [`crate::SetAssociativeCache::set_lambda`], so a bad value is a
+    /// typed failure, not a panic.
     BadLambda,
 }
 
@@ -30,7 +41,9 @@ impl MemError {
         match self {
             MemError::ZeroSets => "mem-zero-sets",
             MemError::ZeroWays => "mem-zero-ways",
+            MemError::TooManyLines { .. } => "mem-too-many-lines",
             MemError::ZeroPartitions => "mem-zero-partitions",
+            MemError::ZeroChannels => "mem-zero-channels",
             MemError::BadLambda => "mem-bad-lambda",
         }
     }
@@ -41,7 +54,14 @@ impl fmt::Display for MemError {
         match self {
             MemError::ZeroSets => write!(f, "cache needs at least one set"),
             MemError::ZeroWays => write!(f, "cache needs at least one way"),
+            MemError::TooManyLines { sets, ways } => write!(
+                f,
+                "cache of {sets} sets x {ways} ways is too large \
+                 (at most {} ways, and sets x ways must fit usize)",
+                u16::MAX
+            ),
             MemError::ZeroPartitions => write!(f, "need at least one partition"),
+            MemError::ZeroChannels => write!(f, "need at least one DRAM channel"),
             MemError::BadLambda => write!(f, "lambda must be finite and non-negative"),
         }
     }
@@ -58,7 +78,12 @@ mod tests {
         let all = [
             MemError::ZeroSets,
             MemError::ZeroWays,
+            MemError::TooManyLines {
+                sets: 1,
+                ways: 1 << 16,
+            },
             MemError::ZeroPartitions,
+            MemError::ZeroChannels,
             MemError::BadLambda,
         ];
         for (i, a) in all.iter().enumerate() {
@@ -74,5 +99,8 @@ mod tests {
         // must keep the phrases existing `#[should_panic]` tests expect.
         assert!(MemError::ZeroSets.to_string().contains("at least one set"));
         assert!(MemError::ZeroPartitions.to_string().contains("partition"));
+        assert!(MemError::ZeroChannels
+            .to_string()
+            .contains("need at least one DRAM channel"));
     }
 }

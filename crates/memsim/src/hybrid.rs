@@ -80,8 +80,7 @@ impl HybridMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the cache geometry in `config` is degenerate (zero sets
-    /// or ways); use [`Self::try_new`] to get a typed error instead.
+    /// Panics on a config [`Self::try_new`] rejects.
     pub fn new(kind: DataKind, config: HybridConfig) -> Self {
         match HybridMemory::try_new(kind, config) {
             Ok(m) => m,
@@ -89,8 +88,9 @@ impl HybridMemory {
         }
     }
 
-    /// Fallible constructor: rejects a degenerate cache geometry with a
-    /// typed [`MemError`] instead of panicking.
+    /// Fallible constructor: rejects a cache geometry or λ that
+    /// [`SetAssociativeCache::try_new`] rejects with a typed [`MemError`]
+    /// instead of panicking.
     pub fn try_new(kind: DataKind, config: HybridConfig) -> Result<Self, MemError> {
         Ok(HybridMemory {
             kind,
@@ -173,13 +173,13 @@ impl HybridMemory {
 
     /// Lines currently resident in the low-priority cache — the warm-up
     /// gauge behind the telemetry layer's per-window cache-occupancy
-    /// series (see [`crate::SetAssociativeCache::occupied_lines`]).
+    /// series (see [`crate::SetAssociativeCache::resident_lines`]).
     pub fn cache_occupied_lines(&self) -> usize {
-        self.cache.occupied_lines()
+        self.cache.resident_lines()
     }
 
-    /// Retunes the low-priority cache's replacement-policy λ (no-op for
-    /// policies without one). The adaptive autotuner in the simulator
+    /// Retunes the low-priority cache's replacement-policy λ (no-op
+    /// under LRU). The adaptive autotuner in the simulator
     /// calls this on every bank at a window boundary.
     pub fn set_lambda(&mut self, lambda: f64) -> Result<(), MemError> {
         self.cache.set_lambda(lambda)

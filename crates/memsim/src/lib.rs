@@ -5,10 +5,9 @@
 //! * [`Scratchpad`] — the **high-priority memory** that permanently pins
 //!   the data the ON1 heuristic marks as valuable; never evicts.
 //! * [`SetAssociativeCache`] — the **low-priority memory**, a standard
-//!   set-associative cache parameterised over a [`ReplacePolicy`]; the
-//!   paper's locality-preserved policy (Eq. 2) is
-//!   [`policy::LocalityPreserved`], and classical LRU/FIFO/random policies
-//!   are provided for the Fig. 12 baselines.
+//!   set-associative cache under one of the two [`policy::PolicyKind`]s:
+//!   the paper's locality-preserved policy (Eq. 2), or classical LRU for
+//!   the Fig. 12 baselines and the CPU cache model.
 //! * [`HybridMemory`] — the controller that routes a request to the
 //!   high- or low-priority memory by data priority.
 //! * [`MemorySubsystem`] — eight banked partitions, each split into an
@@ -63,7 +62,6 @@ pub use dram::{DramConfig, DramModel};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::MemError;
 pub use hybrid::{AccessOutcome, HybridConfig, HybridMemory};
-pub use policy::ReplacePolicy;
 pub use scratchpad::Scratchpad;
 pub use stats::{KindStats, MemStats};
 pub use subsystem::{

@@ -6,540 +6,77 @@
 //! the largest `Rank(ON1(v)) + λ·Rec(v)` (Eq. 2): a *high* rank number
 //! means a *low* priority (rank 0 is the hottest vertex), and `Rec` is the
 //! number of accesses since the line was last referenced.
+//!
+//! These are the only two policies the simulator models: Eq. 2 for the
+//! GRAMER hierarchy, and LRU for the Fig. 12 baselines and the CPU cache
+//! model.
 
 use crate::error::MemError;
-use std::fmt;
 
-/// Metadata the cache keeps per resident line, consumed by a
-/// [`ReplacePolicy`] when choosing a victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineMeta {
-    /// Tag (block id) stored in this line.
-    pub tag: u64,
-    /// Access counter value when the line was last referenced.
-    pub last_used: u64,
-    /// Access counter value of the reference *before* the last one, or
-    /// `0` if the line has been referenced only once since fill. The gap
-    /// `last_used - prev_used` is the inter-reference recency LIRS-style
-    /// policies rank by.
-    pub prev_used: u64,
-    /// Access counter value when the line was filled.
-    pub inserted: u64,
-    /// `Rank(ON1)` of the datum (0 = highest priority). After the graph
-    /// reordering of §IV-C this is simply the vertex ID (or the edge's
-    /// source-vertex ID).
-    pub rank: u32,
-}
-
-impl LineMeta {
-    /// Creates the metadata of a freshly filled line.
-    pub fn filled(tag: u64, now: u64, rank: u32) -> Self {
-        LineMeta {
-            tag,
-            last_used: now,
-            prev_used: 0,
-            inserted: now,
-            rank,
-        }
-    }
-
-    /// Records a hit at `now`.
-    pub fn touch(&mut self, now: u64) {
-        self.prev_used = self.last_used;
-        self.last_used = now;
-    }
-
-    /// Whether the line has been re-referenced since it was filled.
-    pub fn reused(&self) -> bool {
-        self.prev_used != 0
-    }
-}
-
-/// A victim-selection policy for one cache set.
-///
-/// Implementations must be deterministic given their internal state; the
-/// whole simulator is reproducible run-to-run.
-pub trait ReplacePolicy: fmt::Debug {
-    /// Chooses the index of the line to evict from `lines` (all ways are
-    /// full when this is called). `now` is the cache's global access
-    /// counter.
-    fn victim(&mut self, lines: &[LineMeta], now: u64) -> usize;
-
-    /// Human-readable policy name (used in reports and bench output).
-    fn name(&self) -> &'static str;
-
-    /// Retunes the policy's balancing factor λ at runtime (the adaptive
-    /// autotuner's hook). Policies without a λ ignore the call; a
-    /// non-finite or negative value is rejected with a typed error so a
-    /// runaway tuner can never poison victim selection.
-    fn set_lambda(&mut self, _lambda: f64) -> Result<(), MemError> {
-        Ok(())
-    }
-}
-
-/// Classical least-recently-used.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lru;
-
-impl ReplacePolicy for Lru {
-    fn victim(&mut self, lines: &[LineMeta], _now: u64) -> usize {
-        lines
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, l)| (l.last_used, *i))
-            // victim() is only called on a full (hence non-empty) set.
-            .map_or(0, |(i, _)| i)
-    }
-
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-}
-
-/// First-in first-out.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
-
-impl ReplacePolicy for Fifo {
-    fn victim(&mut self, lines: &[LineMeta], _now: u64) -> usize {
-        lines
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, l)| (l.inserted, *i))
-            // victim() is only called on a full (hence non-empty) set.
-            .map_or(0, |(i, _)| i)
-    }
-
-    fn name(&self) -> &'static str {
-        "FIFO"
-    }
-}
-
-/// Pseudo-random eviction (xorshift; deterministic per seed).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomEvict {
-    state: u64,
-}
-
-impl RandomEvict {
-    /// Creates a random policy from a non-zero seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seed == 0` (xorshift's absorbing state).
-    pub fn new(seed: u64) -> Self {
-        assert!(seed != 0, "xorshift seed must be non-zero");
-        RandomEvict { state: seed }
-    }
-}
-
-impl Default for RandomEvict {
-    fn default() -> Self {
-        RandomEvict::new(0x9E3779B97F4A7C15)
-    }
-}
-
-impl ReplacePolicy for RandomEvict {
-    fn victim(&mut self, lines: &[LineMeta], _now: u64) -> usize {
-        self.state ^= self.state << 13;
-        self.state ^= self.state >> 7;
-        self.state ^= self.state << 17;
-        (self.state % lines.len() as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-}
-
-/// The locality-preserved policy of Eq. (2):
-/// `victim = argmax( Rank(ON1(v)) + λ·Rec(v) )`.
-///
-/// * `λ = 0` degenerates to a pure priority ordering — the low-priority
-///   memory behaves like a second high-priority memory (no recency).
-/// * `λ → ∞` degenerates to classical LRU.
-///
-/// # Example
-///
-/// ```
-/// use gramer_memsim::policy::{LineMeta, LocalityPreserved, ReplacePolicy};
-///
-/// let mut p = LocalityPreserved::new(1.0);
-/// let hot_recent = LineMeta { tag: 0, last_used: 9, prev_used: 0, inserted: 0, rank: 0 };
-/// let cold_stale = LineMeta { tag: 1, last_used: 1, prev_used: 0, inserted: 0, rank: 500 };
-/// assert_eq!(p.victim(&[hot_recent, cold_stale], 10), 1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct LocalityPreserved {
-    lambda: f64,
-}
-
-impl LocalityPreserved {
-    /// Creates the policy with balancing factor `λ` (the paper's default
-    /// is `λ = 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or not finite; use
-    /// [`Self::try_new`] for a typed error (required for runtime-tuned λ
-    /// values, which must not be able to panic a library crate).
-    pub fn new(lambda: f64) -> Self {
-        match LocalityPreserved::try_new(lambda) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor: rejects a negative, NaN or infinite λ with
-    /// [`MemError::BadLambda`] instead of panicking.
-    pub fn try_new(lambda: f64) -> Result<Self, MemError> {
-        if lambda.is_finite() && lambda >= 0.0 {
-            Ok(LocalityPreserved { lambda })
-        } else {
-            Err(MemError::BadLambda)
-        }
-    }
-
-    /// The balancing factor λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-}
-
-impl ReplacePolicy for LocalityPreserved {
-    fn victim(&mut self, lines: &[LineMeta], now: u64) -> usize {
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, l) in lines.iter().enumerate() {
-            let recency = now.saturating_sub(l.last_used) as f64;
-            let score = l.rank as f64 + self.lambda * recency;
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn name(&self) -> &'static str {
-        "LocalityPreserved"
-    }
-
-    fn set_lambda(&mut self, lambda: f64) -> Result<(), MemError> {
-        self.lambda = LocalityPreserved::try_new(lambda)?.lambda;
-        Ok(())
-    }
-}
-
-/// A set-local variant of LIRS (Jiang & Zhang, SIGMETRICS'02 — reference
-/// \[19\] of the paper): victims are ranked by **inter-reference recency**,
-/// the distance between a line's last two references. Lines referenced
-/// only once since fill have infinite IRR and are evicted first (oldest
-/// first); among re-referenced lines the largest IRR loses.
-///
-/// The original LIRS maintains a global stack; this per-set variant keeps
-/// the defining idea (recency of *reuse*, not of last touch) at the
-/// metadata the cache already holds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lirs;
-
-impl ReplacePolicy for Lirs {
-    fn victim(&mut self, lines: &[LineMeta], _now: u64) -> usize {
-        // One-timers first, oldest-touch order.
-        if let Some((i, _)) = lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.reused())
-            .min_by_key(|(i, l)| (l.last_used, *i))
-        {
-            return i;
-        }
-        // Otherwise the largest inter-reference gap.
-        lines
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, l)| (l.last_used - l.prev_used, usize::MAX - *i))
-            // victim() is only called on a full (hence non-empty) set.
-            .map_or(0, |(i, _)| i)
-    }
-
-    fn name(&self) -> &'static str {
-        "LIRS"
-    }
-}
-
-/// A 2Q-style segmented policy (Johnson & Shasha, VLDB'94 — reference
-/// \[20\] of the paper): lines not yet re-referenced live in a probationary
-/// segment and are evicted FIFO before any re-referenced (protected) line
-/// is considered; protected lines fall back to LRU order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SegmentedLru;
-
-impl ReplacePolicy for SegmentedLru {
-    fn victim(&mut self, lines: &[LineMeta], _now: u64) -> usize {
-        if let Some((i, _)) = lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.reused())
-            .min_by_key(|(i, l)| (l.inserted, *i))
-        {
-            return i;
-        }
-        lines
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, l)| (l.last_used, *i))
-            // victim() is only called on a full (hence non-empty) set.
-            .map_or(0, |(i, _)| i)
-    }
-
-    fn name(&self) -> &'static str {
-        "SegmentedLRU"
-    }
-}
-
-/// A declarative policy selector, convenient for configuration structs.
+/// The replacement policy of a [`crate::SetAssociativeCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub enum PolicyKind {
     /// Classical least-recently-used.
     Lru,
-    /// First-in first-out.
-    Fifo,
-    /// Pseudo-random eviction with the given seed.
-    Random {
-        /// Non-zero xorshift seed.
-        seed: u64,
-    },
-    /// Set-local LIRS (inter-reference recency).
-    Lirs,
-    /// 2Q-style segmented LRU (probationary + protected).
-    SegmentedLru,
-    /// The paper's Eq. (2) policy with balancing factor λ.
+    /// The paper's Eq. (2) policy:
+    /// `victim = argmax( Rank(ON1(v)) + λ·Rec(v) )`.
+    ///
+    /// * `λ = 0` degenerates to a pure priority ordering — the
+    ///   low-priority memory behaves like a second high-priority memory
+    ///   (no recency).
+    /// * `λ → ∞` degenerates to classical LRU.
     LocalityPreserved {
-        /// Balancing factor between rank and recency.
+        /// Balancing factor between rank and recency (the paper's
+        /// default is `λ = 1`); finite and non-negative.
         lambda: f64,
     },
 }
 
 impl PolicyKind {
-    /// Instantiates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate parameter (zero random seed, bad λ); use
-    /// [`Self::try_build`] for a typed error.
-    pub fn build(self) -> Box<dyn ReplacePolicy + Send> {
-        match self.try_build() {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
+    /// Rejects a λ that is negative, NaN or infinite with
+    /// [`MemError::BadLambda`], so a runtime-tuned value can never poison
+    /// victim selection.
+    pub(crate) fn checked(self) -> Result<Self, MemError> {
+        match self {
+            PolicyKind::LocalityPreserved { lambda } if !(lambda.is_finite() && lambda >= 0.0) => {
+                Err(MemError::BadLambda)
+            }
+            _ => Ok(self),
         }
     }
 
-    /// Fallible instantiation: a bad λ becomes [`MemError::BadLambda`]
-    /// instead of a panic (the no-panic route for runtime-assembled
-    /// configurations).
-    pub fn try_build(self) -> Result<Box<dyn ReplacePolicy + Send>, MemError> {
-        Ok(match self {
-            PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::Fifo => Box::new(Fifo),
-            PolicyKind::Random { seed } => Box::new(RandomEvict::new(seed)),
-            PolicyKind::Lirs => Box::new(Lirs),
-            PolicyKind::SegmentedLru => Box::new(SegmentedLru),
-            PolicyKind::LocalityPreserved { lambda } => {
-                Box::new(LocalityPreserved::try_new(lambda)?)
+    /// Picks the victim among the lines of one full set, given their
+    /// last-use times and ranks in slot order; `now` is the cache's
+    /// access counter. LRU takes the first line with the smallest last
+    /// use; Eq. 2 takes the first line with the strictly largest score.
+    #[inline]
+    pub(crate) fn victim(self, last_used: &[u64], ranks: &[u32], now: u64) -> usize {
+        let mut best = 0;
+        match self {
+            PolicyKind::Lru => {
+                for (i, &t) in last_used.iter().enumerate().skip(1) {
+                    if t < last_used[best] {
+                        best = i;
+                    }
+                }
             }
-        })
+            PolicyKind::LocalityPreserved { lambda } => {
+                let mut best_score = f64::NEG_INFINITY;
+                for (i, (&t, &rank)) in last_used.iter().zip(ranks).enumerate() {
+                    let score = rank as f64 + lambda * now.saturating_sub(t) as f64;
+                    if score > best_score {
+                        best_score = score;
+                        best = i;
+                    }
+                }
+            }
+        }
+        best
     }
 }
 
 impl Default for PolicyKind {
     fn default() -> Self {
         PolicyKind::LocalityPreserved { lambda: 1.0 }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn line(tag: u64, last_used: u64, inserted: u64, rank: u32) -> LineMeta {
-        LineMeta {
-            tag,
-            last_used,
-            prev_used: 0,
-            inserted,
-            rank,
-        }
-    }
-
-    fn reused_line(tag: u64, last_used: u64, prev_used: u64) -> LineMeta {
-        LineMeta {
-            tag,
-            last_used,
-            prev_used,
-            inserted: 0,
-            rank: 0,
-        }
-    }
-
-    #[test]
-    fn lru_picks_stalest() {
-        let lines = [line(0, 5, 0, 0), line(1, 2, 0, 0), line(2, 9, 0, 0)];
-        assert_eq!(Lru.victim(&lines, 10), 1);
-    }
-
-    #[test]
-    fn try_new_rejects_bad_lambda() {
-        use crate::error::MemError;
-        assert_eq!(
-            LocalityPreserved::try_new(-1.0).err(),
-            Some(MemError::BadLambda)
-        );
-        assert_eq!(
-            LocalityPreserved::try_new(f64::NAN).err(),
-            Some(MemError::BadLambda)
-        );
-        assert_eq!(
-            LocalityPreserved::try_new(f64::INFINITY).err(),
-            Some(MemError::BadLambda)
-        );
-        assert_eq!(
-            PolicyKind::LocalityPreserved { lambda: -0.5 }
-                .try_build()
-                .err(),
-            Some(MemError::BadLambda)
-        );
-        assert!(LocalityPreserved::try_new(0.0).is_ok());
-    }
-
-    #[test]
-    fn set_lambda_retunes_locality_policy_and_rejects_bad_values() {
-        use crate::error::MemError;
-        let mut p = LocalityPreserved::new(1.0);
-        assert!(ReplacePolicy::set_lambda(&mut p, 4.0).is_ok());
-        assert!((p.lambda() - 4.0).abs() < 1e-12);
-        assert_eq!(
-            ReplacePolicy::set_lambda(&mut p, -1.0).err(),
-            Some(MemError::BadLambda)
-        );
-        // A rejected retune leaves the previous λ in place.
-        assert!((p.lambda() - 4.0).abs() < 1e-12);
-        // Policies without a λ accept and ignore the call.
-        assert!(Lru.set_lambda(123.0).is_ok());
-    }
-
-    #[test]
-    fn fifo_picks_oldest_fill() {
-        let lines = [line(0, 9, 3, 0), line(1, 1, 1, 0), line(2, 5, 2, 0)];
-        assert_eq!(Fifo.victim(&lines, 10), 1);
-    }
-
-    #[test]
-    fn random_is_deterministic_and_in_bounds() {
-        let lines = [line(0, 0, 0, 0), line(1, 0, 0, 0)];
-        let mut a = RandomEvict::new(7);
-        let mut b = RandomEvict::new(7);
-        for _ in 0..20 {
-            let va = a.victim(&lines, 0);
-            assert_eq!(va, b.victim(&lines, 0));
-            assert!(va < 2);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "seed")]
-    fn random_zero_seed_panics() {
-        let _ = RandomEvict::new(0);
-    }
-
-    #[test]
-    fn locality_preserved_lambda_zero_is_pure_rank() {
-        let mut p = LocalityPreserved::new(0.0);
-        // Highest rank number (lowest priority) evicted regardless of recency.
-        let lines = [line(0, 0, 0, 10), line(1, 100, 0, 99), line(2, 50, 0, 5)];
-        assert_eq!(p.victim(&lines, 200), 1);
-    }
-
-    #[test]
-    fn locality_preserved_large_lambda_approaches_lru() {
-        let mut p = LocalityPreserved::new(1e12);
-        let lines = [line(0, 5, 0, 1000), line(1, 2, 0, 0), line(2, 9, 0, 500)];
-        assert_eq!(p.victim(&lines, 10), Lru.victim(&lines, 10));
-    }
-
-    #[test]
-    fn locality_preserved_balances() {
-        let mut p = LocalityPreserved::new(1.0);
-        // rank 100 + rec 0 = 100 vs rank 0 + rec 10 = 10 -> evict the
-        // low-priority line while both are fresh.
-        let lines = [line(0, 10, 0, 100), line(1, 10, 0, 0)];
-        assert_eq!(p.victim(&lines, 10), 0);
-        // A hot-rank line gone stale loses to a fresh low-priority one.
-        let lines = [line(0, 499, 0, 100), line(1, 0, 0, 0)];
-        assert_eq!(p.victim(&lines, 500), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda")]
-    fn negative_lambda_panics() {
-        let _ = LocalityPreserved::new(-1.0);
-    }
-
-    #[test]
-    fn lirs_evicts_one_timers_first() {
-        let mut p = Lirs;
-        // Line 1 is a one-timer (never re-referenced), loses even though
-        // it was touched most recently.
-        let lines = [reused_line(0, 5, 3), line(1, 9, 9, 0), reused_line(2, 8, 7)];
-        assert_eq!(p.victim(&lines, 10), 1);
-    }
-
-    #[test]
-    fn lirs_prefers_largest_reuse_gap() {
-        let mut p = Lirs;
-        // All re-referenced: IRRs are 2, 20, 1 — index 1 loses.
-        let lines = [
-            reused_line(0, 9, 7),
-            reused_line(1, 30, 10),
-            reused_line(2, 29, 28),
-        ];
-        assert_eq!(p.victim(&lines, 31), 1);
-    }
-
-    #[test]
-    fn segmented_lru_protects_reused_lines() {
-        let mut p = SegmentedLru;
-        // Probationary lines (never reused) evicted FIFO before any
-        // protected line, regardless of recency.
-        let lines = [reused_line(0, 2, 1), line(1, 50, 6, 0), line(2, 60, 4, 0)];
-        assert_eq!(p.victim(&lines, 61), 2);
-        // All protected: plain LRU.
-        let lines = [
-            reused_line(0, 2, 1),
-            reused_line(1, 50, 6),
-            reused_line(2, 60, 4),
-        ];
-        assert_eq!(p.victim(&lines, 61), 0);
-    }
-
-    #[test]
-    fn touch_tracks_reuse() {
-        let mut l = LineMeta::filled(7, 10, 3);
-        assert!(!l.reused());
-        l.touch(15);
-        assert!(l.reused());
-        assert_eq!(l.prev_used, 10);
-        assert_eq!(l.last_used, 15);
-    }
-
-    #[test]
-    fn kind_builds_expected_policies() {
-        assert_eq!(PolicyKind::Lru.build().name(), "LRU");
-        assert_eq!(PolicyKind::Fifo.build().name(), "FIFO");
-        assert_eq!(PolicyKind::Random { seed: 3 }.build().name(), "Random");
-        assert_eq!(PolicyKind::Lirs.build().name(), "LIRS");
-        assert_eq!(PolicyKind::SegmentedLru.build().name(), "SegmentedLRU");
-        assert_eq!(PolicyKind::default().build().name(), "LocalityPreserved");
     }
 }

@@ -315,8 +315,7 @@ impl MemorySubsystem {
     ///
     /// # Panics
     ///
-    /// Panics if `config.partitions == 0` or a hybrid config is degenerate;
-    /// use [`Self::try_new`] to get a typed error instead.
+    /// Panics on a config [`Self::try_new`] rejects.
     pub fn new(config: SubsystemConfig) -> Self {
         match MemorySubsystem::try_new(config) {
             Ok(m) => m,
@@ -324,8 +323,9 @@ impl MemorySubsystem {
         }
     }
 
-    /// Fallible constructor: rejects zero partitions or degenerate hybrid
-    /// geometry with a typed [`MemError`] instead of panicking.
+    /// Fallible constructor: rejects zero partitions, degenerate hybrid
+    /// geometry or zero DRAM channels with a typed [`MemError`] instead of
+    /// panicking.
     pub fn try_new(config: SubsystemConfig) -> Result<Self, MemError> {
         if config.partitions == 0 {
             return Err(MemError::ZeroPartitions);
@@ -372,7 +372,7 @@ impl MemorySubsystem {
             prefetches: 0,
             memo_lookups: 0,
             filter_lookups: 0,
-            dram: DramModel::new(config.dram),
+            dram: DramModel::try_new(config.dram)?,
             latency: config.latency,
             fast_path: config.access_path == AccessPath::Fast,
         })
@@ -681,8 +681,8 @@ impl MemorySubsystem {
         self.filter_lookups
     }
 
-    /// Retunes every bank's replacement-policy λ, both kinds (no-op for
-    /// policies without one). The adaptive autotuner calls this at
+    /// Retunes every bank's replacement-policy λ, both kinds (no-op
+    /// under LRU). The adaptive autotuner calls this at
     /// deterministic window boundaries.
     pub fn set_lambda(&mut self, lambda: f64) -> Result<(), MemError> {
         for st in [&mut self.vertex, &mut self.edge] {
@@ -882,6 +882,17 @@ mod tests {
         assert_eq!(
             MemorySubsystem::try_new(mk(2, 0)).err(),
             Some(MemError::ZeroSets)
+        );
+        let no_dram = SubsystemConfig {
+            dram: DramConfig {
+                channels: 0,
+                ..DramConfig::default()
+            },
+            ..mk(2, 2)
+        };
+        assert_eq!(
+            MemorySubsystem::try_new(no_dram).err(),
+            Some(MemError::ZeroChannels)
         );
         assert!(MemorySubsystem::try_new(mk(2, 2)).is_ok());
     }

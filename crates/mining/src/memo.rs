@@ -12,10 +12,11 @@
 //!
 //! [`PairMemoTable`] is the hardware-shaped memo: a byte-budgeted,
 //! LRU-evicting table keyed by the canonical unordered pair
-//! `(min(u,w), max(u,w))`. Recency is an explicit doubly-linked list over
-//! a slab — eviction order is a pure function of the access sequence,
-//! never of hash-iteration order, so simulated results are reproducible
-//! run-to-run.
+//! `(min(u,w), max(u,w))`. On the host it is one open-addressed array of
+//! 16-byte rows — the key, the outcome bit and the links of an exact LRU
+//! list — which is the SRAM row [`MEMO_ENTRY_BYTES`] models. Eviction
+//! order is a pure function of the access sequence, never of where a row
+//! happens to sit, so simulated results are reproducible run-to-run.
 //!
 //! **Bit-exactness.** Connectivity is a pure function of the immutable
 //! graph, so a hit returns exactly what the probe would have; mined
@@ -30,8 +31,6 @@
 //! before this module existed.
 
 use gramer_graph::VertexId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Modeled SRAM bytes per memo entry: a 64-bit canonical-pair tag, the
 /// 1-bit outcome, and LRU/link metadata, rounded to a power of two the
@@ -116,46 +115,66 @@ impl MemoProbe for NoMemo {
     }
 }
 
-/// One slab entry: the canonical pair key, its outcome, and the recency
-/// links (`u32::MAX` terminates the list).
+/// Link value of "no row" (the ends of the LRU list).
+const NIL: u32 = (1 << 31) - 1;
+
+/// The bit of [`Row::older`] that holds the memoized outcome.
+const CONNECTED: u32 = 1 << 31;
+
+/// Key of a free slot: `lo = 1 > hi = 0` is no canonical pair.
+const EMPTY: u64 = 1 << 32;
+
+/// Slots allocated by the first record.
+const MIN_SLOTS: usize = 16;
+
+/// Most slots the 31-bit links can address (a power of two below
+/// [`NIL`]).
+const MAX_SLOTS: usize = 1 << 30;
+
+/// One 16-byte row: the canonical pair key and the LRU links (slot
+/// indices), with the outcome in the top bit of `older`.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Row {
     key: u64,
-    prev: u32,
-    next: u32,
-    connected: bool,
+    /// The next more recently used row ([`NIL`] at the head).
+    newer: u32,
+    /// The next less recently used row ([`NIL`] at the tail), plus the
+    /// [`CONNECTED`] bit.
+    older: u32,
 }
 
-/// Sentinel link value (no neighbor).
-const NIL: u32 = u32::MAX;
+impl Row {
+    const FREE: Row = Row {
+        key: EMPTY,
+        newer: NIL,
+        older: NIL,
+    };
 
-/// FxHash-style multiplicative hasher for the `u64` pair keys: two
-/// instructions per key, deterministic (no per-process random seed), and
-/// never iterated — eviction order comes from the explicit recency list,
-/// so bucket order is unobservable.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairHasher(u64);
-
-impl Hasher for PairHasher {
     #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
+    fn older(self) -> u32 {
+        self.older & !CONNECTED
     }
 
     #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    fn set_older(&mut self, slot: u32) {
+        self.older = (self.older & CONNECTED) | slot;
     }
 
     #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+    fn connected(self) -> bool {
+        self.older & CONNECTED != 0
     }
 }
 
 /// A byte-budgeted, LRU-evicting memo over canonical vertex pairs.
+///
+/// The rows live in one open-addressed array: linear probing from a
+/// multiplicative hash, backward-shift deletion (no tombstones), and a
+/// load of at most 1/2. The array starts empty and doubles as rows
+/// arrive, so host memory follows the resident rows, not the budget. The
+/// 31-bit links address at most 2^30 slots, so at most 2^29 rows are
+/// resident whatever the budget: a larger budget keeps
+/// `capacity() = budget / 16` but evicts from 2^29 rows on.
 ///
 /// # Example
 ///
@@ -170,15 +189,20 @@ impl Hasher for PairHasher {
 /// ```
 #[derive(Debug)]
 pub struct PairMemoTable {
-    /// Entry capacity derived from the byte budget (may be 0, which
+    /// Row capacity derived from the byte budget (may be 0, which
     /// disables the table while keeping the code path honest).
     cap: usize,
-    /// Canonical pair key → slab slot.
-    map: HashMap<u64, u32, BuildHasherDefault<PairHasher>>,
-    slots: Vec<Entry>,
-    /// Most-recently-used slot.
+    /// Resident rows before the LRU row is evicted: `cap`, bounded by
+    /// what the links can address.
+    max_len: usize,
+    /// The open-addressed slots: empty, or a power of two long.
+    rows: Vec<Row>,
+    len: usize,
+    /// `64 - log2(rows.len())`: the hash's top bits pick a row's home.
+    shift: u32,
+    /// Most-recently-used row.
     head: u32,
-    /// Least-recently-used slot (the eviction victim).
+    /// Least-recently-used row (the eviction victim).
     tail: u32,
     stats: MemoStats,
 }
@@ -194,13 +218,16 @@ fn pair_key(a: VertexId, b: VertexId) -> u64 {
 impl PairMemoTable {
     /// Builds a table bounded to `budget_bytes` of modeled SRAM
     /// ([`MEMO_ENTRY_BYTES`] per entry; a budget below one entry yields a
-    /// capacity-0 table that never hits).
+    /// capacity-0 table that never hits). Allocates nothing until the
+    /// first record.
     pub fn with_budget(budget_bytes: u64) -> Self {
         let cap = usize::try_from(budget_bytes / MEMO_ENTRY_BYTES).unwrap_or(usize::MAX);
         PairMemoTable {
             cap,
-            map: HashMap::with_capacity_and_hasher(cap.min(1 << 20), Default::default()),
-            slots: Vec::with_capacity(cap.min(1 << 20)),
+            max_len: cap.min(MAX_SLOTS / 2),
+            rows: Vec::new(),
+            len: 0,
+            shift: 64,
             head: NIL,
             tail: NIL,
             stats: MemoStats::default(),
@@ -214,12 +241,12 @@ impl PairMemoTable {
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Activity counters.
@@ -227,34 +254,110 @@ impl PairMemoTable {
         self.stats
     }
 
+    /// The slot a row with `key` is probed from.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `key` (`true`), or else the free slot that ends
+    /// its probe run (`false`). The table must be allocated.
+    #[inline]
+    fn probe(&self, key: u64) -> (usize, bool) {
+        let mask = self.rows.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.rows[i].key {
+                k if k == key => return (i, true),
+                EMPTY => return (i, false),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
     /// Unlinks `slot` from the recency list.
     #[inline]
-    fn unlink(&mut self, slot: u32) {
-        let Entry { prev, next, .. } = self.slots[slot as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
+    fn unlink(&mut self, slot: usize) {
+        let row = self.rows[slot];
+        match row.newer {
+            NIL => self.head = row.older(),
+            n => self.rows[n as usize].set_older(row.older()),
         }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
+        match row.older() {
+            NIL => self.tail = row.newer,
+            o => self.rows[o as usize].newer = row.newer,
         }
     }
 
     /// Links `slot` at the MRU head.
     #[inline]
-    fn link_front(&mut self, slot: u32) {
+    fn link_front(&mut self, slot: usize) {
         let old = self.head;
-        {
-            let e = &mut self.slots[slot as usize];
-            e.prev = NIL;
-            e.next = old;
-        }
+        let row = &mut self.rows[slot];
+        row.newer = NIL;
+        row.set_older(old);
         match old {
-            NIL => self.tail = slot,
-            o => self.slots[o as usize].prev = slot,
+            NIL => self.tail = slot as u32,
+            o => self.rows[o as usize].newer = slot as u32,
         }
-        self.head = slot;
+        self.head = slot as u32;
+    }
+
+    /// Points the neighbours of the row just moved into `slot` at it.
+    fn relink(&mut self, slot: usize) {
+        let row = self.rows[slot];
+        match row.newer {
+            NIL => self.head = slot as u32,
+            n => self.rows[n as usize].set_older(slot as u32),
+        }
+        match row.older() {
+            NIL => self.tail = slot as u32,
+            o => self.rows[o as usize].newer = slot as u32,
+        }
+    }
+
+    /// Evicts the LRU row. Backward-shift deletion: each later row of the
+    /// probe run whose home does not lie after the hole moves into it,
+    /// so no probe run is ever broken by a free slot.
+    fn evict_lru(&mut self) {
+        let mut hole = self.tail as usize;
+        self.unlink(hole);
+        let mask = self.rows.len() - 1;
+        let mut i = (hole + 1) & mask;
+        while self.rows[i].key != EMPTY {
+            let home = self.home(self.rows[i].key);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.rows[hole] = self.rows[i];
+                self.relink(hole);
+                hole = i;
+            }
+            i = (i + 1) & mask;
+        }
+        self.rows[hole] = Row::FREE;
+        self.len -= 1;
+        self.stats.evictions += 1;
+    }
+
+    /// Rebuilds the table with `slots` slots, re-inserting rows LRU-first
+    /// so each lands at the MRU head in turn and the recency order comes
+    /// through unchanged.
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.rows, vec![Row::FREE; slots]);
+        self.shift = 64 - slots.trailing_zeros();
+        let mut at = self.tail;
+        self.head = NIL;
+        self.tail = NIL;
+        while at != NIL {
+            let row = old[at as usize];
+            let slot = self.probe(row.key).0;
+            self.rows[slot] = Row {
+                key: row.key,
+                newer: NIL,
+                older: row.older & CONNECTED,
+            };
+            self.link_front(slot);
+            at = row.newer;
+        }
     }
 }
 
@@ -267,56 +370,56 @@ impl MemoProbe for PairMemoTable {
 
     #[inline]
     fn lookup(&mut self, a: VertexId, b: VertexId) -> Option<bool> {
-        let key = pair_key(a, b);
-        match self.map.get(&key) {
-            Some(&slot) => {
+        if !self.rows.is_empty() {
+            let (slot, found) = self.probe(pair_key(a, b));
+            if found {
                 self.stats.hits += 1;
-                if self.head != slot {
+                if self.head != slot as u32 {
                     self.unlink(slot);
                     self.link_front(slot);
                 }
-                Some(self.slots[slot as usize].connected)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
+                return Some(self.rows[slot].connected());
             }
         }
+        self.stats.misses += 1;
+        None
     }
 
     fn record(&mut self, a: VertexId, b: VertexId, connected: bool) -> bool {
         if self.cap == 0 {
             return false;
         }
+        if self.rows.is_empty() {
+            self.resize(MIN_SLOTS);
+        }
         let key = pair_key(a, b);
-        let mut evicted = false;
-        let slot = if self.slots.len() < self.cap {
-            let slot = self.slots.len() as u32;
-            self.slots.push(Entry {
-                key,
-                prev: NIL,
-                next: NIL,
-                connected,
-            });
-            slot
-        } else {
-            // Budget exhausted: displace the LRU tail and reuse its slot.
-            let victim = self.tail;
-            self.unlink(victim);
-            let old_key = self.slots[victim as usize].key;
-            self.map.remove(&old_key);
-            self.stats.evictions += 1;
-            evicted = true;
-            self.slots[victim as usize] = Entry {
-                key,
-                prev: NIL,
-                next: NIL,
-                connected,
-            };
-            victim
+        let (mut slot, found) = self.probe(key);
+        let outcome = if connected { CONNECTED } else { 0 };
+        if found {
+            // Already resident: refresh the outcome and the recency.
+            self.rows[slot].older = self.rows[slot].older() | outcome;
+            if self.head != slot as u32 {
+                self.unlink(slot);
+                self.link_front(slot);
+            }
+            return false;
+        }
+        let evicted = self.len == self.max_len;
+        if evicted {
+            // The backward shift may have moved the run: probe again.
+            self.evict_lru();
+            slot = self.probe(key).0;
+        } else if 2 * (self.len + 1) > self.rows.len() {
+            self.resize(2 * self.rows.len());
+            slot = self.probe(key).0;
+        }
+        self.rows[slot] = Row {
+            key,
+            newer: NIL,
+            older: outcome,
         };
+        self.len += 1;
         self.link_front(slot);
-        self.map.insert(key, slot);
         evicted
     }
 }
@@ -401,6 +504,73 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.lookups(), 2);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    /// Checks the table's invariants: every resident row is found by
+    /// its own probe, and the LRU list visits each of them once, with
+    /// consistent back links.
+    fn check(t: &PairMemoTable) {
+        let resident: Vec<usize> = (0..t.rows.len())
+            .filter(|&i| t.rows[i].key != EMPTY)
+            .collect();
+        assert_eq!(resident.len(), t.len);
+        for &i in &resident {
+            assert_eq!(t.probe(t.rows[i].key), (i, true));
+        }
+        let (mut at, mut newer, mut seen) = (t.head, NIL, 0);
+        while at != NIL {
+            assert_eq!(t.rows[at as usize].newer, newer);
+            newer = at;
+            at = t.rows[at as usize].older();
+            seen += 1;
+        }
+        assert_eq!((seen, newer), (t.len, t.tail));
+    }
+
+    #[test]
+    fn churn_keeps_probe_runs_and_links_intact() {
+        // A 48-row table over 325 pairs: growth from 16 to 128 slots,
+        // then an eviction and its backward shift on most records.
+        let mut t = PairMemoTable::with_budget(48 * MEMO_ENTRY_BYTES);
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (a, b) = ((x % 25) as u32, ((x >> 20) % 25) as u32);
+            if t.lookup(a, b).is_none() {
+                t.record(a, b, (a + b) % 2 == 0);
+            }
+            check(&t);
+        }
+        assert_eq!(t.len(), 48);
+        assert_eq!(t.rows.len(), 128);
+    }
+
+    #[test]
+    fn huge_budget_allocates_as_rows_arrive() {
+        let mut t = PairMemoTable::with_budget(u64::MAX);
+        assert_eq!(t.capacity() as u64, u64::MAX / MEMO_ENTRY_BYTES);
+        assert_eq!(t.rows.len(), 0);
+        for i in 0..9 {
+            t.record(i, u32::MAX, true);
+        }
+        assert_eq!(t.rows.len(), 32);
+        assert_eq!(t.lookup(u32::MAX, 8), Some(true));
+    }
+
+    #[test]
+    fn rerecording_a_resident_pair_updates_it_in_place() {
+        let mut t = PairMemoTable::with_budget(2 * MEMO_ENTRY_BYTES);
+        t.record(1, 2, true);
+        t.record(3, 4, true);
+        assert!(!t.record(2, 1, false), "no eviction for a resident pair");
+        assert_eq!(t.len(), 2);
+        // {1,2} is now the most recent: the next insert evicts {3,4}.
+        assert!(t.record(5, 6, true));
+        assert_eq!(t.lookup(1, 2), Some(false));
+        assert_eq!(t.lookup(3, 4), None);
+        check(&t);
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //!
 //! These tests lock the *simulated* quantities — cycles, steals, steps,
 //! embeddings, and the per-size accepted/candidate counts — for two
-//! small seeded workloads. Engine or probe rewrites in the hot path
+//! small seeded workloads, and on one of them the memory statistics of
+//! the spill path. Engine or probe rewrites in the hot path
 //! must not shift any of these numbers: a performance change that moves
 //! a golden value is a semantics change, not an optimisation, and must
 //! be called out explicitly (by updating the constant and explaining
 //! why in the commit).
 
-use gramer::{preprocess, AccessPath, GramerConfig, MemoMode, RunReport, Simulator};
+use gramer::{
+    preprocess, AccessPath, GramerConfig, MemoMode, MemoryBudget, MemoryMode, RunReport, Simulator,
+};
 use gramer_graph::generate::{self, RmatParams};
 use gramer_graph::CsrGraph;
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
@@ -136,6 +139,99 @@ fn golden_rmat_mc3() {
     let cfg = base_config();
     let report = run(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg);
     check_golden(&report, &cfg, GOLDEN_RMAT_MC3);
+}
+
+/// BA(200,3) x 4-CF at a 10% on-chip budget: the cache replacement
+/// policy, the DRAM model and the pair memo do the work, as in the
+/// paper's regime. The memo is set explicitly in every cell, so the
+/// `GRAMER_MEMO` hook cannot change them.
+fn spill_config(memory_mode: MemoryMode, memo: MemoMode, adaptive_lambda: bool) -> GramerConfig {
+    GramerConfig {
+        budget: MemoryBudget::Fraction(0.1),
+        memory_mode,
+        memo,
+        adaptive_lambda,
+        ..base_config()
+    }
+}
+
+/// [`golden_summary`] plus the memory statistics, the memo counters and
+/// the λ retunes: everything the spill path decides.
+fn spill_summary(r: &RunReport) -> String {
+    format!(
+        "{} mem={:?} memo={:?} lambda_retunes={:?}",
+        golden_summary(r),
+        r.mem,
+        r.memo,
+        r.lambda_retunes
+    )
+}
+
+/// Scratchpad + locality-preserved (Eq. 2) cache, memo off.
+const GOLDEN_SPILL_LAMH: &str = "cycles=513704 steals=2347 steps=30731 dram=47417 \
+     embeddings=786 candidates=27416 accepted_by_size=[0, 0, 594, 174, 18] \
+     candidates_by_size=[0, 0, 1188, 14330, 11898] \
+     pu_steps=[11494, 8370, 2507, 2127, 1787, 1544, 1733, 1169] \
+     mem=MemStats { vertex: KindStats { high_priority_hits: 13076, cache_hits: 10887, misses: 13289 }, \
+     edge: KindStats { high_priority_hits: 10327, cache_hits: 24395, misses: 34128 } } \
+     memo=None lambda_retunes=None";
+
+/// Scratchpad + LRU cache, memo off.
+const GOLDEN_SPILL_STATIC_LRU: &str = "cycles=579222 steals=2402 steps=30786 dram=51018 \
+     embeddings=786 candidates=27416 accepted_by_size=[0, 0, 594, 174, 18] \
+     candidates_by_size=[0, 0, 1188, 14330, 11898] \
+     pu_steps=[11468, 8435, 2509, 2123, 1806, 1550, 1729, 1166] \
+     mem=MemStats { vertex: KindStats { high_priority_hits: 13125, cache_hits: 10293, misses: 13884 }, \
+     edge: KindStats { high_priority_hits: 10327, cache_hits: 21389, misses: 37134 } } \
+     memo=None lambda_retunes=None";
+
+/// All-cache LRU (no scratchpad), memo off.
+const GOLDEN_SPILL_UNIFORM_LRU: &str = "cycles=740338 steals=2504 steps=30888 dram=60399 \
+     embeddings=786 candidates=27416 accepted_by_size=[0, 0, 594, 174, 18] \
+     candidates_by_size=[0, 0, 1188, 14330, 11898] \
+     pu_steps=[11564, 8444, 2498, 2124, 1810, 1547, 1738, 1163] \
+     mem=MemStats { vertex: KindStats { high_priority_hits: 0, cache_hits: 20518, misses: 16879 }, \
+     edge: KindStats { high_priority_hits: 0, cache_hits: 25330, misses: 43520 } } \
+     memo=None lambda_retunes=None";
+
+/// Locality-preserved cache with a 256-row memo and λ autotuning.
+const GOLDEN_SPILL_LAMH_MEMO: &str = "cycles=511925 steals=2416 steps=30800 dram=47546 \
+     embeddings=786 candidates=27416 accepted_by_size=[0, 0, 594, 174, 18] \
+     candidates_by_size=[0, 0, 1188, 14330, 11898] \
+     pu_steps=[11502, 8429, 2519, 2116, 1790, 1543, 1730, 1171] \
+     mem=MemStats { vertex: KindStats { high_priority_hits: 9903, cache_hits: 9882, misses: 13477 }, \
+     edge: KindStats { high_priority_hits: 8900, cache_hits: 17781, misses: 34069 } } \
+     memo=Some(MemoStats { hits: 4050, misses: 16667, evictions: 16411 }) lambda_retunes=Some(20)";
+
+#[test]
+fn golden_ba200_cf4_spill() {
+    let ba = ba_graph();
+    let cf = CliqueFinding::new(4).unwrap();
+    let cells = [
+        (MemoryMode::Lamh, MemoMode::Off, false, GOLDEN_SPILL_LAMH),
+        (
+            MemoryMode::StaticLru,
+            MemoMode::Off,
+            false,
+            GOLDEN_SPILL_STATIC_LRU,
+        ),
+        (
+            MemoryMode::UniformLru,
+            MemoMode::Off,
+            false,
+            GOLDEN_SPILL_UNIFORM_LRU,
+        ),
+        (
+            MemoryMode::Lamh,
+            MemoMode::On { bytes: 4096 },
+            true,
+            GOLDEN_SPILL_LAMH_MEMO,
+        ),
+    ];
+    for (mode, memo, adaptive, golden) in cells {
+        let report = run(&ba, &cf, &spill_config(mode, memo, adaptive));
+        assert_eq!(spill_summary(&report), golden, "{mode:?} memo={memo:?}");
+    }
 }
 
 /// The memo dimension of the golden matrix, runnable without the env

@@ -15,9 +15,13 @@ use gramer_suite::gramer_memsim::{
     DataKind, HybridConfig, LatencyConfig, MemorySubsystem, SetAssociativeCache, SubsystemConfig,
 };
 use gramer_suite::gramer_mining::apps::MotifCounting;
-use gramer_suite::gramer_mining::{DfsEnumerator, Explorer, NullObserver, Step};
+use gramer_suite::gramer_mining::{
+    DfsEnumerator, Explorer, MemoProbe, MemoStats, NullObserver, PairMemoTable, Step,
+    MEMO_ENTRY_BYTES,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Cases per property (proptest ran 64; these loops are cheap enough to
@@ -147,6 +151,207 @@ fn locality_policy_with_huge_lambda_equals_lru() {
             let a = lru.access(item, item as u32);
             let b = loc.access(item, item as u32);
             assert_eq!(a, b, "seed {seed}: diverged on item {item}");
+        }
+    }
+}
+
+/// A plain model of [`SetAssociativeCache`]: each set is a `Vec` of
+/// `(tag, last_used, rank)` lines in slot order, and a victim is replaced
+/// in place, so the slot order that breaks ties matches the cache's.
+struct RefCache {
+    sets: Vec<Vec<(u64, u64, u32)>>,
+    ways: usize,
+    block_bits: u32,
+    /// `None` for LRU, else the Eq. 2 balancing factor.
+    lambda: Option<f64>,
+    clock: u64,
+    evictions: u64,
+}
+
+impl RefCache {
+    fn access(&mut self, item: u64, rank: u32) -> bool {
+        self.clock += 1;
+        let now = self.clock;
+        let tag = item >> self.block_bits;
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[(tag % n) as usize];
+        if let Some(line) = set.iter_mut().find(|l| l.0 == tag) {
+            line.1 = now;
+            return true;
+        }
+        if set.len() < self.ways {
+            set.push((tag, now, rank));
+            return false;
+        }
+        let victim = match self.lambda {
+            // The first line with the smallest last use.
+            None => (0..set.len()).min_by_key(|&i| (set[i].1, i)).unwrap(),
+            // The first line with the strictly largest Eq. 2 score.
+            Some(lambda) => {
+                let score =
+                    |l: (u64, u64, u32)| l.2 as f64 + lambda * now.saturating_sub(l.1) as f64;
+                let mut best = 0;
+                for i in 1..set.len() {
+                    if score(set[i]) > score(set[best]) {
+                        best = i;
+                    }
+                }
+                best
+            }
+        };
+        set[victim] = (tag, now, rank);
+        self.evictions += 1;
+        false
+    }
+}
+
+#[test]
+fn cache_matches_reference_model() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(11_000 + seed);
+        let sets = rng.gen_range(1usize..12);
+        let ways = rng.gen_range(1usize..9);
+        let block_bits = rng.gen_range(0u32..3);
+        let lambda = match seed % 4 {
+            0 => None,
+            1 => Some(0.0),
+            2 => Some(rng.gen::<f64>() * 4.0),
+            _ => Some(1e15),
+        };
+        let policy = lambda.map_or(PolicyKind::Lru, |lambda| PolicyKind::LocalityPreserved {
+            lambda,
+        });
+        let mut cache = SetAssociativeCache::new(sets, ways, block_bits, policy);
+        let mut reference = RefCache {
+            sets: vec![Vec::new(); sets],
+            ways,
+            block_bits,
+            lambda,
+            clock: 0,
+            evictions: 0,
+        };
+        let universe = 3 * ((sets * ways) << block_bits) as u64;
+        let len = rng.gen_range(1usize..600);
+        let retune_at = rng.gen_range(0..len);
+        for step in 0..len {
+            if step == retune_at {
+                let new = rng.gen::<f64>() * 8.0;
+                cache.set_lambda(new).unwrap();
+                if let Some(l) = reference.lambda.as_mut() {
+                    *l = new;
+                }
+            }
+            // A few ids past u32::MAX take the wide set-index path.
+            let item = if rng.gen_bool(0.05) {
+                (1u64 << 40) + rng.gen_range(0..universe)
+            } else {
+                rng.gen_range(0..universe)
+            };
+            let rank = if rng.gen_bool(0.1) {
+                rng.gen::<u32>()
+            } else {
+                rng.gen_range(0u32..64)
+            };
+            assert_eq!(
+                cache.access(item, rank),
+                reference.access(item, rank),
+                "seed {seed} step {step}: hit/miss diverged on item {item}"
+            );
+            assert_eq!(
+                cache.evictions(),
+                reference.evictions,
+                "seed {seed} step {step}"
+            );
+            assert_eq!(
+                cache.resident_lines(),
+                reference.sets.iter().map(Vec::len).sum::<usize>(),
+                "seed {seed} step {step}"
+            );
+        }
+    }
+}
+
+/// Exact-LRU model of [`PairMemoTable`]: canonical pairs, most recent
+/// first.
+struct RefMemo {
+    rows: VecDeque<((u32, u32), bool)>,
+    cap: usize,
+    stats: MemoStats,
+}
+
+impl RefMemo {
+    fn lookup(&mut self, a: u32, b: u32) -> Option<bool> {
+        let key = (a.min(b), a.max(b));
+        match self.rows.iter().position(|r| r.0 == key) {
+            Some(i) => {
+                let row = self.rows.remove(i).unwrap();
+                self.rows.push_front(row);
+                self.stats.hits += 1;
+                Some(row.1)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn record(&mut self, a: u32, b: u32, connected: bool) -> bool {
+        if self.cap == 0 {
+            return false;
+        }
+        let evicted = self.rows.len() == self.cap;
+        if evicted {
+            self.rows.pop_back();
+            self.stats.evictions += 1;
+        }
+        self.rows.push_front(((a.min(b), a.max(b)), connected));
+        evicted
+    }
+}
+
+#[test]
+fn memo_matches_exact_lru_reference() {
+    for budget in [15u64, 16, 48, 4096, 65536] {
+        let cap = (budget / MEMO_ENTRY_BYTES) as usize;
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(12_000 + budget + seed);
+            let mut memo = PairMemoTable::with_budget(budget);
+            assert_eq!(memo.capacity(), cap, "budget {budget}");
+            let mut reference = RefMemo {
+                rows: VecDeque::new(),
+                cap,
+                stats: MemoStats::default(),
+            };
+            // About twice as many pairs as rows, so the stream both hits
+            // and evicts; the last id stands for u32::MAX.
+            let ids = ((4 * cap) as f64).sqrt() as u32 + 4;
+            let id = |i: u32| if i == ids { u32::MAX } else { i };
+            let ops = (8 * cap + 2000).min(20_000);
+            for step in 0..ops {
+                let a = id(rng.gen_range(0..=ids));
+                let b = if rng.gen_bool(0.05) {
+                    a
+                } else {
+                    id(rng.gen_range(0..=ids))
+                };
+                let got = memo.lookup(a, b);
+                assert_eq!(got, reference.lookup(a, b), "budget {budget} step {step}");
+                if got.is_none() {
+                    let connected = (a ^ b) % 3 == 0;
+                    assert_eq!(
+                        memo.record(a, b, connected),
+                        reference.record(a, b, connected),
+                        "budget {budget} step {step}: eviction flag"
+                    );
+                }
+                assert_eq!(
+                    memo.len(),
+                    reference.rows.len(),
+                    "budget {budget} step {step}"
+                );
+                assert_eq!(memo.stats(), reference.stats, "budget {budget} step {step}");
+            }
         }
     }
 }

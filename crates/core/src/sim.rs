@@ -816,6 +816,13 @@ impl<'p> Simulator<'p> {
     /// bank conflict) could be observed — always go back through the
     /// calendar, which is why batching can never reorder an observable
     /// interaction.
+    ///
+    /// The calendar's near window follows from the slot count: 4,096
+    /// cycles at the default 128 slots, long enough that a step waiting
+    /// on queued DRAM (256–4,095 cycles ahead on a graph ten times the
+    /// on-chip budget) lands in a bucket, not in the far heap. The pushes
+    /// that still overflow reach the sink as the host-side gauge
+    /// `calendar_far_pushes`.
     fn run_epochs<A: EcmApp, S: TelemetrySink, M: MemoProbe, F: CandidateProbe>(
         &self,
         app: &A,
@@ -874,6 +881,7 @@ impl<'p> Simulator<'p> {
         if let Some(tok) = &token {
             tok.checkpoint(tick_backlog);
         }
+        sink.on_calendar(cal.far_pushes());
 
         let query = F::ACTIVE.then(|| query_stats(filter));
         st.finish(sink, M::ACTIVE.then(|| memo.stats()), query)

@@ -39,9 +39,12 @@
 //! the base and the effective granularity.
 //!
 //! Every simulated quantity in the document is invariant under the
-//! host-side access-path choice, exactly like the golden run reports; the only path-dependent series (fast-path-lane tallies)
-//! is quarantined under the top-level `"host"` key, which the golden
-//! snapshot test strips before comparing bytes.
+//! host-side access-path choice, exactly like the golden run reports.
+//! Host-side gauges — the fast-path-lane tallies, which vary with the
+//! access path, and the event calendar's far-heap push count
+//! (`calendar_far_pushes`) — are quarantined under the top-level
+//! `"host"` key, which the golden snapshot test strips before comparing
+//! bytes.
 
 use crate::json::JsonValue;
 use gramer_graph::VertexId;
@@ -177,6 +180,14 @@ pub trait TelemetrySink {
     /// the new 1-based pin-epoch index).
     fn on_repin(&mut self, epoch: u32) {
         let _ = epoch;
+    }
+
+    /// The event loop drained its calendar, having pushed `far_pushes`
+    /// events past the calendar's near window into its overflow heap. A
+    /// host-side cost gauge that never feeds back into the simulation.
+    /// Comes just before [`TelemetrySink::on_finish`].
+    fn on_calendar(&mut self, far_pushes: u64) {
+        let _ = far_pushes;
     }
 
     /// The run drained; `cycles` is the final simulated time. Always the
@@ -372,6 +383,8 @@ pub struct Telemetry {
     edge_by_size: Vec<u64>,
     /// Gauge: last λ the autotuner installed (0.0 until a retune).
     lambda_last: f64,
+    /// Host-side: event-calendar pushes past its near window.
+    calendar_far_pushes: u64,
 }
 
 impl Telemetry {
@@ -397,6 +410,7 @@ impl Telemetry {
             vertex_by_size: Vec::new(),
             edge_by_size: Vec::new(),
             lambda_last: 0.0,
+            calendar_far_pushes: 0,
         }
     }
 
@@ -505,6 +519,7 @@ impl TelemetrySink for Telemetry {
         self.vertex_by_size = vec![0; MAX_EMBEDDING + 1];
         self.edge_by_size = vec![0; MAX_EMBEDDING + 1];
         self.lambda_last = 0.0;
+        self.calendar_far_pushes = 0;
     }
 
     fn on_event(&mut self, now: u64, mem: &MemorySubsystem, queue_depth: usize) {
@@ -588,6 +603,10 @@ impl TelemetrySink for Telemetry {
 
     fn on_repin(&mut self, _epoch: u32) {
         self.windows[self.cur].repins += 1;
+    }
+
+    fn on_calendar(&mut self, far_pushes: u64) {
+        self.calendar_far_pushes = far_pushes;
     }
 
     fn on_finish(&mut self, cycles: u64, mem: &MemorySubsystem) {
@@ -704,6 +723,10 @@ impl Telemetry {
             (
                 "fast_path_hits",
                 JsonValue::from(self.windows.iter().map(|w| w.fast_hits).sum::<u64>()),
+            ),
+            (
+                "calendar_far_pushes",
+                JsonValue::from(self.calendar_far_pushes),
             ),
             (
                 "fast_path_hits_per_window",
@@ -1060,6 +1083,7 @@ mod tests {
         s.on_memo_evict(1);
         s.on_lambda_retune(2.0);
         s.on_repin(1);
+        s.on_calendar(0);
         s.on_finish(0, &mem);
     }
 

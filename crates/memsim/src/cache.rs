@@ -59,8 +59,10 @@ impl SetAssociativeCache {
     }
 
     /// Fallible constructor: rejects zero sets or ways, more than
-    /// `u16::MAX` ways, a line count that overflows `usize`, and a bad λ
-    /// with a typed [`MemError`] instead of panicking.
+    /// `u16::MAX` ways, a line count that overflows `usize`, an item
+    /// capacity (`sets × ways × 2^block_bits`) that overflows `usize`
+    /// (which covers `block_bits >= 64`), and a bad λ with a typed
+    /// [`MemError`] instead of panicking.
     pub fn try_new(
         sets: usize,
         ways: usize,
@@ -77,6 +79,13 @@ impl SetAssociativeCache {
             Some(lines) if ways <= u16::MAX as usize => lines,
             _ => return Err(MemError::TooManyLines { sets, ways }),
         };
+        if block_bits >= usize::BITS || lines > usize::MAX >> block_bits {
+            return Err(MemError::BlockTooLarge {
+                sets,
+                ways,
+                block_bits,
+            });
+        }
         Ok(SetAssociativeCache {
             tags: vec![0u64; lines],
             last_used: vec![0u64; lines],
@@ -280,6 +289,35 @@ mod tests {
             })
         );
         assert!(SetAssociativeCache::try_new(1, u16::MAX as usize, 0, PolicyKind::Lru).is_ok());
+    }
+
+    #[test]
+    fn try_new_rejects_a_block_size_it_cannot_hold() {
+        // A 2^64-item block cannot be shifted out of an item id.
+        assert_eq!(
+            SetAssociativeCache::try_new(1, 1, 64, PolicyKind::Lru).err(),
+            Some(MemError::BlockTooLarge {
+                sets: 1,
+                ways: 1,
+                block_bits: 64
+            })
+        );
+        // 4 lines of 2^63 items overflow the item capacity.
+        assert_eq!(
+            SetAssociativeCache::try_new(2, 2, 63, PolicyKind::Lru).err(),
+            Some(MemError::BlockTooLarge {
+                sets: 2,
+                ways: 2,
+                block_bits: 63
+            })
+        );
+        // The largest block that fits still indexes the right block.
+        let bits = usize::BITS - 1;
+        let mut c = SetAssociativeCache::new(1, 1, bits, PolicyKind::Lru);
+        assert_eq!(c.capacity_items(), 1 << bits);
+        assert!(!c.access(5, 0));
+        assert!(c.access(6, 0));
+        assert!(!c.access(u64::MAX, 0));
     }
 
     #[test]

@@ -81,15 +81,28 @@ impl DramModel {
     /// preference.
     pub fn service(&mut self, now: u64) -> u64 {
         self.requests += 1;
-        // Earliest-free channel, breaking ties round-robin.
-        let mut best = self.next_channel;
-        for i in 0..self.channel_free.len() {
-            let c = (self.next_channel + i) % self.channel_free.len();
-            if self.channel_free[c] < self.channel_free[best] {
-                best = c;
+        // Earliest-free channel, breaking ties round-robin: walk from
+        // `next_channel` to the end, then wrap to the start (no divide),
+        // and a strict `<` keeps the first channel in walk order among
+        // equals.
+        let next = self.next_channel;
+        let (head, tail) = self.channel_free.split_at(next);
+        let (mut best, mut best_free) = (next, tail[0]);
+        for (i, &free) in tail.iter().enumerate().skip(1) {
+            if free < best_free {
+                (best, best_free) = (next + i, free);
             }
         }
-        self.next_channel = (best + 1) % self.channel_free.len();
+        for (i, &free) in head.iter().enumerate() {
+            if free < best_free {
+                (best, best_free) = (i, free);
+            }
+        }
+        self.next_channel = if best + 1 == self.channel_free.len() {
+            0
+        } else {
+            best + 1
+        };
         let start = now.max(self.channel_free[best]);
         self.channel_free[best] = start + self.config.occupancy_cycles;
         start + self.config.latency_cycles
@@ -158,6 +171,41 @@ mod tests {
             channels: 0,
             ..DramConfig::default()
         });
+    }
+
+    #[test]
+    fn channel_pick_matches_the_modulo_walk() {
+        // Oracle: the same earliest-free, round-robin-tie pick written
+        // with `%`, replayed against the model on a pseudo-random request
+        // stream with frequent ties.
+        for channels in 1..=6 {
+            let mut dram = DramModel::new(DramConfig {
+                channels,
+                latency_cycles: 7,
+                occupancy_cycles: 5,
+            });
+            let mut free = vec![0u64; channels];
+            let mut next = 0usize;
+            let (mut now, mut s) = (0u64, channels as u64);
+            for _ in 0..2_000 {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                now += s >> 61;
+                let mut best = next;
+                for i in 0..channels {
+                    let c = (next + i) % channels;
+                    if free[c] < free[best] {
+                        best = c;
+                    }
+                }
+                next = (best + 1) % channels;
+                let start = now.max(free[best]);
+                free[best] = start + 5;
+                assert_eq!(dram.service(now), start + 7);
+                assert_eq!(dram.next_channel, next);
+            }
+        }
     }
 
     #[test]

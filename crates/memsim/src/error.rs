@@ -22,6 +22,16 @@ pub enum MemError {
         /// The configured associativity.
         ways: usize,
     },
+    /// A cache's item capacity, `sets × ways × 2^block_bits`, does not
+    /// fit a `usize` (this includes every `block_bits >= 64`).
+    BlockTooLarge {
+        /// The configured set count.
+        sets: usize,
+        /// The configured associativity.
+        ways: usize,
+        /// The configured log2 of the block size in items.
+        block_bits: u32,
+    },
     /// A [`crate::MemorySubsystem`] was configured with zero partitions.
     ZeroPartitions,
     /// A [`crate::DramModel`] was configured with zero channels.
@@ -42,6 +52,7 @@ impl MemError {
             MemError::ZeroSets => "mem-zero-sets",
             MemError::ZeroWays => "mem-zero-ways",
             MemError::TooManyLines { .. } => "mem-too-many-lines",
+            MemError::BlockTooLarge { .. } => "mem-block-too-large",
             MemError::ZeroPartitions => "mem-zero-partitions",
             MemError::ZeroChannels => "mem-zero-channels",
             MemError::BadLambda => "mem-bad-lambda",
@@ -59,6 +70,15 @@ impl fmt::Display for MemError {
                 "cache of {sets} sets x {ways} ways is too large \
                  (at most {} ways, and sets x ways must fit usize)",
                 u16::MAX
+            ),
+            MemError::BlockTooLarge {
+                sets,
+                ways,
+                block_bits,
+            } => write!(
+                f,
+                "cache of {sets} sets x {ways} ways with 2^{block_bits}-item blocks \
+                 holds more items than usize can count"
             ),
             MemError::ZeroPartitions => write!(f, "need at least one partition"),
             MemError::ZeroChannels => write!(f, "need at least one DRAM channel"),
@@ -81,6 +101,11 @@ mod tests {
             MemError::TooManyLines {
                 sets: 1,
                 ways: 1 << 16,
+            },
+            MemError::BlockTooLarge {
+                sets: 1,
+                ways: 1,
+                block_bits: 64,
             },
             MemError::ZeroPartitions,
             MemError::ZeroChannels,

@@ -894,6 +894,22 @@ mod tests {
             MemorySubsystem::try_new(no_dram).err(),
             Some(MemError::ZeroChannels)
         );
+        // An edge block too large to index passes through both layers.
+        let huge_block = SubsystemConfig {
+            edge: HybridConfig {
+                block_bits: 64,
+                ..hybrid.clone()
+            },
+            ..mk(2, 2)
+        };
+        assert_eq!(
+            MemorySubsystem::try_new(huge_block).err(),
+            Some(MemError::BlockTooLarge {
+                sets: 2,
+                ways: 2,
+                block_bits: 64
+            })
+        );
         assert!(MemorySubsystem::try_new(mk(2, 2)).is_ok());
     }
 

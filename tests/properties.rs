@@ -12,7 +12,8 @@ use gramer_suite::gramer::{
 use gramer_suite::gramer_graph::{generate, io, on1, reorder, GraphBuilder, VertexId};
 use gramer_suite::gramer_memsim::policy::PolicyKind;
 use gramer_suite::gramer_memsim::{
-    DataKind, HybridConfig, LatencyConfig, MemorySubsystem, SetAssociativeCache, SubsystemConfig,
+    DataKind, DramConfig, HybridConfig, LatencyConfig, MemorySubsystem, SetAssociativeCache,
+    SubsystemConfig,
 };
 use gramer_suite::gramer_mining::apps::MotifCounting;
 use gramer_suite::gramer_mining::{
@@ -595,6 +596,32 @@ fn fast_path_matches_exact_path_full_sim() {
     }
 }
 
+/// Runs `app` through the engine and through its heap-order reference
+/// ([`Simulator::run_reference`]) and asserts every simulated quantity
+/// agrees.
+fn assert_engine_matches_reference(sim: &Simulator, app: &MotifCounting, seed: u64) {
+    let a = sim.run(app).expect("runs");
+    let b = sim.run_reference(app).expect("runs");
+    assert_eq!(a.cycles, b.cycles, "seed {seed}");
+    assert_eq!(a.steps, b.steps, "seed {seed}");
+    assert_eq!(a.steals, b.steals, "seed {seed}");
+    assert_eq!(a.mem, b.mem, "seed {seed}");
+    assert_eq!(a.dram_requests, b.dram_requests, "seed {seed}");
+    assert_eq!(a.memo, b.memo, "seed {seed}");
+    assert_eq!(a.pu_steps, b.pu_steps, "seed {seed}");
+    assert_eq!(a.pu_finish, b.pu_finish, "seed {seed}");
+    assert_eq!(a.result.embeddings, b.result.embeddings, "seed {seed}");
+    assert_eq!(
+        a.result.candidates_examined, b.result.candidates_examined,
+        "seed {seed}"
+    );
+    assert_eq!(
+        a.result.counts.sorted(),
+        b.result.counts.sorted(),
+        "seed {seed}"
+    );
+}
+
 /// The epoch-batched engine must be indistinguishable from the
 /// heap-order reference interleaving ([`Simulator::run_reference`]) on
 /// every simulated quantity, across randomized PU/slot geometries (down
@@ -641,25 +668,56 @@ fn epoch_matches_interleaved() {
         let pre = preprocess(&g, &cfg).expect("random graph preprocesses");
         let app = MotifCounting::new(3).expect("valid");
         let sim = Simulator::new(&pre, cfg).expect("valid config");
-        let a = sim.run(&app).expect("runs");
-        let b = sim.run_reference(&app).expect("runs");
-        assert_eq!(a.cycles, b.cycles, "seed {seed}");
-        assert_eq!(a.steps, b.steps, "seed {seed}");
-        assert_eq!(a.steals, b.steals, "seed {seed}");
-        assert_eq!(a.mem, b.mem, "seed {seed}");
-        assert_eq!(a.dram_requests, b.dram_requests, "seed {seed}");
-        assert_eq!(a.pu_steps, b.pu_steps, "seed {seed}");
-        assert_eq!(a.pu_finish, b.pu_finish, "seed {seed}");
-        assert_eq!(a.result.embeddings, b.result.embeddings, "seed {seed}");
-        assert_eq!(
-            a.result.candidates_examined, b.result.candidates_examined,
-            "seed {seed}"
-        );
-        assert_eq!(
-            a.result.counts.sorted(),
-            b.result.counts.sorted(),
-            "seed {seed}"
-        );
+        assert_engine_matches_reference(&sim, &app, seed);
+    }
+}
+
+/// The engine against the heap-order reference when DRAM round trips
+/// outlast the event calendar's near window: one DRAM channel with
+/// latencies up to ~10,000 cycles behind a one-entry request FIFO, at
+/// small on-chip budgets, so steps schedule their slots thousands of
+/// cycles ahead and a full simulation drives events through the
+/// calendar's far heap and back into its buckets. Memo on and off, both
+/// access paths.
+#[test]
+fn epoch_matches_interleaved_past_the_calendar_window() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(11_000 + seed);
+        let Some(g) = random_graph(&mut rng, 40, 140) else {
+            continue;
+        };
+        let (num_pus, slots_per_pu) = [(1, 1), (2, 3), (8, 16), (4, 2)][rng.gen_range(0usize..4)];
+        let cfg = GramerConfig {
+            num_pus,
+            slots_per_pu,
+            ancestor_depth: 16,
+            latency: LatencyConfig {
+                request_fifo_depth: 1,
+                ..LatencyConfig::default()
+            },
+            dram: DramConfig {
+                channels: 1,
+                latency_cycles: rng.gen_range(100u64..10_000),
+                occupancy_cycles: rng.gen_range(1u64..64),
+            },
+            budget: MemoryBudget::Fraction(rng.gen_range(2u32..20) as f64 / 100.0),
+            work_stealing: rng.gen_bool(0.7),
+            memo: if rng.gen_bool(0.5) {
+                MemoMode::On { bytes: 1 << 10 }
+            } else {
+                MemoMode::Off
+            },
+            access_path: if rng.gen_bool(0.5) {
+                AccessPath::Fast
+            } else {
+                AccessPath::Exact
+            },
+            ..GramerConfig::default()
+        };
+        let pre = preprocess(&g, &cfg).expect("random graph preprocesses");
+        let app = MotifCounting::new(3).expect("valid");
+        let sim = Simulator::new(&pre, cfg).expect("valid config");
+        assert_engine_matches_reference(&sim, &app, seed);
     }
 }
 

@@ -21,6 +21,7 @@ use gramer::telemetry::{Telemetry, TelemetryConfig};
 use gramer::{preprocess, GramerConfig, RunReport, Simulator};
 use gramer_graph::generate::{self, RmatParams};
 use gramer_graph::CsrGraph;
+use gramer_memsim::DramConfig;
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
 use gramer_mining::EcmApp;
 
@@ -365,4 +366,29 @@ fn telemetry_records_memo_counters() {
     };
     assert_eq!(sum("memo_hits"), stats.hits);
     assert_eq!(sum("memo_misses"), stats.misses);
+}
+
+/// The host section reports the event calendar's far-heap pushes: none
+/// on the golden workload, whose gaps fit the calendar's near window,
+/// and some once DRAM round trips on one channel outlast it.
+#[test]
+fn telemetry_reports_calendar_far_pushes() {
+    let far_pushes = |cfg: &GramerConfig| {
+        let (_, _, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), cfg);
+        tel.to_json_value()
+            .get("host")
+            .and_then(|h| h.get("calendar_far_pushes"))
+            .and_then(JsonValue::as_u64)
+            .expect("host.calendar_far_pushes missing")
+    };
+    assert_eq!(far_pushes(&base_config()), 0);
+    let slow_dram = GramerConfig {
+        dram: DramConfig {
+            channels: 1,
+            latency_cycles: 10_000,
+            occupancy_cycles: 4,
+        },
+        ..base_config()
+    };
+    assert!(far_pushes(&slow_dram) > 0);
 }

@@ -22,7 +22,6 @@ use gramer_bench::{
 };
 use gramer_graph::datasets::Dataset;
 use gramer_memsim::LatencyConfig;
-use gramer_mining::apps::CliqueFinding;
 
 fn constrained(budget: bool) -> GramerConfig {
     if budget {
@@ -94,11 +93,7 @@ fn main() -> std::process::ExitCode {
     for (label, cfg) in configs {
         let cache = &cache;
         sweep.point(d.name(), &variant.name(d), label, move || {
-            let app = match variant {
-                AppVariant::Cf(k) => CliqueFinding::new(k).expect("valid k"),
-                _ => unreachable!("ablation uses CF"),
-            };
-            run_gramer(cache.get(d), &app, cfg()).map(PointOutput::from_report)
+            run_gramer(cache.get(d), &variant.spec(d), cfg()).map(PointOutput::from_report)
         });
     }
     sweep.point(d.name(), &variant.name(d), "compaction", || {

@@ -31,26 +31,25 @@ fn main() -> std::process::ExitCode {
         sweep.point(d.name(), &variant.name(d), "default", move || {
             let energy = EnergyModel::default();
             let g = cache.get(d);
-            variant.with_app(d, |app| {
-                let report = run_gramer(g, app, GramerConfig::default())?;
-                let profile = app.profile(g);
-                let gramer_e = energy.accel_power_w * report.wall_seconds();
-                let fr_t = FractalModel::default().estimate_seconds(&profile);
-                let fr_e = energy.cpu_energy(fr_t);
-                let total = report.total_seconds();
-                let preproc = 100.0 * report.preprocess_seconds / report.wall_seconds().max(1e-12);
-                let mut out = PointOutput::new()
-                    .metric("fractal_energy_x", fr_e / gramer_e)
-                    .metric("fractal_time_x", fr_t / total)
-                    .metric("preprocess_pct", preproc);
-                if let RstreamOutcome::Seconds(s) = RstreamModel::default().estimate(&profile) {
-                    out = out
-                        .metric("rstream_energy_x", energy.cpu_energy(s) / gramer_e)
-                        .metric("rstream_time_x", s / total);
-                }
-                out.report = Some(report);
-                Ok::<_, gramer::SimError>(out)
-            })
+            let app = variant.spec(d);
+            let report = run_gramer(g, &app, GramerConfig::default())?;
+            let profile = gramer_baselines::profile_on_cpu(g, &app.ecm());
+            let gramer_e = energy.accel_power_w * report.wall_seconds();
+            let fr_t = FractalModel::default().estimate_seconds(&profile);
+            let fr_e = energy.cpu_energy(fr_t);
+            let total = report.total_seconds();
+            let preproc = 100.0 * report.preprocess_seconds / report.wall_seconds().max(1e-12);
+            let mut out = PointOutput::new()
+                .metric("fractal_energy_x", fr_e / gramer_e)
+                .metric("fractal_time_x", fr_t / total)
+                .metric("preprocess_pct", preproc);
+            if let RstreamOutcome::Seconds(s) = RstreamModel::default().estimate(&profile) {
+                out = out
+                    .metric("rstream_energy_x", energy.cpu_energy(s) / gramer_e)
+                    .metric("rstream_time_x", s / total);
+            }
+            out.report = Some(report);
+            Ok::<_, gramer::SimError>(out)
         });
     }
     let result = sweep.execute(&args);

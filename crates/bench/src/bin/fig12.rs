@@ -70,8 +70,7 @@ fn main() -> std::process::ExitCode {
         for (label, mode) in MODES {
             let cache = &cache;
             sweep.point(d.name(), &variant.name(d), label, move || {
-                variant
-                    .with_app(d, |app| run_gramer(cache.get(d), app, config(mode)))
+                run_gramer(cache.get(d), &variant.spec(d), config(mode))
                     .map(PointOutput::from_report)
             });
         }

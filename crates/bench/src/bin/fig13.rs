@@ -40,9 +40,7 @@ fn main() -> std::process::ExitCode {
                         slots_per_pu: slots,
                         ..GramerConfig::default()
                     };
-                    variant
-                        .with_app(d, |app| run_gramer(cache.get(d), app, cfg))
-                        .map(PointOutput::from_report)
+                    run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
                 },
             );
         }
@@ -53,9 +51,7 @@ fn main() -> std::process::ExitCode {
                     work_stealing: stealing,
                     ..GramerConfig::default()
                 };
-                variant
-                    .with_app(d, |app| run_gramer(cache.get(d), app, cfg))
-                    .map(PointOutput::from_report)
+                run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
             });
         }
     }

@@ -52,9 +52,7 @@ fn main() -> std::process::ExitCode {
                     tau: Some(t),
                     ..GramerConfig::default()
                 };
-                variant
-                    .with_app(d, |app| run_gramer(cache.get(d), app, cfg))
-                    .map(PointOutput::from_report)
+                run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
             });
         }
     }
@@ -67,9 +65,7 @@ fn main() -> std::process::ExitCode {
                     lambda: l,
                     ..GramerConfig::default()
                 };
-                variant
-                    .with_app(d, |app| run_gramer(cache.get(d), app, cfg))
-                    .map(PointOutput::from_report)
+                run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
             });
         }
     }

@@ -34,23 +34,22 @@ fn main() -> std::process::ExitCode {
             let cache = &cache;
             sweep.point(d.name(), &variant.name(d), "vs-baselines", move || {
                 let g = cache.get(d);
-                variant.with_app(d, |app| {
-                    let report = run_gramer(g, app, GramerConfig::default())?;
-                    let profile = app.profile(g);
-                    let fr = FractalModel::default().estimate_seconds(&profile);
-                    let rs = RstreamModel::default().estimate(&profile);
-                    let wall = report.wall_seconds();
-                    let mut out = PointOutput::new()
-                        .metric("gramer_seconds", wall)
-                        .metric("fractal_seconds", fr)
-                        .metric("fractal_over_gramer", fr / wall)
-                        .metric("rstream", rs.to_string());
-                    if let RstreamOutcome::Seconds(s) = rs {
-                        out = out.metric("rstream_over_gramer", s / wall);
-                    }
-                    out.report = Some(report);
-                    Ok::<_, gramer::SimError>(out)
-                })
+                let app = variant.spec(d);
+                let report = run_gramer(g, &app, GramerConfig::default())?;
+                let profile = gramer_baselines::profile_on_cpu(g, &app.ecm());
+                let fr = FractalModel::default().estimate_seconds(&profile);
+                let rs = RstreamModel::default().estimate(&profile);
+                let wall = report.wall_seconds();
+                let mut out = PointOutput::new()
+                    .metric("gramer_seconds", wall)
+                    .metric("fractal_seconds", fr)
+                    .metric("fractal_over_gramer", fr / wall)
+                    .metric("rstream", rs.to_string());
+                if let RstreamOutcome::Seconds(s) = rs {
+                    out = out.metric("rstream_over_gramer", s / wall);
+                }
+                out.report = Some(report);
+                Ok::<_, gramer::SimError>(out)
             });
         }
     }

@@ -57,14 +57,10 @@
 
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
-use gramer::{
-    preprocess, GramerConfig, MemoMode, PreprocessCache, Preprocessed, RunReport, SimError,
-    Simulator,
-};
+use gramer::{preprocess, AppSpec, GramerConfig, MemoMode, PreprocessCache, RunReport, SimError};
 use gramer_graph::datasets::Dataset;
 use gramer_graph::CsrGraph;
 use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
-use gramer_mining::EcmApp;
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -193,61 +189,13 @@ impl AppVariant {
         !matches!(self, AppVariant::Cf(_))
     }
 
-    /// Runs `f` with the concrete application instantiated for `d`.
-    pub fn with_app<R>(self, d: Dataset, f: impl FnOnce(&dyn DynApp) -> R) -> R {
+    /// The application instantiated for `d`, ready for [`run_gramer`].
+    pub fn spec(self, d: Dataset) -> AppSpec {
         match self {
-            AppVariant::Cf(k) => f(&CliqueFinding::new(k).expect("valid k")),
-            AppVariant::Mc(k) => f(&MotifCounting::new(k).expect("valid k")),
-            AppVariant::Fsm => f(&FrequentSubgraphMining::new(fsm_threshold(d))),
+            AppVariant::Cf(k) => AppSpec::CliqueFinding(CliqueFinding::new(k).expect("valid k")),
+            AppVariant::Mc(k) => AppSpec::MotifCounting(MotifCounting::new(k).expect("valid k")),
+            AppVariant::Fsm => AppSpec::Fsm(FrequentSubgraphMining::new(fsm_threshold(d))),
         }
-    }
-}
-
-/// Object-safe adapter over [`EcmApp`] so harness code can be generic over
-/// variants at runtime.
-pub trait DynApp: Sync {
-    /// See [`EcmApp::name`].
-    fn name(&self) -> String;
-    /// See [`EcmApp::max_vertices`].
-    fn max_vertices(&self) -> usize;
-    /// Runs the GRAMER simulator on a preprocessed graph.
-    fn simulate(&self, pre: &Preprocessed, config: GramerConfig) -> Result<RunReport, SimError>;
-    /// Like [`DynApp::simulate`], recording cycle-windowed telemetry into
-    /// `tel`. Simulated results are identical either way.
-    fn simulate_telemetry(
-        &self,
-        pre: &Preprocessed,
-        config: GramerConfig,
-        tel: &mut Telemetry,
-    ) -> Result<RunReport, SimError>;
-    /// Profiles the workload on the modeled CPU.
-    fn profile(&self, graph: &CsrGraph) -> gramer_baselines::CpuProfile;
-}
-
-impl<A: EcmApp + Sync> DynApp for A {
-    fn name(&self) -> String {
-        EcmApp::name(self)
-    }
-
-    fn max_vertices(&self) -> usize {
-        EcmApp::max_vertices(self)
-    }
-
-    fn simulate(&self, pre: &Preprocessed, config: GramerConfig) -> Result<RunReport, SimError> {
-        Ok(Simulator::new(pre, config)?.run(self)?)
-    }
-
-    fn simulate_telemetry(
-        &self,
-        pre: &Preprocessed,
-        config: GramerConfig,
-        tel: &mut Telemetry,
-    ) -> Result<RunReport, SimError> {
-        Ok(Simulator::new(pre, config)?.run_telemetry(self, tel)?)
-    }
-
-    fn profile(&self, graph: &CsrGraph) -> gramer_baselines::CpuProfile {
-        gramer_baselines::profile_on_cpu(graph, self)
     }
 }
 
@@ -341,7 +289,7 @@ pub fn set_memo_override(memo: Option<MemoMode>) {
 /// [`take_point_telemetry`]; simulated results are unaffected.
 pub fn run_gramer(
     graph: &CsrGraph,
-    app: &dyn DynApp,
+    app: &AppSpec,
     mut config: GramerConfig,
 ) -> Result<RunReport, SimError> {
     if let Some(memo) = *MEMO_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) {
@@ -356,11 +304,11 @@ pub fn run_gramer(
     };
     if metrics_enabled() {
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        let report = app.simulate_telemetry(&pre, config, &mut tel)?;
+        let report = app.run(&pre, config, Some(&mut tel))?;
         POINT_TELEMETRY.with(|t| *t.borrow_mut() = Some(tel.summary_json()));
         Ok(report)
     } else {
-        app.simulate(&pre, config)
+        app.run(&pre, config, None)
     }
 }
 
@@ -646,7 +594,7 @@ mod tests {
     fn memo_override_changes_timing_not_results() {
         let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let g = gramer_graph::generate::barabasi_albert(120, 3, 8);
-        let app = CliqueFinding::new(4).expect("valid k");
+        let app = AppVariant::Cf(4).spec(Dataset::Citeseer);
         let base = run_gramer(&g, &app, GramerConfig::default()).unwrap();
         assert!(base.memo.is_none());
         set_memo_override(Some(MemoMode::On { bytes: 1 << 16 }));
@@ -714,7 +662,7 @@ mod tests {
         // With the switch on, run_gramer stashes a telemetry rollup for
         // this thread — without changing the simulated report.
         let g = gramer_graph::generate::barabasi_albert(100, 3, 5);
-        let app = CliqueFinding::new(3).expect("valid k");
+        let app = AppVariant::Cf(3).spec(Dataset::Citeseer);
         let plain = run_gramer(&g, &app, GramerConfig::default()).unwrap();
         assert!(take_point_telemetry().is_none());
         set_metrics_enabled(true);
@@ -745,7 +693,7 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         let g = gramer_graph::generate::barabasi_albert(120, 3, 8);
-        let app = CliqueFinding::new(3).expect("valid k");
+        let app = AppVariant::Cf(3).spec(Dataset::Citeseer);
         let inline = run_gramer(&g, &app, GramerConfig::default()).unwrap();
         set_artifact_cache(Some(dir.as_path())).unwrap();
         let cold = run_gramer(&g, &app, GramerConfig::default()).unwrap();

@@ -8,10 +8,10 @@
 //! parse time: the daemon refuses it at admission and the CLI before any
 //! graph work.
 
-use crate::telemetry::Telemetry;
+use crate::telemetry::{NullSink, Telemetry};
 use crate::{GramerConfig, Preprocessed, RunReport, SimError, Simulator};
 use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
-use gramer_mining::{EcmApp, QueryApp, QueryGraph};
+use gramer_mining::{CandidateFilter, CandidateSets, EcmApp, QueryApp, QueryGraph};
 
 /// A parsed application spec, ready to run.
 #[derive(Debug)]
@@ -55,9 +55,11 @@ impl std::str::FromStr for AppSpec {
 }
 
 impl AppSpec {
-    /// Simulates the application over `pre` under `config`, recording
-    /// telemetry into `tel` when given. Queries run through the
-    /// candidate filter ([`Simulator::run_query`]).
+    /// Simulates the application over `pre` under `config`. This is the
+    /// one place that picks a run's hooks: the candidate filter comes
+    /// from the application (queries run through the LDF → NLF → GQL
+    /// candidate pipeline, see [`gramer_mining::query`]), the telemetry
+    /// sink from `tel`, and the pair memo from [`GramerConfig::memo`].
     ///
     /// # Errors
     ///
@@ -68,25 +70,39 @@ impl AppSpec {
         config: GramerConfig,
         tel: Option<&mut Telemetry>,
     ) -> Result<RunReport, SimError> {
-        fn ecm<A: EcmApp>(
+        fn simulate<A: EcmApp>(
             sim: &Simulator<'_>,
             app: &A,
             tel: Option<&mut Telemetry>,
+            filter: Option<CandidateFilter>,
         ) -> Result<RunReport, SimError> {
             match tel {
-                Some(tel) => sim.run_telemetry(app, tel),
-                None => sim.run(app),
+                Some(tel) => sim.run_with(app, tel, filter),
+                None => sim.run_with(app, &mut NullSink, filter),
             }
         }
         let sim = Simulator::new(pre, config)?;
         match self {
-            AppSpec::CliqueFinding(app) => ecm(&sim, app, tel),
-            AppSpec::MotifCounting(app) => ecm(&sim, app, tel),
-            AppSpec::Fsm(app) => ecm(&sim, app, tel),
-            AppSpec::Query(app) => match tel {
-                Some(tel) => sim.run_query_telemetry(app, tel),
-                None => sim.run_query(app),
-            },
+            AppSpec::CliqueFinding(app) => simulate(&sim, app, tel, None),
+            AppSpec::MotifCounting(app) => simulate(&sim, app, tel, None),
+            AppSpec::Fsm(app) => simulate(&sim, app, tel, None),
+            // Candidates are computed over the REORDERED graph — the one
+            // the simulator actually mines.
+            AppSpec::Query(app) => {
+                let candidates = CandidateSets::build(&pre.graph, app.query());
+                simulate(&sim, app, tel, Some(CandidateFilter::new(&candidates)))
+            }
+        }
+    }
+
+    /// The application itself, for host-side models that run it
+    /// unfiltered outside the simulator (the CPU baseline profile).
+    pub fn ecm(&self) -> &dyn EcmApp {
+        match self {
+            AppSpec::CliqueFinding(app) => app,
+            AppSpec::MotifCounting(app) => app,
+            AppSpec::Fsm(app) => app,
+            AppSpec::Query(app) => app,
         }
     }
 }

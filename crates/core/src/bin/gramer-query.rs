@@ -31,7 +31,7 @@
 //! graph file already carries labels).
 
 use gramer::json::JsonValue;
-use gramer::{preprocess, GramerConfig, Preprocessed, RunReport, Simulator};
+use gramer::{preprocess, AppSpec, GramerConfig, Preprocessed, RunReport, Simulator};
 use gramer_graph::{generate, io, CsrGraph};
 use gramer_memsim::EnergyModel;
 use gramer_mining::{CandidateSets, QueryApp, QueryGraph};
@@ -243,9 +243,8 @@ fn run() -> Result<Option<(String, JsonValue)>, String> {
         .map_err(|e| e.to_string())?
         .run(&app)
         .map_err(|e| e.to_string())?;
-    let filtered = Simulator::new(&pre, opts.config.clone())
-        .map_err(|e| e.to_string())?
-        .run_query(&app)
+    let filtered = AppSpec::Query(app)
+        .run(&pre, opts.config.clone(), None)
         .map_err(|e| e.to_string())?;
 
     let k = query.num_vertices();

@@ -5,14 +5,13 @@ use crate::preprocess::Preprocessed;
 use crate::progress;
 use crate::report::QueryRunStats;
 use crate::report::RunReport;
-use crate::telemetry::{NullSink, SinkObserver, Telemetry, TelemetrySink};
+use crate::telemetry::{NullSink, Telemetry, TelemetrySink};
 use gramer_graph::VertexId;
 use gramer_memsim::policy::PolicyKind;
 use gramer_memsim::{DataKind, HybridConfig, MemError, MemorySubsystem, SubsystemConfig};
 use gramer_mining::{
-    AccessObserver, CandidateFilter, CandidateProbe, CandidateSets, EcmApp, Explorer, MemoProbe,
-    MemoStats, MiningResult, NoFilter, NoMemo, PairMemoTable, PatternCounts, PatternInterner,
-    QueryApp, Step, Tee,
+    AccessObserver, CandidateFilter, EcmApp, Explorer, MemoProbe, MemoStats, MiningResult, NoMemo,
+    PairMemoTable, PatternCounts, PatternInterner, Step,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -65,42 +64,53 @@ pub struct Simulator<'p> {
 /// and chains completion times (accesses within one extension step are
 /// dependent). Every logical access goes through the hierarchy, as in the
 /// paper's Fig. 7 — sequential neighbor walks get their spatial reuse
-/// from the cache's multi-slot blocks, not from a bypass register.
-struct TimedObserver<'a> {
+/// from the cache's multi-slot blocks, not from a bypass register. It
+/// also forwards each access to the run's telemetry sink, whose hooks
+/// fold away under [`NullSink`].
+struct TimedObserver<'a, S: TelemetrySink> {
     mem: &'a mut MemorySubsystem,
     now: u64,
     /// Windowed per-vertex access counts for the re-pinning monitor.
     /// Empty (and therefore free: `get_mut` fails without a bounds
     /// check against real data) unless `--repin` is active.
     freq: &'a mut [u32],
+    sink: &'a mut S,
 }
 
-impl AccessObserver for TimedObserver<'_> {
-    fn vertex_access(&mut self, v: VertexId, _size: usize) {
+impl<S: TelemetrySink> AccessObserver for TimedObserver<'_, S> {
+    fn vertex_access(&mut self, v: VertexId, size: usize) {
         if let Some(f) = self.freq.get_mut(v as usize) {
             *f += 1;
         }
         // After reordering, the priority rank of a vertex IS its ID.
         let c = self.mem.access(DataKind::Vertex, v as u64, v, self.now);
         self.now = c.finish;
+        self.sink.on_vertex_access(size);
     }
 
-    fn edge_access(&mut self, slot: usize, src: VertexId, _size: usize) {
+    fn edge_access(&mut self, slot: usize, src: VertexId, size: usize) {
         // An edge inherits the rank of its source vertex (§IV-B); the
         // explorer passes the source along, so no slot → source lookup
         // is needed on this path.
         let c = self.mem.access(DataKind::Edge, slot as u64, src, self.now);
         self.now = c.finish;
+        self.sink.on_edge_access(size);
     }
 
     // A memo probe — hit or miss — costs one modeled table lookup; the
     // hit's saving is the vertex/edge accesses it no longer performs.
-    fn memo_hit(&mut self, _size: usize) {
+    fn memo_hit(&mut self, size: usize) {
         self.now = self.mem.memo_lookup(self.now);
+        self.sink.on_memo_hit(size);
     }
 
-    fn memo_miss(&mut self, _size: usize) {
+    fn memo_miss(&mut self, size: usize) {
         self.now = self.mem.memo_lookup(self.now);
+        self.sink.on_memo_miss(size);
+    }
+
+    fn memo_evict(&mut self, size: usize) {
+        self.sink.on_memo_evict(size);
     }
 
     // A candidate-filter admission check costs one modeled bitmap read,
@@ -188,6 +198,8 @@ struct RunState<'s, 'p, A: EcmApp> {
     vtx_freq: Vec<u32>,
     adapt: Option<AdaptState>,
     repin: Option<RepinState>,
+    /// The query's candidate filter (`None` on unfiltered runs).
+    filter: Option<CandidateFilter>,
 }
 
 impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
@@ -196,13 +208,12 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
     /// the historical event loop. Returns the time of the slot's next
     /// event, or `None` when the slot retires (its PU has fully drained).
     #[inline]
-    fn exec_event<S: TelemetrySink, M: MemoProbe, Q: CandidateProbe>(
+    fn exec_event<S: TelemetrySink, M: MemoProbe>(
         &mut self,
         t: u64,
         id: u32,
         sink: &mut S,
         memo: &mut M,
-        filter: &mut Q,
     ) -> Option<u64> {
         // Adaptive policies observe window boundaries before the event
         // executes. The engine and the reference hand over the identical
@@ -237,6 +248,7 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
             vtx_freq,
             adapt: _,
             repin: _,
+            filter,
         } = self;
         let (app, cfg, pre, spp) = (*app, *cfg, *pre, *spp);
         let graph = &pre.graph;
@@ -322,23 +334,22 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
         } else {
             (0, false)
         };
-        let mut obs = Tee(
-            TimedObserver {
-                mem,
-                now: issue,
-                freq: vtx_freq,
-            },
-            SinkObserver(&mut *sink),
-        );
-        let step = ex.step_filtered(&mut obs, memo, filter);
+        let mut obs = TimedObserver {
+            mem,
+            now: issue,
+            freq: vtx_freq,
+            sink: &mut *sink,
+        };
+        let step = ex.step_with(&mut obs, memo, filter.as_mut());
+        let finished = obs.now;
         let next_t = match step {
             Step::Rejected => {
                 *candidates += 1;
                 let next_size = (ex.embedding().len() + 1).min(app.max_vertices());
                 candidates_by_size[next_size] += 1;
-                obs.0.now
+                finished
             }
-            Step::Traceback => obs.0.now,
+            Step::Traceback => finished,
             Step::Candidate => {
                 *candidates += 1;
                 let emb = ex.embedding();
@@ -356,15 +367,14 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
                     ex.retract();
                 }
                 // Filter/Process pipeline stage: one extra cycle.
-                obs.0.now + 1
+                finished + 1
             }
             Step::Done => {
                 slots[sid] = None;
                 pus.active_slots[p] -= 1;
-                obs.0.now + 1
+                finished + 1
             }
         };
-        let finished = obs.0.now;
         *max_time = (*max_time).max(finished);
         pu_finish[p] = pu_finish[p].max(finished);
         if S::ACTIVE {
@@ -468,15 +478,19 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
 
     /// Seals the run into a [`RunReport`]. `memo` carries the memo
     /// table's lifetime counters when memoization was active (`None` on
-    /// the `--memo off` path, which must not have probed at all); `query`
-    /// likewise carries the candidate filter's counters for filtered
-    /// runs.
+    /// the `--memo off` path, which must not have probed at all); a
+    /// filtered run's candidate-filter counters become the report's
+    /// query block.
     fn finish<S: TelemetrySink>(
         self,
         sink: &mut S,
         memo: Option<MemoStats>,
-        query: Option<QueryRunStats>,
     ) -> Result<RunReport, SimError> {
+        let query = self.filter.as_ref().map(|f| QueryRunStats {
+            admitted: f.admitted(),
+            probes: f.stats().probes,
+            rejects: f.stats().rejects,
+        });
         debug_assert!(self.pus.roots.iter().all(VecDeque::is_empty));
         match &memo {
             // `--memo off` is the bit-exact reference path: not a single
@@ -609,16 +623,16 @@ impl<'p> Simulator<'p> {
     }
 
     /// Builds the initial [`RunState`] for one run of `app`. When a
-    /// candidate filter is active, initial embeddings outside its
+    /// candidate filter is given, initial embeddings outside its
     /// admission set are pruned before dispatch: every embedding's
     /// minimum-ID vertex is its canonical root, and that vertex is in
     /// the admission set for any embedding the filter preserves, so
     /// pruning loses no match. Root pruning happens at setup time (like
     /// the dispatch itself) and charges no modeled probes.
-    fn start<'s, A: EcmApp, Q: CandidateProbe>(
+    fn start<'s, A: EcmApp>(
         &'s self,
         app: &'s A,
-        filter: &Q,
+        filter: Option<CandidateFilter>,
     ) -> Result<RunState<'s, 'p, A>, SimError> {
         if app.max_vertices() > self.config.ancestor_depth {
             return Err(SimError::DepthExceedsAncestors {
@@ -643,7 +657,7 @@ impl<'p> Simulator<'p> {
         };
         let mut dispatched = 0usize;
         for v in self.pre.graph.vertices() {
-            if Q::ACTIVE && !filter.contains(v) {
+            if filter.as_ref().is_some_and(|f| !f.contains(v)) {
                 continue;
             }
             pus.roots[dispatched % cfg.num_pus].push_back(v);
@@ -710,6 +724,7 @@ impl<'p> Simulator<'p> {
             vtx_freq,
             adapt,
             repin,
+            filter,
         })
     }
 
@@ -726,7 +741,7 @@ impl<'p> Simulator<'p> {
     /// runner's per-point timeout, a daemon job's deadline or step
     /// budget) is spent, with negligible hot-path overhead.
     pub fn run<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
-        self.dispatch(app, &mut NullSink, &mut NoFilter)
+        self.run_with(app, &mut NullSink, None)
     }
 
     /// Runs `app` like [`Simulator::run`] while recording cycle-windowed
@@ -737,56 +752,34 @@ impl<'p> Simulator<'p> {
     /// [`Simulator::run`] produces for the same inputs (asserted by
     /// `tests/telemetry.rs`). The sink hooks ride the existing event
     /// loop; they never schedule events or touch the memory subsystem.
+    ///
+    /// Front ends record telemetry through [`crate::AppSpec::run`]; this
+    /// wrapper stays public for the benchmark harness (`perfbench/`) and
+    /// can go once a benchmark change ports it.
     pub fn run_telemetry<A: EcmApp>(
         &self,
         app: &A,
         tel: &mut Telemetry,
     ) -> Result<RunReport, SimError> {
-        self.dispatch(app, tel, &mut NoFilter)
+        self.run_with(app, tel, None)
     }
 
-    /// Runs a candidate-filtered subgraph query: the LDF → NLF → GQL
-    /// pipeline is computed over the (reordered) data graph, initial
-    /// embeddings outside the admission set are pruned, and every
-    /// examined extension pays one modeled filter probe before the
-    /// extend-check pipeline (see [`gramer_mining::query`]).
-    ///
-    /// Mining results are bit-identical to running the same
-    /// [`QueryApp`] through [`Simulator::run`] — the filter is sound, so
-    /// it only removes extensions that could never reach a match — while
-    /// simulated cycles and energy reflect the pruned extension space
-    /// plus the honest filter-probe cost. The report gains a
-    /// [`QueryRunStats`] block.
-    pub fn run_query(&self, app: &QueryApp) -> Result<RunReport, SimError> {
-        // Candidates are computed over the REORDERED graph — the one the
-        // simulator actually mines.
-        let candidates = CandidateSets::build(&self.pre.graph, app.query());
-        self.dispatch(app, &mut NullSink, &mut CandidateFilter::new(&candidates))
-    }
-
-    /// [`Simulator::run_query`] with cycle-windowed telemetry (the
-    /// filtered analogue of [`Simulator::run_telemetry`]).
-    pub fn run_query_telemetry(
-        &self,
-        app: &QueryApp,
-        tel: &mut Telemetry,
-    ) -> Result<RunReport, SimError> {
-        let candidates = CandidateSets::build(&self.pre.graph, app.query());
-        self.dispatch(app, tel, &mut CandidateFilter::new(&candidates))
-    }
-
-    /// The one dispatch behind every `run*` entry point: builds the memo
-    /// table [`GramerConfig::memo`] asks for and runs the engine.
-    /// `--memo off` instantiates the loop with the zero-sized [`NoMemo`],
-    /// whose `ACTIVE = false` folds every memo branch away, just as
-    /// [`NoFilter`] and [`NullSink`] fold away the filter and telemetry
-    /// hooks. `--memo on` builds one byte-budgeted [`PairMemoTable`]
-    /// shared by all PUs for the whole run.
-    fn dispatch<A: EcmApp, S: TelemetrySink, Q: CandidateProbe>(
+    /// The one run behind every entry point, with every hook chosen by
+    /// the caller: `sink` records telemetry ([`NullSink`] folds its hooks
+    /// away), and `filter`, when given, restricts the run to a query's
+    /// candidates (see [`gramer_mining::query`]): initial embeddings
+    /// outside its admission set are pruned and every examined extension
+    /// pays one modeled filter probe, so the report gains a
+    /// [`QueryRunStats`] block. The memo comes from
+    /// [`GramerConfig::memo`]: `--memo off` instantiates the loop with
+    /// the zero-sized [`NoMemo`], whose `ACTIVE = false` folds every memo
+    /// branch away; `--memo on` builds one byte-budgeted
+    /// [`PairMemoTable`] shared by all PUs for the whole run.
+    pub(crate) fn run_with<A: EcmApp, S: TelemetrySink>(
         &self,
         app: &A,
         sink: &mut S,
-        filter: &mut Q,
+        filter: Option<CandidateFilter>,
     ) -> Result<RunReport, SimError> {
         match self.config.memo {
             MemoMode::Off => self.run_epochs(app, sink, &mut NoMemo, filter),
@@ -823,12 +816,12 @@ impl<'p> Simulator<'p> {
     /// on-chip budget) lands in a bucket, not in the far heap. The pushes
     /// that still overflow reach the sink as the host-side gauge
     /// `calendar_far_pushes`.
-    fn run_epochs<A: EcmApp, S: TelemetrySink, M: MemoProbe, F: CandidateProbe>(
+    fn run_epochs<A: EcmApp, S: TelemetrySink, M: MemoProbe>(
         &self,
         app: &A,
         sink: &mut S,
         memo: &mut M,
-        filter: &mut F,
+        filter: Option<CandidateFilter>,
     ) -> Result<RunReport, SimError> {
         let mut st = self.start(app, filter)?;
         let num_slots = st.slots.len();
@@ -860,7 +853,7 @@ impl<'p> Simulator<'p> {
                         // every live slot event.
                         sink.on_event(t_run, &st.mem, cal.event_count() + 1);
                     }
-                    match st.exec_event(t_run, id, sink, memo, filter) {
+                    match st.exec_event(t_run, id, sink, memo) {
                         Some(next_t) => {
                             if next_t < cal.peek_time() {
                                 // Solo run: strictly earlier than every
@@ -883,21 +876,28 @@ impl<'p> Simulator<'p> {
         }
         sink.on_calendar(cal.far_pushes());
 
-        let query = F::ACTIVE.then(|| query_stats(filter));
-        st.finish(sink, M::ACTIVE.then(|| memo.stats()), query)
+        st.finish(sink, M::ACTIVE.then(|| memo.stats()))
     }
 
     /// Heap-order reference for the engine-equivalence tests: drives the
     /// same [`RunState::exec_event`] from a plain binary min-heap of
     /// `(time, slot)` events — one pop and at most one push per event, no
     /// epochs, no solo fast-forward — so the engine is checked against an
-    /// order that is correct by inspection. Honours the memo and the
-    /// adaptive policies; no option selects it.
+    /// order that is correct by inspection. Honours the memo, the
+    /// adaptive policies and a query's candidate `filter`, exactly as
+    /// [`Simulator::run`] and [`crate::AppSpec::run`] do; no option
+    /// selects it.
     #[doc(hidden)]
-    pub fn run_reference<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
+    pub fn run_reference<A: EcmApp>(
+        &self,
+        app: &A,
+        filter: Option<CandidateFilter>,
+    ) -> Result<RunReport, SimError> {
         match self.config.memo {
-            MemoMode::Off => self.run_heap(app, &mut NoMemo),
-            MemoMode::On { bytes } => self.run_heap(app, &mut PairMemoTable::with_budget(bytes)),
+            MemoMode::Off => self.run_heap(app, &mut NoMemo, filter),
+            MemoMode::On { bytes } => {
+                self.run_heap(app, &mut PairMemoTable::with_budget(bytes), filter)
+            }
         }
     }
 
@@ -905,27 +905,18 @@ impl<'p> Simulator<'p> {
         &self,
         app: &A,
         memo: &mut M,
+        filter: Option<CandidateFilter>,
     ) -> Result<RunReport, SimError> {
-        let mut st = self.start(app, &NoFilter)?;
+        let mut st = self.start(app, filter)?;
         let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0..st.slots.len() as u32)
             .map(|id| Reverse((0, id)))
             .collect();
         while let Some(Reverse((t, id))) = heap.pop() {
-            if let Some(next_t) = st.exec_event(t, id, &mut NullSink, memo, &mut NoFilter) {
+            if let Some(next_t) = st.exec_event(t, id, &mut NullSink, memo) {
                 heap.push(Reverse((next_t, id)));
             }
         }
-        st.finish(&mut NullSink, M::ACTIVE.then(|| memo.stats()), None)
-    }
-}
-
-/// Seals a live filter's counters into the report block.
-fn query_stats<F: CandidateProbe>(filter: &F) -> QueryRunStats {
-    let s = filter.stats();
-    QueryRunStats {
-        admitted: filter.admitted(),
-        probes: s.probes,
-        rejects: s.rejects,
+        st.finish(&mut NullSink, M::ACTIVE.then(|| memo.stats()))
     }
 }
 
@@ -937,11 +928,21 @@ mod tests {
     use crate::progress::{install, Cancelled, ProgressToken};
     use gramer_graph::generate;
     use gramer_mining::apps::{CliqueFinding, MotifCounting};
-    use gramer_mining::{DfsEnumerator, QueryGraph};
+    use gramer_mining::{CandidateSets, DfsEnumerator, QueryApp, QueryGraph};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn small_graph() -> gramer_graph::CsrGraph {
         generate::barabasi_albert(120, 3, 21)
+    }
+
+    /// A candidate-filtered run of `app`, built the way `AppSpec::run`
+    /// builds it: candidates over the reordered graph the simulator mines.
+    fn run_filtered(pre: &Preprocessed, cfg: GramerConfig, app: &QueryApp) -> RunReport {
+        let filter = CandidateFilter::new(&CandidateSets::build(&pre.graph, app.query()));
+        Simulator::new(pre, cfg)
+            .unwrap()
+            .run_with(app, &mut NullSink, Some(filter))
+            .unwrap()
     }
 
     #[test]
@@ -1128,7 +1129,7 @@ mod tests {
             .unwrap()
             .run(&app)
             .unwrap();
-        let filtered = Simulator::new(&pre, cfg).unwrap().run_query(&app).unwrap();
+        let filtered = run_filtered(&pre, cfg, &app);
         // Result-identical at full query size: the filter only skips
         // vertices that cannot appear in any complete match. Partial
         // embeddings MAY shrink — pruning dead-end partials is the point —
@@ -1163,11 +1164,8 @@ mod tests {
         let app = QueryApp::new(query).unwrap();
         let cfg = GramerConfig::default();
         let pre = preprocess(&g, &cfg).unwrap();
-        let a = Simulator::new(&pre, cfg.clone())
-            .unwrap()
-            .run_query(&app)
-            .unwrap();
-        let b = Simulator::new(&pre, cfg).unwrap().run_query(&app).unwrap();
+        let a = run_filtered(&pre, cfg.clone(), &app);
+        let b = run_filtered(&pre, cfg, &app);
         assert_eq!(a.result.embeddings, b.result.embeddings);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.query, b.query);
@@ -1231,7 +1229,7 @@ mod tests {
         for k in [3usize, 4] {
             let app = CliqueFinding::new(k).unwrap();
             let a = sim.run(&app).unwrap();
-            let b = sim.run_reference(&app).unwrap();
+            let b = sim.run_reference(&app, None).unwrap();
             assert_eq!(a.cycles, b.cycles);
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.steals, b.steals);
@@ -1270,12 +1268,7 @@ mod tests {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let _guard = install(ProgressToken::with_budget(None, Some(BUDGET)));
             let sim = Simulator::new(&pre, cfg.clone()).unwrap();
-            sim.run_epochs::<_, CountEvents, NoMemo, NoFilter>(
-                &app,
-                &mut sink,
-                &mut NoMemo,
-                &mut NoFilter,
-            )
+            sim.run_with(&app, &mut sink, None)
         }));
         let payload = match caught {
             Err(p) => p,
@@ -1342,7 +1335,7 @@ mod tests {
         let app = CliqueFinding::new(4).unwrap();
         let sim = Simulator::new(&pre, cfg).unwrap();
         let a = sim.run(&app).unwrap();
-        let b = sim.run_reference(&app).unwrap();
+        let b = sim.run_reference(&app, None).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.memo, b.memo);
@@ -1378,7 +1371,7 @@ mod tests {
         let app = CliqueFinding::new(4).unwrap();
         let sim = Simulator::new(&pre, cfg).unwrap();
         let a = sim.run(&app).unwrap();
-        let b = sim.run_reference(&app).unwrap();
+        let b = sim.run_reference(&app, None).unwrap();
         // The engine and the heap reference execute the identical event
         // sequence, so the adaptive decisions land identically.
         assert_eq!(a.cycles, b.cycles);

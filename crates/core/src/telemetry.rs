@@ -40,16 +40,16 @@
 //!
 //! Every simulated quantity in the document is invariant under the
 //! host-side access-path choice, exactly like the golden run reports.
-//! Host-side gauges — the fast-path-lane tallies, which vary with the
-//! access path, and the event calendar's far-heap push count
-//! (`calendar_far_pushes`) — are quarantined under the top-level
-//! `"host"` key, which the golden snapshot test strips before comparing
-//! bytes.
+//! Host-side gauges — the fast-lane tallies, which vary with the access
+//! path (`fast_path_hits` counts both pinned lanes, `ultra_lane_hits`
+//! the arithmetic ultra lane alone), and the event calendar's far-heap
+//! push count (`calendar_far_pushes`) — are quarantined under the
+//! top-level `"host"` key, which the golden snapshot test strips before
+//! comparing bytes.
 
 use crate::json::JsonValue;
-use gramer_graph::VertexId;
 use gramer_memsim::{DataKind, MemStats, MemorySubsystem};
-use gramer_mining::{AccessObserver, Step, MAX_EMBEDDING};
+use gramer_mining::{Step, MAX_EMBEDDING};
 
 /// Telemetry document schema version. Bump on any change to the JSON
 /// layout emitted by [`Telemetry::to_json_value`].
@@ -207,39 +207,6 @@ impl TelemetrySink for NullSink {
     const ACTIVE: bool = false;
 }
 
-/// Adapts a [`TelemetrySink`] into an [`AccessObserver`], so the
-/// simulator can tee its timing observer with the sink
-/// ([`gramer_mining::Tee`]) and count accesses by embedding size.
-#[derive(Debug)]
-pub struct SinkObserver<'a, S: TelemetrySink>(pub &'a mut S);
-
-impl<S: TelemetrySink> AccessObserver for SinkObserver<'_, S> {
-    #[inline]
-    fn vertex_access(&mut self, _v: VertexId, size: usize) {
-        self.0.on_vertex_access(size);
-    }
-
-    #[inline]
-    fn edge_access(&mut self, _slot: usize, _src: VertexId, size: usize) {
-        self.0.on_edge_access(size);
-    }
-
-    #[inline]
-    fn memo_hit(&mut self, size: usize) {
-        self.0.on_memo_hit(size);
-    }
-
-    #[inline]
-    fn memo_miss(&mut self, size: usize) {
-        self.0.on_memo_miss(size);
-    }
-
-    #[inline]
-    fn memo_evict(&mut self, size: usize) {
-        self.0.on_memo_evict(size);
-    }
-}
-
 /// One cycle window's accumulators. Counter fields add under coalescing;
 /// gauge fields take the maximum.
 #[derive(Debug, Clone, Default)]
@@ -339,23 +306,21 @@ impl Window {
 /// The recording sink: accumulates cycle-windowed time series during one
 /// simulator run and renders them as JSON or a human-readable rollup.
 ///
-/// Construct one per run, pass it to
-/// [`crate::Simulator::run_telemetry`], then read the results:
+/// Construct one per run, pass it to [`crate::AppSpec::run`], then read
+/// the results:
 ///
 /// ```
-/// use gramer::{preprocess, GramerConfig, Simulator, Telemetry, TelemetryConfig};
+/// use gramer::{preprocess, AppSpec, GramerConfig, Telemetry, TelemetryConfig};
 /// use gramer_graph::generate;
-/// use gramer_mining::apps::CliqueFinding;
 ///
 /// let g = generate::barabasi_albert(120, 3, 21);
 /// let cfg = GramerConfig::default();
 /// let pre = preprocess(&g, &cfg).unwrap();
-/// let sim = Simulator::new(&pre, cfg).unwrap();
+/// let app: AppSpec = "4-cf".parse().unwrap();
 /// let mut tel = Telemetry::new(TelemetryConfig::default());
-/// let app = CliqueFinding::new(4).unwrap();
-/// let with_tel = sim.run_telemetry(&app, &mut tel).unwrap();
+/// let with_tel = app.run(&pre, cfg.clone(), Some(&mut tel)).unwrap();
 /// // Recording never changes a simulated quantity.
-/// let plain = sim.run(&app).unwrap();
+/// let plain = app.run(&pre, cfg, None).unwrap();
 /// assert_eq!(with_tel.cycles, plain.cycles);
 /// let doc = tel.to_json_value();
 /// assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(2));
@@ -385,6 +350,8 @@ pub struct Telemetry {
     lambda_last: f64,
     /// Host-side: event-calendar pushes past its near window.
     calendar_far_pushes: u64,
+    /// Host-side: pinned hits the ultra lane alone served, read at finish.
+    ultra_lane_hits: u64,
 }
 
 impl Telemetry {
@@ -411,6 +378,7 @@ impl Telemetry {
             edge_by_size: Vec::new(),
             lambda_last: 0.0,
             calendar_far_pushes: 0,
+            ultra_lane_hits: 0,
         }
     }
 
@@ -520,6 +488,7 @@ impl TelemetrySink for Telemetry {
         self.edge_by_size = vec![0; MAX_EMBEDDING + 1];
         self.lambda_last = 0.0;
         self.calendar_far_pushes = 0;
+        self.ultra_lane_hits = 0;
     }
 
     fn on_event(&mut self, now: u64, mem: &MemorySubsystem, queue_depth: usize) {
@@ -611,6 +580,7 @@ impl TelemetrySink for Telemetry {
 
     fn on_finish(&mut self, cycles: u64, mem: &MemorySubsystem) {
         self.cycles = cycles;
+        self.ultra_lane_hits = mem.ultra_lane_hits();
         let cur = self.cur;
         self.advance_to(cur, mem);
     }
@@ -724,6 +694,7 @@ impl Telemetry {
                 "fast_path_hits",
                 JsonValue::from(self.windows.iter().map(|w| w.fast_hits).sum::<u64>()),
             ),
+            ("ultra_lane_hits", JsonValue::from(self.ultra_lane_hits)),
             (
                 "calendar_far_pushes",
                 JsonValue::from(self.calendar_far_pushes),

@@ -203,10 +203,14 @@ struct KindState {
     /// from one shared mask). `0` when the scratchpad is empty or not
     /// prefix-shaped, which disables the fast lane for this kind.
     pin_prefix: u64,
-    /// Pinned hits resolved by the fast lane. Folded into
-    /// [`MemorySubsystem::stats`] (the lane never touches the banks), so
+    /// Pinned hits resolved by the arithmetic ultra lane.
+    ultra_hits: u64,
+    /// Pinned hits resolved by the middle lane: the exact port/FIFO
+    /// machinery with the outcome pre-classified (the ultra lane's
+    /// contended fallback). Both lane counters are folded into
+    /// [`MemorySubsystem::stats`] (neither lane touches the banks), so
     /// aggregated statistics stay identical to the exact path.
-    fast_hp_hits: u64,
+    middle_hits: u64,
 }
 
 /// Ports stored inline in [`PartHot`]; real configurations model
@@ -356,7 +360,8 @@ impl MemorySubsystem {
                 route_bits,
                 route_mask: (1u64 << route_bits) - 1,
                 pin_prefix,
-                fast_hp_hits: 0,
+                ultra_hits: 0,
+                middle_hits: 0,
             })
         };
         let partitions = config.partitions as u64;
@@ -450,7 +455,7 @@ impl MemorySubsystem {
                                     Some(b) => b[0] = finish,
                                 }
                             }
-                            st.fast_hp_hits += 1;
+                            st.ultra_hits += 1;
                             return Completion {
                                 finish,
                                 outcome: AccessOutcome::HighPriorityHit,
@@ -473,7 +478,7 @@ impl MemorySubsystem {
     ///
     /// `pinned` is the fast lane's pre-classification: `true` means the
     /// prefix compare already proved a `HighPriorityHit`, so the bank
-    /// walk is skipped and the hit is tallied in the fast-lane counter
+    /// walk is skipped and the hit is tallied in the middle-lane counter
     /// (both call sites pass a literal, so the branch constant-folds).
     #[inline]
     fn access_timed(
@@ -501,7 +506,7 @@ impl MemorySubsystem {
                 Some(_) => (unit & (partitions - 1)) as usize,
                 None => (unit % partitions) as usize,
             };
-            st.fast_hp_hits += 1;
+            st.middle_hits += 1;
             Classified {
                 part: p,
                 unit,
@@ -745,18 +750,27 @@ impl MemorySubsystem {
         for b in &self.edge.banks {
             stats.edge += *b.stats();
         }
-        stats.vertex.high_priority_hits += self.vertex.fast_hp_hits;
-        stats.edge.high_priority_hits += self.edge.fast_hp_hits;
+        stats.vertex.high_priority_hits += self.vertex.ultra_hits + self.vertex.middle_hits;
+        stats.edge.high_priority_hits += self.edge.ultra_hits + self.edge.middle_hits;
         stats
     }
 
-    /// Timed accesses resolved by the pinned-run fast lane (host-side
+    /// Timed accesses resolved by either pinned fast lane — the ultra
+    /// lane plus its pre-classified middle-lane fallback (host-side
     /// diagnostic; always `0` under [`AccessPath::Exact`]). Together with
     /// [`Self::stats`]'s total this exposes the fallback rate, which the
     /// differential tests use to prove a config actually exercises the
     /// fast/exact boundary.
     pub fn fast_path_hits(&self) -> u64 {
-        self.vertex.fast_hp_hits + self.edge.fast_hp_hits
+        self.ultra_lane_hits() + self.vertex.middle_hits + self.edge.middle_hits
+    }
+
+    /// Timed accesses resolved by the arithmetic ultra lane alone (a
+    /// subset of [`Self::fast_path_hits`]; the rest took the middle
+    /// lane's port/FIFO machinery). Host-side diagnostic, always `0`
+    /// under [`AccessPath::Exact`].
+    pub fn ultra_lane_hits(&self) -> u64 {
+        self.vertex.ultra_hits + self.edge.ultra_hits
     }
 
     /// Total DRAM requests issued.
@@ -813,7 +827,8 @@ impl MemorySubsystem {
                 h.fifo.clear();
             }
             st.ports_spill.fill(0);
-            st.fast_hp_hits = 0;
+            st.ultra_hits = 0;
+            st.middle_hits = 0;
         }
         self.prefetches = 0;
         self.memo_lookups = 0;
@@ -1112,12 +1127,28 @@ mod tests {
             now = a.finish;
         }
         // Six of the eight accesses were pinned-prefix hits; every one
-        // went through a fast lane, none through exact mode's counter.
+        // went through a fast lane (the ultra lane: each found its port
+        // and FIFO idle), none through exact mode's counter.
         assert_eq!(fast.fast_path_hits(), 6);
+        assert_eq!(fast.ultra_lane_hits(), 6);
+        assert_eq!(exact.fast_path_hits(), 0);
+        // Two same-cycle pinned accesses to one partition (items 0 and 2
+        // route to partition 0): the first finds the bank idle and takes
+        // the ultra lane; the second sees the first's FIFO entry still in
+        // flight and takes the middle lane.
+        now += 1000;
+        for item in [0u64, 2] {
+            let a = fast.access(DataKind::Vertex, item, item as u32, now);
+            let b = exact.access(DataKind::Vertex, item, item as u32, now);
+            assert_eq!(a, b, "same-cycle item {item}");
+        }
+        assert_eq!(fast.ultra_lane_hits(), 7);
+        assert_eq!(fast.fast_path_hits(), 8);
+        assert_eq!(exact.ultra_lane_hits(), 0);
         assert_eq!(exact.fast_path_hits(), 0);
         // The folded statistics agree exactly.
         assert_eq!(fast.stats(), exact.stats());
-        assert_eq!(fast.stats().vertex.high_priority_hits, 6);
+        assert_eq!(fast.stats().vertex.high_priority_hits, 8);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::embedding::Embedding;
 use crate::explorer::{Explorer, Step};
 use crate::observer::{AccessObserver, NullObserver};
 use crate::pattern::PatternInterner;
-use crate::query::{CandidateProbe, NoFilter};
 use gramer_graph::CsrGraph;
 
 /// The depth-first enumerator — the computational model GRAMER adopts
@@ -44,23 +43,6 @@ impl<'g> DfsEnumerator<'g> {
         app: &A,
         observer: &mut O,
     ) -> MiningResult {
-        self.run_filtered(app, observer, &mut NoFilter)
-    }
-
-    /// [`Self::run_with_observer`] with a candidate filter: initial
-    /// embeddings outside the filter's admission set are pruned before an
-    /// explorer is created (every embedding's minimum-ID vertex is its
-    /// canonical root, so a pruned root loses no match), and each
-    /// examined extension consults the filter via
-    /// [`Explorer::step_filtered`]. With [`NoFilter`] this is exactly
-    /// [`Self::run_with_observer`]. This is the reference loop the
-    /// accelerator simulator's filtered runs are pinned against.
-    pub fn run_filtered<A: EcmApp, O: AccessObserver, Q: CandidateProbe>(
-        &self,
-        app: &A,
-        observer: &mut O,
-        filter: &mut Q,
-    ) -> MiningResult {
         let mut interner = PatternInterner::new();
         let mut counts = PatternCounts::new();
         let mut embeddings = 0u64;
@@ -70,12 +52,9 @@ impl<'g> DfsEnumerator<'g> {
         let mut candidates_by_size = vec![0u64; max + 1];
 
         for root in self.graph.vertices() {
-            if Q::ACTIVE && !filter.contains(root) {
-                continue;
-            }
             let mut ex = Explorer::new(self.graph, root);
             loop {
-                match ex.step_filtered(observer, &mut crate::NoMemo, filter) {
+                match ex.step(observer) {
                     Step::Candidate => {
                         candidates += 1;
                         let emb = ex.embedding();

@@ -31,7 +31,7 @@
 use crate::embedding::{Embedding, MAX_EMBEDDING};
 use crate::memo::{MemoProbe, NoMemo};
 use crate::observer::AccessObserver;
-use crate::query::{CandidateProbe, NoFilter};
+use crate::query::CandidateFilter;
 use gramer_graph::{AdjProbe, CsrGraph, VertexId};
 
 /// Result of one [`Explorer::step`].
@@ -227,18 +227,15 @@ impl<'g> Explorer<'g> {
     /// (call [`descend`](Self::descend) or [`retract`](Self::retract)
     /// first).
     pub fn step<O: AccessObserver>(&mut self, observer: &mut O) -> Step {
-        self.step_memo(observer, &mut NoMemo)
+        self.step_with(observer, &mut NoMemo, None)
     }
 
     /// [`Self::step`] with a connectivity-probe memo (see
-    /// [`crate::PairMemoTable`]). Every pairwise connectivity check first
-    /// consults `memo`: a hit skips the probe's three memory accesses and
-    /// reports [`AccessObserver::memo_hit`] instead; a miss resolves
-    /// honestly and records the outcome. With [`NoMemo`] (what
-    /// [`Self::step`] passes) all memo branches constant-fold away, so
-    /// the reference path is machine-code identical to the pre-memo
-    /// explorer. Mined embeddings are bit-identical either way:
-    /// connectivity is a pure function of the immutable graph.
+    /// [`crate::PairMemoTable`]): [`Self::step_with`] without a
+    /// candidate filter. It stays public for the benchmark harness
+    /// (`perfbench/`), which steps its own [`MemoProbe`] through it, and
+    /// can fold into `step_with` once a benchmark change ports that
+    /// harness.
     ///
     /// # Panics
     ///
@@ -248,18 +245,25 @@ impl<'g> Explorer<'g> {
         observer: &mut O,
         memo: &mut M,
     ) -> Step {
-        self.step_filtered(observer, memo, &mut NoFilter)
+        self.step_with(observer, memo, None)
     }
 
-    /// [`Self::step_memo`] with a candidate filter (see
-    /// [`crate::CandidateFilter`]). When `Q::ACTIVE`, every examined
-    /// adjacency slot consults the filter before any connectivity work:
+    /// The one stepper behind [`Self::step`] and [`Self::step_memo`].
+    ///
+    /// Every pairwise connectivity check first consults `memo`: a hit
+    /// skips the probe's three memory accesses and reports
+    /// [`AccessObserver::memo_hit`] instead; a miss resolves honestly and
+    /// records the outcome. With [`NoMemo`] (what [`Self::step`] passes)
+    /// all memo branches constant-fold away. Mined embeddings are
+    /// bit-identical either way: connectivity is a pure function of the
+    /// immutable graph.
+    ///
+    /// With a candidate `filter` (see [`CandidateFilter`]), every
+    /// examined adjacency slot consults it before any connectivity work:
     /// one [`AccessObserver::filter_probe`] is reported (the modeled
     /// filter-SRAM read) and non-candidates are rejected immediately,
     /// skipping the entire extend-check pipeline and the subtree below.
-    /// With [`NoFilter`] (what [`Self::step_memo`] passes) the filter
-    /// branches constant-fold away, so the unfiltered path is
-    /// machine-code identical to the pre-query explorer.
+    /// Without one, the check is a single never-taken branch.
     ///
     /// Rejecting non-candidates is lossless for query workloads: every
     /// vertex of every embedding matching the query survives the sound
@@ -269,11 +273,11 @@ impl<'g> Explorer<'g> {
     /// # Panics
     ///
     /// Panics if called while a [`Step::Candidate`] decision is pending.
-    pub fn step_filtered<O: AccessObserver, M: MemoProbe, Q: CandidateProbe>(
+    pub fn step_with<O: AccessObserver, M: MemoProbe>(
         &mut self,
         observer: &mut O,
         memo: &mut M,
-        filter: &mut Q,
+        filter: Option<&mut CandidateFilter>,
     ) -> Step {
         assert!(
             !self.pending,
@@ -328,7 +332,7 @@ impl<'g> Explorer<'g> {
         observer.edge_access(slot, vj, size);
         let w = self.graph.adjacency_at(slot);
 
-        if Q::ACTIVE {
+        if let Some(filter) = filter {
             // Candidate-filter admission: one modeled filter-SRAM read,
             // ahead of every connectivity probe the rejection saves.
             let admitted = filter.admits(w);

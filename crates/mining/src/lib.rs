@@ -63,9 +63,8 @@ pub use embedding::{Embedding, MAX_EMBEDDING};
 pub use enumerate::{BfsEnumerator, BfsLevelStats, DfsEnumerator};
 pub use explorer::{Explorer, Step};
 pub use memo::{MemoProbe, MemoStats, NoMemo, PairMemoTable, DEFAULT_MEMO_BYTES, MEMO_ENTRY_BYTES};
-pub use observer::{AccessObserver, CountingObserver, NullObserver, Tee};
+pub use observer::{AccessObserver, CountingObserver, NullObserver};
 pub use pattern::{Pattern, PatternId, PatternInterner};
 pub use query::{
-    CandidateFilter, CandidateProbe, CandidateSets, FilterPipelineStats, FilterProbeStats,
-    NoFilter, QueryApp, QueryGraph,
+    CandidateFilter, CandidateSets, FilterPipelineStats, FilterProbeStats, QueryApp, QueryGraph,
 };

@@ -81,54 +81,6 @@ impl AccessObserver for CountingObserver {
     }
 }
 
-/// Forwards every access to two observers, in order.
-///
-/// The simulator composes its timing observer with a telemetry sink this
-/// way: the first observer charges the access to the memory model, the
-/// second only counts. With a no-op second observer the compiler erases
-/// the tee entirely, so the composed form costs nothing when telemetry is
-/// disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: AccessObserver, B: AccessObserver> AccessObserver for Tee<A, B> {
-    #[inline]
-    fn vertex_access(&mut self, v: VertexId, size: usize) {
-        self.0.vertex_access(v, size);
-        self.1.vertex_access(v, size);
-    }
-
-    #[inline]
-    fn edge_access(&mut self, slot: usize, src: VertexId, size: usize) {
-        self.0.edge_access(slot, src, size);
-        self.1.edge_access(slot, src, size);
-    }
-
-    #[inline]
-    fn memo_hit(&mut self, size: usize) {
-        self.0.memo_hit(size);
-        self.1.memo_hit(size);
-    }
-
-    #[inline]
-    fn memo_miss(&mut self, size: usize) {
-        self.0.memo_miss(size);
-        self.1.memo_miss(size);
-    }
-
-    #[inline]
-    fn memo_evict(&mut self, size: usize) {
-        self.0.memo_evict(size);
-        self.1.memo_evict(size);
-    }
-
-    #[inline]
-    fn filter_probe(&mut self, admitted: bool, size: usize) {
-        self.0.filter_probe(admitted, size);
-        self.1.filter_probe(admitted, size);
-    }
-}
-
 impl<T: AccessObserver + ?Sized> AccessObserver for &mut T {
     fn vertex_access(&mut self, v: VertexId, size: usize) {
         (**self).vertex_access(v, size);
@@ -167,17 +119,6 @@ mod tests {
         c.edge_access(6, 0, 2);
         assert_eq!(c.vertex_accesses, 1);
         assert_eq!(c.edge_accesses, 2);
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let mut t = Tee(CountingObserver::default(), CountingObserver::default());
-        t.vertex_access(1, 1);
-        t.edge_access(2, 1, 2);
-        assert_eq!(t.0.vertex_accesses, 1);
-        assert_eq!(t.1.vertex_accesses, 1);
-        assert_eq!(t.0.edge_accesses, 1);
-        assert_eq!(t.1.edge_accesses, 1);
     }
 
     #[test]

@@ -23,12 +23,10 @@
 //! match: the DFS path that discovers an embedding only ever holds
 //! subsets of that embedding's vertex set, all of which are admitted.
 //!
-//! [`CandidateFilter`] packages the union set behind the
-//! [`CandidateProbe`] trait — the same const-generic pattern as
-//! [`crate::MemoProbe`] — so the unfiltered path monomorphizes with
-//! [`NoFilter`] to the exact machine code it had before this module
-//! existed, while filtered runs charge one modeled filter-SRAM probe per
-//! examined candidate.
+//! [`CandidateFilter`] packages the union set as a plain value: the
+//! explorer takes an `Option<&mut CandidateFilter>`, so an unfiltered
+//! run pays one never-taken branch per examined slot, while filtered
+//! runs charge one modeled filter-SRAM probe per examined candidate.
 
 use crate::apps::SubgraphMatching;
 use crate::counts::PatternCounts;
@@ -514,7 +512,7 @@ impl CandidateSets {
     }
 }
 
-/// Probe counters of a [`CandidateFilter`] (all-zero for [`NoFilter`]).
+/// Probe counters of a [`CandidateFilter`].
 ///
 /// Kept separate from the memory subsystem's stats for the same reason
 /// [`crate::MemoStats`] is: a filter probe is an access to a dedicated
@@ -525,49 +523,6 @@ pub struct FilterProbeStats {
     pub probes: u64,
     /// Probes that rejected the candidate (subtree never descended).
     pub rejects: u64,
-}
-
-/// The explorer's view of a candidate filter: either the real
-/// [`CandidateFilter`] or the free [`NoFilter`]. Mirrors
-/// [`crate::MemoProbe`]: every filter touch is guarded by `if Q::ACTIVE`,
-/// so the unfiltered path monomorphizes the branches away entirely.
-pub trait CandidateProbe {
-    /// Whether this probe can ever reject a candidate.
-    const ACTIVE: bool;
-
-    /// Admission check for an extension candidate; counts one probe.
-    fn admits(&mut self, v: VertexId) -> bool;
-
-    /// Membership check without charging a probe — used for root
-    /// pruning, which happens at setup time, outside the modeled
-    /// per-step pipeline.
-    fn contains(&self, _v: VertexId) -> bool {
-        true
-    }
-
-    /// Number of vertices in the admission set (`0` for an inactive
-    /// probe, which admits everything without a set).
-    fn admitted(&self) -> u64 {
-        0
-    }
-
-    /// Lifetime probe counters.
-    fn stats(&self) -> FilterProbeStats {
-        FilterProbeStats::default()
-    }
-}
-
-/// The always-open filter: a ZST whose checks fold to `true`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFilter;
-
-impl CandidateProbe for NoFilter {
-    const ACTIVE: bool = false;
-
-    #[inline]
-    fn admits(&mut self, _v: VertexId) -> bool {
-        true
-    }
 }
 
 /// The live candidate filter: the union bitmap of a [`CandidateSets`]
@@ -586,13 +541,10 @@ impl CandidateFilter {
             stats: FilterProbeStats::default(),
         }
     }
-}
 
-impl CandidateProbe for CandidateFilter {
-    const ACTIVE: bool = true;
-
+    /// Admission check for an extension candidate; counts one probe.
     #[inline]
-    fn admits(&mut self, v: VertexId) -> bool {
+    pub fn admits(&mut self, v: VertexId) -> bool {
         self.stats.probes += 1;
         let ok = self.union.contains(v);
         if !ok {
@@ -601,16 +553,21 @@ impl CandidateProbe for CandidateFilter {
         ok
     }
 
+    /// Membership check without charging a probe — used for root
+    /// pruning, which happens at setup time, outside the modeled
+    /// per-step pipeline.
     #[inline]
-    fn contains(&self, v: VertexId) -> bool {
+    pub fn contains(&self, v: VertexId) -> bool {
         self.union.contains(v)
     }
 
-    fn admitted(&self) -> u64 {
+    /// Number of vertices in the admission set.
+    pub fn admitted(&self) -> u64 {
         self.union.count() as u64
     }
 
-    fn stats(&self) -> FilterProbeStats {
+    /// Lifetime probe counters.
+    pub fn stats(&self) -> FilterProbeStats {
         self.stats
     }
 }
@@ -681,21 +638,21 @@ impl EcmApp for QueryApp {
 /// unfiltered embedding set" checks. Runs the same canonical-DFS
 /// explorer as the engines, optionally restricted to `filter`'s
 /// admission set (with root pruning).
-pub fn enumerate_matches<A: EcmApp, Q: CandidateProbe>(
+pub fn enumerate_matches<A: EcmApp>(
     graph: &CsrGraph,
     app: &A,
-    filter: &mut Q,
+    mut filter: Option<&mut CandidateFilter>,
 ) -> Vec<Vec<VertexId>> {
     let max = app.max_vertices();
     let mut out = Vec::new();
     let mut observer = crate::observer::NullObserver;
     for root in graph.vertices() {
-        if Q::ACTIVE && !filter.contains(root) {
+        if filter.as_ref().is_some_and(|f| !f.contains(root)) {
             continue;
         }
         let mut ex = Explorer::new(graph, root);
         loop {
-            match ex.step_filtered(&mut observer, &mut crate::NoMemo, filter) {
+            match ex.step_with(&mut observer, &mut crate::NoMemo, filter.as_deref_mut()) {
                 Step::Candidate => {
                     let emb = *ex.embedding();
                     if app.filter(graph, &emb) {
@@ -932,10 +889,10 @@ mod tests {
             Ok(a) => a,
             Err(e) => panic!("app: {e}"),
         };
-        let brute = enumerate_matches(&g, &app, &mut NoFilter);
+        let brute = enumerate_matches(&g, &app, None);
         let c = CandidateSets::build(&g, &q);
         let mut filter = CandidateFilter::new(&c);
-        let filtered = enumerate_matches(&g, &app, &mut filter);
+        let filtered = enumerate_matches(&g, &app, Some(&mut filter));
         assert_eq!(brute, filtered, "filtered must lose no matches");
         let joined = match_query(&g, &q, &c);
         assert_eq!(brute, joined, "candidate-join matcher must agree");
@@ -952,15 +909,6 @@ mod tests {
                 assert!(c.union().contains(v), "match vertex {v} pruned");
             }
         }
-    }
-
-    #[test]
-    fn no_filter_is_inert() {
-        let mut f = NoFilter;
-        assert!(!NoFilter::ACTIVE);
-        assert!(f.admits(7));
-        assert!(f.contains(7));
-        assert_eq!(f.stats(), FilterProbeStats::default());
     }
 
     #[test]

@@ -38,6 +38,10 @@
 #           byte-identical again; a --max-steps 1 job ends timed_out
 #           however fast it runs, and --deadline -1 is a usage error
 #           (see docs/DESIGN.md, service architecture)
+#   perfbench  build and unit-test the benchmark harness (perfbench/, its
+#           own package outside the workspace, so no other stage compiles
+#           it): a reshaped simulator API it calls fails here, not first
+#           in a benchmark run
 #   all     every stage above (the default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -309,6 +313,12 @@ stage_serve() {
     echo "   -- serve stage green"
 }
 
+stage_perfbench() {
+    echo "== tier1: perfbench build + unit tests (release, own lockfile)"
+    CARGO_TARGET_DIR=target/perfbench cargo test --release --offline --locked \
+        --manifest-path perfbench/Cargo.toml
+}
+
 stage_all() {
     stage_fmt
     stage_build
@@ -320,17 +330,18 @@ stage_all() {
     stage_bench
     stage_artifact
     stage_serve
+    stage_perfbench
     echo "== tier1: all green"
 }
 
 stage="${1:-all}"
 case "$stage" in
-    fmt|build|test|golden|query|doc|clippy|bench|artifact|serve|all)
+    fmt|build|test|golden|query|doc|clippy|bench|artifact|serve|perfbench|all)
         "stage_$stage"
         ;;
     *)
         echo "unknown stage: $stage" >&2
-        echo "usage: $0 [fmt|build|test|golden|query|doc|clippy|bench|artifact|serve|all]" >&2
+        echo "usage: $0 [fmt|build|test|golden|query|doc|clippy|bench|artifact|serve|perfbench|all]" >&2
         exit 2
         ;;
 esac

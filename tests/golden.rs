@@ -336,7 +336,7 @@ fn epoch_engine_matches_interleaved_on_golden_workloads() {
         let pre = preprocess(graph, &cfg).unwrap();
         let sim = Simulator::new(&pre, cfg).unwrap();
         let engine = sim.run(app).unwrap();
-        let reference = sim.run_reference(app).unwrap();
+        let reference = sim.run_reference(app, None).unwrap();
         assert_eq!(
             engine.to_json_value().to_string(),
             reference.to_json_value().to_string(),

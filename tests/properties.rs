@@ -601,7 +601,7 @@ fn fast_path_matches_exact_path_full_sim() {
 /// agrees.
 fn assert_engine_matches_reference(sim: &Simulator, app: &MotifCounting, seed: u64) {
     let a = sim.run(app).expect("runs");
-    let b = sim.run_reference(app).expect("runs");
+    let b = sim.run_reference(app, None).expect("runs");
     assert_eq!(a.cycles, b.cycles, "seed {seed}");
     assert_eq!(a.steps, b.steps, "seed {seed}");
     assert_eq!(a.steals, b.steals, "seed {seed}");

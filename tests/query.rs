@@ -19,10 +19,10 @@
 //! labeled graphs × random connected queries each; every failure
 //! message carries the case seed.
 
-use gramer_suite::gramer::{preprocess, GramerConfig, Simulator};
+use gramer_suite::gramer::{preprocess, AppSpec, GramerConfig, Preprocessed, RunReport, Simulator};
 use gramer_suite::gramer_graph::{generate, CsrGraph};
 use gramer_suite::gramer_mining::query::{enumerate_matches, match_query};
-use gramer_suite::gramer_mining::{CandidateFilter, CandidateSets, NoFilter, QueryApp, QueryGraph};
+use gramer_suite::gramer_mining::{CandidateFilter, CandidateSets, QueryApp, QueryGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,6 +79,12 @@ const PINNED: &[PinnedQuery] = &[
     },
 ];
 
+/// The filtered run every front end makes of a `query:` app.
+fn run_query(pre: &Preprocessed, cfg: &GramerConfig, query: QueryGraph) -> RunReport {
+    let app = AppSpec::Query(QueryApp::new(query).unwrap());
+    app.run(pre, cfg.clone(), None).unwrap()
+}
+
 /// Sorted full-size embedding vertex-sets, deduplicated — the canonical
 /// "what did we find" value for set-equality comparisons.
 fn canonical(mut sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
@@ -96,18 +102,30 @@ fn pinned_queries_hold_across_the_matrix() {
         let query = QueryGraph::from_spec(pq.spec).unwrap();
         let k = query.num_vertices();
         let app = QueryApp::new(query).unwrap();
-        let brute = Simulator::new(&pre, cfg.clone())
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        let filtered = Simulator::new(&pre, cfg.clone())
-            .unwrap()
-            .run_query(&app)
-            .unwrap();
+        let sim = Simulator::new(&pre, cfg.clone()).unwrap();
+        let brute = sim.run(&app).unwrap();
+        let filtered = run_query(&pre, &cfg, query);
         assert_eq!(
             filtered.result.total_at(k),
             brute.result.total_at(k),
             "{}: filtered diverged from brute",
+            pq.spec
+        );
+        // The event engine runs the filtered query exactly as the
+        // heap-order reference does, given the same filter: candidates
+        // over the reordered graph the simulator mines.
+        let filter = CandidateFilter::new(&CandidateSets::build(&pre.graph, &query));
+        let reference = sim.run_reference(&app, Some(filter)).unwrap();
+        assert_eq!(
+            filtered.to_json_value().to_string(),
+            reference.to_json_value().to_string(),
+            "{}: filtered engine diverged from the heap-order reference",
+            pq.spec
+        );
+        assert_eq!(
+            filtered.result.counts.sorted(),
+            reference.result.counts.sorted(),
+            "{}: filtered engine diverged from the heap-order reference",
             pq.spec
         );
         assert_eq!(
@@ -143,8 +161,8 @@ fn pinned_queries_filtered_embeddings_are_bit_identical() {
         let app = QueryApp::new(query.clone()).unwrap();
         let candidates = CandidateSets::build(&pre.graph, &query);
         let mut filter = CandidateFilter::new(&candidates);
-        let brute = canonical(enumerate_matches(&pre.graph, &app, &mut NoFilter));
-        let filtered = canonical(enumerate_matches(&pre.graph, &app, &mut filter));
+        let brute = canonical(enumerate_matches(&pre.graph, &app, None));
+        let filtered = canonical(enumerate_matches(&pre.graph, &app, Some(&mut filter)));
         assert_eq!(filtered, brute, "{}: embedding sets differ", pq.spec);
         let joined = canonical(match_query(&pre.graph, &query, &candidates));
         assert_eq!(
@@ -202,8 +220,8 @@ fn prop_filtered_enumeration_equals_unfiltered() {
         let app = QueryApp::new(query.clone()).expect("valid query");
         let candidates = CandidateSets::build(&graph, &query);
         let mut filter = CandidateFilter::new(&candidates);
-        let brute = canonical(enumerate_matches(&graph, &app, &mut NoFilter));
-        let filtered = canonical(enumerate_matches(&graph, &app, &mut filter));
+        let brute = canonical(enumerate_matches(&graph, &app, None));
+        let filtered = canonical(enumerate_matches(&graph, &app, Some(&mut filter)));
         assert_eq!(
             filtered, brute,
             "seed {seed}: filtered enumeration diverged for query {query}"
@@ -245,7 +263,7 @@ fn prop_candidate_sets_cover_all_matched_vertices() {
             .unwrap()
             .run(&app)
             .unwrap();
-        let filtered = Simulator::new(&pre, cfg).unwrap().run_query(&app).unwrap();
+        let filtered = run_query(&pre, &cfg, query);
         let k = query.num_vertices();
         assert_eq!(
             filtered.result.total_at(k),

@@ -18,7 +18,7 @@
 
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
-use gramer::{preprocess, GramerConfig, RunReport, Simulator};
+use gramer::{preprocess, AppSpec, GramerConfig, RunReport, Simulator};
 use gramer_graph::generate::{self, RmatParams};
 use gramer_graph::CsrGraph;
 use gramer_memsim::DramConfig;
@@ -106,6 +106,22 @@ fn telemetry_never_perturbs_the_simulation() {
         semantic_view(&observed),
         "R-MAT(2^8) x MC(3): telemetry perturbed the simulation"
     );
+
+    // A labeled query runs candidate-filtered; `AppSpec::run` is the one
+    // place that pairs its filter with a recording sink.
+    let labeled = generate::with_random_labels(&ba_graph(), 6, 3);
+    let pre = preprocess(&labeled, &cfg).unwrap();
+    let app: AppSpec = "query:1,2,3:0-1,1-2".parse().unwrap();
+    let plain = app.run(&pre, cfg.clone(), None).unwrap();
+    let mut tel = Telemetry::new(TelemetryConfig::default());
+    let observed = app.run(&pre, cfg.clone(), Some(&mut tel)).unwrap();
+    assert!(plain.query.is_some(), "a query run reports its filter");
+    assert_eq!(
+        plain.to_json_value().to_string(),
+        observed.to_json_value().to_string(),
+        "labeled BA(200,3) x query: telemetry perturbed the filtered simulation"
+    );
+    assert_eq!(semantic_view(&plain), semantic_view(&observed));
 }
 
 /// Removes the top-level `"host"` section — the only part of the

@@ -10,8 +10,9 @@ use std::sync::Arc;
 pub struct Preprocessed {
     /// The reordered graph the accelerator mines.
     pub graph: CsrGraph,
-    /// The permutation applied (maps results back to original IDs).
-    pub reordering: reorder::Reordered,
+    /// The permutation applied (maps results back to original IDs). The
+    /// reordered graph itself lives only in [`Preprocessed::graph`].
+    pub reordering: reorder::Permutation,
     /// The τ actually used.
     pub tau: f64,
     /// Number of vertices pinned in the high-priority vertex memory
@@ -90,7 +91,7 @@ pub fn modeled_preprocess_seconds(v: usize, slots: usize) -> f64 {
 pub fn preprocess(graph: &CsrGraph, config: &GramerConfig) -> Result<Preprocessed, ConfigError> {
     config.validate()?;
     let scores = on1::on1_scores(graph);
-    let reordering = reorder::reorder_by_scores(graph, &scores);
+    let (graph, reordering) = reorder::reorder_by_scores(graph, &scores).into_parts();
 
     let v = graph.num_vertices();
     let slots = graph.adjacency_len();
@@ -102,7 +103,6 @@ pub fn preprocess(graph: &CsrGraph, config: &GramerConfig) -> Result<Preprocesse
 
     let preprocess_seconds = modeled_preprocess_seconds(v, slots);
 
-    let graph = reordering.graph.clone();
     let probe = AdjProbe::build(&graph);
     let vertex_pin_mask = prefix_mask(vertex_pin, v);
     let edge_pin_mask = prefix_mask(edge_pin, slots);
@@ -133,22 +133,20 @@ impl Preprocessed {
 
     /// Approximate host-memory footprint of this preprocessing result in
     /// bytes — what a shared session cache (the `gramer-serve` daemon)
-    /// charges against its LRU byte budget. Dominated by the two CSR
-    /// copies (reordered graph + the reordering's embedded copy), the
-    /// permutations, the adjacency probe, and the pin masks; small fixed
-    /// fields are ignored.
+    /// charges against its LRU byte budget. Dominated by the reordered
+    /// CSR, the two permutation directions, the adjacency probe, and the
+    /// pin masks; small fixed fields are ignored.
     pub fn footprint_bytes(&self) -> usize {
         let v = self.graph.num_vertices();
         let slots = self.graph.adjacency_len();
-        // Reordered CSR + the copy inside `reordering`, each roughly
-        // offsets (v+1 × 8) + adjacency (slots × 4) + labels (v × 2).
+        // Offsets (v+1 × 8) + adjacency (slots × 4) + labels (v × 2).
         let csr = self.graph.footprint_bytes();
         // old_id + new_id permutations: 2 × v × 4 bytes.
         let perms = 2 * v * std::mem::size_of::<u32>();
         // Probe index: about one u64 hash entry per adjacency slot.
         let probe = slots * std::mem::size_of::<u64>();
         let masks = self.vertex_pin_mask.len() + self.edge_pin_mask.len();
-        2 * csr + perms + probe + masks
+        csr + perms + probe + masks
     }
 
     /// Borrows this preprocessing result as the contents of a `.gra`
@@ -193,9 +191,9 @@ impl Preprocessed {
         config: &GramerConfig,
     ) -> Result<Preprocessed, SimError> {
         config.validate().map_err(SimError::Config)?;
-        let reordering = art.to_reordered();
-        let v = reordering.graph.num_vertices();
-        let slots = reordering.graph.adjacency_len();
+        let (graph, reordering) = art.to_reordered().into_parts();
+        let v = graph.num_vertices();
+        let slots = graph.adjacency_len();
         let tau = config.effective_tau(v + slots).map_err(SimError::Config)?;
         if tau.to_bits() != art.tau().to_bits() {
             return Err(SimError::Config(ConfigError::ArtifactTauMismatch {
@@ -206,7 +204,6 @@ impl Preprocessed {
         let vertex_pin = art.vertex_pin();
         let edge_pin = art.edge_pin();
         let preprocess_seconds = modeled_preprocess_seconds(v, slots);
-        let graph = reordering.graph.clone();
         let probe = AdjProbe::build(&graph);
         let vertex_pin_mask = prefix_mask(vertex_pin, v);
         let edge_pin_mask = prefix_mask(edge_pin, slots);

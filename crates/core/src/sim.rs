@@ -116,8 +116,9 @@ impl<S: TelemetrySink> AccessObserver for TimedObserver<'_, S> {
     // A candidate-filter admission check costs one modeled bitmap read,
     // charged whether it admits or rejects — filtered runs pay for their
     // pruning.
-    fn filter_probe(&mut self, _admitted: bool, _size: usize) {
+    fn filter_probe(&mut self, admitted: bool, size: usize) {
         self.now = self.mem.filter_lookup(self.now);
+        self.sink.on_filter_probe(admitted, size);
     }
 }
 

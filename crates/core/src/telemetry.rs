@@ -57,8 +57,10 @@ use gramer_mining::{Step, MAX_EMBEDDING};
 /// v2 added the memo counters (`memo_hits`/`memo_misses`/
 /// `memo_evictions`), the adaptive-policy counters (`lambda_retunes`/
 /// `repins`) per window and in the totals, and the run-level
-/// `lambda_last`/`pin_epochs` gauges.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 2;
+/// `lambda_last`/`pin_epochs` gauges. v3 added the candidate-filter
+/// counters `filter_probes`/`filter_rejects` per window and in the
+/// totals.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 3;
 
 /// Configuration for a [`Telemetry`] recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,6 +172,13 @@ pub trait TelemetrySink {
         let _ = size;
     }
 
+    /// A query run's candidate filter checked an extension by an
+    /// embedding of `size` vertices; `admitted` is false when the filter
+    /// pruned it.
+    fn on_filter_probe(&mut self, admitted: bool, size: usize) {
+        let _ = (admitted, size);
+    }
+
     /// The λ autotuner ratcheted the locality-preserved policy to
     /// `lambda`.
     fn on_lambda_retune(&mut self, lambda: f64) {
@@ -240,6 +249,9 @@ struct Window {
     memo_hits: u64,
     memo_misses: u64,
     memo_evictions: u64,
+    /// Candidate-filter probes, and those that pruned their candidate.
+    filter_probes: u64,
+    filter_rejects: u64,
     /// λ ratchets and pin-set rebuilds that landed in this window.
     lambda_retunes: u64,
     repins: u64,
@@ -293,6 +305,8 @@ impl Window {
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.memo_evictions += other.memo_evictions;
+        self.filter_probes += other.filter_probes;
+        self.filter_rejects += other.filter_rejects;
         self.lambda_retunes += other.lambda_retunes;
         self.repins += other.repins;
         self.fast_hits += other.fast_hits;
@@ -323,7 +337,7 @@ impl Window {
 /// let plain = app.run(&pre, cfg, None).unwrap();
 /// assert_eq!(with_tel.cycles, plain.cycles);
 /// let doc = tel.to_json_value();
-/// assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(2));
+/// assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(3));
 /// ```
 #[derive(Debug)]
 pub struct Telemetry {
@@ -565,6 +579,12 @@ impl TelemetrySink for Telemetry {
         self.windows[self.cur].memo_evictions += 1;
     }
 
+    fn on_filter_probe(&mut self, admitted: bool, _size: usize) {
+        let win = &mut self.windows[self.cur];
+        win.filter_probes += 1;
+        win.filter_rejects += u64::from(!admitted);
+    }
+
     fn on_lambda_retune(&mut self, lambda: f64) {
         self.windows[self.cur].lambda_retunes += 1;
         self.lambda_last = lambda;
@@ -633,6 +653,8 @@ impl Telemetry {
                 ("memo_hits", JsonValue::from(w.memo_hits)),
                 ("memo_misses", JsonValue::from(w.memo_misses)),
                 ("memo_evictions", JsonValue::from(w.memo_evictions)),
+                ("filter_probes", JsonValue::from(w.filter_probes)),
+                ("filter_rejects", JsonValue::from(w.filter_rejects)),
                 ("lambda_retunes", JsonValue::from(w.lambda_retunes)),
                 ("repins", JsonValue::from(w.repins)),
             ])
@@ -684,6 +706,8 @@ impl Telemetry {
             ("memo_hits", JsonValue::from(totals.memo_hits)),
             ("memo_misses", JsonValue::from(totals.memo_misses)),
             ("memo_evictions", JsonValue::from(totals.memo_evictions)),
+            ("filter_probes", JsonValue::from(totals.filter_probes)),
+            ("filter_rejects", JsonValue::from(totals.filter_rejects)),
             ("lambda_retunes", JsonValue::from(totals.lambda_retunes)),
             ("lambda_last", JsonValue::from(self.lambda_last)),
             ("pin_epochs", JsonValue::from(totals.repins)),
@@ -1022,7 +1046,7 @@ mod tests {
         let a = tel.to_json_value().to_string_pretty();
         let b = tel.to_json_value().to_string_pretty();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema_version\": 2"));
+        assert!(a.contains("\"schema_version\": 3"));
         assert!(a.contains("\"kind\": \"gramer-telemetry\""));
         let doc = tel.to_json_value();
         assert_eq!(
@@ -1052,6 +1076,7 @@ mod tests {
         s.on_memo_hit(1);
         s.on_memo_miss(1);
         s.on_memo_evict(1);
+        s.on_filter_probe(false, 1);
         s.on_lambda_retune(2.0);
         s.on_repin(1);
         s.on_calendar(0);
@@ -1068,6 +1093,8 @@ mod tests {
         tel.on_memo_hit(2);
         tel.on_memo_miss(3);
         tel.on_memo_evict(3);
+        tel.on_filter_probe(true, 2);
+        tel.on_filter_probe(false, 2);
         tel.on_lambda_retune(4.0);
         tel.on_repin(1);
         tel.on_finish(5, &mem);
@@ -1077,6 +1104,8 @@ mod tests {
         assert_eq!(get("memo_hits"), Some(2));
         assert_eq!(get("memo_misses"), Some(1));
         assert_eq!(get("memo_evictions"), Some(1));
+        assert_eq!(get("filter_probes"), Some(2));
+        assert_eq!(get("filter_rejects"), Some(1));
         assert_eq!(get("lambda_retunes"), Some(1));
         assert_eq!(get("pin_epochs"), Some(1));
         let windows = doc

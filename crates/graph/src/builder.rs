@@ -95,57 +95,119 @@ impl GraphBuilder {
 
     /// Finalizes the builder into a [`CsrGraph`].
     ///
+    /// A few linear passes, no sort: count both directions of every pair
+    /// per vertex, bucket them per vertex, then walk the buckets in
+    /// ascending source order and append each source to its neighbors'
+    /// rows. Every row comes out sorted, and the copies of a repeated
+    /// pair land next to each other, where one comparison drops them.
+    ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Empty`] if no vertex was ever referenced, and
+    /// Returns [`GraphError::Empty`] if no vertex was ever referenced,
     /// [`GraphError::LabelCount`] if labels were supplied but their count
-    /// does not match the vertex count.
+    /// does not match the vertex count, and [`GraphError::TooLarge`] if
+    /// a vertex- or slot-sized array cannot be allocated (a huge vertex
+    /// ID asks for a huge universe).
     pub fn build(&self) -> Result<CsrGraph, GraphError> {
         let max = self.max_vertex.ok_or(GraphError::Empty)?;
         let n = max as usize + 1;
-
-        let mut degree = vec![0usize; n];
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for &(u, v) in &sorted {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        offsets.push(0usize);
-        for d in &degree {
-            total += d;
-            offsets.push(total);
-        }
-
-        let mut adjacency = vec![0 as VertexId; total];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &sorted {
-            adjacency[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            adjacency[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        for v in 0..n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-
-        let labels = match &self.labels {
-            Some(l) if l.len() != n => {
+        if let Some(l) = &self.labels {
+            if l.len() != n {
                 return Err(GraphError::LabelCount {
                     labels: l.len(),
                     vertices: n,
-                })
+                });
             }
-            Some(l) => l.clone(),
-            None => vec![0; n],
+        }
+
+        // `offsets[v]` counts v's entries (duplicates included), then
+        // holds the end of its bucket, then — once the bucketing pass has
+        // stepped it back once per entry — the bucket's start.
+        let mut offsets = try_filled(n + 1, 0usize, "row offsets")?;
+        for &(u, v) in &self.edges {
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
+        }
+        let mut end = 0usize;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut buckets = try_filled(end, 0 as VertexId, "adjacency")?;
+        for &(u, v) in &self.edges {
+            offsets[u as usize] -= 1;
+            buckets[offsets[u as usize]] = v;
+            offsets[v as usize] -= 1;
+            buckets[offsets[v as usize]] = u;
+        }
+
+        // Row `t` is laid out where bucket `t` is; `fill[t]` is its next
+        // free slot.
+        let mut adjacency = try_filled(end, 0 as VertexId, "adjacency")?;
+        let mut fill = try_copy(&offsets[..n], "row offsets")?;
+        for s in 0..n {
+            for &t in &buckets[offsets[s]..offsets[s + 1]] {
+                let t = t as usize;
+                let f = fill[t];
+                if f == offsets[t] || adjacency[f - 1] != s as VertexId {
+                    adjacency[f] = s as VertexId;
+                    fill[t] = f + 1;
+                }
+            }
+        }
+        drop(buckets);
+
+        // Close the gaps the dropped duplicates left.
+        let mut write = 0usize;
+        for v in 0..n {
+            let (start, stop) = (offsets[v], fill[v]);
+            offsets[v] = write;
+            if write != start {
+                adjacency.copy_within(start..stop, write);
+            }
+            write += stop - start;
+        }
+        offsets[n] = write;
+        adjacency.truncate(write);
+        adjacency.shrink_to_fit();
+
+        let labels = match &self.labels {
+            Some(l) => try_copy(l, "labels")?,
+            None => try_filled(n, 0, "labels")?,
         };
 
         Ok(CsrGraph::from_parts(offsets, adjacency, labels))
     }
+}
+
+/// Reserves room for exactly `additional` more items, or names the
+/// array that does not fit in a typed error instead of aborting.
+fn try_reserve<T>(
+    vec: &mut Vec<T>,
+    additional: usize,
+    what: &'static str,
+) -> Result<(), GraphError> {
+    vec.try_reserve_exact(additional)
+        .map_err(|_| GraphError::TooLarge {
+            what,
+            bytes: (additional as u64).saturating_mul(std::mem::size_of::<T>() as u64),
+        })
+}
+
+/// A `len`-item vector of `value`, allocated fallibly.
+fn try_filled<T: Clone>(len: usize, value: T, what: &'static str) -> Result<Vec<T>, GraphError> {
+    let mut vec = Vec::new();
+    try_reserve(&mut vec, len, what)?;
+    vec.resize(len, value);
+    Ok(vec)
+}
+
+/// A copy of `items`, allocated fallibly.
+fn try_copy<T: Clone>(items: &[T], what: &'static str) -> Result<Vec<T>, GraphError> {
+    let mut vec = Vec::new();
+    try_reserve(&mut vec, items.len(), what)?;
+    vec.extend_from_slice(items);
+    Ok(vec)
 }
 
 impl FromIterator<(VertexId, VertexId)> for GraphBuilder {

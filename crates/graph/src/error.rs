@@ -31,6 +31,16 @@ pub enum GraphError {
         /// Number of vertices in the graph.
         vertices: usize,
     },
+    /// A vertex- or slot-sized array of a graph could not be allocated:
+    /// the input names a vertex universe or an edge count larger than
+    /// this host can hold (e.g. the edge list `0 4294967294` asks for
+    /// 2^32 row offsets).
+    TooLarge {
+        /// Which array could not be allocated.
+        what: &'static str,
+        /// Bytes it would take (saturated at `u64::MAX`).
+        bytes: u64,
+    },
     /// A generator or builder was given an out-of-range parameter
     /// (e.g. `rmat` probabilities that do not sum to 1).
     InvalidParameter {
@@ -86,6 +96,7 @@ impl GraphError {
             GraphError::Parse { .. } => "graph-parse",
             GraphError::Io(_) => "graph-io",
             GraphError::LabelCount { .. } => "graph-label-count",
+            GraphError::TooLarge { .. } => "graph-too-large",
             GraphError::InvalidParameter { .. } => "graph-parameter",
             GraphError::ArtifactTruncated { .. } => "artifact-truncated",
             GraphError::ArtifactMagic { .. } => "artifact-magic",
@@ -120,6 +131,12 @@ impl fmt::Display for GraphError {
                 f,
                 "label count {labels} does not match vertex count {vertices}"
             ),
+            GraphError::TooLarge { what, bytes } => {
+                write!(
+                    f,
+                    "graph too large: cannot allocate {bytes} bytes for {what}"
+                )
+            }
             GraphError::InvalidParameter { what } => {
                 write!(f, "invalid parameter: {what}")
             }

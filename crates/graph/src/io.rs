@@ -8,7 +8,7 @@
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, VertexId};
 use crate::error::GraphError;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Parses an edge list from any reader.
@@ -19,6 +19,11 @@ use std::path::Path;
 /// endings plus leading/trailing whitespace are tolerated. The graph is
 /// treated as undirected (duplicate directions collapse).
 ///
+/// The input is scanned through one reused byte buffer. An all-ASCII
+/// line takes a byte scanner that accepts exactly what the `&str` rules
+/// below accept; any other line — and any line the scanner does not
+/// accept — goes through those rules, which alone build errors.
+///
 /// A mutable reference can be passed as the reader, e.g. `&mut file`.
 ///
 /// # Errors
@@ -27,8 +32,10 @@ use std::path::Path;
 /// [`GraphError::Parse`] for malformed lines,
 /// [`GraphError::VertexIdOverflow`] for IDs above `u32::MAX - 1`,
 /// [`GraphError::Io`] for underlying I/O failures (including invalid
-/// UTF-8) and [`GraphError::Empty`] when no vertex was found. The parser
-/// never panics, no matter how corrupted the input is.
+/// UTF-8) and [`GraphError::Empty`] when no vertex was found.
+/// [`GraphError::TooLarge`] means the largest ID names more vertices
+/// than this host can allocate. The parser never panics, no matter how
+/// corrupted the input is.
 ///
 /// # Example
 ///
@@ -42,41 +49,153 @@ use std::path::Path;
 /// # Ok(())
 /// # }
 /// ```
-pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
-    let reader = BufReader::new(reader);
+pub fn read_edge_list<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let mut b = GraphBuilder::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
+    let mut buf = vec![0u8; 1 << 16];
+    let (mut len, mut lineno) = (0, 0);
+    loop {
+        let read = match reader.read(&mut buf[len..]) {
+            Ok(read) => read,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        len += read;
+        // Every complete line, and at the end of the input the
+        // unterminated rest; a partial line waits for more bytes.
+        let mut start = 0;
+        while start < len {
+            let rest = &buf[start..len];
+            let (line, taken) = match rest.iter().position(|&c| c == b'\n') {
+                // What `BufRead::lines` strips: the `\n`, then one `\r`.
+                Some(i) => (rest[..i].strip_suffix(b"\r").unwrap_or(&rest[..i]), i + 1),
+                None if read == 0 => (rest, rest.len()),
+                None => break,
+            };
+            lineno += 1;
+            if let Some((u, v)) = parse_edge(line, lineno)? {
+                b.add_edge(u, v);
+            }
+            start += taken;
         }
-        let mut it = trimmed.split_whitespace();
-        let (u, v) = match (it.next(), it.next()) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(GraphError::Parse {
-                    line: lineno + 1,
-                    content: line.clone(),
-                })
-            }
-        };
-        let parse = |s: &str| -> Result<VertexId, GraphError> {
-            let raw: u64 = s.parse().map_err(|_| GraphError::Parse {
-                line: lineno + 1,
-                content: line.clone(),
-            })?;
-            if raw >= VertexId::MAX as u64 {
-                return Err(GraphError::VertexIdOverflow {
-                    id: raw,
-                    line: lineno + 1,
-                });
-            }
-            Ok(raw as VertexId)
-        };
-        b.add_edge(parse(u)?, parse(v)?);
+        if read == 0 {
+            return b.build();
+        }
+        buf.copy_within(start..len, 0);
+        len -= start;
+        if len == buf.len() {
+            buf.resize(2 * len, 0);
+        }
     }
-    b.build()
+}
+
+/// One line without its terminator: the byte scanner when the line is
+/// all ASCII and the scanner accepts it, [`parse_line`] otherwise.
+fn parse_edge(line: &[u8], lineno: usize) -> Result<Option<(VertexId, VertexId)>, GraphError> {
+    match line.is_ascii().then(|| scan_ascii(line)) {
+        Some(Scan::Skip) => Ok(None),
+        Some(Scan::Edge(u, v)) => Ok(Some((u, v))),
+        _ => {
+            let text = std::str::from_utf8(line).map_err(|_| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            parse_line(text, lineno)
+        }
+    }
+}
+
+/// The edge-list line rules on one decoded line (`lineno` is 1-based):
+/// `None` for a blank or comment line, the edge otherwise.
+fn parse_line(line: &str, lineno: usize) -> Result<Option<(VertexId, VertexId)>, GraphError> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+        return Ok(None);
+    }
+    let malformed = || GraphError::Parse {
+        line: lineno,
+        content: line.to_string(),
+    };
+    let mut it = trimmed.split_whitespace();
+    let (Some(u), Some(v)) = (it.next(), it.next()) else {
+        return Err(malformed());
+    };
+    let parse = |s: &str| -> Result<VertexId, GraphError> {
+        let raw: u64 = s.parse().map_err(|_| malformed())?;
+        if raw >= VertexId::MAX as u64 {
+            return Err(GraphError::VertexIdOverflow {
+                id: raw,
+                line: lineno,
+            });
+        }
+        Ok(raw as VertexId)
+    };
+    Ok(Some((parse(u)?, parse(v)?)))
+}
+
+/// What the byte scanner made of an all-ASCII line.
+enum Scan {
+    /// Blank or comment.
+    Skip,
+    /// Two IDs, both below `u32::MAX`.
+    Edge(VertexId, VertexId),
+    /// Anything else: [`parse_line`] decides.
+    Other,
+}
+
+/// ASCII bytes that `char::is_whitespace` accepts: space, `\t`, `\n`,
+/// vertical tab, form feed and `\r`.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+fn scan_ascii(line: &[u8]) -> Scan {
+    let start = line
+        .iter()
+        .position(|&c| !is_space(c))
+        .unwrap_or(line.len());
+    let rest = &line[start..];
+    if matches!(rest.first(), None | Some(b'#' | b'%')) {
+        return Scan::Skip;
+    }
+    let Some((u, len)) = scan_id(rest) else {
+        return Scan::Other;
+    };
+    let rest = &rest[len..];
+    let gap = rest
+        .iter()
+        .position(|&c| !is_space(c))
+        .unwrap_or(rest.len());
+    match scan_id(&rest[gap..]) {
+        Some((v, _)) => Scan::Edge(u, v),
+        None => Scan::Other,
+    }
+}
+
+/// One whitespace-delimited token as `u64::from_str` reads it (an
+/// optional `+`, then decimal digits), or `None` when the token is
+/// empty, holds anything else or reaches `u32::MAX`; returns the ID and
+/// the token's length.
+fn scan_id(token: &[u8]) -> Option<(VertexId, usize)> {
+    let first = usize::from(token.first() == Some(&b'+'));
+    let mut value = 0u64;
+    let mut i = first;
+    while let Some(&c) = token.get(i) {
+        if is_space(c) {
+            break;
+        }
+        let digit = c.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        value = value * 10 + u64::from(digit);
+        if value >= VertexId::MAX as u64 {
+            return None;
+        }
+        i += 1;
+    }
+    (i > first).then_some((value as VertexId, i))
 }
 
 /// Reads an edge list from a file path.
@@ -151,10 +270,17 @@ pub fn write_binary<W: Write>(graph: &CsrGraph, mut writer: W) -> Result<(), Gra
 
 /// Reads a graph written by [`write_binary`].
 ///
+/// The header's counts size nothing up front: every array grows only as
+/// its bytes arrive, so a header that declares more than the input
+/// holds ends in a truncation error, not in a huge allocation.
+///
 /// # Errors
 ///
 /// Returns [`GraphError::Parse`] (line 0) if the header or structure is
-/// malformed, or [`GraphError::Io`] on read failure.
+/// malformed, [`GraphError::VertexIdOverflow`] (line 0) if it declares
+/// more vertices than IDs can name or an adjacency entry past the last
+/// vertex, or [`GraphError::Io`] on read failure (including an input
+/// shorter than its header declares).
 pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let malformed = |what: &str| GraphError::Parse {
         line: 0,
@@ -165,35 +291,29 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     if &magic != BINARY_MAGIC {
         return Err(malformed("bad magic"));
     }
-    let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut R| -> Result<u64, GraphError> {
-        r.read_exact(&mut u64buf)?;
-        Ok(u64::from_le_bytes(u64buf))
+    let mut read_u64 = || -> Result<u64, GraphError> {
+        let mut buf = [0u8; 8];
+        reader.read_exact(&mut buf)?;
+        Ok(u64::from_le_bytes(buf))
     };
-    let n = read_u64(&mut reader)? as usize;
-    let m = read_u64(&mut reader)? as usize;
+    let n = read_u64()?;
+    let m = read_u64()?;
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        let mut b = [0u8; 8];
-        reader.read_exact(&mut b)?;
-        offsets.push(u64::from_le_bytes(b) as usize);
+    if n > VertexId::MAX as u64 {
+        return Err(GraphError::VertexIdOverflow { id: n - 1, line: 0 });
     }
+    let n = n as usize;
+    let offsets = read_values(&mut reader, n as u64 + 1, u64::from_le_bytes)?;
     if offsets[0] != 0 || offsets[n] != m || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(malformed("inconsistent offsets"));
     }
-    let mut b = GraphBuilder::with_capacity(m / 2);
+    let adjacency = read_values(&mut reader, m, u32::from_le_bytes)?;
+    let mut b = GraphBuilder::with_capacity(adjacency.len() / 2);
     b.ensure_vertex((n - 1) as VertexId);
-    let mut adjacency = Vec::with_capacity(m);
-    for _ in 0..m {
-        let mut buf = [0u8; 4];
-        reader.read_exact(&mut buf)?;
-        adjacency.push(u32::from_le_bytes(buf));
-    }
-    for v in 0..n {
-        for &u in &adjacency[offsets[v]..offsets[v + 1]] {
+    for (v, w) in offsets.windows(2).enumerate() {
+        for &u in &adjacency[w[0] as usize..w[1] as usize] {
             if u as usize >= n {
                 return Err(GraphError::VertexIdOverflow {
                     id: u as u64,
@@ -205,14 +325,33 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
             }
         }
     }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut buf = [0u8; 2];
-        reader.read_exact(&mut buf)?;
-        labels.push(u16::from_le_bytes(buf));
-    }
-    b.labels(labels);
+    b.labels(read_values(&mut reader, n as u64, u16::from_le_bytes)?);
     b.build()
+}
+
+/// Reads `count` little-endian values of `W` bytes each, in chunks of at
+/// most 64 KiB, so the vector never outgrows the bytes actually read.
+fn read_values<R: Read, T, const W: usize>(
+    reader: &mut R,
+    count: u64,
+    decode: fn([u8; W]) -> T,
+) -> Result<Vec<T>, GraphError> {
+    let per_chunk = (1u64 << 16) / W as u64;
+    let mut chunk = vec![0u8; (count.min(per_chunk) as usize) * W];
+    let mut out = Vec::new();
+    let mut left = count;
+    while left > 0 {
+        let take = left.min(per_chunk) as usize;
+        let bytes = &mut chunk[..take * W];
+        reader.read_exact(bytes)?;
+        out.extend(bytes.chunks_exact(W).map(|c| {
+            let mut value = [0u8; W];
+            value.copy_from_slice(c);
+            decode(value)
+        }));
+        left -= take as u64;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -329,6 +468,38 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    /// A binary CSR header followed by `offsets`, as a byte vector.
+    fn binary_header(n: u64, m: u64, offsets: &[u64]) -> Vec<u8> {
+        let mut bytes = BINARY_MAGIC.to_vec();
+        for word in [n, m].iter().chain(offsets) {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn binary_header_counts_allocate_nothing_up_front() {
+        // 2^40 vertices, no edges: 24 bytes that once asked for 8 TiB.
+        let r = read_binary(binary_header(1 << 40, 0, &[]).as_slice());
+        assert!(
+            matches!(r, Err(GraphError::VertexIdOverflow { id, line: 0 }) if id == (1 << 40) - 1),
+            "{r:?}"
+        );
+        // 2^40 adjacency slots behind consistent offsets: 48 bytes that
+        // once asked the builder for 2^39 edges; now the input runs out.
+        let r = read_binary(binary_header(2, 1 << 40, &[0, 1 << 39, 1 << 40]).as_slice());
+        match r {
+            Err(GraphError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
+        // `n + 1` must not overflow.
+        let r = read_binary(binary_header(u64::MAX, 0, &[]).as_slice());
+        assert!(
+            matches!(r, Err(GraphError::VertexIdOverflow { id, line: 0 }) if id == u64::MAX - 1),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -7,9 +7,17 @@
 //! reads a datum's rank straight out of the embedding structure it already
 //! holds, at zero extra cost.
 
-use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, VertexId};
 use crate::on1::{self, OnScores};
+
+/// The two directions of a vertex relabeling, without the graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Permutation {
+    /// `new_id[old]` — where each original vertex went.
+    pub new_id: Vec<VertexId>,
+    /// `old_id[new]` — the original identity of each new vertex.
+    pub old_id: Vec<VertexId>,
+}
 
 /// A reordered graph together with the permutation that produced it.
 #[derive(Debug, Clone)]
@@ -39,6 +47,15 @@ impl Reordered {
     /// Panics if `new` is out of bounds.
     pub fn to_old(&self, new: VertexId) -> VertexId {
         self.old_id[new as usize]
+    }
+
+    /// Splits off the graph, keeping only the permutation beside it.
+    pub fn into_parts(self) -> (CsrGraph, Permutation) {
+        let permutation = Permutation {
+            new_id: self.new_id,
+            old_id: self.old_id,
+        };
+        (self.graph, permutation)
     }
 }
 
@@ -80,6 +97,11 @@ pub fn reorder_by_scores(graph: &CsrGraph, scores: &OnScores) -> Reordered {
 /// Relabels `graph` with an explicit permutation: `old_id[new]` is the
 /// original vertex placed at the new ID `new`.
 ///
+/// Builds the relabeled CSR straight from the old one in linear time:
+/// row `new` takes the old row's degree, and rows are filled by walking
+/// the new sources in descending order, each writing itself at the back
+/// of its neighbors' rows, so every row comes out sorted with no sort.
+///
 /// # Panics
 ///
 /// Panics if `old_id` is not a permutation of `0..num_vertices`.
@@ -95,29 +117,26 @@ pub fn apply_permutation(graph: &CsrGraph, old_id: &[VertexId]) -> Reordered {
         new_id[old as usize] = new as VertexId;
     }
 
-    let mut b = GraphBuilder::with_capacity(graph.num_edges());
-    if n > 0 {
-        b.ensure_vertex((n - 1) as VertexId);
+    // `offsets[new]` first holds the end of row `new`; the fill below
+    // walks it back to the row's start.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut end = 0;
+    for &old in old_id {
+        end += graph.degree(old);
+        offsets.push(end);
     }
-    for v in graph.vertices() {
-        for &u in graph.neighbors(v) {
-            if v < u {
-                b.add_edge(new_id[v as usize], new_id[u as usize]);
-            }
+    offsets.push(end);
+    let mut adjacency = vec![0 as VertexId; end];
+    for (src, &old) in old_id.iter().enumerate().rev() {
+        for &w in graph.neighbors(old) {
+            let dst = new_id[w as usize] as usize;
+            offsets[dst] -= 1;
+            adjacency[offsets[dst]] = src as VertexId;
         }
     }
-    let labels = old_id
-        .iter()
-        .map(|&old| graph.label(old))
-        .collect::<Vec<_>>();
-    b.labels(labels);
-    let graph = match b.build() {
-        Ok(g) => g,
-        // A permutation of a nonempty graph always has vertices.
-        Err(e) => unreachable!("reorder rebuilt an invalid graph: {e}"),
-    };
+    let labels = old_id.iter().map(|&old| graph.label(old)).collect();
     Reordered {
-        graph,
+        graph: CsrGraph::from_parts(offsets, adjacency, labels),
         new_id,
         old_id: old_id.to_vec(),
     }
@@ -134,6 +153,7 @@ mod tests {
     use super::*;
     use crate::generate;
     use crate::on1::on1_scores;
+    use crate::GraphBuilder;
 
     #[test]
     fn star_hub_becomes_zero() {

@@ -661,8 +661,12 @@ impl MemorySubsystem {
         now + self.latency.memo_lookup_cycles
     }
 
-    /// Number of charged pair-memo lookups (hits that replaced a
-    /// connectivity probe; misses are pipelined and not charged here).
+    /// Number of charged pair-memo lookups. Hits and misses are both
+    /// charged: the simulator's access observer calls [`memo_lookup`]
+    /// for each, so this equals the memo table's own lookup count (the
+    /// run debug-asserts it).
+    ///
+    /// [`memo_lookup`]: MemorySubsystem::memo_lookup
     pub fn memo_lookups(&self) -> u64 {
         self.memo_lookups
     }

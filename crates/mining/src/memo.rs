@@ -1,4 +1,4 @@
-//! Recurrent-pattern memoization (ROADMAP item 3).
+//! Recurrent-pattern memoization.
 //!
 //! Canonical DFS enumeration visits every vertex *set* exactly once, so
 //! whole-subtree outcomes have zero exact reuse — but the **pairwise

@@ -29,15 +29,23 @@
 #   artifact  .gra artifact round-trip on both golden workloads:
 #           gramer-artifact build/verify/inspect + gramer-mine --artifact,
 #           on the mmap and forced-copy load paths, plus the artifact
-#           test suite (see docs/FORMAT.md)
+#           test suite (see docs/FORMAT.md); then the edge-list path: a
+#           skewed edge list written here, its variant with CRLF endings,
+#           comment lines, tabs and a third column, and its .gra artifact
+#           give byte-identical gramer-mine --json, and under an 8 GiB
+#           address-space limit the edge list `0 4294967294` (a 2^32
+#           vertex universe) exits 1 with a typed error, not an abort
 #   serve   gramer-serve daemon end-to-end: both golden workloads over
 #           HTTP byte-identical to gramer-mine --json, injected-panic
 #           containment, queue-full back-pressure, SIGTERM drain with an
 #           intact journal, and kill -9 recovery: a restart over the
 #           appended (never drained) journal serves both reports
 #           byte-identical again; a --max-steps 1 job ends timed_out
-#           however fast it runs, and --deadline -1 is a usage error
-#           (see docs/DESIGN.md, service architecture)
+#           however fast it runs, --deadline -1 is a usage error, and a
+#           daemon under an 8 GiB address-space limit ends the inline
+#           job `0 4294967294` failed with kind graph-too-large and
+#           still answers /healthz (see docs/DESIGN.md, service
+#           architecture)
 #   perfbench  build and unit-test the benchmark harness (perfbench/, its
 #           own package outside the workspace, so no other stage compiles
 #           it): a reshaped simulator API it calls fails here, not first
@@ -158,6 +166,30 @@ stage_artifact() {
     target/release/gramer-mine --artifact "$tmp/golden-rmat.gra" --app 3-mc > /dev/null
     echo "   -- artifact test suite (round-trip, corruption, pinned digest)"
     cargo test -q --test artifact
+
+    echo "   -- edge-list path: plain, CRLF/comment/tab/third-column variant and .gra agree"
+    awk 'BEGIN { srand(20201017); for (i = 0; i < 4000; i++) print int(1500 * rand() ^ 3), int(1500 * rand()) }' \
+        > "$tmp/skew.txt"
+    awk 'BEGIN { printf "# skewed edge list, CRLF variant\r\n" }
+         NR % 97 == 0 { printf "%% comment line %d\r\n", NR }
+         { printf "%s\t%s\t%d\r\n", $1, $2, NR }' "$tmp/skew.txt" > "$tmp/skew-variant.txt"
+    target/release/gramer-mine "$tmp/skew.txt" --app 3-cf --json "$tmp/skew.json" > /dev/null
+    target/release/gramer-mine "$tmp/skew-variant.txt" --app 3-cf --json "$tmp/skew-variant.json" > /dev/null
+    target/release/gramer-artifact build "$tmp/skew.txt" -o "$tmp/skew.gra" > /dev/null
+    target/release/gramer-mine --artifact "$tmp/skew.gra" --app 3-cf --json "$tmp/skew-gra.json" > /dev/null
+    cmp "$tmp/skew.json" "$tmp/skew-variant.json"
+    cmp "$tmp/skew.json" "$tmp/skew-gra.json"
+
+    echo "   -- a 2^32-vertex edge list under an 8 GiB address-space limit: typed error, exit 1"
+    printf '0 4294967294\n' > "$tmp/huge.txt"
+    local code=0
+    (ulimit -v 8388608 && exec target/release/gramer-mine "$tmp/huge.txt" --app 3-cf) \
+        > /dev/null 2> "$tmp/huge.err" || code=$?
+    if [ "$code" -ne 1 ] || ! grep -q 'graph too large' "$tmp/huge.err"; then
+        echo "tier1 artifact: the huge edge list exited $code instead of a typed error:" >&2
+        cat "$tmp/huge.err" >&2
+        exit 1
+    fi
 }
 
 # Polls for the daemon's --addr-file (atomic publish) instead of racing
@@ -299,6 +331,30 @@ stage_serve() {
         exit 1
     fi
     grep -q '"status":[[:space:]]*"timed_out"' "$tmp/budget.json"
+    "$serve" client --addr "$addr" shutdown > /dev/null
+    wait "$pid"
+
+    echo "   -- a 2^32-vertex inline job fails typed under an 8 GiB limit; daemon survives"
+    (ulimit -v 8388608 && exec "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr6" \
+        --workers 1 2>> "$tmp/daemon.log") &
+    pid=$!
+    addr="$(wait_addr_file "$tmp/addr6" "$tmp/daemon.log")"
+    curl -sS -X POST --data '{"graph":{"inline":"0 4294967294\n"},"app":"3-cf"}' \
+        "http://$addr/jobs" > "$tmp/huge.json"
+    local id i
+    id="$(grep -o '"id":[[:space:]]*[0-9]*' "$tmp/huge.json" | head -n1 | grep -o '[0-9]*$')"
+    for i in $(seq 1 200); do
+        "$serve" client --addr "$addr" status "$id" > "$tmp/huge.json"
+        grep -q '"status":[[:space:]]*"\(queued\|running\)"' "$tmp/huge.json" || break
+        sleep 0.05
+    done
+    if ! grep -q '"status":[[:space:]]*"failed"' "$tmp/huge.json" ||
+        ! grep -q '"kind":[[:space:]]*"graph-too-large"' "$tmp/huge.json"; then
+        echo "tier1 serve: the huge inline job did not fail with graph-too-large:" >&2
+        cat "$tmp/huge.json" >&2
+        exit 1
+    fi
+    "$serve" client --addr "$addr" healthz > /dev/null
     "$serve" client --addr "$addr" shutdown > /dev/null
     wait "$pid"
 

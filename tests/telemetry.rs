@@ -158,7 +158,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// autotuning off), so every new field is zero — the simulated
 /// quantities themselves are unchanged, as the untouched
 /// cycles/steps/dram spot constants below prove.
-const GOLDEN_BA_CF4_TELEMETRY_FNV: u64 = 10654693259273357294;
+///
+/// Updated for schema v3: every window and the totals gained
+/// `filter_probes`/`filter_rejects`, both zero on this unfiltered run;
+/// the previous digest, 10654693259273357294, hashed the same document
+/// without them and with `schema_version` 2.
+const GOLDEN_BA_CF4_TELEMETRY_FNV: u64 = 13022392756654227143;
 /// Spot constants guarding the digest against blind updates: they tie
 /// the document to the `tests/golden.rs` numbers for the same workload.
 const GOLDEN_BA_CF4_CYCLES: u64 = 25565;
@@ -188,7 +193,7 @@ fn telemetry_document_is_byte_stable_across_host_choices() {
     );
     assert_eq!(
         doc.get("schema_version").and_then(JsonValue::as_u64),
-        Some(2)
+        Some(3)
     );
     assert!(
         doc.get("host").is_none(),
@@ -248,6 +253,43 @@ fn telemetry_windows_sum_to_totals() {
         totals.get("steals").and_then(JsonValue::as_u64),
         Some(observed.steals)
     );
+}
+
+/// A candidate-filtered query run counts every filter probe: the
+/// document's totals equal the report's `query` block, and the windows
+/// sum to the totals.
+#[test]
+fn telemetry_counts_every_filter_probe() {
+    let cfg = base_config();
+    let labeled = generate::with_random_labels(&ba_graph(), 6, 3);
+    let pre = preprocess(&labeled, &cfg).unwrap();
+    let app: AppSpec = "query:1,2,3:0-1,1-2".parse().unwrap();
+    // Narrow windows, so the short run spans several of them.
+    let mut tel = Telemetry::new(TelemetryConfig {
+        window_cycles: 32,
+        ..TelemetryConfig::default()
+    });
+    let report = app.run(&pre, cfg, Some(&mut tel)).unwrap();
+    let query = report.query.expect("a query run reports its filter");
+    assert!(query.probes > 0 && query.rejects > 0, "{query:?}");
+
+    let doc = tel.to_json_value();
+    let totals = doc.get("totals").expect("document has totals");
+    let total = |key: &str| totals.get(key).and_then(JsonValue::as_u64);
+    assert_eq!(total("filter_probes"), Some(query.probes));
+    assert_eq!(total("filter_rejects"), Some(query.rejects));
+    let windows = match doc.get("windows") {
+        Some(JsonValue::Array(w)) => w.clone(),
+        other => panic!("windows missing: {other:?}"),
+    };
+    assert!(windows.len() > 1, "the run should span several windows");
+    for key in ["filter_probes", "filter_rejects"] {
+        let sum: u64 = windows
+            .iter()
+            .map(|w| w.get(key).and_then(JsonValue::as_u64).expect(key))
+            .sum();
+        assert_eq!(Some(sum), total(key), "{key}");
+    }
 }
 
 /// The same sums-to-totals invariant under a window configuration small

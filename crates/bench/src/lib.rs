@@ -6,8 +6,8 @@
 //! to the parallel, fault-tolerant sweep runner (see [`sweep`]). Every
 //! binary therefore understands the same CLI — `--jobs N`, `--json PATH`,
 //! `--filter SUBSTR`, `--list`, `--resume`, `--point-timeout SECS`,
-//! `--max-retries N`, `--journal PATH` — and writes a structured JSON
-//! artifact to `results/BENCH_<name>.json` alongside its stdout table.
+//! `--journal PATH` — and writes a structured JSON artifact to
+//! `results/BENCH_<name>.json` alongside its stdout table.
 //! Failing points are quarantined into structured records instead of
 //! aborting the sweep; see `EXPERIMENTS.md` for the failure semantics.
 //!
@@ -312,21 +312,8 @@ pub fn run_gramer(
     }
 }
 
-/// Command-line options shared by every experiment binary.
-///
-/// ```text
-/// --jobs N             worker threads (default: available parallelism)
-/// --json PATH          JSON artifact path (default: results/BENCH_<name>.json)
-/// --filter SUBSTR      only run points whose dataset/app/config id contains SUBSTR
-/// --list               print the point ids this binary would run, then exit
-/// --resume             replay completed points from the journal, run the rest
-/// --point-timeout SECS cancel any point exceeding this wall-clock budget
-/// --max-retries N      re-run a failed point up to N extra times
-/// --journal PATH       journal path (default: results/.journal/<name>.jsonl)
-/// --metrics            record cycle-windowed telemetry per point
-/// --artifact-cache DIR memoize preprocessing in DIR as .gra artifacts
-/// --help               print usage, then exit
-/// ```
+/// Command-line options shared by every experiment binary; the flags
+/// are listed in [`SWEEP_USAGE`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepArgs {
     /// Worker-thread count for the sweep runner.
@@ -341,8 +328,6 @@ pub struct SweepArgs {
     pub resume: bool,
     /// Per-point wall-clock budget.
     pub point_timeout: Option<Duration>,
-    /// Extra attempts for failed (not timed-out) points.
-    pub max_retries: u32,
     /// Journal path override (`None` → `results/.journal/<name>.jsonl`).
     pub journal: Option<PathBuf>,
     /// Record cycle-windowed telemetry for each point and attach its
@@ -366,7 +351,6 @@ Options:
   --list               print the point ids this binary would run, then exit
   --resume             replay completed points from the journal, run the rest
   --point-timeout SECS cancel any point exceeding this wall-clock budget
-  --max-retries N      re-run a failed point up to N extra times
   --journal PATH       journal path (default: results/.journal/<name>.jsonl)
   --metrics            record cycle-windowed telemetry per point (attached
                        to each point's metrics under \"telemetry\")
@@ -380,8 +364,9 @@ Options:
 
 Failure semantics:
   A panicking or erroring point becomes a structured \"failed\" record; a
-  point past --point-timeout becomes \"timed_out\". The process exits
-  non-zero only when every point of some (dataset, app) group failed.
+  point past --point-timeout becomes \"timed_out\". Neither is re-run: a
+  point is a pure function of its inputs. The process exits non-zero
+  only when every point of some (dataset, app) group failed.
 
 Environment:
   GRAMER_QUICK=1   coarser, ~4x faster pass";
@@ -395,7 +380,6 @@ impl Default for SweepArgs {
             list: false,
             resume: false,
             point_timeout: None,
-            max_retries: 0,
             journal: None,
             metrics: false,
             artifact_cache: None,
@@ -460,12 +444,6 @@ impl SweepArgs {
                             })?,
                     );
                 }
-                "--max-retries" => {
-                    let v = value(&mut it)?;
-                    parsed.max_retries = v.parse::<u32>().map_err(|_| {
-                        format!("--max-retries expects a non-negative integer, got {v:?}")
-                    })?;
-                }
                 "--journal" => parsed.journal = Some(PathBuf::from(value(&mut it)?)),
                 "--metrics" => parsed.metrics = true,
                 "--artifact-cache" => parsed.artifact_cache = Some(PathBuf::from(value(&mut it)?)),
@@ -502,11 +480,10 @@ pub fn finish(result: &SweepResult) -> std::process::ExitCode {
                 .map(|e| format!("{}: {}", e.kind, e.message))
                 .unwrap_or_default();
             eprintln!(
-                "[{}]   {} ({}, {} attempt(s)) {detail}",
+                "[{}]   {} ({}) {detail}",
                 result.name,
                 f.id(),
                 f.status.as_str(),
-                f.attempts,
             );
         }
     }
@@ -625,29 +602,19 @@ mod tests {
         assert!(SweepArgs::try_parse(&["--point-timeout", "-3"]).is_err());
         assert!(SweepArgs::try_parse(&["--point-timeout", "nan"]).is_err());
         assert!(SweepArgs::try_parse(&["--point-timeout", "1e300"]).is_err());
-        assert!(SweepArgs::try_parse(&["--max-retries", "-1"]).is_err());
     }
 
     #[test]
     fn sweep_args_parse_fault_tolerance_flags() {
-        let a = SweepArgs::try_parse(&[
-            "--resume",
-            "--point-timeout=2.5",
-            "--max-retries",
-            "3",
-            "--journal",
-            "j.jsonl",
-        ])
-        .unwrap();
+        let a = SweepArgs::try_parse(&["--resume", "--point-timeout=2.5", "--journal", "j.jsonl"])
+            .unwrap();
         assert!(a.resume);
         assert_eq!(a.point_timeout, Some(Duration::from_millis(2500)));
-        assert_eq!(a.max_retries, 3);
         assert_eq!(a.journal, Some(PathBuf::from("j.jsonl")));
 
         let d = SweepArgs::try_parse::<&str>(&[]).unwrap();
         assert!(!d.resume);
         assert_eq!(d.point_timeout, None);
-        assert_eq!(d.max_retries, 0);
         assert_eq!(d.journal, None);
     }
 

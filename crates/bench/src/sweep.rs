@@ -13,18 +13,18 @@
 //! 3. **quarantines failures**: each point runs under
 //!    `std::panic::catch_unwind`, so a panicking or erroring point becomes
 //!    a structured [`PointStatus::Failed`] record instead of tearing down
-//!    the whole sweep; `--max-retries N` re-runs failed points with
-//!    exponential backoff before recording the failure;
-//! 4. **bounds the clock**: with `--point-timeout SECS` each attempt runs
+//!    the whole sweep. A failed point is not re-run: it is a pure
+//!    function of (graph, app, config), so it would fail again;
+//! 4. **bounds the clock**: with `--point-timeout SECS` each point runs
 //!    under a [`gramer::progress`] token carrying that wall-clock budget.
 //!    The simulator checks it at every heartbeat flush (once per 256
 //!    events) and unwinds once it is spent, and the point is recorded as
 //!    [`PointStatus::TimedOut`]. No other thread watches the clock;
-//! 5. **journals completions**: each finished point is appended to a
-//!    crash-safe JSONL journal (`results/.journal/<sweep>.jsonl`, written
-//!    through [`gramer::supervise::write_json_lines`]), so `--resume` can
-//!    replay completed points after a crash or SIGKILL and still emit
-//!    byte-identical `points` data;
+//! 5. **journals completions**: each finished point is one synced line
+//!    in `results/.journal/<sweep>.jsonl`, a
+//!    [`gramer::supervise::Journal`] as the `gramer-serve` daemon's is,
+//!    so `--resume` can replay completed points after a crash or
+//!    SIGKILL and still emit byte-identical `points` data;
 //! 6. re-assembles results in **declaration order** regardless of
 //!    completion order, making the JSON point data byte-identical across
 //!    `--jobs` settings;
@@ -117,7 +117,7 @@ impl<E: Into<SimError>> IntoPointResult for Result<PointOutput, E> {
 pub enum PointStatus {
     /// The point completed and produced its output.
     Ok,
-    /// The point errored or panicked on every attempt.
+    /// The point errored or panicked.
     Failed,
     /// The point exceeded `--point-timeout` and was cancelled.
     TimedOut,
@@ -181,8 +181,6 @@ pub struct PointRecord {
     pub output: PointOutput,
     /// How the point ended.
     pub status: PointStatus,
-    /// Number of attempts made (1 unless `--max-retries` re-ran it).
-    pub attempts: u32,
     /// Failure description when `status` is not [`PointStatus::Ok`].
     pub error: Option<PointError>,
     /// Host wall-clock seconds this point took (volatile; excluded from
@@ -248,10 +246,6 @@ impl PointRecord {
             ("config".to_string(), JsonValue::from(self.config.as_str())),
             ("status".to_string(), JsonValue::from(self.status.as_str())),
             (
-                "attempts".to_string(),
-                JsonValue::from(u64::from(self.attempts)),
-            ),
-            (
                 "error".to_string(),
                 self.error
                     .as_ref()
@@ -276,10 +270,8 @@ pub struct SweepOptions {
     pub filter: Option<String>,
     /// Replay completed points from the journal instead of re-running.
     pub resume: bool,
-    /// Wall-clock budget per point attempt.
+    /// Wall-clock budget per point.
     pub point_timeout: Option<Duration>,
-    /// Re-run a failed (not timed-out) point up to this many extra times.
-    pub max_retries: u32,
     /// Journal path; `None` disables journaling (and `resume`).
     pub journal: Option<PathBuf>,
 }
@@ -331,9 +323,9 @@ impl<'a> Sweep<'a> {
     }
 
     /// Runs the sweep under `args`: honours `--list` (print ids and
-    /// exit), `--filter`, `--resume`, `--point-timeout`, `--max-retries`,
-    /// executes with `--jobs` workers, journals completed points, and
-    /// writes the JSON artifact. This is the entry point the bins use;
+    /// exit), `--filter`, `--resume`, `--point-timeout`, executes with
+    /// `--jobs` workers, journals completed points, and writes the JSON
+    /// artifact. This is the entry point the bins use;
     /// pass the result to [`crate::finish`] for the failure-aware exit
     /// code.
     pub fn execute(self, args: &SweepArgs) -> SweepResult {
@@ -365,7 +357,6 @@ impl<'a> Sweep<'a> {
             filter: args.filter.clone(),
             resume: args.resume,
             point_timeout: args.point_timeout,
-            max_retries: args.max_retries,
             journal: Some(journal_path),
         };
         let result = self.run_with(&opts);
@@ -381,8 +372,8 @@ impl<'a> Sweep<'a> {
     }
 
     /// Pure execution with default fault-tolerance options (no journal,
-    /// no timeout, no retries): runs the filtered points on `jobs`
-    /// workers and returns records in declaration order.
+    /// no timeout): runs the filtered points on `jobs` workers and
+    /// returns records in declaration order.
     pub fn run(self, jobs: usize, filter: Option<&str>) -> SweepResult {
         self.run_with(&SweepOptions {
             jobs,
@@ -402,33 +393,39 @@ impl<'a> Sweep<'a> {
         };
         let started = Instant::now();
 
-        // Journal bookkeeping: load previously completed points when
-        // resuming, and keep the journal handle for appends. A journal
-        // that exists but cannot be read is left alone rather than
-        // overwritten by the first append.
+        // The journal: replay the entries an earlier (possibly killed)
+        // run left, keyed by point id, and snapshot them at once, which
+        // drops a torn tail before the first append. A journal that
+        // exists but cannot be read is left alone, not overwritten.
         let journal = opts.journal.as_deref().and_then(|path| {
-            let open = Journal::open(path);
-            if let Err(e) = &open {
-                eprintln!(
-                    "[{name}] warning: cannot read journal {path:?} ({e}); running without it"
-                );
-            }
-            open.ok()
-        });
-        let replayed: Vec<Option<PointRecord>> = {
-            let completed = if opts.resume {
-                journal
-                    .as_ref()
-                    .map(Journal::completed_by_id)
-                    .unwrap_or_default()
-            } else {
-                Default::default()
+            let mut journal = supervise::Journal::new(path);
+            let live = match journal.replay(journal_key) {
+                Ok((live, _)) => live,
+                Err(e) => {
+                    eprintln!(
+                        "[{name}] warning: cannot read journal {path:?} ({e}); running without it"
+                    );
+                    return None;
+                }
             };
-            points
-                .iter()
-                .map(|p| completed.get(&p.id()).map(|entry| replay_record(p, entry)))
-                .collect()
-        };
+            if let Err(e) = journal.snapshot(live.values()) {
+                eprintln!("[{name}] journal write failed: {e}");
+            }
+            Some((journal, live))
+        });
+        // Resuming replays the points whose last entry completed.
+        let completed = journal
+            .as_ref()
+            .filter(|_| opts.resume)
+            .map(|(_, live)| live);
+        let replayed: Vec<Option<PointRecord>> = points
+            .iter()
+            .map(|p| {
+                let entry = completed?.get(&p.id())?;
+                let ok = entry.get("status").and_then(JsonValue::as_str) == Some("ok");
+                ok.then(|| replay_record(p, entry))
+            })
+            .collect();
 
         // Points still to run (everything not replayed).
         let todo: Vec<&SweepPoint<'a>> = points
@@ -447,14 +444,15 @@ impl<'a> Sweep<'a> {
 
         // Each point logs its progress line and journals its record under
         // one lock, so lines never interleave and the journal has one
-        // writer at a time.
+        // writer at a time. A failed write makes the next write a
+        // snapshot of every live entry; only the first is reported.
         let log = Mutex::new((0usize, journal));
         let cells: Vec<_> = todo
             .into_iter()
             .map(|point| {
                 let (log, name) = (&log, &name);
                 move || {
-                    let record = run_point(point, opts.point_timeout, opts.max_retries);
+                    let record = run_point(point, opts.point_timeout);
                     let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
                     let (done, journal) = &mut *log;
                     *done += 1;
@@ -467,11 +465,13 @@ impl<'a> Sweep<'a> {
                         record.id(),
                         record.wall_seconds,
                     );
-                    if let Some(j) = journal {
-                        if let Err(e) = j.append(journal_entry(&record)) {
-                            eprintln!("[{name}] journal write failed: {e}");
-                            // Stop retrying a dead journal (full disk etc.).
-                            *journal = None;
+                    if let Some((journal, live)) = journal {
+                        let id = record.id();
+                        live.insert(id.clone(), journal_entry(&record));
+                        if let Err(e) = journal.write(&live[&id], live.values()) {
+                            if journal.stats().errors == 1 {
+                                eprintln!("[{name}] journal write failed: {e}");
+                            }
                         }
                     }
                     record
@@ -509,6 +509,15 @@ fn journal_entry(record: &PointRecord) -> JsonValue {
     JsonValue::Object(fields)
 }
 
+/// A journal line's point id, when it is a valid entry: a string `id`
+/// and a string `status`. Lines from sweeps that still counted
+/// `attempts` are valid too; the key is ignored.
+fn journal_key(entry: JsonValue) -> Option<(String, JsonValue)> {
+    entry.get("status")?.as_str()?;
+    let id = entry.get("id")?.as_str()?.to_string();
+    Some((id, entry))
+}
+
 /// Replays a journaled completion into a [`PointRecord`].
 fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
     let metrics = match entry.get("metrics") {
@@ -519,10 +528,6 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
         Some(JsonValue::Null) | None => None,
         Some(other) => Some(other.clone()),
     };
-    let attempts = entry
-        .get("attempts")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(1) as u32;
     PointRecord {
         dataset: point.dataset.clone(),
         app: point.app.clone(),
@@ -533,62 +538,47 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
             replayed_report,
         },
         status: PointStatus::Ok,
-        attempts,
         error: None,
         wall_seconds: 0.0,
     }
 }
 
-/// Base delay of the exponential retry backoff.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
-
-/// Runs one point to its final record: each attempt runs under a
-/// [`ProgressToken`] carrying the wall-clock budget and the shared
-/// [`gramer::supervise`] panic quarantine (the one the `gramer-serve`
-/// daemon uses), and failures are re-run up to `max_retries` times.
-/// Timeouts are not retried — a point that blew its budget once will
-/// blow it again.
-fn run_point(point: &SweepPoint<'_>, timeout: Option<Duration>, max_retries: u32) -> PointRecord {
+/// Runs one point to its final record under a [`ProgressToken`]
+/// carrying the wall-clock budget and the shared [`gramer::supervise`]
+/// panic quarantine (the one the `gramer-serve` daemon uses).
+fn run_point(point: &SweepPoint<'_>, timeout: Option<Duration>) -> PointRecord {
     let t0 = Instant::now();
-    let mut attempts = 0u32;
-    let (status, error, output) = loop {
-        attempts += 1;
-        let guard = progress::install(ProgressToken::with_budget(timeout, None));
-        // Discard any telemetry stash a previous (failed) attempt on this
-        // thread left behind, so an Ok attempt can only pick up its own
-        // recording.
-        crate::take_point_telemetry();
-        let outcome = supervise::run_quarantined(|| (point.run)());
-        drop(guard);
-        let error = match outcome {
-            supervise::Outcome::Ok(mut output) => {
-                if let Some(tel) = crate::take_point_telemetry() {
-                    output.metrics.push(("telemetry".to_string(), tel));
-                }
-                break (PointStatus::Ok, None, output);
+    let guard = progress::install(ProgressToken::with_budget(timeout, None));
+    // Discard any telemetry stash an earlier failed point on this thread
+    // left behind, so a point can only pick up its own recording.
+    crate::take_point_telemetry();
+    let outcome = supervise::run_quarantined(|| (point.run)());
+    drop(guard);
+    let failure = |kind: &str, message| {
+        let kind = kind.to_string();
+        Some(PointError { kind, message })
+    };
+    let (status, error, output) = match outcome {
+        supervise::Outcome::Ok(mut output) => {
+            if let Some(tel) = crate::take_point_telemetry() {
+                output.metrics.push(("telemetry".to_string(), tel));
             }
-            supervise::Outcome::Cancelled(_) => {
-                let budget = timeout.map_or(0.0, |t| t.as_secs_f64());
-                let error = PointError {
-                    kind: "timeout".to_string(),
-                    message: format!("point exceeded its {budget}s wall-clock budget"),
-                };
-                break (PointStatus::TimedOut, Some(error), PointOutput::new());
-            }
-            supervise::Outcome::Err(e) => PointError {
-                kind: e.kind().to_string(),
-                message: e.to_string(),
-            },
-            supervise::Outcome::Panicked(message) => PointError {
-                kind: "panic".to_string(),
-                message,
-            },
-        };
-        if attempts > max_retries {
-            break (PointStatus::Failed, Some(error), PointOutput::new());
+            (PointStatus::Ok, None, output)
         }
-        // Exponential backoff before the re-run.
-        std::thread::sleep(RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempts - 1).min(64));
+        supervise::Outcome::Cancelled(_) => {
+            let budget = timeout.map_or(0.0, |t| t.as_secs_f64());
+            let message = format!("point exceeded its {budget}s wall-clock budget");
+            let error = failure("timeout", message);
+            (PointStatus::TimedOut, error, PointOutput::new())
+        }
+        supervise::Outcome::Err(e) => {
+            let error = failure(e.kind(), e.to_string());
+            (PointStatus::Failed, error, PointOutput::new())
+        }
+        supervise::Outcome::Panicked(message) => {
+            let error = failure("panic", message);
+            (PointStatus::Failed, error, PointOutput::new())
+        }
     };
     PointRecord {
         dataset: point.dataset.clone(),
@@ -596,66 +586,8 @@ fn run_point(point: &SweepPoint<'_>, timeout: Option<Duration>, max_retries: u32
         config: point.config.clone(),
         output,
         status,
-        attempts,
         error,
         wall_seconds: t0.elapsed().as_secs_f64(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint journal
-// ---------------------------------------------------------------------------
-
-/// A crash-safe JSONL journal of completed sweep points.
-///
-/// Every append rewrites the whole file through
-/// [`supervise::write_json_lines`] (temp file, fsync, rename), so the
-/// journal on disk is always a complete, well-formed prefix of the
-/// sweep, even across SIGKILL. (Sweeps are at most a few hundred points,
-/// so the O(n²) rewrite cost is noise next to simulation time.)
-struct Journal {
-    path: PathBuf,
-    entries: Vec<JsonValue>,
-}
-
-impl Journal {
-    /// Opens `path`, loading the entries an earlier (possibly killed) run
-    /// left behind; torn or corrupt lines are dropped, and a missing file
-    /// starts an empty journal.
-    fn open(path: &Path) -> std::io::Result<Journal> {
-        let mut entries = Vec::new();
-        supervise::read_json_lines(path, |entry| entries.push(entry))?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            entries,
-        })
-    }
-
-    /// Successfully completed entries keyed by point id; when a point
-    /// appears multiple times (a failed run re-attempted later), the
-    /// last entry wins.
-    fn completed_by_id(&self) -> std::collections::HashMap<String, JsonValue> {
-        let mut map = std::collections::HashMap::new();
-        for entry in &self.entries {
-            let Some(id) = entry.get("id").and_then(JsonValue::as_str) else {
-                continue;
-            };
-            let ok = entry.get("status").and_then(JsonValue::as_str) == Some("ok");
-            if ok {
-                map.insert(id.to_string(), entry.clone());
-            } else {
-                // A later failure supersedes an earlier success for the
-                // same id (shouldn't happen, but last-wins is the rule).
-                map.remove(id);
-            }
-        }
-        map
-    }
-
-    /// Appends one entry crash-safely (rewrite + fsync + rename).
-    fn append(&mut self, entry: JsonValue) -> std::io::Result<()> {
-        self.entries.push(entry);
-        supervise::write_json_lines(&self.path, &self.entries)
     }
 }
 
@@ -736,11 +668,11 @@ impl SweepResult {
         ReportSummary::merge(self.records.iter().filter_map(PointRecord::report))
     }
 
-    /// The full JSON document (`schema_version` 2: point records carry
-    /// `status`/`attempts`/`error`).
+    /// The full JSON document (`schema_version` 3: point records carry
+    /// `status`/`error`, and no `attempts`).
     pub fn to_json_value(&self) -> JsonValue {
         JsonValue::object([
-            ("schema_version", JsonValue::from(2u64)),
+            ("schema_version", JsonValue::from(3u64)),
             ("sweep", JsonValue::from(self.name.as_str())),
             ("points", self.points_json()),
             ("summary", self.summary().to_json_value()),
@@ -884,7 +816,6 @@ mod tests {
     \"app\": \"3-CF\",
     \"config\": \"default\",
     \"status\": \"ok\",
-    \"attempts\": 1,
     \"error\": null,
     \"metrics\": {
       \"cycles\": 123,
@@ -905,7 +836,7 @@ mod tests {
         let doc = r.to_json_value();
         assert_eq!(
             doc.get("schema_version").and_then(JsonValue::as_u64),
-            Some(2)
+            Some(3)
         );
         assert_eq!(doc.get("sweep").and_then(JsonValue::as_str), Some("doc"));
         assert!(doc.get("summary").is_some());
@@ -971,7 +902,6 @@ mod tests {
         assert_eq!(r.records.len(), 3, "sweep must survive the panic");
         let bad = r.find("d", "bad", "c").expect("failed record present");
         assert_eq!(bad.status, PointStatus::Failed);
-        assert_eq!(bad.attempts, 1);
         let err = bad.error.as_ref().expect("error recorded");
         assert_eq!(err.kind, "panic");
         assert!(
@@ -1032,44 +962,6 @@ mod tests {
         let r = s.run(1, None);
         assert_eq!(r.exit_code(), 1, "fully failed group must fail the run");
         assert_eq!(r.failures().count(), 2);
-    }
-
-    #[test]
-    fn retries_rerun_failed_points() {
-        let calls = AtomicU64::new(0);
-        let mut s = Sweep::new("retry");
-        s.point("d", "flaky", "c", || {
-            // Fail the first two attempts, succeed on the third.
-            if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                panic!("transient fault");
-            }
-            PointOutput::new().metric("x", 7u64)
-        });
-        let r = s.run_with(&SweepOptions {
-            jobs: 1,
-            max_retries: 3,
-            ..SweepOptions::default()
-        });
-        let p = &r.records[0];
-        assert!(p.is_ok());
-        assert_eq!(p.attempts, 3);
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-
-        // With retries exhausted the point stays failed and counts them.
-        let calls = AtomicU64::new(0);
-        let mut s = Sweep::new("retry");
-        s.point("d", "doomed", "c", || -> PointOutput {
-            calls.fetch_add(1, Ordering::Relaxed);
-            panic!("permanent fault");
-        });
-        let r = s.run_with(&SweepOptions {
-            jobs: 1,
-            max_retries: 2,
-            ..SweepOptions::default()
-        });
-        assert_eq!(r.records[0].status, PointStatus::Failed);
-        assert_eq!(r.records[0].attempts, 3);
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -1217,6 +1109,20 @@ mod tests {
         assert_eq!(reran.load(Ordering::Relaxed), 1);
         assert!(r.records.iter().all(PointRecord::is_ok));
         assert_eq!(r.records[0].metric_f64("v"), Some(1.0));
+        // The snapshot at open dropped both bad lines, so p2's appended
+        // line was not glued onto the torn one.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let ids: Vec<_> = text
+            .lines()
+            .map(|line| {
+                JsonValue::parse(line)
+                    .unwrap()
+                    .get("id")
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(ids, ["\"d/p1/c\"", "\"d/p2/c\""]);
         let _ = std::fs::remove_file(&journal);
     }
 
@@ -1236,6 +1142,41 @@ mod tests {
         assert!(s.run_with(&opts).records[0].is_ok());
         assert!(journal.join("keep").is_dir(), "the journal was clobbered");
         let _ = std::fs::remove_dir_all(&journal);
+    }
+
+    #[test]
+    fn entry_with_attempts_replays_byte_identically() {
+        // An entry written when sweeps still counted attempts.
+        let journal = temp_path("attempts.jsonl");
+        std::fs::write(
+            &journal,
+            "{\"id\": \"d/p/c\", \"dataset\": \"d\", \"app\": \"p\", \"config\": \"c\", \
+             \"status\": \"ok\", \"attempts\": 1, \"error\": null, \"metrics\": {\"v\": 1}, \
+             \"report\": null}\n",
+        )
+        .unwrap();
+        let ran = AtomicU64::new(0);
+        let sweep = || {
+            let mut s = Sweep::new("attempts");
+            s.point("d", "p", "c", || {
+                ran.fetch_add(1, Ordering::Relaxed);
+                PointOutput::new().metric("v", 1u64)
+            });
+            s
+        };
+        let fresh = sweep().run(1, None);
+        let resumed = sweep().run_with(&SweepOptions {
+            jobs: 1,
+            resume: true,
+            journal: Some(journal.clone()),
+            ..SweepOptions::default()
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "the journaled point re-ran");
+        assert_eq!(
+            resumed.points_json().to_string_pretty(),
+            fresh.points_json().to_string_pretty()
+        );
+        let _ = std::fs::remove_file(&journal);
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Shared panic quarantine and JSONL journal files for supervised
+//! Shared panic quarantine and crash-safe JSONL journal for supervised
 //! execution.
 //!
 //! Two subsystems run untrusted-ish work on worker threads and must
 //! survive it misbehaving: the experiment-sweep runner in `gramer-bench`
 //! (one sweep point per task) and the `gramer-serve` daemon (one mining
-//! job per task). Both journal their tasks through [`read_json_lines`]
-//! and [`write_json_lines`], and both need the same mechanism — run a
-//! closure under [`std::panic::catch_unwind`], capture the panic
-//! *message and location* through a scoped hook instead of letting the
-//! default hook spam stderr, and distinguish three outcomes: a typed
-//! error, a genuine panic, and the unwind of a spent run budget from
-//! [`crate::progress`].
+//! job per task). Both record their tasks in one [`Journal`], and both
+//! run them through [`run_quarantined`]: it runs a closure under
+//! [`std::panic::catch_unwind`], captures the panic *message and
+//! location* through a scoped hook instead of letting the default hook
+//! spam stderr, and distinguishes three outcomes: a typed error, a
+//! genuine panic, and the unwind of a spent run budget from
+//! [`crate::progress`]. Neither retries a failed task: a task is a pure
+//! function of its inputs, so the retry would fail again.
 //!
-//! This module is that one implementation. The process-global panic hook
-//! is installed once and chains to the previously installed hook for
-//! every thread that is *not* inside a quarantined execution, so
-//! unrelated panics keep their normal reporting.
+//! The process-global panic hook is installed once and chains to the
+//! previously installed hook for every thread that is *not* inside a
+//! quarantined execution, so unrelated panics keep their normal
+//! reporting.
 //!
 //! # Example
 //!
@@ -39,8 +40,10 @@ use crate::json::JsonValue;
 use crate::progress;
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
-use std::io;
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::fs::OpenOptions;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Once;
 
 thread_local! {
@@ -96,13 +99,6 @@ pub enum Outcome<T> {
     Cancelled(progress::Cancelled),
 }
 
-impl<T> Outcome<T> {
-    /// Whether this is [`Outcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Outcome::Ok(_))
-    }
-}
-
 /// Runs `f` with panics quarantined.
 ///
 /// A typed error becomes [`Outcome::Err`]; a panic becomes
@@ -133,55 +129,187 @@ pub fn run_quarantined<T>(f: impl FnOnce() -> Result<T, SimError>) -> Outcome<T>
     }
 }
 
-/// Reads the JSONL file at `path`, one document per `\n`-terminated
-/// line, handing each parsed document to `each` in file order. Lines
-/// that are not UTF-8 or not JSON (a torn write, a hand edit, disk
-/// corruption) are skipped, never fatal, and a missing file reads as
-/// empty. Returns the number of skipped lines; blank lines do not count.
-///
-/// # Errors
-///
-/// Only I/O errors other than [`io::ErrorKind::NotFound`].
-pub fn read_json_lines(path: &Path, mut each: impl FnMut(JsonValue)) -> io::Result<usize> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let mut skipped = 0;
-    for line in bytes.split(|&b| b == b'\n') {
-        let text = std::str::from_utf8(line).map(str::trim);
-        if text == Ok("") {
-            continue;
-        }
-        match text.ok().and_then(|text| JsonValue::parse(text).ok()) {
-            Some(value) => each(value),
-            None => skipped += 1,
-        }
-    }
-    Ok(skipped)
+/// Fewest appends between two compacting snapshots. A snapshot is due
+/// once the appends since the last one reach `max(live entries, this)`,
+/// so its O(entries) cost is spread over at least as many O(1) appends,
+/// and the file holds at most `2 × live + 64` lines.
+pub const COMPACT_MIN_APPENDS: usize = 64;
+
+/// Lifetime write counts of one [`Journal`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalStats {
+    /// Lines appended.
+    pub appends: u64,
+    /// Snapshots written.
+    pub snapshots: u64,
+    /// Failed appends and snapshots.
+    pub errors: u64,
 }
 
-/// Replaces the file at `path` with one compact JSON document per line,
-/// creating its parent directory. The write is atomic and streamed (see
-/// [`gramer_graph::artifact::replace_file`]): a crash leaves the old
-/// file or the new one, never a torn mix.
+/// A crash-safe JSONL journal of keyed entries: one entry per line, and
+/// the last valid line per key is that key's current state (the sweep
+/// runner keys points by their string id, the daemon jobs by number).
 ///
-/// # Errors
+/// The crash contract:
 ///
-/// Any I/O error; the previous file is then left untouched.
-pub fn write_json_lines<V: Borrow<JsonValue>>(
-    path: &Path,
-    values: impl IntoIterator<Item = V>,
-) -> io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
+/// * **Appends are synced one line at a time.** [`Journal::write`]
+///   appends one compact line and syncs it before it returns. It never
+///   creates the file: a journal that vanished is rewritten whole.
+/// * **A crash leaves at most one torn last line**, which
+///   [`Journal::replay`] skips: that key falls back to its previous line.
+/// * **Snapshots are atomic** (temp file, fsync, rename, directory
+///   fsync; see [`Journal::snapshot`]). Callers take one at open, which
+///   drops a torn tail before the first append, and at drain.
+///   [`Journal::write`] takes one instead of appending after a failed
+///   write, which may have left a partial line an append would be glued
+///   onto, and once the appends since the last snapshot reach
+///   `max(live entries, COMPACT_MIN_APPENDS)`.
+///
+/// The journal keeps no copy of the entries: the caller hands it the
+/// live set, which is only walked when a snapshot is due.
+#[derive(Debug)]
+pub struct Journal {
+    path: PathBuf,
+    /// Lines appended since the last snapshot.
+    appends: usize,
+    /// The next write must be a snapshot: none has been written through
+    /// this handle yet, or the last write failed.
+    snapshot_due: bool,
+    stats: JournalStats,
+}
+
+impl Journal {
+    /// Binds the journal to `path` (the file need not exist yet).
+    pub fn new(path: impl Into<PathBuf>) -> Journal {
+        Journal {
+            path: path.into(),
+            appends: 0,
+            snapshot_due: true,
+            stats: JournalStats::default(),
+        }
     }
-    gramer_graph::artifact::replace_file(path, |w| {
-        values
-            .into_iter()
-            .try_for_each(|value| writeln!(w, "{}", value.borrow()))
-    })
+
+    /// The journal file path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Lifetime write counts.
+    pub fn stats(&self) -> JournalStats {
+        self.stats
+    }
+
+    /// Reads the file and keeps the last valid entry per key. `entry`
+    /// turns one parsed line into its key and entry, or `None` when the
+    /// line is not a valid entry, which then overrides nothing. Returns
+    /// the entries in key order and the number of lines skipped as torn,
+    /// not UTF-8, not JSON or invalid; blank lines do not count. A
+    /// missing file replays as empty.
+    ///
+    /// # Errors
+    ///
+    /// Only I/O errors other than [`io::ErrorKind::NotFound`].
+    pub fn replay<K: Ord, T>(
+        &self,
+        mut entry: impl FnMut(JsonValue) -> Option<(K, T)>,
+    ) -> io::Result<(BTreeMap<K, T>, usize)> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let mut entries = BTreeMap::new();
+        let mut skipped = 0;
+        for line in bytes.split(|&b| b == b'\n') {
+            let text = std::str::from_utf8(line).map(str::trim);
+            if text == Ok("") {
+                continue;
+            }
+            let parsed = text.ok().and_then(|text| JsonValue::parse(text).ok());
+            match parsed.and_then(&mut entry) {
+                Some((key, value)) => {
+                    entries.insert(key, value);
+                }
+                None => skipped += 1,
+            }
+        }
+        Ok((entries, skipped))
+    }
+
+    /// Journals one changed `entry`: appends it as one synced line, or
+    /// writes a snapshot of `live` when one is due (see the crash
+    /// contract). `live` is every current entry, `entry` included; only
+    /// its length is read unless a snapshot is due.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error of the append or the snapshot; the next write is
+    /// then a snapshot.
+    pub fn write<E: Borrow<JsonValue>>(
+        &mut self,
+        entry: &JsonValue,
+        live: impl ExactSizeIterator<Item = E>,
+    ) -> io::Result<()> {
+        let compact = self.appends >= live.len().max(COMPACT_MIN_APPENDS);
+        if !self.snapshot_due && !compact {
+            match self.append(entry) {
+                Ok(()) => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(self.failed(e)),
+            }
+        }
+        self.snapshot(live)
+    }
+
+    /// Atomically replaces the file with one line per entry of `live`,
+    /// creating its parent directory. The write is streamed through
+    /// [`gramer_graph::artifact::replace_file`] (temp file, fsync,
+    /// rename, directory fsync): a crash leaves the old file or the new
+    /// one, never a torn mix.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error; one before the rename leaves the previous file
+    /// untouched.
+    pub fn snapshot<E: Borrow<JsonValue>>(
+        &mut self,
+        live: impl IntoIterator<Item = E>,
+    ) -> io::Result<()> {
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        let written = dir.map_or(Ok(()), std::fs::create_dir_all).and_then(|()| {
+            gramer_graph::artifact::replace_file(&self.path, |w| {
+                live.into_iter()
+                    .try_for_each(|entry| writeln!(w, "{}", entry.borrow()))
+            })
+        });
+        match written {
+            Ok(()) => {
+                self.appends = 0;
+                self.snapshot_due = false;
+                self.stats.snapshots += 1;
+                Ok(())
+            }
+            Err(e) => Err(self.failed(e)),
+        }
+    }
+
+    /// Appends one line to the existing file and syncs it.
+    fn append(&mut self, entry: &JsonValue) -> io::Result<()> {
+        let mut line = entry.to_string();
+        line.push('\n');
+        let mut file = OpenOptions::new().append(true).open(&self.path)?;
+        file.write_all(line.as_bytes())?;
+        file.sync_data()?;
+        self.appends += 1;
+        self.stats.appends += 1;
+        Ok(())
+    }
+
+    fn failed(&mut self, e: io::Error) -> io::Error {
+        self.snapshot_due = true;
+        self.stats.errors += 1;
+        e
+    }
 }
 
 #[cfg(test)]
@@ -253,20 +381,190 @@ mod tests {
     fn json_lines_roundtrip_and_skip_unreadable_lines() {
         let dir = std::env::temp_dir().join(format!("gramer-jsonl-{}", std::process::id()));
         let path = dir.join("nested").join("log.jsonl");
+        // Keyed by line number, replay hands back every readable line.
         let read = |path: &Path| {
-            let mut values = Vec::new();
-            read_json_lines(path, |v| values.push(v)).map(|skipped| (values, skipped))
+            let mut line = 0;
+            let keyed = Journal::new(path).replay(|v| {
+                line += 1;
+                Some((line, v))
+            });
+            keyed.map(|(values, skipped)| (values.into_values().collect::<Vec<_>>(), skipped))
         };
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(read(&path).expect("missing file"), (Vec::new(), 0));
         let docs = [JsonValue::from(1u64), JsonValue::from("two")];
-        write_json_lines(&path, &docs).expect("write creates the parent");
+        Journal::new(&path)
+            .snapshot(&docs)
+            .expect("a snapshot creates the parent");
         let mut bytes = std::fs::read(&path).expect("read back");
         assert_eq!(bytes, b"1\n\"two\"\n");
         // A non-UTF-8 line, a blank line and a torn trailing line.
         bytes.extend_from_slice(b"\xff\xfe\n\n{\"id\": 3, \"sta");
         std::fs::write(&path, &bytes).expect("corrupt");
         assert_eq!(read(&path).expect("corrupt file"), (docs.to_vec(), 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn temp_journal(tag: &str) -> (PathBuf, Journal) {
+        let dir = std::env::temp_dir().join(format!("gramer-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let journal = Journal::new(dir.join("log.jsonl"));
+        (dir, journal)
+    }
+
+    fn entry(id: u64, state: &str) -> JsonValue {
+        JsonValue::object([
+            ("id", JsonValue::from(id)),
+            ("state", JsonValue::from(state)),
+        ])
+    }
+
+    fn numeric(line: JsonValue) -> Option<(u64, String)> {
+        let id = line.get("id")?.as_u64()?;
+        Some((id, line.get("state")?.as_str()?.to_string()))
+    }
+
+    fn line_count(journal: &Journal) -> usize {
+        std::fs::read_to_string(journal.path())
+            .expect("journal")
+            .lines()
+            .count()
+    }
+
+    #[test]
+    fn appends_compact_within_twice_the_live_entries_plus_the_minimum() {
+        let (dir, mut journal) = temp_journal("compact");
+        let mut live: BTreeMap<u64, JsonValue> = BTreeMap::new();
+        journal.snapshot(live.values()).expect("open");
+        let mut max_lines = 0;
+        // 150 entries, each written as queued, running and done: most
+        // writes change an entry the file already holds.
+        for id in 0..150 {
+            for state in ["queued", "running", "done"] {
+                let changed = entry(id, state);
+                live.insert(id, changed.clone());
+                journal.write(&changed, live.values()).expect("write");
+                max_lines = max_lines.max(line_count(&journal));
+                assert!(
+                    line_count(&journal) <= 2 * live.len() + COMPACT_MIN_APPENDS,
+                    "{} lines for {} live entries",
+                    line_count(&journal),
+                    live.len()
+                );
+            }
+        }
+        let stats = journal.stats();
+        assert_eq!(stats.appends + stats.snapshots, 1 + 450);
+        assert!(
+            stats.snapshots <= 1 + stats.appends / COMPACT_MIN_APPENDS as u64,
+            "{stats:?}"
+        );
+        assert!(max_lines > live.len(), "compaction ran on every write");
+        let (replayed, skipped) = journal.replay(numeric).expect("replay");
+        assert_eq!(skipped, 0);
+        assert_eq!(replayed.len(), 150);
+        assert!(replayed.values().all(|state| state == "done"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_makes_the_next_write_a_snapshot() {
+        let (dir, mut journal) = temp_journal("failed");
+        let first = entry(1, "queued");
+        journal.snapshot([&first]).expect("open");
+        // A directory in the file's place fails the append.
+        std::fs::remove_file(journal.path()).expect("remove");
+        std::fs::create_dir(journal.path()).expect("squat");
+        let second = entry(2, "queued");
+        assert!(journal
+            .write(&second, [&first, &second].into_iter())
+            .is_err());
+        assert_eq!(journal.stats().errors, 1);
+        // Free the path, leaving the partial line a failed append might
+        // leave: the next write must replace it, not append to it.
+        std::fs::remove_dir(journal.path()).expect("free");
+        std::fs::write(journal.path(), b"{\"id\": 9").expect("partial line");
+        let third = entry(3, "queued");
+        journal
+            .write(&third, [&first, &second, &third].into_iter())
+            .expect("write");
+        assert_eq!(journal.stats().snapshots, 2);
+        let (replayed, skipped) = journal.replay(numeric).expect("replay");
+        assert_eq!(skipped, 0);
+        assert_eq!(replayed.keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
+        // The snapshot cleared the debt: the next write appends.
+        journal
+            .write(&entry(3, "done"), [&first, &second, &third].into_iter())
+            .expect("append");
+        assert_eq!(journal.stats().appends, 1);
+        assert_eq!(line_count(&journal), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_vanished_file_is_rewritten_whole_not_restarted_by_an_append() {
+        let (dir, mut journal) = temp_journal("vanished");
+        let (first, second) = (entry(1, "done"), entry(2, "queued"));
+        journal.snapshot([&first]).expect("open");
+        std::fs::remove_file(journal.path()).expect("remove");
+        journal
+            .write(&second, [&first, &second].into_iter())
+            .expect("write");
+        assert_eq!(
+            journal.stats(),
+            JournalStats {
+                appends: 0,
+                snapshots: 2,
+                errors: 0
+            }
+        );
+        let (replayed, _) = journal.replay(numeric).expect("replay");
+        assert_eq!(replayed.keys().copied().collect::<Vec<_>>(), [1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_keeps_the_last_valid_line_per_numeric_or_string_id() {
+        let (dir, journal) = temp_journal("replay");
+        std::fs::write(
+            journal.path(),
+            concat!(
+                "{\"id\": 1, \"state\": \"queued\"}\n",
+                "{\"id\": \"d/p/c\", \"state\": \"failed\"}\n",
+                "{\"id\": 1, \"state\": \"done\"}\n",
+                "{\"id\": \"d/p/c\", \"state\": \"ok\"}\n",
+                // Valid JSON, invalid entries: no state, a wrong id type.
+                "{\"id\": 1}\n",
+                "{\"id\": \"1\", \"state\": \"lost\"}\n",
+                "{\"id\": [\"d/p/c\"], \"state\": \"lost\"}\n",
+                "{\"id\": \"d/p/c\"}\n",
+                "{\"id\": 2, \"sta",
+            ),
+        )
+        .expect("seed");
+        let (numeric_ids, skipped) = journal.replay(numeric).expect("replay");
+        assert_eq!(
+            numeric_ids.into_iter().collect::<Vec<_>>(),
+            [(1, "done".to_string())]
+        );
+        // Two string-id lines, four invalid ones and the torn tail.
+        assert_eq!(skipped, 2 + 4 + 1);
+        let (string_ids, skipped) = journal
+            .replay(|line| {
+                let id = line.get("id")?.as_str()?.to_string();
+                Some((id, line.get("state")?.as_str()?.to_string()))
+            })
+            .expect("replay");
+        assert_eq!(
+            string_ids.into_iter().collect::<Vec<_>>(),
+            [
+                ("1".to_string(), "lost".to_string()),
+                ("d/p/c".to_string(), "ok".to_string())
+            ]
+        );
+        // Three numeric-id lines, two other invalid ones and the torn tail.
+        assert_eq!(skipped, 3 + 2 + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -272,7 +272,10 @@ pub fn write_binary<W: Write>(graph: &CsrGraph, mut writer: W) -> Result<(), Gra
 ///
 /// The header's counts size nothing up front: every array grows only as
 /// its bytes arrive, so a header that declares more than the input
-/// holds ends in a truncation error, not in a huge allocation.
+/// holds ends in a truncation error, not in a huge allocation. The
+/// arrays must form a CSR [`write_binary`] could have written: every row
+/// strictly ascending, no self-loop, and every entry `(v, u)` mirrored
+/// by an entry `(u, v)`; the graph is then taken as stored.
 ///
 /// # Errors
 ///
@@ -310,23 +313,35 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
         return Err(malformed("inconsistent offsets"));
     }
     let adjacency = read_values(&mut reader, m, u32::from_le_bytes)?;
-    let mut b = GraphBuilder::with_capacity(adjacency.len() / 2);
-    b.ensure_vertex((n - 1) as VertexId);
+    // Every offset is at most `m`, the length just read.
+    let offsets: Vec<usize> = offsets.into_iter().map(|o| o as usize).collect();
+    // Sources in ascending order: row `u`'s cursor must meet each source
+    // that lists `u`, in turn, before its row ends. The entries met equal
+    // the entries stored, so every cursor stops exactly at its row's end.
+    let mut cursor = offsets[..n].to_vec();
     for (v, w) in offsets.windows(2).enumerate() {
-        for &u in &adjacency[w[0] as usize..w[1] as usize] {
-            if u as usize >= n {
+        let row = &adjacency[w[0]..w[1]];
+        if row.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(malformed(&format!("row {v} is not strictly ascending")));
+        }
+        for &u in row {
+            let Some(&next) = cursor.get(u as usize) else {
                 return Err(GraphError::VertexIdOverflow {
                     id: u as u64,
                     line: 0,
                 });
+            };
+            if u as usize == v {
+                return Err(malformed(&format!("self-loop at vertex {v}")));
             }
-            if (v as VertexId) < u {
-                b.add_edge(v as VertexId, u);
+            if next == offsets[u as usize + 1] || adjacency[next] as usize != v {
+                return Err(malformed(&format!("entry {v}-{u} has no reverse entry")));
             }
+            cursor[u as usize] = next + 1;
         }
     }
-    b.labels(read_values(&mut reader, n as u64, u16::from_le_bytes)?);
-    b.build()
+    let labels = read_values(&mut reader, n as u64, u16::from_le_bytes)?;
+    Ok(CsrGraph::from_parts(offsets, adjacency, labels))
 }
 
 /// Reads `count` little-endian values of `W` bytes each, in chunks of at
@@ -448,11 +463,17 @@ mod tests {
     fn binary_roundtrip_preserves_everything() {
         // Labels AND isolated vertices survive, unlike the text format.
         let base = generate::rmat(5, 60, generate::RmatParams::default(), 8);
-        let g = generate::with_random_labels(&base, 5, 3);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(g, g2);
+        let labeled = generate::with_random_labels(&base, 5, 3);
+        for g in [
+            labeled,
+            generate::complete(5),
+            generate::barabasi_albert(200, 3, 7),
+        ] {
+            let mut buf = Vec::new();
+            write_binary(&g, &mut buf).unwrap();
+            let g2 = read_binary(buf.as_slice()).unwrap();
+            assert_eq!(g, g2);
+        }
     }
 
     #[test]
@@ -477,6 +498,56 @@ mod tests {
             bytes.extend_from_slice(&word.to_le_bytes());
         }
         bytes
+    }
+
+    /// A whole binary CSR file: the header, `adjacency` and `n` zero
+    /// labels.
+    fn binary_file(n: u64, offsets: &[u64], adjacency: &[u32]) -> Vec<u8> {
+        let mut bytes = binary_header(n, adjacency.len() as u64, offsets);
+        for u in adjacency {
+            bytes.extend_from_slice(&u.to_le_bytes());
+        }
+        bytes.resize(bytes.len() + 2 * n as usize, 0);
+        bytes
+    }
+
+    #[test]
+    fn binary_rejects_an_inconsistent_csr() {
+        // Edge 1-0 stored only in vertex 1's row: 56 bytes that once
+        // loaded as a graph with no edges.
+        let one_sided = binary_file(2, &[0, 0, 1], &[0]);
+        assert_eq!(one_sided.len(), 56);
+        for (bytes, what) in [
+            (one_sided, "entry 1-0 has no reverse entry"),
+            // Triangle 0-1-2 with vertex 0's row unsorted.
+            (
+                binary_file(3, &[0, 2, 4, 6], &[2, 1, 0, 2, 0, 1]),
+                "row 0 is not strictly ascending",
+            ),
+            // Edge 0-1 listed twice in both rows.
+            (
+                binary_file(2, &[0, 2, 4], &[1, 1, 0, 0]),
+                "row 0 is not strictly ascending",
+            ),
+            // Edge 0-1 and a self-loop at vertex 0.
+            (
+                binary_file(2, &[0, 2, 3], &[0, 1, 0]),
+                "self-loop at vertex 0",
+            ),
+        ] {
+            match read_binary(bytes.as_slice()) {
+                Err(GraphError::Parse { line: 0, content }) => {
+                    assert_eq!(content, format!("binary CSR: {what}"))
+                }
+                other => panic!("{what}: expected a parse error, got {other:?}"),
+            }
+        }
+        // The same shapes made consistent load.
+        let triangle = binary_file(3, &[0, 2, 4, 6], &[1, 2, 0, 2, 0, 1]);
+        assert_eq!(
+            read_binary(triangle.as_slice()).unwrap(),
+            generate::complete(3)
+        );
     }
 
     #[test]

@@ -6,24 +6,24 @@
 //! ```text
 //! gramer-serve [--addr HOST:PORT] [--addr-file PATH] [--workers N]
 //!              [--queue N] [--journal PATH] [--deadline SECS]
-//!              [--max-retries N] [--max-steps N] [--max-graph-bytes N]
+//!              [--max-steps N] [--max-graph-bytes N]
 //!              [--session-cache-bytes N] [--chaos SPEC]
 //! ```
 //!
 //! `--addr-file` writes the daemon's actual address (useful with port 0)
 //! to PATH once the listener is bound — scripts wait for the file
 //! instead of racing the bind. `--chaos` enables deterministic fault
-//! injection (`panic=50,io=100,delay=200,delay-ms=25,seed=7`, rates per
-//! mille) for robustness testing. SIGTERM (and SIGINT) trigger a
-//! graceful drain: in-flight jobs finish, the journal is flushed, then
-//! the process exits 0.
+//! injection (`panic=50,delay=200,delay-ms=25,seed=7`, rates per mille)
+//! for robustness testing. SIGTERM (and SIGINT) trigger a graceful
+//! drain: in-flight jobs finish, the journal is flushed, then the
+//! process exits 0.
 //!
 //! Client mode (used by the tier-1 serve stage; no curl needed):
 //!
 //! ```text
 //! gramer-serve client --addr HOST:PORT submit (--gen SPEC | --artifact PATH | --edge-list PATH)
 //!                     --app APP [--config JSON] [--metrics] [--deadline SECS]
-//!                     [--max-retries N] [--wait] [--out PATH]
+//!                     [--wait] [--out PATH]
 //! gramer-serve client --addr HOST:PORT (status ID | report ID | metrics ID |
 //!                     jobs | stats | healthz | shutdown)
 //! ```
@@ -71,7 +71,7 @@ mod signals {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  gramer-serve [--addr HOST:PORT] [--addr-file PATH] [--workers N] [--queue N]\n               [--journal PATH] [--deadline SECS] [--max-retries N] [--max-steps N]\n               [--max-graph-bytes N] [--session-cache-bytes N] [--chaos SPEC]\n  gramer-serve client --addr HOST:PORT <submit|status|report|metrics|jobs|stats|healthz|shutdown> ..."
+        "usage:\n  gramer-serve [--addr HOST:PORT] [--addr-file PATH] [--workers N] [--queue N]\n               [--journal PATH] [--deadline SECS] [--max-steps N]\n               [--max-graph-bytes N] [--session-cache-bytes N] [--chaos SPEC]\n  gramer-serve client --addr HOST:PORT <submit|status|report|metrics|jobs|stats|healthz|shutdown> ..."
     );
     std::process::exit(2)
 }
@@ -119,10 +119,6 @@ fn daemon_main(args: &[String]) -> ExitCode {
                         eprintln!("--deadline expects positive seconds, got {secs}");
                         usage()
                     })
-            }
-            "--max-retries" => {
-                cfg.supervisor.default_max_retries =
-                    parse_or_usage(&value("--max-retries"), "--max-retries")
             }
             "--max-steps" => {
                 cfg.supervisor.max_steps = parse_or_usage(&value("--max-steps"), "--max-steps")
@@ -218,7 +214,6 @@ struct ClientArgs {
     config: Option<String>,
     metrics: bool,
     deadline: Option<f64>,
-    max_retries: Option<u32>,
     wait: bool,
     out: Option<String>,
 }
@@ -235,7 +230,6 @@ fn client_main(args: &[String]) -> ExitCode {
         config: None,
         metrics: false,
         deadline: None,
-        max_retries: None,
         wait: false,
         out: None,
     };
@@ -257,9 +251,6 @@ fn client_main(args: &[String]) -> ExitCode {
             "--metrics" => parsed.metrics = true,
             "--deadline" => {
                 parsed.deadline = Some(parse_or_usage(&value("--deadline"), "--deadline"))
-            }
-            "--max-retries" => {
-                parsed.max_retries = Some(parse_or_usage(&value("--max-retries"), "--max-retries"))
             }
             "--wait" => parsed.wait = true,
             "--out" => parsed.out = Some(value("--out")),
@@ -378,9 +369,6 @@ fn client_submit(parsed: &ClientArgs) -> Result<ExitCode, String> {
     }
     if let Some(d) = parsed.deadline {
         fields.push(("deadline_seconds", JsonValue::from(d)));
-    }
-    if let Some(r) = parsed.max_retries {
-        fields.push(("max_retries", JsonValue::from(u64::from(r))));
     }
     let body = JsonValue::object(fields).to_string();
     let (status, response) =

@@ -32,34 +32,6 @@ pub enum GraphSource {
     Inline(String),
 }
 
-impl GraphSource {
-    /// JSON form, the inverse of the parser in [`JobSpec::from_json`].
-    pub fn to_json_value(&self) -> JsonValue {
-        match self {
-            GraphSource::Gen(spec) => JsonValue::object([("gen", JsonValue::from(spec.as_str()))]),
-            GraphSource::EdgeList(p) => {
-                JsonValue::object([("edge_list", JsonValue::from(p.display().to_string()))])
-            }
-            GraphSource::Artifact(p) => {
-                JsonValue::object([("artifact", JsonValue::from(p.display().to_string()))])
-            }
-            GraphSource::Inline(text) => {
-                JsonValue::object([("inline", JsonValue::from(text.as_str()))])
-            }
-        }
-    }
-
-    /// A short human label for log lines.
-    pub fn label(&self) -> String {
-        match self {
-            GraphSource::Gen(spec) => format!("gen:{spec}"),
-            GraphSource::EdgeList(p) => format!("edge-list:{}", p.display()),
-            GraphSource::Artifact(p) => format!("artifact:{}", p.display()),
-            GraphSource::Inline(text) => format!("inline:{}B", text.len()),
-        }
-    }
-}
-
 /// A validated job submission.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -72,8 +44,6 @@ pub struct JobSpec {
     pub config: GramerConfig,
     /// Per-job wall-clock budget override (`deadline_seconds`).
     pub deadline: Option<Duration>,
-    /// Per-job retry override for transient failures.
-    pub max_retries: Option<u32>,
     /// Whether to record and keep the telemetry rollup.
     pub metrics: bool,
 }
@@ -87,13 +57,13 @@ impl JobSpec {
     ///   "app": "4-cf",
     ///   "config": {"pus": 8, "tau": 0.02, "access_path": "fast"},
     ///   "deadline_seconds": 10.0,
-    ///   "max_retries": 1,
     ///   "metrics": true
     /// }
     /// ```
     ///
     /// Exactly one of `gen` / `edge_list` / `artifact` / `inline` selects
-    /// the graph. All fields other than `graph` and `app` are optional.
+    /// the graph. All fields other than `graph` and `app` are optional,
+    /// and other top-level keys are ignored.
     ///
     /// # Errors
     ///
@@ -142,14 +112,6 @@ impl JobSpec {
                     .ok_or("\"deadline_seconds\" must be a positive number of seconds")?,
             ),
         };
-        let max_retries = match v.get("max_retries") {
-            None | Some(JsonValue::Null) => None,
-            Some(x) => Some(
-                x.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("\"max_retries\" must be a small non-negative integer")?,
-            ),
-        };
         let metrics = match v.get("metrics") {
             None | Some(JsonValue::Null) => false,
             Some(x) => x.as_bool().ok_or("\"metrics\" must be a boolean")?,
@@ -160,7 +122,6 @@ impl JobSpec {
             app,
             config,
             deadline,
-            max_retries,
             metrics,
         })
     }
@@ -252,9 +213,9 @@ pub enum JobStatus {
     Running,
     /// Finished successfully; the record carries the report.
     Completed,
-    /// Every attempt ended in a typed error.
+    /// The run ended in a typed error.
     Failed,
-    /// Every attempt ended in a panic (quarantined, daemon unharmed).
+    /// The run panicked (quarantined, daemon unharmed).
     Panicked,
     /// Spent its wall-clock deadline or step budget.
     TimedOut,
@@ -333,8 +294,6 @@ pub struct JobRecord {
     pub spec_json: JsonValue,
     /// Lifecycle state.
     pub status: JobStatus,
-    /// Execution attempts so far (0 until the first attempt starts).
-    pub attempts: u32,
     /// Why the job is in a non-completed terminal state.
     pub error: Option<JobError>,
     /// The full `RunReport` JSON for completed jobs.
@@ -353,7 +312,6 @@ impl JobRecord {
             id,
             spec_json,
             status,
-            attempts: 0,
             error: None,
             report_json: None,
             metrics_json: None,
@@ -367,7 +325,6 @@ impl JobRecord {
         JsonValue::object([
             ("id", JsonValue::from(self.id)),
             ("status", JsonValue::from(self.status.as_str())),
-            ("attempts", JsonValue::from(u64::from(self.attempts))),
             (
                 "error",
                 self.error
@@ -385,7 +342,6 @@ impl JobRecord {
         JsonValue::object([
             ("id", JsonValue::from(self.id)),
             ("status", JsonValue::from(self.status.as_str())),
-            ("attempts", JsonValue::from(u64::from(self.attempts))),
             (
                 "error",
                 self.error
@@ -410,7 +366,6 @@ impl JobRecord {
     pub fn from_json(v: &JsonValue) -> Option<JobRecord> {
         let id = v.get("id")?.as_u64()?;
         let status = JobStatus::parse(v.get("status")?.as_str()?)?;
-        let attempts = v.get("attempts").and_then(JsonValue::as_u64).unwrap_or(0) as u32;
         let error = match v.get("error") {
             None | Some(JsonValue::Null) => None,
             Some(e) => Some(JobError {
@@ -431,7 +386,6 @@ impl JobRecord {
             id,
             spec_json,
             status,
-            attempts,
             error,
             report_json: opt("report"),
             metrics_json: opt("metrics"),
@@ -601,13 +555,11 @@ mod tests {
     fn record_roundtrips_through_json() {
         let mut rec = JobRecord::new(7, spec_json("{\"gen\": \"demo\"}"), JobStatus::Queued);
         rec.status = JobStatus::Panicked;
-        rec.attempts = 2;
         rec.error = Some(JobError::new("panic", "kaboom (at x.rs:1)"));
         rec.cache_hit = true;
         let back = JobRecord::from_json(&rec.to_json_value()).expect("roundtrip");
         assert_eq!(back.id, 7);
         assert_eq!(back.status, JobStatus::Panicked);
-        assert_eq!(back.attempts, 2);
         assert_eq!(back.error, rec.error);
         assert!(back.cache_hit);
         assert!(back.report_json.is_none());

@@ -1,42 +1,22 @@
-//! Crash-safe JSONL job journal.
+//! The daemon's job journal: [`JobRecord`] lines (JSON from
+//! [`JobRecord::to_json_value`]) keyed by job id, over the shared
+//! [`gramer::supervise::Journal`] and its crash contract. The supervisor
+//! writes through a `Journal` of its own; this shell replays.
 //!
-//! The daemon's only durable state is one JSONL file: each line is a
-//! [`JobRecord`] snapshot for one job (JSON from
-//! [`JobRecord::to_json_value`]), and when a job id appears on several
-//! lines the last one is its current state. The crash contract:
-//!
-//! * **Appends are synced one line at a time.** Each state change is one
-//!   line written by [`JobJournal::append`] with a single `write_all` and
-//!   synced before the call returns, so a change the daemon has
-//!   acknowledged is on disk.
-//! * **A crash leaves at most one torn last line**, which replay skips:
-//!   that job falls back to its previous line.
-//! * **Snapshots are atomic.** [`JobJournal::write_snapshot`] rewrites
-//!   the file with one line per record through
-//!   [`gramer::supervise::write_json_lines`] — temp file, fsync, rename,
-//!   directory fsync, the `.gra` artifact writer's discipline — so a
-//!   crash leaves the old file or the new one, never a torn mix. The
-//!   daemon snapshots at start (which also drops a torn tail before the
-//!   first append), at drain, and to compact the appends, which keeps
-//!   the file within about twice the live records.
-//!
-//! Replay is forgiving by design: a torn, non-UTF-8 or otherwise corrupt
-//! line (a crash mid-append, or a hand edit) is skipped, not fatal, and
-//! the last structurally valid line per job id wins. Terminal records
-//! are restored as-is — completed results survive a restart
-//! byte-for-byte — while `queued`/`running` records are returned for the
-//! supervisor to re-enqueue: a job that was mid-flight when the daemon
-//! died runs again rather than being silently lost.
+//! Terminal records are restored as-is — completed results survive a
+//! restart byte-for-byte — while `queued`/`running` records are
+//! returned for the supervisor to re-enqueue. Lines from daemons that
+//! still retried jobs (a retry count, a spec retry budget) replay too:
+//! the parsers ignore keys they do not know.
 
 use crate::job::{JobRecord, JobStatus};
-use gramer::supervise::{read_json_lines, write_json_lines};
-use std::fs::OpenOptions;
-use std::io::{self, Write};
+use gramer::supervise::Journal;
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// A journal bound to one file path.
+/// The job journal bound to one file path.
 pub struct JobJournal {
-    path: PathBuf,
+    journal: Journal,
 }
 
 /// The outcome of replaying a journal at startup.
@@ -54,12 +34,14 @@ pub struct Replay {
 impl JobJournal {
     /// Binds the journal to `path` (the file need not exist yet).
     pub fn new(path: impl Into<PathBuf>) -> JobJournal {
-        JobJournal { path: path.into() }
+        JobJournal {
+            journal: Journal::new(path),
+        }
     }
 
     /// The journal file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Reads the journal and reconstructs job state, tolerating torn
@@ -72,17 +54,11 @@ impl JobJournal {
     /// Only real I/O errors (permission, hardware); corruption is
     /// reported via [`Replay::skipped_lines`] instead.
     pub fn replay(&self) -> io::Result<Replay> {
-        let mut latest: std::collections::BTreeMap<u64, JobRecord> =
-            std::collections::BTreeMap::new();
-        let mut not_records = 0;
-        let unreadable = read_json_lines(&self.path, |value| match JobRecord::from_json(&value) {
-            Some(rec) => {
-                latest.insert(rec.id, rec);
-            }
-            None => not_records += 1,
-        })?;
+        let (latest, skipped_lines) = self
+            .journal
+            .replay(|line| JobRecord::from_json(&line).map(|rec| (rec.id, rec)))?;
         let mut replay = Replay {
-            skipped_lines: unreadable + not_records,
+            skipped_lines,
             ..Replay::default()
         };
         for (_, mut rec) in latest {
@@ -95,30 +71,9 @@ impl JobJournal {
         Ok(replay)
     }
 
-    /// Appends `record` as one compact line and syncs it before
-    /// returning.
-    ///
-    /// The file must exist already: an append never creates it, so a
-    /// journal that vanished is not restarted with a single line (the
-    /// caller writes a snapshot instead). A failed append may leave part
-    /// of its line behind, which the next append would be glued onto;
-    /// after any error the caller must write a snapshot before appending
-    /// again.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::NotFound`] when the file does not exist, and any
-    /// I/O error from the open, write or sync.
-    pub fn append(&self, record: &JobRecord) -> io::Result<()> {
-        let mut line = record.to_json_value().to_string();
-        line.push('\n');
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        file.write_all(line.as_bytes())?;
-        file.sync_data()
-    }
-
-    /// Atomically replaces the journal with one snapshot line per
-    /// record (callers pass records in id order for a readable file).
+    /// Atomically replaces the journal file with one line per record
+    /// (callers pass records in id order for a readable file), as a
+    /// snapshot through a fresh [`Journal`] handle.
     ///
     /// # Errors
     ///
@@ -129,10 +84,8 @@ impl JobJournal {
         &self,
         records: impl IntoIterator<Item = &'a JobRecord>,
     ) -> io::Result<()> {
-        write_json_lines(
-            &self.path,
-            records.into_iter().map(JobRecord::to_json_value),
-        )
+        let records = records.into_iter().map(JobRecord::to_json_value);
+        Journal::new(self.path()).snapshot(records)
     }
 }
 
@@ -160,7 +113,6 @@ mod tests {
         let journal = JobJournal::new(dir.join("jobs.jsonl"));
         let mut done = JobRecord::new(1, spec(), JobStatus::Queued);
         done.status = JobStatus::Completed;
-        done.attempts = 1;
         done.report_json = Some(JsonValue::parse("{\"cycles\": 123}").expect("json"));
         let mut dead = JobRecord::new(2, spec(), JobStatus::Queued);
         dead.status = JobStatus::Panicked;
@@ -214,10 +166,14 @@ mod tests {
         let journal = JobJournal::new(dir.join("nope.jsonl"));
         let replay = journal.replay().expect("replay");
         assert!(replay.records.is_empty());
-        let rec = JobRecord::new(1, spec(), JobStatus::Queued);
-        let err = journal.append(&rec).expect_err("append to a missing file");
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert!(!journal.path().exists());
+        // The daemon writes through the shared journal: on a missing file
+        // it writes every record, not one appended line.
+        let records =
+            [1, 2].map(|id| JobRecord::new(id, spec(), JobStatus::Queued).to_json_value());
+        let mut writer = Journal::new(journal.path());
+        writer.write(&records[1], records.iter()).expect("write");
+        assert_eq!(writer.stats().appends, 0);
+        assert_eq!(journal.replay().expect("replay").records.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -229,8 +185,10 @@ mod tests {
         let queued = JobRecord::new(1, spec(), JobStatus::Queued);
         let mut done = queued.clone();
         done.status = JobStatus::Completed;
-        journal.write_snapshot([&queued]).expect("snapshot");
-        journal.append(&done).expect("append");
+        let mut writer = Journal::new(&path);
+        writer.snapshot([queued.to_json_value()]).expect("snapshot");
+        let line = done.to_json_value();
+        writer.write(&line, [&line].into_iter()).expect("append");
         let text = fs::read_to_string(&path).expect("read");
         assert_eq!(
             text,

@@ -13,17 +13,16 @@
 //!   (`queued → running → completed | failed | panicked | timed_out`,
 //!   plus `rejected` at admission), and JSON round-tripping;
 //! * [`supervisor`] — admission control, the bounded worker pool, panic
-//!   quarantine (shared with the sweep runner via
-//!   [`gramer::supervise`]), deadlines and step budgets carried by
-//!   [`gramer::progress`] tokens and enforced on the worker itself,
-//!   retry with exponential backoff, and the crash-safe journal;
-//! * [`journal`] — the atomic-rewrite JSONL journal and its forgiving
-//!   replay;
+//!   quarantine and the crash-safe journal (both shared with the sweep
+//!   runner via [`gramer::supervise`]), and deadlines and step budgets
+//!   carried by [`gramer::progress`] tokens and enforced on the worker
+//!   itself; a failed job is never retried, as it would fail again;
+//! * [`journal`] — the job records' forgiving replay;
 //! * [`session`] — the shared in-memory LRU cache of preprocessed
 //!   graphs, keyed like [`gramer::PreprocessCache`];
-//! * [`chaos`] — deterministic seeded fault injection (panics, I/O
-//!   errors, delays) used by the acceptance tests to *prove* the
-//!   containment properties instead of asserting them;
+//! * [`chaos`] — deterministic seeded fault injection (panics, delays)
+//!   used by the acceptance tests to *prove* the containment properties
+//!   instead of asserting them;
 //! * [`server`] — the accept loop and routing.
 //!
 //! Served results are byte-identical to CLI results: the daemon runs

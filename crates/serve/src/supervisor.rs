@@ -1,14 +1,13 @@
 //! The job supervisor: admission control, a bounded worker pool, panic
-//! quarantine, run budgets, retry with backoff, and the crash-safe
-//! journal.
+//! quarantine, run budgets, and the crash-safe journal.
 //!
 //! Fault-containment invariants, in decreasing order of importance:
 //!
-//! 1. **The daemon never dies because of a job.** Every attempt runs
-//!    under [`gramer::supervise::run_quarantined`]; a panicking job ends
-//!    in a typed `panicked` record, not an aborted process.
-//! 2. **Every admitted job reaches a typed terminal state.** Each
-//!    attempt runs under a [`gramer::progress`] token that carries the
+//! 1. **The daemon never dies because of a job.** Every job runs under
+//!    [`gramer::supervise::run_quarantined`]; a panicking job ends in a
+//!    typed `panicked` record, not an aborted process.
+//! 2. **Every admitted job reaches a typed terminal state.** Each job
+//!    runs under a [`gramer::progress`] token that carries the
 //!    job's wall-clock deadline and the step budget; the worker's own
 //!    simulation checks it at every heartbeat flush and unwinds once
 //!    either is spent (`timed_out`, with a message naming which). No
@@ -16,32 +15,29 @@
 //!    way whatever the host speed. Simulator errors become `failed` with
 //!    the [`gramer::SimError::kind`] tag; over-budget submissions become
 //!    `rejected` records. Nothing is silently dropped.
-//! 3. **State survives restarts.** Each transition appends the changed
-//!    record to the [`crate::journal::JobJournal`] and syncs it before
-//!    the call returns; a full snapshot runs only at start, at drain, and
-//!    as compaction, so a transition costs O(1) amortized however many
-//!    jobs the daemon holds. On start the journal is replayed, terminal
-//!    results are restored verbatim, and interrupted jobs are re-queued.
-//!    A journal *write* failure degrades the daemon to in-memory
-//!    operation (with a stderr warning) until a later snapshot succeeds,
-//!    rather than failing jobs — durability is best-effort, execution is
-//!    not.
+//! 3. **State survives restarts.** Each transition is one synced append
+//!    to a [`gramer::supervise::Journal`], whose snapshots are amortized,
+//!    so a transition costs O(1) however many jobs the daemon holds. On
+//!    start the journal is replayed, terminal results are restored
+//!    verbatim, and interrupted jobs are re-queued. A journal *write*
+//!    failure degrades the daemon to in-memory operation (with a stderr
+//!    warning) until a later snapshot succeeds, rather than failing jobs
+//!    — durability is best-effort, execution is not.
 //! 4. **Back-pressure is explicit.** A full queue rejects new work with
 //!    a typed error the HTTP layer maps to 429; it never blocks the
 //!    accept loop or grows without bound.
 //!
-//! Retries cover *transient* failures only (today: chaos-injected I/O
-//! faults, the stand-in for "the NFS mount hiccuped"), with exponential
-//! backoff. Deterministic failures — bad specs, simulator errors,
-//! panics, deadline overruns — fail fast on the first attempt.
+//! Nothing is retried: a job is a pure function of (graph, app, config),
+//! so a failed run would fail again.
 
-use crate::chaos::{self, ChaosConfig};
+use crate::chaos::ChaosConfig;
 use crate::job::{run_app_spec, GraphSource, JobError, JobRecord, JobSpec, JobStatus};
 use crate::journal::JobJournal;
 use crate::session::SessionCache;
 use gramer::json::JsonValue;
+use gramer::supervise::{self, Journal};
 use gramer::telemetry::TelemetryConfig;
-use gramer::{progress, supervise, Preprocessed, SimError};
+use gramer::{progress, Preprocessed, SimError};
 use gramer_graph::{artifact, generate, io};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -61,15 +57,12 @@ pub struct SupervisorConfig {
     pub queue_capacity: usize,
     /// Wall-clock budget for a job that does not set its own.
     pub default_deadline: Duration,
-    /// Retry budget for transient failures when the job does not set
-    /// its own.
-    pub default_max_retries: u32,
     /// Admission cap on the job's estimated graph bytes (edge-list /
     /// artifact file size, inline text length; generated graphs are
     /// bounded by their spec instead).
     pub max_graph_bytes: u64,
-    /// Step budget per attempt: an attempt whose heartbeat passes it
-    /// ends `timed_out`. 0 disables it.
+    /// Step budget per job: a job whose heartbeat passes it ends
+    /// `timed_out`. 0 disables it.
     pub max_steps: u64,
     /// Byte budget of the in-memory session cache.
     pub session_cache_bytes: u64,
@@ -85,7 +78,6 @@ impl Default for SupervisorConfig {
             workers: 2,
             queue_capacity: 64,
             default_deadline: Duration::from_secs(60),
-            default_max_retries: 1,
             max_graph_bytes: 1 << 30,
             max_steps: 0,
             session_cache_bytes: 256 << 20,
@@ -107,35 +99,43 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
-/// Fewest appends between two compacting snapshots. A snapshot is due
-/// once the appends since the last one reach `max(live records, this)`,
-/// so its O(records) cost is spread over at least as many O(1)
-/// transitions, and the file holds at most `2 × records + 64` lines.
-const COMPACT_MIN_APPENDS: usize = 64;
-
 /// Largest per-job deadline a submission may request.
 const MAX_DEADLINE: Duration = Duration::from_secs(600);
-/// Largest retry budget a submission may request.
-const MAX_RETRIES_CAP: u32 = 5;
-/// Backoff before the first retry of a transient failure; it doubles
-/// per attempt up to [`RETRY_BACKOFF_CAP`].
-const RETRY_BACKOFF: Duration = Duration::from_millis(25);
-const RETRY_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Mutable supervisor state under one lock (records, queue and journal
-/// bookkeeping share the lock so admission and journal writes are
-/// consistent, and one job's lines land in transition order).
+/// share the lock so admission and journal writes are consistent, and
+/// one job's lines land in transition order).
 struct Jobs {
     records: BTreeMap<u64, JobRecord>,
     queue: VecDeque<u64>,
     next_id: u64,
     shutting_down: bool,
-    /// Journal lines appended since the last snapshot.
-    appends_since_snapshot: usize,
-    /// The next journal write must be a full snapshot: the last one
-    /// failed and may have left a partial line that an append would be
-    /// glued onto.
-    snapshot_due: bool,
+    /// The journal; `None` runs without durability.
+    journal: Option<Journal>,
+}
+
+impl Jobs {
+    /// Journals the change to record `id`, or with `None` snapshots every
+    /// record (start and drain). A failure is counted by the journal and
+    /// warned about once; it never fails a job.
+    fn persist(&mut self, id: Option<u64>) {
+        let Some(journal) = &mut self.journal else {
+            return;
+        };
+        let live = self.records.values().map(JobRecord::to_json_value);
+        let written = match id.map(|id| self.records.get(&id)) {
+            None => journal.snapshot(live),
+            Some(Some(record)) => journal.write(&record.to_json_value(), live),
+            Some(None) => return,
+        };
+        if let Err(e) = written {
+            if journal.stats().errors == 1 {
+                eprintln!(
+                    "gramer-serve: journal write failed ({e}); continuing without durability until a snapshot succeeds"
+                );
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -147,10 +147,6 @@ struct Counters {
     timed_out: AtomicU64,
     rejected: AtomicU64,
     queue_full: AtomicU64,
-    retries: AtomicU64,
-    journal_errors: AtomicU64,
-    journal_appends: AtomicU64,
-    journal_snapshots: AtomicU64,
 }
 
 struct Shared {
@@ -158,7 +154,6 @@ struct Shared {
     jobs: Mutex<Jobs>,
     cvar: Condvar,
     session: SessionCache,
-    journal: Option<JobJournal>,
     counters: Counters,
 }
 
@@ -182,17 +177,15 @@ impl Supervisor {
     /// An I/O error reading an existing journal file (corrupt *content*
     /// is tolerated and skipped, only a failing read aborts startup).
     pub fn start(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
-        let journal = cfg.journal_path.clone().map(JobJournal::new);
         let mut jobs = Jobs {
             records: BTreeMap::new(),
             queue: VecDeque::new(),
             next_id: 1,
             shutting_down: false,
-            appends_since_snapshot: 0,
-            snapshot_due: false,
+            journal: cfg.journal_path.clone().map(Journal::new),
         };
-        if let Some(journal) = &journal {
-            let replay = journal.replay()?;
+        if let Some(path) = &cfg.journal_path {
+            let replay = JobJournal::new(path).replay()?;
             if replay.skipped_lines > 0 {
                 eprintln!(
                     "gramer-serve: journal replay skipped {} corrupt line(s)",
@@ -205,20 +198,19 @@ impl Supervisor {
             }
             jobs.queue.extend(&replay.requeued);
         }
-        let shared = Arc::new(Shared {
-            session: SessionCache::new(cfg.session_cache_bytes),
-            jobs: Mutex::new(jobs),
-            cvar: Condvar::new(),
-            journal,
-            counters: Counters::default(),
-            cfg,
-        });
         // Snapshot unconditionally at start. It makes a replayed
         // `running` record durably `queued` again before a worker picks
         // it up, and it drops a torn last line left by a crash
         // mid-append: the first append would otherwise be glued onto
         // that line and become unreadable too.
-        shared.snapshot(&mut shared.lock_jobs());
+        jobs.persist(None);
+        let shared = Arc::new(Shared {
+            session: SessionCache::new(cfg.session_cache_bytes),
+            jobs: Mutex::new(jobs),
+            cvar: Condvar::new(),
+            counters: Counters::default(),
+            cfg,
+        });
 
         let workers = (0..shared.cfg.workers)
             .map(|i| {
@@ -277,7 +269,7 @@ impl Supervisor {
         }
         let snapshot = record.clone();
         jobs.records.insert(id, record);
-        self.shared.persist(&mut jobs, id);
+        jobs.persist(Some(id));
         drop(jobs);
         self.shared.cvar.notify_one();
         Ok(snapshot)
@@ -296,14 +288,6 @@ impl Supervisor {
                         d.as_secs_f64(),
                         MAX_DEADLINE.as_secs()
                     ),
-                ));
-            }
-        }
-        if let Some(r) = spec.max_retries {
-            if r > MAX_RETRIES_CAP {
-                return Some(JobError::new(
-                    "over_budget",
-                    format!("max_retries {r} exceeds the cap of {MAX_RETRIES_CAP}"),
                 ));
             }
         }
@@ -351,11 +335,6 @@ impl Supervisor {
         JsonValue::Array(jobs.records.values().map(JobRecord::summary_json).collect())
     }
 
-    /// Jobs currently queued (admitted, not running).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.lock_jobs().queue.len()
-    }
-
     /// Blocks until `id` reaches a terminal state or `timeout` passes.
     /// Returns the final record, or `None` on timeout / unknown id.
     pub fn wait_for(&self, id: u64, timeout: Duration) -> Option<JobRecord> {
@@ -376,22 +355,21 @@ impl Supervisor {
     /// The `/stats` document: lifecycle counters, queue state, and
     /// session-cache behaviour.
     pub fn stats_json(&self) -> JsonValue {
-        let (queue_depth, job_count, shutting_down) = {
-            let jobs = self.shared.lock_jobs();
-            (jobs.queue.len(), jobs.records.len(), jobs.shutting_down)
-        };
         let c = &self.shared.counters;
         let s = self.shared.session.stats();
         let load = |a: &AtomicU64| JsonValue::from(a.load(Ordering::Relaxed));
+        let jobs = self.shared.lock_jobs();
+        let journal = jobs.journal.as_ref().map(Journal::stats);
+        let journal = journal.unwrap_or_default();
         JsonValue::object([
             ("workers", JsonValue::from(self.shared.cfg.workers)),
             (
                 "queue_capacity",
                 JsonValue::from(self.shared.cfg.queue_capacity),
             ),
-            ("queue_depth", JsonValue::from(queue_depth)),
-            ("jobs", JsonValue::from(job_count)),
-            ("shutting_down", JsonValue::from(shutting_down)),
+            ("queue_depth", JsonValue::from(jobs.queue.len())),
+            ("jobs", JsonValue::from(jobs.records.len())),
+            ("shutting_down", JsonValue::from(jobs.shutting_down)),
             ("submitted", load(&c.submitted)),
             ("completed", load(&c.completed)),
             ("failed", load(&c.failed)),
@@ -399,10 +377,9 @@ impl Supervisor {
             ("timed_out", load(&c.timed_out)),
             ("rejected", load(&c.rejected)),
             ("queue_full_rejections", load(&c.queue_full)),
-            ("retries", load(&c.retries)),
-            ("journal_errors", load(&c.journal_errors)),
-            ("journal_appends", load(&c.journal_appends)),
-            ("journal_snapshots", load(&c.journal_snapshots)),
+            ("journal_errors", JsonValue::from(journal.errors)),
+            ("journal_appends", JsonValue::from(journal.appends)),
+            ("journal_snapshots", JsonValue::from(journal.snapshots)),
             (
                 "session_cache",
                 JsonValue::object([
@@ -435,7 +412,7 @@ impl Supervisor {
         for handle in workers {
             let _ = handle.join();
         }
-        self.shared.snapshot(&mut self.shared.lock_jobs());
+        self.shared.lock_jobs().persist(None);
     }
 }
 
@@ -449,78 +426,12 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Journals the change to record `id`: one synced line appended, or
-    /// a full snapshot when one is due (an earlier write failed, the file
-    /// vanished, or the appends since the last snapshot reached
-    /// `max(live records, COMPACT_MIN_APPENDS)`). Journal failures
-    /// degrade to in-memory operation with a warning; they never fail
-    /// the job.
-    fn persist(&self, jobs: &mut Jobs, id: u64) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        let compact = jobs.appends_since_snapshot >= jobs.records.len().max(COMPACT_MIN_APPENDS);
-        if !jobs.snapshot_due && !compact {
-            let Some(record) = jobs.records.get(&id) else {
-                return;
-            };
-            match journal.append(record) {
-                Ok(()) => {
-                    jobs.appends_since_snapshot += 1;
-                    self.counters
-                        .journal_appends
-                        .fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                // Appending must not recreate a vanished file with one
-                // line; the snapshot below writes every record.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    self.journal_error(&e);
-                    jobs.snapshot_due = true;
-                    return;
-                }
-            }
-        }
-        self.snapshot(jobs);
-    }
-
-    /// Rewrites the journal with every record (temp file, fsync, rename,
-    /// directory fsync).
-    fn snapshot(&self, jobs: &mut Jobs) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        match journal.write_snapshot(jobs.records.values()) {
-            Ok(()) => {
-                jobs.appends_since_snapshot = 0;
-                jobs.snapshot_due = false;
-                self.counters
-                    .journal_snapshots
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                self.journal_error(&e);
-                jobs.snapshot_due = true;
-            }
-        }
-    }
-
-    fn journal_error(&self, e: &std::io::Error) {
-        let n = self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        if n == 0 {
-            eprintln!(
-                "gramer-serve: journal write failed ({e}); continuing without durability until a snapshot succeeds"
-            );
-        }
-    }
-
     fn update_record(&self, id: u64, f: impl FnOnce(&mut JobRecord)) {
         let mut jobs = self.lock_jobs();
         if let Some(rec) = jobs.records.get_mut(&id) {
             f(rec);
         }
-        self.persist(&mut jobs, id);
+        jobs.persist(Some(id));
     }
 }
 
@@ -548,8 +459,8 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// One attempt's successful payload.
-struct AttemptOutput {
+/// A job's successful payload.
+struct JobOutput {
     report_json: JsonValue,
     metrics_json: Option<JsonValue>,
     cache_hit: bool,
@@ -581,103 +492,70 @@ fn run_job(shared: &Shared, id: u64) {
     let cfg = &shared.cfg;
     let deadline = spec.deadline.unwrap_or(cfg.default_deadline);
     let max_steps = (cfg.max_steps > 0).then_some(cfg.max_steps);
-    let max_retries = spec.max_retries.unwrap_or(cfg.default_max_retries);
+    shared.update_record(id, |rec| rec.status = JobStatus::Running);
 
-    let mut attempt: u32 = 0;
-    loop {
-        attempt += 1;
-        shared.update_record(id, |rec| {
-            rec.status = JobStatus::Running;
-            rec.attempts = attempt;
-        });
+    let token = progress::ProgressToken::with_budget(Some(deadline), max_steps);
+    let outcome = supervise::run_quarantined(|| {
+        let _guard = progress::install(token);
+        cfg.chaos.inject(id);
+        let (pre, cache_hit) = resolve_preprocessed(shared, &spec)?;
+        let window = spec
+            .metrics
+            .then(|| TelemetryConfig::default().window_cycles);
+        let (report, tel) = run_app_spec(&spec.app, &pre, spec.config.clone(), window)?;
+        Ok(JobOutput {
+            report_json: report.to_json_value(),
+            metrics_json: tel.map(|t| t.to_json_value()),
+            cache_hit,
+        })
+    });
 
-        let token = progress::ProgressToken::with_budget(Some(deadline), max_steps);
-        let outcome = supervise::run_quarantined(|| {
-            let _guard = progress::install(token);
-            shared.cfg.chaos.inject(id, attempt - 1)?;
-            let (pre, cache_hit) = resolve_preprocessed(shared, &spec)?;
-            let window = spec
-                .metrics
-                .then(|| TelemetryConfig::default().window_cycles);
-            let (report, tel) = run_app_spec(&spec.app, &pre, spec.config.clone(), window)?;
-            Ok(AttemptOutput {
-                report_json: report.to_json_value(),
-                metrics_json: tel.map(|t| t.to_json_value()),
-                cache_hit,
-            })
-        });
-
-        match outcome {
-            supervise::Outcome::Ok(out) => {
-                shared.update_record(id, |rec| {
-                    rec.status = JobStatus::Completed;
-                    rec.error = None;
-                    rec.report_json = Some(out.report_json.clone());
-                    rec.metrics_json = out.metrics_json.clone();
-                    rec.cache_hit = out.cache_hit;
-                });
+    let (status, error) = match outcome {
+        supervise::Outcome::Ok(out) => {
+            shared.update_record(id, |rec| {
+                rec.status = JobStatus::Completed;
+                rec.error = None;
+                rec.report_json = Some(out.report_json);
+                rec.metrics_json = out.metrics_json;
+                rec.cache_hit = out.cache_hit;
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            supervise::Outcome::Err(e) => {
-                let message = e.to_string();
-                if chaos::is_injected_io(&message) && attempt <= max_retries {
-                    shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = RETRY_BACKOFF * 2u32.saturating_pow(attempt - 1);
-                    std::thread::sleep(backoff.min(RETRY_BACKOFF_CAP));
-                    continue;
-                }
-                finish(
-                    shared,
-                    id,
-                    JobStatus::Failed,
-                    Some(JobError::new(e.kind(), message)),
-                );
-                return;
-            }
-            supervise::Outcome::Panicked(message) => {
-                finish(
-                    shared,
-                    id,
-                    JobStatus::Panicked,
-                    Some(JobError::new("panic", message)),
-                );
-                return;
-            }
-            supervise::Outcome::Cancelled(spent) => {
-                let why = match spent {
-                    progress::Cancelled::Ticks => {
-                        format!("step budget of {} heartbeat ticks exhausted", cfg.max_steps)
-                    }
-                    progress::Cancelled::Deadline => {
-                        format!("deadline of {:.3}s exceeded", deadline.as_secs_f64())
-                    }
-                };
-                finish(
-                    shared,
-                    id,
-                    JobStatus::TimedOut,
-                    Some(JobError::new("timeout", why)),
-                );
-                return;
-            }
+            });
+            return;
         }
-    }
+        supervise::Outcome::Err(e) => (JobStatus::Failed, JobError::new(e.kind(), e.to_string())),
+        supervise::Outcome::Panicked(message) => {
+            (JobStatus::Panicked, JobError::new("panic", message))
+        }
+        supervise::Outcome::Cancelled(spent) => {
+            let why = match spent {
+                progress::Cancelled::Ticks => {
+                    format!("step budget of {} heartbeat ticks exhausted", cfg.max_steps)
+                }
+                progress::Cancelled::Deadline => {
+                    format!("deadline of {:.3}s exceeded", deadline.as_secs_f64())
+                }
+            };
+            (JobStatus::TimedOut, JobError::new("timeout", why))
+        }
+    };
+    finish(shared, id, status, Some(error));
 }
 
+/// Ends job `id` in `status`. Like a completion, it is counted under
+/// the jobs lock with the record's change, so `/stats` never lags the
+/// states a client has seen.
 fn finish(shared: &Shared, id: u64, status: JobStatus, error: Option<JobError>) {
     shared.update_record(id, |rec| {
         rec.status = status;
         rec.error = error;
+        let counter = match status {
+            JobStatus::Failed => &shared.counters.failed,
+            JobStatus::Panicked => &shared.counters.panicked,
+            JobStatus::TimedOut => &shared.counters.timed_out,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     });
-    let counter = match status {
-        JobStatus::Failed => &shared.counters.failed,
-        JobStatus::Panicked => &shared.counters.panicked,
-        JobStatus::TimedOut => &shared.counters.timed_out,
-        JobStatus::Rejected => &shared.counters.rejected,
-        _ => return,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Resolves the job's graph through the shared session cache. The
@@ -728,6 +606,7 @@ fn resolve_preprocessed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gramer::supervise::COMPACT_MIN_APPENDS;
 
     fn submit_json(supervisor: &Supervisor, text: &str) -> Result<JobRecord, SubmitError> {
         supervisor.submit(&JsonValue::parse(text).expect("valid json"))
@@ -807,7 +686,6 @@ mod tests {
         let supervisor = Supervisor::start(SupervisorConfig {
             workers: 1,
             chaos: ChaosConfig::parse("panic=1000,seed=1").expect("chaos"),
-            default_max_retries: 0,
             ..SupervisorConfig::default()
         })
         .expect("start");
@@ -834,43 +712,14 @@ mod tests {
     }
 
     #[test]
-    fn transient_io_faults_are_retried_with_backoff() {
-        // io=1000 would fail every attempt; instead inject io on ~half
-        // and find a job id that drew io-then-clean.
-        let chaos = ChaosConfig::parse("io=500,seed=11,delay-ms=1").expect("chaos");
-        let supervisor = Supervisor::start(SupervisorConfig {
-            workers: 1,
-            chaos,
-            default_max_retries: 3,
-            ..SupervisorConfig::default()
-        })
-        .expect("start");
-        let mut saw_retry_success = false;
-        for _ in 0..20 {
-            let rec = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
-            let rec = wait(&supervisor, rec.id);
-            if rec.status == JobStatus::Completed && rec.attempts > 1 {
-                saw_retry_success = true;
-                break;
-            }
-        }
-        assert!(
-            saw_retry_success,
-            "at least one job should succeed on a retry under io=500"
-        );
-        supervisor.shutdown_and_join();
-    }
-
-    #[test]
     fn deadline_overrun_times_out_at_the_next_tick() {
         // The injected delay ticks every 5 ms; the first tick past the
-        // deadline unwinds the attempt on the worker itself.
+        // deadline unwinds the job on the worker itself.
         let chaos = ChaosConfig::parse("delay=1000,delay-ms=60000,seed=3").expect("chaos");
         let supervisor = Supervisor::start(SupervisorConfig {
             workers: 1,
             chaos,
             default_deadline: Duration::from_millis(200),
-            default_max_retries: 0,
             ..SupervisorConfig::default()
         })
         .expect("start");

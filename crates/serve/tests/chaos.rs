@@ -23,14 +23,12 @@ const WORKLOADS: [(&str, &str); 3] = [
 fn fifty_plus_jobs_under_chaos_all_reach_typed_terminal_states() {
     const JOBS: usize = 54; // 18 per workload, >= 50 total
 
-    let chaos =
-        ChaosConfig::parse("panic=150,io=150,delay=150,delay-ms=10,seed=42").expect("chaos spec");
+    let chaos = ChaosConfig::parse("panic=150,delay=150,delay-ms=10,seed=42").expect("chaos spec");
     let server = Server::bind(ServerConfig {
         supervisor: SupervisorConfig {
             workers: 4,
             queue_capacity: JOBS + 8,
             chaos,
-            default_max_retries: 2,
             ..SupervisorConfig::default()
         },
         ..ServerConfig::default()
@@ -114,9 +112,9 @@ fn fifty_plus_jobs_under_chaos_all_reach_typed_terminal_states() {
         }
     }
 
-    // The seeded rates (15% panic, 15% io with 2 retries, 15% delay)
-    // must produce both successes and failures — otherwise this test
-    // proves nothing. Deterministic for seed=42.
+    // The seeded rates (15% panic, 15% delay) must produce both
+    // successes and failures — otherwise this test proves nothing.
+    // Deterministic for seed=42: 14 panicked, 40 completed.
     assert!(
         tally.get("completed").copied().unwrap_or(0) >= 10,
         "tally: {tally:?}"

@@ -101,7 +101,6 @@ fn injected_panic_is_contained_and_daemon_stays_up() {
         supervisor: SupervisorConfig {
             workers: 1,
             chaos: ChaosConfig::parse("panic=1000,seed=1").expect("chaos"),
-            default_max_retries: 0,
             ..SupervisorConfig::default()
         },
         ..ServerConfig::default()

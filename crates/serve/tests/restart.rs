@@ -5,6 +5,7 @@
 
 use gramer::json::JsonValue;
 use gramer_serve::http;
+use gramer_serve::job::run_app_spec;
 use gramer_serve::server::{Server, ServerConfig};
 use gramer_serve::supervisor::{Supervisor, SupervisorConfig};
 use gramer_serve::{JobJournal, JobRecord, JobStatus};
@@ -70,10 +71,6 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
         .expect("id");
     let done = wait_terminal(&addr, completed_id, Duration::from_secs(60));
     assert_eq!(field(&done, &["status"]), Some("completed"));
-    let attempts_before = done
-        .get("attempts")
-        .and_then(JsonValue::as_u64)
-        .expect("attempts");
     let (code, report_before) =
         http::request(&addr, "GET", &format!("/jobs/{completed_id}/report"), None).expect("report");
     assert_eq!(code, 200);
@@ -108,11 +105,6 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
     });
     let restored = wait_terminal(&addr, completed_id, Duration::from_secs(5));
     assert_eq!(field(&restored, &["status"]), Some("completed"));
-    assert_eq!(
-        restored.get("attempts").and_then(JsonValue::as_u64),
-        Some(attempts_before),
-        "a restored completed job must not be re-run"
-    );
     let (code, report_after) =
         http::request(&addr, "GET", &format!("/jobs/{completed_id}/report"), None).expect("report");
     assert_eq!(code, 200);
@@ -127,12 +119,10 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
             Some("completed"),
             "interrupted job {id} must be re-run to completion: {done}"
         );
-        assert_eq!(
-            done.get("attempts").and_then(JsonValue::as_u64),
-            Some(1),
-            "interrupted job {id} must run exactly once after replay"
-        );
     }
+    // Two runs in this generation: the restored job did not run again,
+    // and each interrupted job ran exactly once.
+    assert_eq!(stat(&addr, "completed"), 2);
     // No duplicated or phantom jobs: exactly the three we submitted.
     let (_, jobs) = http::request(&addr, "GET", "/jobs", None).expect("jobs");
     let jobs = JsonValue::parse(&jobs).expect("json");
@@ -151,11 +141,12 @@ fn crash_mid_queue_then_restart_loses_and_duplicates_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Seeds a fresh journal with `record` followed by the raw bytes `tail`,
-/// then starts a one-worker daemon over it. Returns the temp dir too.
+/// Seeds a fresh journal with `records` followed by the raw bytes
+/// `tail`, then starts a one-worker daemon over it. Returns the temp dir
+/// too.
 fn restart_over(
     tag: &str,
-    record: &JobRecord,
+    records: &[&JobRecord],
     tail: &[u8],
 ) -> (
     std::path::PathBuf,
@@ -168,7 +159,7 @@ fn restart_over(
     std::fs::create_dir_all(&dir).expect("temp dir");
     let journal_path = dir.join("jobs.jsonl");
     JobJournal::new(&journal_path)
-        .write_snapshot([record])
+        .write_snapshot(records.iter().copied())
         .expect("seed journal");
     let mut bytes = std::fs::read(&journal_path).expect("read journal");
     bytes.extend_from_slice(tail);
@@ -199,9 +190,8 @@ fn refused_at_admission_and_on_replay(tag: &str, config: &str, status: JobStatus
     let spec = format!(
         "{{\"graph\": {{\"gen\": \"ba:120:3:5\"}}, \"app\": \"3-cf\", \"config\": {config}}}"
     );
-    let mut record = JobRecord::new(1, JsonValue::parse(&spec).expect("json"), status);
-    record.attempts = u32::from(status == JobStatus::Running);
-    let (dir, addr, shutdown, handle) = restart_over(tag, &record, b"");
+    let record = JobRecord::new(1, JsonValue::parse(&spec).expect("json"), status);
+    let (dir, addr, shutdown, handle) = restart_over(tag, &[&record], b"");
     let done = wait_terminal(&addr, 1, Duration::from_secs(60));
     assert_eq!(field(&done, &["status"]), Some("failed"), "{done}");
     assert_eq!(field(&done, &["error", "kind"]), Some("invalid"), "{done}");
@@ -243,7 +233,7 @@ fn sim_threads_knob_is_refused_at_admission_and_on_replay() {
 fn restart_over_a_non_utf8_journal_line_restores_the_valid_records() {
     let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
     let record = completed_record(spec);
-    let (dir, addr, shutdown, handle) = restart_over("utf8", &record, b"\xff\xfe\n");
+    let (dir, addr, shutdown, handle) = restart_over("utf8", &[&record], b"\xff\xfe\n");
     let restored = wait_terminal(&addr, 1, Duration::from_secs(5));
     assert_eq!(
         field(&restored, &["status"]),
@@ -288,6 +278,39 @@ fn completed_record(spec: &str) -> JobRecord {
     record
 }
 
+/// A line written when the daemon still retried jobs carries an
+/// `attempts` count and, in its spec, a `max_retries` budget. It replays
+/// like any other line, and its report is served byte-identically to a
+/// direct run's.
+#[test]
+fn a_line_with_attempts_and_max_retries_restores_and_serves_its_report() {
+    let graph = gramer_graph::generate::named("ba:120:3:5").expect("generator");
+    let config = gramer::GramerConfig::default();
+    let pre = gramer::preprocess(&graph, &config).expect("preprocess");
+    let (report, _) = run_app_spec("3-cf", &pre, config, None).expect("run");
+    let line = format!(
+        "{{\"id\":1,\"status\":\"completed\",\"attempts\":1,\"error\":null,\
+         \"cache_hit\":false,\"spec\":{{\"graph\":{{\"gen\":\"ba:120:3:5\"}},\
+         \"app\":\"3-cf\",\"max_retries\":2}},\"report\":{},\"metrics\":null}}\n",
+        report.to_json_value()
+    );
+    let (dir, addr, shutdown, handle) = restart_over("parent-format", &[], line.as_bytes());
+    let restored = wait_terminal(&addr, 1, Duration::from_secs(5));
+    assert_eq!(
+        field(&restored, &["status"]),
+        Some("completed"),
+        "{restored}"
+    );
+    let (code, served) = http::request(&addr, "GET", "/jobs/1/report", None).expect("report");
+    assert_eq!(code, 200);
+    assert_eq!(served, report.to_json_value().to_string_pretty() + "\n");
+    assert_eq!(stat(&addr, "completed"), 0, "the restored job ran again");
+
+    shutdown.request();
+    handle.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A crash mid-append leaves a last line without its newline. Appends
 /// after the restart must not be glued onto it: the journal as a crash
 /// would leave it now (read while the daemon runs, before any drain
@@ -297,7 +320,7 @@ fn appends_after_a_torn_tail_stay_readable() {
     let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
     let (dir, addr, shutdown, handle) = restart_over(
         "torn-tail",
-        &completed_record(spec),
+        &[&completed_record(spec)],
         b"{\"id\": 2, \"status\": \"que",
     );
     let id = submit(&addr, spec);
@@ -325,7 +348,7 @@ fn appends_after_a_torn_tail_stay_readable() {
 #[test]
 fn a_failing_journal_degrades_then_recovers_with_a_snapshot() {
     let spec = "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\"}";
-    let (dir, addr, shutdown, handle) = restart_over("blocked", &completed_record(spec), b"");
+    let (dir, addr, shutdown, handle) = restart_over("blocked", &[&completed_record(spec)], b"");
     let journal = JobJournal::new(dir.join("jobs.jsonl"));
     std::fs::remove_file(journal.path()).expect("remove journal");
     std::fs::create_dir(journal.path()).expect("directory in its place");

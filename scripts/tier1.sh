@@ -25,7 +25,11 @@
 #           must flow through the typed error taxonomy, not panic; the
 #           perf lints warn so hot-path regressions surface in review)
 #   bench   cargo bench, smoke mode        (every bench runs its closure
-#           exactly once — compiles-and-runs proof, not a measurement)
+#           exactly once — compiles-and-runs proof, not a measurement);
+#           then the sweep journal's crash contract: the ablation sweep,
+#           killed by kill -9 once its journal holds 3 points and re-run
+#           with --resume, must replay k of its 12 points (0 < k < 12)
+#           and emit points byte-identical to an uninterrupted run
 #   artifact  .gra artifact round-trip on both golden workloads:
 #           gramer-artifact build/verify/inspect + gramer-mine --artifact,
 #           on the mmap and forced-copy load paths, plus the artifact
@@ -143,6 +147,45 @@ stage_clippy() {
 stage_bench() {
     echo "== tier1: bench smoke (GRAMER_BENCH_SMOKE=1, single iteration each)"
     GRAMER_BENCH_SMOKE=1 cargo bench -q -p gramer-bench
+
+    echo "   -- ablation sweep: kill -9 partway, then --resume gives byte-identical points"
+    cargo build --release -q -p gramer-bench --bin ablation
+    local tmp
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "${tmp:-}"; trap - RETURN' RETURN
+    local sweep=target/release/ablation
+    "$sweep" --jobs 1 --journal "$tmp/full.jsonl" --json "$tmp/full.json" \
+        > /dev/null 2> "$tmp/full.err"
+    "$sweep" --jobs 1 --journal "$tmp/killed.jsonl" --json "$tmp/killed.json" \
+        > /dev/null 2> "$tmp/killed.err" &
+    local pid=$! i
+    for i in $(seq 1 1200); do
+        if [ -f "$tmp/killed.jsonl" ] && [ "$(wc -l < "$tmp/killed.jsonl")" -ge 3 ]; then
+            break
+        fi
+        kill -0 "$pid" 2> /dev/null || break
+        sleep 0.05
+    done
+    kill -KILL "$pid" 2> /dev/null || true
+    wait "$pid" 2> /dev/null || true
+    "$sweep" --jobs 1 --resume --journal "$tmp/killed.jsonl" --json "$tmp/resumed.json" \
+        > /dev/null 2> "$tmp/resumed.err"
+    local k
+    k="$(sed -n 's/.*resuming: \([0-9]*\)\/12 points.*/\1/p' "$tmp/resumed.err")"
+    if [ -z "$k" ] || [ "$k" -le 0 ] || [ "$k" -ge 12 ]; then
+        echo "tier1 bench: the resumed sweep did not replay part of the 12 points:" >&2
+        cat "$tmp/resumed.err" >&2
+        exit 1
+    fi
+    # The pretty-printed document holds `points` from its own line up to
+    # the `summary` line.
+    local part
+    for part in full resumed; do
+        sed -n '/^  "points": \[/,/^  "summary": /p' "$tmp/$part.json" > "$tmp/$part.points"
+    done
+    [ -s "$tmp/full.points" ] || { echo "tier1 bench: no points in the sweep JSON" >&2; exit 1; }
+    cmp "$tmp/full.points" "$tmp/resumed.points"
+    echo "   -- resumed after $k/12 points: points byte-identical"
 }
 
 stage_artifact() {
@@ -291,7 +334,7 @@ stage_serve() {
 
     echo "   -- injected panic ends in a typed state; daemon survives"
     "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr2" --workers 1 \
-        --chaos panic=1000,seed=1 --max-retries 0 2>> "$tmp/daemon.log" &
+        --chaos panic=1000,seed=1 2>> "$tmp/daemon.log" &
     pid=$!
     addr="$(wait_addr_file "$tmp/addr2" "$tmp/daemon.log")"
     if "$serve" client --addr "$addr" submit --gen ba:120:3:5 --app 3-cf --wait \

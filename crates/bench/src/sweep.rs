@@ -612,11 +612,6 @@ impl SweepResult {
             .find(|r| r.dataset == dataset && r.app == app && r.config == config)
     }
 
-    /// Records for one dataset label, in declaration order.
-    pub fn for_dataset<'s>(&'s self, dataset: &'s str) -> impl Iterator<Item = &'s PointRecord> {
-        self.records.iter().filter(move |r| r.dataset == dataset)
-    }
-
     /// `(dataset, app)` groups in which **every** point failed or timed
     /// out — the condition that makes the sweep exit non-zero. Partial
     /// failures (a group with at least one completed point) keep exit

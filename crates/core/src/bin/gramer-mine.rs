@@ -6,7 +6,7 @@
 //!             --app <3-cf|4-cf|5-cf|3-mc|4-mc|fsm:<t>>[,<app>...]
 //!             [--query SPEC|@FILE]
 //!             [--cache DIR] [--pus N] [--slots N] [--tau F] [--budget-frac F]
-//!             [--lambda F] [--no-steal] [--access-path fast|exact]
+//!             [--lambda F] [--no-steal]
 //!             [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts]
 //!             [--json PATH] [--metrics-out PATH] [--metrics-summary]
 //!             [--metrics-window N]
@@ -116,7 +116,7 @@ fn usage() -> ! {
         "usage: gramer-mine <edge-list | --demo | --artifact PATH> \
          --app <3-cf|4-cf|5-cf|3-mc|4-mc|fsm:<t>>[,<app>...] \\\n         [--query SPEC|@FILE] \
          [--cache DIR] \
-         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--access-path fast|exact] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
+         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
     );
     std::process::exit(2)
 }
@@ -163,13 +163,6 @@ fn parse_args() -> Options {
             }
             "--lambda" => opts.config.lambda = parse_float(&value("--lambda")),
             "--no-steal" => opts.config.work_stealing = false,
-            "--access-path" => {
-                opts.config.access_path =
-                    value("--access-path").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        usage()
-                    })
-            }
             "--memo" => {
                 opts.config.memo = value("--memo").parse().unwrap_or_else(|e: String| {
                     eprintln!("{e}");

@@ -4,8 +4,7 @@
 //! ```text
 //! gramer-query [--gen SPEC | <edge-list>] [--labels K:SEED]
 //!              --query SPEC|@FILE [--pus N] [--slots N]
-//!              [--access-path fast|exact] [--memo on|off|BYTES]
-//!              [--json PATH]
+//!              [--memo on|off|BYTES] [--json PATH]
 //! ```
 //!
 //! Runs the same labeled query twice over the same preprocessed graph —
@@ -49,8 +48,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: gramer-query [--gen SPEC | <edge-list>] [--labels K:SEED] \
-         --query SPEC|@FILE \\\n         [--pus N] [--slots N] [--access-path fast|exact] \
-         [--memo on|off|BYTES] [--json PATH]"
+         --query SPEC|@FILE \\\n         [--pus N] [--slots N] [--memo on|off|BYTES] [--json PATH]"
     );
     std::process::exit(2)
 }
@@ -103,13 +101,6 @@ fn parse_args() -> Options {
                     eprintln!("--slots expects an integer");
                     usage()
                 })
-            }
-            "--access-path" => {
-                opts.config.access_path =
-                    value("--access-path").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        usage()
-                    })
             }
             "--memo" => {
                 opts.config.memo = value("--memo").parse().unwrap_or_else(|e: String| {

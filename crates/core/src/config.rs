@@ -158,8 +158,9 @@ pub struct GramerConfig {
     pub pcie_bandwidth: f64,
     /// Timed-access engine of the memory subsystem. A host-side choice
     /// only: the fast path is bit-exact against the exact path on every
-    /// simulated quantity (`--access-path=exact` in the experiment bins
-    /// selects the reference machinery).
+    /// simulated quantity. No front end sets it; `AccessPath::Exact` is
+    /// the reference machinery the test suites check the fast lanes
+    /// against.
     pub access_path: AccessPath,
     /// Recurrent-pattern memoization of the connectivity probe (see
     /// [`MemoMode`]). A modeled structure: changes cycles and memory

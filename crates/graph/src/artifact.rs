@@ -420,11 +420,7 @@ impl SectionInfo {
 
 impl GraphArtifact {
     /// Opens and fully validates the artifact at `path`, memory-mapping
-    /// it when possible.
-    ///
-    /// Setting the environment variable `GRAMER_ARTIFACT_NO_MMAP=1`
-    /// forces the aligned read-to-memory fallback (used by CI to
-    /// exercise both load paths).
+    /// it when possible and reading it into aligned memory otherwise.
     ///
     /// # Errors
     ///
@@ -436,9 +432,7 @@ impl GraphArtifact {
     /// naming the byte offset of the failure. Loading never panics, no
     /// matter how corrupted the file is.
     pub fn open(path: impl AsRef<Path>) -> Result<GraphArtifact, GraphError> {
-        let force_copy = std::env::var_os("GRAMER_ARTIFACT_NO_MMAP").is_some_and(|v| v == "1");
-        let bytes = gramer_mmap::Bytes::load(path.as_ref(), force_copy)?;
-        Self::parse(bytes)
+        Self::parse(gramer_mmap::Bytes::load(path.as_ref(), false)?)
     }
 
     /// Validates an in-memory artifact (copied into aligned storage).

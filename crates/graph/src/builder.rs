@@ -84,11 +84,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (possibly duplicate) edges recorded so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     fn touch(&mut self, v: VertexId) {
         self.max_vertex = Some(self.max_vertex.map_or(v, |m| m.max(v)));
     }

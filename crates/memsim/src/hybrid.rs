@@ -161,11 +161,6 @@ impl HybridMemory {
         self.scratchpad.prefix_len().unwrap_or(0)
     }
 
-    /// Capacity of the low-priority cache in items.
-    pub fn cache_capacity_items(&self) -> usize {
-        self.cache.capacity_items()
-    }
-
     /// Evictions performed by the low-priority cache.
     pub fn evictions(&self) -> u64 {
         self.cache.evictions()

@@ -74,20 +74,6 @@ pub enum AccessPath {
     Exact,
 }
 
-impl std::str::FromStr for AccessPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fast" => Ok(AccessPath::Fast),
-            "exact" => Ok(AccessPath::Exact),
-            other => Err(format!(
-                "unknown access path {other:?} (expected \"fast\" or \"exact\")"
-            )),
-        }
-    }
-}
-
 /// Configuration of a [`MemorySubsystem`].
 #[derive(Debug, Clone)]
 pub struct SubsystemConfig {
@@ -261,10 +247,8 @@ struct Classified {
 }
 
 impl KindState {
-    /// Routes `item` to its partition and performs the bank access — the
-    /// single classification step shared by the timed path and
-    /// [`MemorySubsystem::access_untimed`], so the hit-ratio studies can
-    /// never drift from the timed outcome taxonomy.
+    /// Routes `item` to its partition and performs the bank access,
+    /// classifying the outcome for the timed path.
     ///
     /// Partition routing divides the routing unit by the partition count
     /// (bank-local densification keeps modulo set indexing uniform):
@@ -497,9 +481,8 @@ impl MemorySubsystem {
             DataKind::Vertex => &mut self.vertex,
             DataKind::Edge => &mut self.edge,
         };
-        // Route + classify first (the bank access commutes with the
-        // timing machinery: neither reads the other's state), so the
-        // timed and untimed paths share one classification helper.
+        // Route + classify first: the bank access commutes with the
+        // timing machinery, as neither reads the other's state.
         let cls = if pinned {
             let unit = item >> st.route_bits;
             let p = match part_shift {
@@ -612,7 +595,7 @@ impl MemorySubsystem {
     /// Next-line prefetch: on an edge miss, pull the following block too
     /// (adjacency runs are walked sequentially). The prefetched block may
     /// live in a different partition; it costs a DRAM request but no port
-    /// time on the demand path. Shared by the timed and untimed paths.
+    /// time on the demand path.
     #[inline]
     fn maybe_prefetch(
         &mut self,
@@ -717,30 +700,6 @@ impl MemorySubsystem {
             .banks
             .first()
             .map_or(0, HybridMemory::pin_prefix);
-    }
-
-    /// Untimed access (statistics only) — used by hit-ratio studies such
-    /// as Fig. 12(a) where queueing is irrelevant.
-    ///
-    /// Shares the classification helper with the timed path, skipping
-    /// only the port/FIFO timing machinery: outcomes, statistics, DRAM
-    /// request counts and prefetch fills are identical to a timed run of
-    /// the same request sequence.
-    pub fn access_untimed(&mut self, kind: DataKind, item: u64, rank: u32) -> AccessOutcome {
-        let partitions = self.partitions;
-        let part_shift = self.part_shift;
-        let st = match kind {
-            DataKind::Vertex => &mut self.vertex,
-            DataKind::Edge => &mut self.edge,
-        };
-        let cls = st.classify(partitions, part_shift, item, rank);
-        if cls.outcome == AccessOutcome::Miss {
-            // Keep the DRAM request accounting of the timed path; the
-            // returned latency is meaningless here and dropped.
-            self.dram.service(0);
-        }
-        self.maybe_prefetch(kind, cls.unit, cls.offset, rank, 0, cls.outcome);
-        cls.outcome
     }
 
     /// Aggregated statistics over all partitions. Fast-lane hits are

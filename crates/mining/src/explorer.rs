@@ -207,11 +207,6 @@ impl<'g> Explorer<'g> {
         self.depth as usize
     }
 
-    /// Whether exploration has finished.
-    pub fn is_done(&self) -> bool {
-        self.depth == 0
-    }
-
     /// Whether this explorer owns a range stolen via [`Explorer::split`]
     /// (work-stealing balance attribution; see the field note on `thief`).
     pub fn is_thief(&self) -> bool {

@@ -354,13 +354,6 @@ pub struct FilterPipelineStats {
     pub refine_rounds: u32,
 }
 
-impl FilterPipelineStats {
-    /// Total survivors after the final stage.
-    pub fn total_refined(&self) -> usize {
-        self.refined.iter().sum()
-    }
-}
-
 /// Per-query-vertex candidate sets plus their union, with the pipeline's
 /// per-stage survivor counts.
 #[derive(Debug, Clone)]

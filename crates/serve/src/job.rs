@@ -55,7 +55,7 @@ impl JobSpec {
     /// {
     ///   "graph": {"gen": "golden-ba"},
     ///   "app": "4-cf",
-    ///   "config": {"pus": 8, "tau": 0.02, "access_path": "fast"},
+    ///   "config": {"pus": 8, "tau": 0.02, "memo": "on"},
     ///   "deadline_seconds": 10.0,
     ///   "metrics": true
     /// }
@@ -157,10 +157,6 @@ fn apply_config_overrides(config: &mut GramerConfig, c: &JsonValue) -> Result<()
                 config.work_stealing = value
                     .as_bool()
                     .ok_or("\"work_stealing\" must be a boolean")?;
-            }
-            "access_path" => {
-                let s = value.as_str().ok_or("\"access_path\" must be a string")?;
-                config.access_path = s.parse()?;
             }
             "memo" => {
                 let s = value.as_str().ok_or("\"memo\" must be a string")?;
@@ -451,8 +447,9 @@ mod tests {
         }
         // `scheduler` and `epoch` are not knobs: the simulator has one
         // event engine. `sim_threads` is not one either: a job is one
-        // simulation, and the host picks its own threads.
-        for knob in ["warp", "scheduler", "epoch", "sim_threads"] {
+        // simulation, and the host picks its own threads. Nor is
+        // `access_path`: every served number is the same on either path.
+        for knob in ["warp", "scheduler", "epoch", "sim_threads", "access_path"] {
             let v = JsonValue::parse(&format!(
                 "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \
                  \"config\": {{\"{knob}\": \"off\"}}}}"
@@ -487,8 +484,7 @@ mod tests {
     fn config_overrides_apply() {
         let v = JsonValue::parse(
             "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-mc\", \
-             \"config\": {\"pus\": 4, \"tau\": 0.05, \"access_path\": \"exact\", \
-             \"work_stealing\": false}}",
+             \"config\": {\"pus\": 4, \"tau\": 0.05, \"work_stealing\": false}}",
         )
         .expect("json");
         let spec = JobSpec::from_json(&v).expect("valid");

@@ -227,6 +227,17 @@ fn sim_threads_knob_is_refused_at_admission_and_on_replay() {
     refused_at_admission_and_on_replay("threads", "{\"sim_threads\": 4}", JobStatus::Queued);
 }
 
+/// `access_path` is not a knob (the exact path is the fast lanes' test
+/// oracle, not a served choice), journaled as `queued`.
+#[test]
+fn access_path_knob_is_refused_at_admission_and_on_replay() {
+    refused_at_admission_and_on_replay(
+        "access-path",
+        "{\"access_path\": \"exact\"}",
+        JobStatus::Queued,
+    );
+}
+
 /// A journal line that is not UTF-8 (disk corruption, a hand edit) is
 /// skipped on replay: the daemon starts and restores the valid record.
 #[test]

@@ -6,20 +6,23 @@
 # Stages (run in this order by the default `all`; each is also a CI job
 # in .github/workflows/ci.yml):
 #   fmt     cargo fmt --check              (tree must be rustfmt-clean)
-#   build   cargo build --release          (all crates + experiment bins)
-#   test    cargo test -q --workspace      (unit + integration + doc tests)
-#   golden  golden + telemetry suites x {fast,exact} access paths (the
-#           access path is a host-side choice; every cell must match the
-#           golden constants bit-for-bit, and the engine must match its
-#           heap-order reference); plus the memo dimension: a
-#           GRAMER_MEMO=on golden cell (mining results pinned, timing
-#           free to improve) and a gramer-mine --memo off byte-compare
+#   build   cargo build --release          (every workspace package: the
+#           root manifest's default-members, so all crates + every bin)
+#   test    cargo test -q                  (unit + integration + doc tests
+#           of every workspace package, the same default-members)
+#   golden  golden + telemetry suites: each test walks its matrix in one
+#           process, {fast,exact} access paths x memo {off,on} (the access
+#           path is a host-side choice, so every leg must match the golden
+#           constants bit-for-bit and the engine its heap-order
+#           reference; a memo-on leg pins the mining results, timing free
+#           to improve); plus a gramer-mine --memo off byte-compare
 #           against the default multi-app run
-#   query   query-matrix: the pinned labeled queries of tests/query.rs
-#           x {fast,exact}, plus a GRAMER_MEMO=on leg (filtered match
-#           totals and filter-probe counters are pinned across every
-#           leg; filtered embeddings must be bit-identical to brute
-#           force), plus a gramer-mine --query / gramer-query CLI smoke
+#   query   query-matrix: the pinned labeled queries of tests/query.rs on
+#           every {fast,exact} x memo {off,on} leg in one process
+#           (filtered match totals and filter-probe counters are pinned
+#           on every leg; filtered embeddings must be bit-identical to
+#           brute force), plus a gramer-mine --query / gramer-query CLI
+#           smoke
 #   doc     cargo doc --no-deps            (rustdoc, warnings denied)
 #   clippy  clippy on the library crates   (unwrap/expect denied: failures
 #           must flow through the typed error taxonomy, not panic; the
@@ -32,8 +35,9 @@
 #           and emit points byte-identical to an uninterrupted run
 #   artifact  .gra artifact round-trip on both golden workloads:
 #           gramer-artifact build/verify/inspect + gramer-mine --artifact,
-#           on the mmap and forced-copy load paths, plus the artifact
-#           test suite (see docs/FORMAT.md); then the edge-list path: a
+#           plus the artifact test suite (see docs/FORMAT.md), whose
+#           load-path test verifies both golden artifacts mapped and
+#           copied into memory; then the edge-list path: a
 #           skewed edge list written here, its variant with CRLF endings,
 #           comment lines, tabs and a third column, and its .gra artifact
 #           give byte-identical gramer-mine --json, and under an 8 GiB
@@ -64,30 +68,21 @@ stage_fmt() {
 }
 
 stage_build() {
-    echo "== tier1: cargo build --release --workspace"
-    cargo build --release --workspace
+    echo "== tier1: cargo build --release"
+    cargo build --release
 }
 
 stage_test() {
-    echo "== tier1: cargo test -q --workspace"
-    cargo test -q --workspace
+    echo "== tier1: cargo test -q"
+    cargo test -q
 }
 
 stage_golden() {
-    echo "== tier1: golden + telemetry suites under both access paths"
-    # The access path is a host-side choice: both legs must reproduce the
-    # same golden constants — and the same telemetry document — bit-for-
-    # bit (the suites read this env var).
-    local path
-    for path in fast exact; do
-        echo "   -- access-path=$path"
-        GRAMER_ACCESS_PATH="$path" cargo test -q --test golden --test telemetry
-    done
-    # Memo dimension: the pair memo is a model change, so its golden cell
-    # pins the mining results (timing is free to improve) — the suite
-    # branches on GRAMER_MEMO internally.
-    echo "   -- memo=on golden cell (results pinned, timing free)"
-    GRAMER_MEMO=on cargo test -q --test golden
+    echo "== tier1: golden + telemetry suites, every access-path x memo leg"
+    # Each test walks its legs in one process (tests/common): both access
+    # paths reproduce the same golden constants — and the same telemetry
+    # document — bit-for-bit; a memo-on leg pins the mining results.
+    cargo test -q --test golden --test telemetry
     # `--memo off` is the bit-exact reference path: explicitly passing it
     # must reproduce the default multi-app run byte-for-byte (JSON and
     # stdout).
@@ -105,16 +100,11 @@ stage_golden() {
 }
 
 stage_query() {
-    echo "== tier1: query suite under both access paths"
+    echo "== tier1: query suite, every access-path x memo leg"
     # The candidate filter must be result-identical to brute force, and
-    # its probe counters are pinned: both hold bit-for-bit in every leg.
-    local path
-    for path in fast exact; do
-        echo "   -- access-path=$path"
-        GRAMER_ACCESS_PATH="$path" cargo test -q --test query
-    done
-    echo "   -- memo=on leg (filter composes with the pair memo)"
-    GRAMER_MEMO=on cargo test -q --test query
+    # its probe counters are pinned: both hold bit-for-bit on every leg,
+    # which the suite walks in one process.
+    cargo test -q --test query
     # CLI smoke: both query front ends accept the same spec and the
     # ablation tool's internal brute-vs-filtered identity check passes.
     echo "   -- gramer-mine --query / gramer-query smoke"
@@ -199,15 +189,13 @@ stage_artifact() {
         echo "   -- $w: build + verify + inspect"
         target/release/gramer-artifact build --gen "$w" -o "$tmp/$w.gra"
         target/release/gramer-artifact verify "$tmp/$w.gra"
-        # Forced-copy load path must accept the same file.
-        GRAMER_ARTIFACT_NO_MMAP=1 target/release/gramer-artifact verify "$tmp/$w.gra"
         target/release/gramer-artifact inspect "$tmp/$w.gra" > /dev/null
     done
     echo "   -- golden-ba: gramer-mine --artifact (4-clique finding)"
     target/release/gramer-mine --artifact "$tmp/golden-ba.gra" --app 4-cf > /dev/null
     echo "   -- golden-rmat: gramer-mine --artifact (3-motif counting)"
     target/release/gramer-mine --artifact "$tmp/golden-rmat.gra" --app 3-mc > /dev/null
-    echo "   -- artifact test suite (round-trip, corruption, pinned digest)"
+    echo "   -- artifact test suite (round-trip, corruption, pinned digest, mapped vs copied load)"
     cargo test -q --test artifact
 
     echo "   -- edge-list path: plain, CRLF/comment/tab/third-column variant and .gra agree"

@@ -224,30 +224,35 @@ fn loader_failures_name_their_variant_and_offset() {
     }
 }
 
-/// `GraphArtifact::open` via mmap and via the forced-copy fallback
-/// (`GRAMER_ARTIFACT_NO_MMAP=1`) must expose identical contents.
+/// `GraphArtifact::open` (memory-mapped) and `GraphArtifact::from_bytes`
+/// over the file's bytes (the aligned owned storage the read-to-memory
+/// fallback builds) must expose identical contents, and both must pass
+/// the deep verification `gramer-artifact verify` runs, on both golden
+/// workloads.
 #[test]
 fn mmap_and_copy_load_paths_agree() {
-    let (_, bytes) = encode_of(&golden_ba(), &GramerConfig::default());
     let dir = std::env::temp_dir().join(format!("gra-loadpath-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("golden-ba.gra");
-    std::fs::write(&path, &bytes).unwrap();
+    for name in ["golden-ba", "golden-rmat"] {
+        let (_, bytes) = encode_of(&generate::named(name).unwrap(), &GramerConfig::default());
+        let path = dir.join(format!("{name}.gra"));
+        std::fs::write(&path, &bytes).unwrap();
 
-    let mapped = GraphArtifact::open(&path).unwrap();
-    std::env::set_var("GRAMER_ARTIFACT_NO_MMAP", "1");
-    let copied = GraphArtifact::open(&path);
-    std::env::remove_var("GRAMER_ARTIFACT_NO_MMAP");
-    let copied = copied.unwrap();
+        let mapped = GraphArtifact::open(&path).unwrap();
+        let copied = GraphArtifact::from_bytes(std::fs::read(&path).unwrap()).unwrap();
 
-    assert!(!copied.is_mapped());
-    assert_eq!(mapped.payload_digest(), copied.payload_digest());
-    assert_eq!(&*mapped.offsets(), &*copied.offsets());
-    assert_eq!(&*mapped.adjacency(), &*copied.adjacency());
-    assert_eq!(&*mapped.labels(), &*copied.labels());
-    assert_eq!(&*mapped.old_id(), &*copied.old_id());
-    assert_eq!(&*mapped.new_id(), &*copied.new_id());
-    assert_eq!(mapped.to_csr(), copied.to_csr());
-
+        assert!(!copied.is_mapped(), "{name}");
+        for (how, art) in [("mapped", &mapped), ("copied", &copied)] {
+            art.verify_deep()
+                .unwrap_or_else(|e| panic!("{name} ({how}): {e}"));
+        }
+        assert_eq!(mapped.payload_digest(), copied.payload_digest(), "{name}");
+        assert_eq!(&*mapped.offsets(), &*copied.offsets(), "{name}");
+        assert_eq!(&*mapped.adjacency(), &*copied.adjacency(), "{name}");
+        assert_eq!(&*mapped.labels(), &*copied.labels(), "{name}");
+        assert_eq!(&*mapped.old_id(), &*copied.old_id(), "{name}");
+        assert_eq!(&*mapped.new_id(), &*copied.new_id(), "{name}");
+        assert_eq!(mapped.to_csr(), copied.to_csr(), "{name}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

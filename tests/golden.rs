@@ -8,7 +8,14 @@
 //! a golden value is a semantics change, not an optimisation, and must
 //! be called out explicitly (by updating the constant and explaining
 //! why in the commit).
+//!
+//! Each test walks the matrix of `tests/common` in one process: both
+//! access paths hold every constant bit-for-bit, and a memo-on leg
+//! holds the mining results.
 
+mod common;
+
+use common::{legs, path_config, Leg, ACCESS_PATHS};
 use gramer::{
     preprocess, AccessPath, GramerConfig, MemoMode, MemoryBudget, MemoryMode, RunReport, Simulator,
 };
@@ -33,24 +40,6 @@ fn golden_summary(r: &RunReport) -> String {
         r.result.candidates_by_size,
         r.pu_steps,
     )
-}
-
-/// Base config for the golden runs. The tier-1 matrix (`scripts/tier1.sh
-/// golden`) re-runs this suite under both access paths via
-/// `GRAMER_ACCESS_PATH`, and once with `GRAMER_MEMO=on`. The access path
-/// is a host-side choice, so the golden constants hold bit-for-bit under
-/// either; the memo is a *model* change, so under `GRAMER_MEMO=on` the
-/// timing constants are skipped and only the mining-result fields are
-/// held to the golden lines (see [`assert_golden_results`]).
-fn base_config() -> GramerConfig {
-    let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
-        cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_MEMO") {
-        cfg.memo = s.parse().expect("GRAMER_MEMO must be on|off|BYTES");
-    }
-    cfg
 }
 
 fn run<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) -> RunReport {
@@ -97,7 +86,7 @@ fn normalized(s: &str) -> String {
 /// Asserts the mining-result fields of `r` match `golden` verbatim —
 /// the memo-on golden check. Timing fields (cycles, steals, dram,
 /// pu_steps) are memo-off quantities and deliberately not compared.
-fn assert_golden_results(r: &RunReport, golden: &str) {
+fn assert_golden_results(r: &RunReport, golden: &str, what: impl std::fmt::Display) {
     let results = format!(
         "embeddings={} candidates={} accepted_by_size={:?} candidates_by_size={:?}",
         r.result.embeddings,
@@ -107,51 +96,62 @@ fn assert_golden_results(r: &RunReport, golden: &str) {
     );
     assert!(
         normalized(golden).contains(&normalized(&results)),
-        "mining results diverged from the golden line:\n  got      {results}\n  expected within {golden}"
+        "{what}: mining results diverged from the golden line:\n  got      {results}\n  expected within {golden}"
     );
 }
 
-/// Runs one golden workload: under the default `--memo off` the full
-/// timing-bearing golden line must hold byte-for-byte; under
-/// `GRAMER_MEMO=on` the memo legitimately moves timing, so only the
+/// Runs one golden workload on `leg`: with the memo off the full
+/// timing-bearing golden line must hold byte-for-byte on either access
+/// path; with it on the memo legitimately moves timing, so only the
 /// mining results are pinned — and the table must actually get hits.
-fn check_golden(report: &RunReport, cfg: &GramerConfig, golden: &str) {
-    if matches!(cfg.memo, MemoMode::Off) {
-        assert_eq!(golden_summary(report), golden);
+fn check_golden(report: &RunReport, leg: Leg, golden: &str) {
+    if matches!(leg.memo, MemoMode::Off) {
+        assert_eq!(golden_summary(report), golden, "{leg}");
     } else {
-        assert_golden_results(report, golden);
+        assert_golden_results(report, golden, leg);
         assert!(
             report.memo.map_or(0, |s| s.hits) > 0,
-            "memo was on but never hit"
+            "{leg}: memo was on but never hit"
         );
     }
 }
 
 #[test]
 fn golden_ba200_cf4() {
-    let cfg = base_config();
-    let report = run(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
-    check_golden(&report, &cfg, GOLDEN_BA_CF4);
+    for leg in legs() {
+        let report = run(&ba_graph(), &CliqueFinding::new(4).unwrap(), &leg.config());
+        check_golden(&report, leg, GOLDEN_BA_CF4);
+    }
 }
 
 #[test]
 fn golden_rmat_mc3() {
-    let cfg = base_config();
-    let report = run(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg);
-    check_golden(&report, &cfg, GOLDEN_RMAT_MC3);
+    for leg in legs() {
+        let report = run(
+            &rmat_graph(),
+            &MotifCounting::new(3).unwrap(),
+            &leg.config(),
+        );
+        check_golden(&report, leg, GOLDEN_RMAT_MC3);
+    }
 }
 
 /// BA(200,3) x 4-CF at a 10% on-chip budget: the cache replacement
 /// policy, the DRAM model and the pair memo do the work, as in the
-/// paper's regime. The memo is set explicitly in every cell, so the
-/// `GRAMER_MEMO` hook cannot change them.
-fn spill_config(memory_mode: MemoryMode, memo: MemoMode, adaptive_lambda: bool) -> GramerConfig {
+/// paper's regime. Every cell sets its memo, so only the access path is
+/// free.
+fn spill_config(
+    access_path: AccessPath,
+    memory_mode: MemoryMode,
+    memo: MemoMode,
+    adaptive_lambda: bool,
+) -> GramerConfig {
     GramerConfig {
         budget: MemoryBudget::Fraction(0.1),
         memory_mode,
         memo,
         adaptive_lambda,
-        ..base_config()
+        ..path_config(access_path)
     }
 }
 
@@ -228,47 +228,49 @@ fn golden_ba200_cf4_spill() {
             GOLDEN_SPILL_LAMH_MEMO,
         ),
     ];
-    for (mode, memo, adaptive, golden) in cells {
-        let report = run(&ba, &cf, &spill_config(mode, memo, adaptive));
-        assert_eq!(spill_summary(&report), golden, "{mode:?} memo={memo:?}");
+    for path in ACCESS_PATHS {
+        for (mode, memo, adaptive, golden) in cells {
+            let report = run(&ba, &cf, &spill_config(path, mode, memo, adaptive));
+            assert_eq!(
+                spill_summary(&report),
+                golden,
+                "{path:?} {mode:?} memo={memo:?}"
+            );
+        }
     }
 }
 
-/// The memo dimension of the golden matrix, runnable without the env
-/// hook: memo-on mining results equal the memo-off golden lines, the
-/// table gets hits on both workloads, and the memoized run never does
-/// more memory work than the reference.
+/// A small memo against its memo-off reference, on either access path:
+/// memo-on mining results equal the memo-off golden lines, the table
+/// gets hits on both workloads, and the memoized run never does more
+/// memory work than the reference.
 #[test]
 fn golden_workloads_with_memo_on() {
-    // Pin both sides explicitly (the `GRAMER_MEMO` env hook must not
-    // leak into the reference config when tier1 runs the memo cell).
-    let off = GramerConfig {
-        memo: MemoMode::Off,
-        ..base_config()
-    };
-    let on = GramerConfig {
-        memo: MemoMode::On { bytes: 1 << 16 },
-        ..off.clone()
-    };
+    for access_path in ACCESS_PATHS {
+        let off = path_config(access_path);
+        let on = GramerConfig {
+            memo: MemoMode::On { bytes: 1 << 16 },
+            ..off.clone()
+        };
 
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    let base = run(&ba, &cf, &off);
-    let memo = run(&ba, &cf, &on);
-    assert_golden_results(&memo, GOLDEN_BA_CF4);
-    assert!(memo.memo.map_or(0, |s| s.hits) > 0, "BA x CF4: no hits");
-    assert!(memo.mem.total() <= base.mem.total(), "BA x CF4: more work");
+        let ba = ba_graph();
+        let cf = CliqueFinding::new(4).unwrap();
+        let base = run(&ba, &cf, &off);
+        let memo = run(&ba, &cf, &on);
+        let what = format!("{access_path:?} BA x CF4");
+        assert_golden_results(&memo, GOLDEN_BA_CF4, &what);
+        assert!(memo.memo.map_or(0, |s| s.hits) > 0, "{what}: no hits");
+        assert!(memo.mem.total() <= base.mem.total(), "{what}: more work");
 
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    let base = run(&rmat, &mc, &off);
-    let memo = run(&rmat, &mc, &on);
-    assert_golden_results(&memo, GOLDEN_RMAT_MC3);
-    assert!(memo.memo.map_or(0, |s| s.hits) > 0, "RMAT x MC3: no hits");
-    assert!(
-        memo.mem.total() <= base.mem.total(),
-        "RMAT x MC3: more work"
-    );
+        let rmat = rmat_graph();
+        let mc = MotifCounting::new(3).unwrap();
+        let base = run(&rmat, &mc, &off);
+        let memo = run(&rmat, &mc, &on);
+        let what = format!("{access_path:?} RMAT x MC3");
+        assert_golden_results(&memo, GOLDEN_RMAT_MC3, &what);
+        assert!(memo.memo.map_or(0, |s| s.hits) > 0, "{what}: no hits");
+        assert!(memo.mem.total() <= base.mem.total(), "{what}: more work");
+    }
 }
 
 /// Everything simulated in a [`RunReport`], including the memory-side
@@ -295,44 +297,45 @@ fn run_via_artifact<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) ->
     Simulator::new(&pre, cfg.clone()).unwrap().run(app).unwrap()
 }
 
-/// The `.gra` artifact path (ISSUE 6 tentpole) must be invisible in the
-/// results: a run resumed from an artifact produces a [`RunReport`]
-/// whose serialized JSON is byte-identical to the edge-list path's, on
-/// both golden workloads. Runs under both access paths via
-/// `scripts/tier1.sh golden`.
+/// The `.gra` artifact path must be invisible in the results: a run
+/// resumed from an artifact produces a [`RunReport`] whose serialized
+/// JSON is byte-identical to the edge-list path's, on both golden
+/// workloads and every leg.
 #[test]
 fn artifact_path_reports_are_bit_identical() {
-    let cfg = base_config();
+    for leg in legs() {
+        let cfg = leg.config();
 
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        run(&ba, &cf, &cfg).to_json_value().to_string(),
-        run_via_artifact(&ba, &cf, &cfg).to_json_value().to_string(),
-        "BA(200,3) x CF(4): artifact path diverged from edge-list path"
-    );
+        let ba = ba_graph();
+        let cf = CliqueFinding::new(4).unwrap();
+        assert_eq!(
+            run(&ba, &cf, &cfg).to_json_value().to_string(),
+            run_via_artifact(&ba, &cf, &cfg).to_json_value().to_string(),
+            "{leg} BA(200,3) x CF(4): artifact path diverged from edge-list path"
+        );
 
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        run(&rmat, &mc, &cfg).to_json_value().to_string(),
-        run_via_artifact(&rmat, &mc, &cfg)
-            .to_json_value()
-            .to_string(),
-        "R-MAT(2^8) x MC(3): artifact path diverged from edge-list path"
-    );
+        let rmat = rmat_graph();
+        let mc = MotifCounting::new(3).unwrap();
+        assert_eq!(
+            run(&rmat, &mc, &cfg).to_json_value().to_string(),
+            run_via_artifact(&rmat, &mc, &cfg)
+                .to_json_value()
+                .to_string(),
+            "{leg} R-MAT(2^8) x MC(3): artifact path diverged from edge-list path"
+        );
+    }
 }
 
 /// The event engine must execute the golden workloads exactly as the
 /// heap-order reference does ([`Simulator::run_reference`]): identical
-/// serialized reports and identical memory-side statistics, under
-/// whichever access path and memo mode the matrix selects. (The
-/// randomized flavour is `epoch_matches_interleaved` in
+/// serialized reports and identical memory-side statistics, on every
+/// leg. (The randomized flavour is `epoch_matches_interleaved` in
 /// `tests/properties.rs`.)
 #[test]
 fn epoch_engine_matches_interleaved_on_golden_workloads() {
-    fn check<A: EcmApp>(graph: &CsrGraph, app: &A, what: &str) {
-        let cfg = base_config();
+    fn check<A: EcmApp>(graph: &CsrGraph, app: &A, leg: Leg, workload: &str) {
+        let what = format!("{leg} {workload}");
+        let cfg = leg.config();
         let pre = preprocess(graph, &cfg).unwrap();
         let sim = Simulator::new(&pre, cfg).unwrap();
         let engine = sim.run(app).unwrap();
@@ -348,16 +351,20 @@ fn epoch_engine_matches_interleaved_on_golden_workloads() {
             "{what}: engine diverged from the heap-order reference"
         );
     }
-    check(
-        &ba_graph(),
-        &CliqueFinding::new(4).unwrap(),
-        "BA(200,3) x CF(4)",
-    );
-    check(
-        &rmat_graph(),
-        &MotifCounting::new(3).unwrap(),
-        "R-MAT(2^8) x MC(3)",
-    );
+    for leg in legs() {
+        check(
+            &ba_graph(),
+            &CliqueFinding::new(4).unwrap(),
+            leg,
+            "BA(200,3) x CF(4)",
+        );
+        check(
+            &rmat_graph(),
+            &MotifCounting::new(3).unwrap(),
+            leg,
+            "R-MAT(2^8) x MC(3)",
+        );
+    }
 }
 
 /// Running the two golden workloads as independent cells on a sharded
@@ -367,8 +374,7 @@ fn epoch_engine_matches_interleaved_on_golden_workloads() {
 /// order by construction (see `gramer::shard`).
 #[test]
 fn sharded_cells_reports_are_bit_identical_to_serial() {
-    let run_matrix = |threads: usize| -> Vec<String> {
-        let cfg = base_config();
+    let run_matrix = |cfg: &GramerConfig, threads: usize| -> Vec<String> {
         let cells: Vec<Box<dyn FnOnce() -> String + Send>> = vec![
             Box::new({
                 let cfg = cfg.clone();
@@ -389,45 +395,47 @@ fn sharded_cells_reports_are_bit_identical_to_serial() {
         ];
         gramer::shard::run_cells(threads, cells)
     };
-    let serial = run_matrix(1);
-    let sharded = run_matrix(4);
-    assert_eq!(
-        serial, sharded,
-        "4 threads diverged from 1 thread on the golden cells"
-    );
-    assert_eq!(serial.len(), 2);
+    for leg in legs() {
+        let serial = run_matrix(&leg.config(), 1);
+        let sharded = run_matrix(&leg.config(), 4);
+        assert_eq!(
+            serial, sharded,
+            "{leg}: 4 threads diverged from 1 thread on the golden cells"
+        );
+        assert_eq!(serial.len(), 2);
+    }
 }
 
-/// The two-lane fast access engine (ISSUE 4 tentpole) is the default;
-/// `--access-path=exact` keeps the reference port/FIFO machinery. On
-/// both golden workloads the two must produce *identical* reports down
-/// to every memory statistic — the fast lanes are a host-side
+/// The two-lane fast access engine is the default; `AccessPath::Exact`
+/// keeps the reference port/FIFO machinery. On both golden workloads,
+/// with the memo off and on, the two must produce *identical* reports
+/// down to every memory statistic — the fast lanes are a host-side
 /// optimisation, not a model change.
 #[test]
 fn exact_access_path_matches_fast_on_golden_workloads() {
-    let fast_cfg = GramerConfig {
-        access_path: AccessPath::Fast,
-        ..base_config()
-    };
-    let exact_cfg = GramerConfig {
-        access_path: AccessPath::Exact,
-        ..base_config()
-    };
     assert_eq!(GramerConfig::default().access_path, AccessPath::Fast);
+    for leg in legs().filter(|leg| leg.access_path == AccessPath::Fast) {
+        let memo = leg.memo;
+        let fast_cfg = leg.config();
+        let exact_cfg = GramerConfig {
+            access_path: AccessPath::Exact,
+            ..fast_cfg.clone()
+        };
 
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&ba, &cf, &fast_cfg)),
-        full_semantic_view(&run(&ba, &cf, &exact_cfg)),
-        "BA(200,3) x CF(4): fast and exact access paths diverged"
-    );
+        let ba = ba_graph();
+        let cf = CliqueFinding::new(4).unwrap();
+        assert_eq!(
+            full_semantic_view(&run(&ba, &cf, &fast_cfg)),
+            full_semantic_view(&run(&ba, &cf, &exact_cfg)),
+            "{memo:?} BA(200,3) x CF(4): fast and exact access paths diverged"
+        );
 
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&rmat, &mc, &fast_cfg)),
-        full_semantic_view(&run(&rmat, &mc, &exact_cfg)),
-        "R-MAT(2^8) x MC(3): fast and exact access paths diverged"
-    );
+        let rmat = rmat_graph();
+        let mc = MotifCounting::new(3).unwrap();
+        assert_eq!(
+            full_semantic_view(&run(&rmat, &mc, &fast_cfg)),
+            full_semantic_view(&run(&rmat, &mc, &exact_cfg)),
+            "{memo:?} R-MAT(2^8) x MC(3): fast and exact access paths diverged"
+        );
+    }
 }

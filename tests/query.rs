@@ -1,9 +1,8 @@
 //! Query-matrix and filter-soundness tests.
 //!
-//! Three pinned labeled queries run over the labeled golden BA graph
-//! under whatever `GRAMER_ACCESS_PATH` / `GRAMER_MEMO` combination the
-//! tier-1 matrix selects (`scripts/tier1.sh query` iterates them). For
-//! every combination:
+//! Three pinned labeled queries run over the labeled golden BA graph on
+//! every leg of the matrix in `tests/common` (access path × memo). On
+//! every leg:
 //!
 //! - the filtered run's full-size match total must equal the brute
 //!   run's, and both must equal the pinned golden count;
@@ -19,24 +18,15 @@
 //! labeled graphs × random connected queries each; every failure
 //! message carries the case seed.
 
+mod common;
+
+use common::legs;
 use gramer_suite::gramer::{preprocess, AppSpec, GramerConfig, Preprocessed, RunReport, Simulator};
 use gramer_suite::gramer_graph::{generate, CsrGraph};
 use gramer_suite::gramer_mining::query::{enumerate_matches, match_query};
 use gramer_suite::gramer_mining::{CandidateFilter, CandidateSets, QueryApp, QueryGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Matrix-aware config, mirroring `tests/golden.rs::base_config`.
-fn base_config() -> GramerConfig {
-    let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
-        cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_MEMO") {
-        cfg.memo = s.parse().expect("GRAMER_MEMO must be on|off|BYTES");
-    }
-    cfg
-}
 
 /// The labeled golden graph: BA(200, 3) seed 11 — the same topology the
 /// golden timing suite pins — with labels drawn from `1..=6`, seed 3.
@@ -96,66 +86,61 @@ fn canonical(mut sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
 #[test]
 fn pinned_queries_hold_across_the_matrix() {
     let graph = labeled_ba();
-    let cfg = base_config();
-    let pre = preprocess(&graph, &cfg).unwrap();
-    for pq in PINNED {
-        let query = QueryGraph::from_spec(pq.spec).unwrap();
-        let k = query.num_vertices();
-        let app = QueryApp::new(query).unwrap();
-        let sim = Simulator::new(&pre, cfg.clone()).unwrap();
-        let brute = sim.run(&app).unwrap();
-        let filtered = run_query(&pre, &cfg, query);
-        assert_eq!(
-            filtered.result.total_at(k),
-            brute.result.total_at(k),
-            "{}: filtered diverged from brute",
-            pq.spec
-        );
-        // The event engine runs the filtered query exactly as the
-        // heap-order reference does, given the same filter: candidates
-        // over the reordered graph the simulator mines.
-        let filter = CandidateFilter::new(&CandidateSets::build(&pre.graph, &query));
-        let reference = sim.run_reference(&app, Some(filter)).unwrap();
-        assert_eq!(
-            filtered.to_json_value().to_string(),
-            reference.to_json_value().to_string(),
-            "{}: filtered engine diverged from the heap-order reference",
-            pq.spec
-        );
-        assert_eq!(
-            filtered.result.counts.sorted(),
-            reference.result.counts.sorted(),
-            "{}: filtered engine diverged from the heap-order reference",
-            pq.spec
-        );
-        assert_eq!(
-            filtered.result.total_at(k),
-            pq.matches,
-            "{}: match total moved off the golden value",
-            pq.spec
-        );
-        assert!(
-            brute.query.is_none(),
-            "{}: brute run grew query stats",
-            pq.spec
-        );
-        let q = filtered.query.expect("filtered run must carry query stats");
-        assert_eq!(
-            (q.admitted, q.probes, q.rejects),
-            (pq.admitted, pq.probes, pq.rejects),
-            "{}: filter counters moved off the golden values",
-            pq.spec
-        );
+    for leg in legs() {
+        let cfg = leg.config();
+        let pre = preprocess(&graph, &cfg).unwrap();
+        for pq in PINNED {
+            let what = format!("{leg} {}", pq.spec);
+            let query = QueryGraph::from_spec(pq.spec).unwrap();
+            let k = query.num_vertices();
+            let app = QueryApp::new(query).unwrap();
+            let sim = Simulator::new(&pre, cfg.clone()).unwrap();
+            let brute = sim.run(&app).unwrap();
+            let filtered = run_query(&pre, &cfg, query);
+            assert_eq!(
+                filtered.result.total_at(k),
+                brute.result.total_at(k),
+                "{what}: filtered diverged from brute"
+            );
+            // The event engine runs the filtered query exactly as the
+            // heap-order reference does, given the same filter: candidates
+            // over the reordered graph the simulator mines.
+            let filter = CandidateFilter::new(&CandidateSets::build(&pre.graph, &query));
+            let reference = sim.run_reference(&app, Some(filter)).unwrap();
+            assert_eq!(
+                filtered.to_json_value().to_string(),
+                reference.to_json_value().to_string(),
+                "{what}: filtered engine diverged from the heap-order reference"
+            );
+            assert_eq!(
+                filtered.result.counts.sorted(),
+                reference.result.counts.sorted(),
+                "{what}: filtered engine diverged from the heap-order reference"
+            );
+            assert_eq!(
+                filtered.result.total_at(k),
+                pq.matches,
+                "{what}: match total moved off the golden value"
+            );
+            assert!(brute.query.is_none(), "{what}: brute run grew query stats");
+            let q = filtered.query.expect("filtered run must carry query stats");
+            assert_eq!(
+                (q.admitted, q.probes, q.rejects),
+                (pq.admitted, pq.probes, pq.rejects),
+                "{what}: filter counters moved off the golden values"
+            );
+        }
     }
 }
 
 #[test]
 fn pinned_queries_filtered_embeddings_are_bit_identical() {
     // Mining-layer check on the reordered graph the simulator actually
-    // mines: exact vertex-sets, three independent implementations.
+    // mines: exact vertex-sets, three independent implementations. No
+    // simulator runs here, and preprocessing reads neither the access
+    // path nor the memo, so there is no leg to walk.
     let graph = labeled_ba();
-    let cfg = base_config();
-    let pre = preprocess(&graph, &cfg).unwrap();
+    let pre = preprocess(&graph, &GramerConfig::default()).unwrap();
     for pq in PINNED {
         let query = QueryGraph::from_spec(pq.spec).unwrap();
         let app = QueryApp::new(query.clone()).unwrap();

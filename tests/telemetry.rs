@@ -8,14 +8,16 @@
 //! 2. **The telemetry document is simulated data** — for a fixed seeded
 //!    workload, the JSON document (minus its explicitly host-side
 //!    `"host"` section) is byte-stable across the host-side access-path
-//!    choice, exactly like the golden run reports. The tier-1 matrix
-//!    (`scripts/tier1.sh golden`) re-runs this suite under both
-//!    `GRAMER_ACCESS_PATH` values.
+//!    choice, exactly like the golden run reports. Every test here walks
+//!    both access paths (`tests/common`) in one process.
 //!
 //! As with `tests/golden.rs`: if a simulator change moves the pinned
 //! digest, that is a semantics change and the constant must be updated
 //! with an explanation in the commit.
 
+mod common;
+
+use common::{path_config, ACCESS_PATHS};
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
 use gramer::{preprocess, AppSpec, GramerConfig, RunReport, Simulator};
@@ -24,15 +26,6 @@ use gramer_graph::CsrGraph;
 use gramer_memsim::DramConfig;
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
 use gramer_mining::EcmApp;
-
-/// Same env-driven matrix hook as `tests/golden.rs`.
-fn base_config() -> GramerConfig {
-    let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
-        cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    cfg
-}
 
 fn ba_graph() -> CsrGraph {
     generate::barabasi_albert(200, 3, 11)
@@ -91,37 +84,45 @@ fn semantic_view(r: &RunReport) -> String {
 /// either access path.
 #[test]
 fn telemetry_never_perturbs_the_simulation() {
-    let cfg = base_config();
+    for path in ACCESS_PATHS {
+        let cfg = path_config(path);
 
-    let (plain, observed, _) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
-    assert_eq!(
-        semantic_view(&plain),
-        semantic_view(&observed),
-        "BA(200,3) x CF(4): telemetry perturbed the simulation"
-    );
+        let (plain, observed, _) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
+        assert_eq!(
+            semantic_view(&plain),
+            semantic_view(&observed),
+            "{path:?} BA(200,3) x CF(4): telemetry perturbed the simulation"
+        );
 
-    let (plain, observed, _) = run_both(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg);
-    assert_eq!(
-        semantic_view(&plain),
-        semantic_view(&observed),
-        "R-MAT(2^8) x MC(3): telemetry perturbed the simulation"
-    );
+        let (plain, observed, _) = run_both(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg);
+        assert_eq!(
+            semantic_view(&plain),
+            semantic_view(&observed),
+            "{path:?} R-MAT(2^8) x MC(3): telemetry perturbed the simulation"
+        );
 
-    // A labeled query runs candidate-filtered; `AppSpec::run` is the one
-    // place that pairs its filter with a recording sink.
-    let labeled = generate::with_random_labels(&ba_graph(), 6, 3);
-    let pre = preprocess(&labeled, &cfg).unwrap();
-    let app: AppSpec = "query:1,2,3:0-1,1-2".parse().unwrap();
-    let plain = app.run(&pre, cfg.clone(), None).unwrap();
-    let mut tel = Telemetry::new(TelemetryConfig::default());
-    let observed = app.run(&pre, cfg.clone(), Some(&mut tel)).unwrap();
-    assert!(plain.query.is_some(), "a query run reports its filter");
-    assert_eq!(
-        plain.to_json_value().to_string(),
-        observed.to_json_value().to_string(),
-        "labeled BA(200,3) x query: telemetry perturbed the filtered simulation"
-    );
-    assert_eq!(semantic_view(&plain), semantic_view(&observed));
+        // A labeled query runs candidate-filtered; `AppSpec::run` is the
+        // one place that pairs its filter with a recording sink.
+        let labeled = generate::with_random_labels(&ba_graph(), 6, 3);
+        let pre = preprocess(&labeled, &cfg).unwrap();
+        let app: AppSpec = "query:1,2,3:0-1,1-2".parse().unwrap();
+        let plain = app.run(&pre, cfg.clone(), None).unwrap();
+        let mut tel = Telemetry::new(TelemetryConfig::default());
+        let observed = app.run(&pre, cfg.clone(), Some(&mut tel)).unwrap();
+        assert!(
+            plain.query.is_some(),
+            "{path:?}: a query run reports its filter"
+        );
+        let what = format!(
+            "{path:?} labeled BA(200,3) x query: telemetry perturbed the filtered simulation"
+        );
+        assert_eq!(
+            plain.to_json_value().to_string(),
+            observed.to_json_value().to_string(),
+            "{what}"
+        );
+        assert_eq!(semantic_view(&plain), semantic_view(&observed), "{what}");
+    }
 }
 
 /// Removes the top-level `"host"` section — the only part of the
@@ -172,87 +173,118 @@ const GOLDEN_BA_CF4_DRAM: u64 = 249;
 
 #[test]
 fn telemetry_document_is_byte_stable_across_host_choices() {
-    let (_, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &base_config());
-    let doc = strip_host(tel.to_json_value());
-    let text = doc.to_string_pretty();
+    for path in ACCESS_PATHS {
+        let (_, observed, tel) = run_both(
+            &ba_graph(),
+            &CliqueFinding::new(4).unwrap(),
+            &path_config(path),
+        );
+        let doc = strip_host(tel.to_json_value());
+        let text = doc.to_string_pretty();
 
-    // The document and the report agree on the headline quantities.
-    assert_eq!(
-        doc.get("cycles").and_then(JsonValue::as_u64),
-        Some(GOLDEN_BA_CF4_CYCLES)
-    );
-    assert_eq!(observed.cycles, GOLDEN_BA_CF4_CYCLES);
-    let totals = doc.get("totals").expect("document has totals");
-    assert_eq!(
-        totals.get("steps").and_then(JsonValue::as_u64),
-        Some(GOLDEN_BA_CF4_STEPS)
-    );
-    assert_eq!(
-        totals.get("dram_requests").and_then(JsonValue::as_u64),
-        Some(GOLDEN_BA_CF4_DRAM)
-    );
-    assert_eq!(
-        doc.get("schema_version").and_then(JsonValue::as_u64),
-        Some(3)
-    );
-    assert!(
-        doc.get("host").is_none(),
-        "host section must be stripped before hashing"
-    );
+        // The document and the report agree on the headline quantities.
+        assert_eq!(
+            doc.get("cycles").and_then(JsonValue::as_u64),
+            Some(GOLDEN_BA_CF4_CYCLES),
+            "{path:?}"
+        );
+        assert_eq!(observed.cycles, GOLDEN_BA_CF4_CYCLES, "{path:?}");
+        let totals = doc.get("totals").expect("document has totals");
+        assert_eq!(
+            totals.get("steps").and_then(JsonValue::as_u64),
+            Some(GOLDEN_BA_CF4_STEPS),
+            "{path:?}"
+        );
+        assert_eq!(
+            totals.get("dram_requests").and_then(JsonValue::as_u64),
+            Some(GOLDEN_BA_CF4_DRAM),
+            "{path:?}"
+        );
+        assert_eq!(
+            doc.get("schema_version").and_then(JsonValue::as_u64),
+            Some(3),
+            "{path:?}"
+        );
+        assert!(
+            doc.get("host").is_none(),
+            "{path:?}: host section must be stripped before hashing"
+        );
 
-    // The serialized document itself round-trips and is byte-stable.
-    assert_eq!(JsonValue::parse(&text).unwrap(), doc);
-    assert_eq!(
-        fnv1a(text.as_bytes()),
-        GOLDEN_BA_CF4_TELEMETRY_FNV,
-        "telemetry document drifted; if the simulator semantics \
-         legitimately changed, update the digest and say why"
-    );
+        // The serialized document itself round-trips and is byte-stable.
+        assert_eq!(JsonValue::parse(&text).unwrap(), doc, "{path:?}");
+        assert_eq!(
+            fnv1a(text.as_bytes()),
+            GOLDEN_BA_CF4_TELEMETRY_FNV,
+            "{path:?}: telemetry document drifted; if the simulator semantics \
+             legitimately changed, update the digest and say why"
+        );
+    }
+}
+
+/// Sums a per-window counter over a telemetry document's windows.
+fn window_sum(windows: &[JsonValue], key: &str) -> u64 {
+    windows
+        .iter()
+        .filter_map(|w| w.get(key).and_then(JsonValue::as_u64))
+        .sum()
+}
+
+/// Sums a per-PU array counter over a telemetry document's windows.
+fn window_pu_sum(windows: &[JsonValue], key: &str) -> u64 {
+    windows
+        .iter()
+        .filter_map(|w| match w.get(key) {
+            Some(JsonValue::Array(a)) => Some(a.iter().filter_map(JsonValue::as_u64).sum::<u64>()),
+            _ => None,
+        })
+        .sum()
+}
+
+/// The windows of a telemetry document.
+fn windows_of(doc: &JsonValue) -> Vec<JsonValue> {
+    match doc.get("windows") {
+        Some(JsonValue::Array(w)) => w.clone(),
+        other => panic!("windows missing: {other:?}"),
+    }
 }
 
 /// The full document (host section included) must at least be
 /// self-consistent: window sums equal the run totals.
 #[test]
 fn telemetry_windows_sum_to_totals() {
-    let (_, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &base_config());
-    let doc = tel.to_json_value();
-    let windows = match doc.get("windows") {
-        Some(JsonValue::Array(w)) => w.clone(),
-        other => panic!("windows missing: {other:?}"),
-    };
-    let sum = |key: &str| -> u64 {
-        windows
-            .iter()
-            .filter_map(|w| w.get(key).and_then(JsonValue::as_u64))
-            .sum()
-    };
-    let pu_sum = |key: &str| -> u64 {
-        windows
-            .iter()
-            .filter_map(|w| match w.get(key) {
-                Some(JsonValue::Array(a)) => {
-                    Some(a.iter().filter_map(JsonValue::as_u64).sum::<u64>())
-                }
-                _ => None,
-            })
-            .sum()
-    };
-    assert_eq!(pu_sum("pu_steps"), observed.steps);
-    assert_eq!(sum("steals"), observed.steals);
-    assert_eq!(sum("dram_requests"), observed.dram_requests);
-    assert_eq!(
-        sum("candidates") + sum("rejected"),
-        observed.result.candidates_examined
-    );
-    let totals = doc.get("totals").unwrap();
-    assert_eq!(
-        totals.get("steps").and_then(JsonValue::as_u64),
-        Some(observed.steps)
-    );
-    assert_eq!(
-        totals.get("steals").and_then(JsonValue::as_u64),
-        Some(observed.steals)
-    );
+    for path in ACCESS_PATHS {
+        let (_, observed, tel) = run_both(
+            &ba_graph(),
+            &CliqueFinding::new(4).unwrap(),
+            &path_config(path),
+        );
+        let doc = tel.to_json_value();
+        let windows = windows_of(&doc);
+        let sum = |key: &str| window_sum(&windows, key);
+        assert_eq!(
+            window_pu_sum(&windows, "pu_steps"),
+            observed.steps,
+            "{path:?}"
+        );
+        assert_eq!(sum("steals"), observed.steals, "{path:?}");
+        assert_eq!(sum("dram_requests"), observed.dram_requests, "{path:?}");
+        assert_eq!(
+            sum("candidates") + sum("rejected"),
+            observed.result.candidates_examined,
+            "{path:?}"
+        );
+        let totals = doc.get("totals").unwrap();
+        assert_eq!(
+            totals.get("steps").and_then(JsonValue::as_u64),
+            Some(observed.steps),
+            "{path:?}"
+        );
+        assert_eq!(
+            totals.get("steals").and_then(JsonValue::as_u64),
+            Some(observed.steals),
+            "{path:?}"
+        );
+    }
 }
 
 /// A candidate-filtered query run counts every filter probe: the
@@ -260,35 +292,37 @@ fn telemetry_windows_sum_to_totals() {
 /// sum to the totals.
 #[test]
 fn telemetry_counts_every_filter_probe() {
-    let cfg = base_config();
-    let labeled = generate::with_random_labels(&ba_graph(), 6, 3);
-    let pre = preprocess(&labeled, &cfg).unwrap();
-    let app: AppSpec = "query:1,2,3:0-1,1-2".parse().unwrap();
-    // Narrow windows, so the short run spans several of them.
-    let mut tel = Telemetry::new(TelemetryConfig {
-        window_cycles: 32,
-        ..TelemetryConfig::default()
-    });
-    let report = app.run(&pre, cfg, Some(&mut tel)).unwrap();
-    let query = report.query.expect("a query run reports its filter");
-    assert!(query.probes > 0 && query.rejects > 0, "{query:?}");
+    for path in ACCESS_PATHS {
+        let cfg = path_config(path);
+        let labeled = generate::with_random_labels(&ba_graph(), 6, 3);
+        let pre = preprocess(&labeled, &cfg).unwrap();
+        let app: AppSpec = "query:1,2,3:0-1,1-2".parse().unwrap();
+        // Narrow windows, so the short run spans several of them.
+        let mut tel = Telemetry::new(TelemetryConfig {
+            window_cycles: 32,
+            ..TelemetryConfig::default()
+        });
+        let report = app.run(&pre, cfg, Some(&mut tel)).unwrap();
+        let query = report.query.expect("a query run reports its filter");
+        assert!(query.probes > 0 && query.rejects > 0, "{path:?}: {query:?}");
 
-    let doc = tel.to_json_value();
-    let totals = doc.get("totals").expect("document has totals");
-    let total = |key: &str| totals.get(key).and_then(JsonValue::as_u64);
-    assert_eq!(total("filter_probes"), Some(query.probes));
-    assert_eq!(total("filter_rejects"), Some(query.rejects));
-    let windows = match doc.get("windows") {
-        Some(JsonValue::Array(w)) => w.clone(),
-        other => panic!("windows missing: {other:?}"),
-    };
-    assert!(windows.len() > 1, "the run should span several windows");
-    for key in ["filter_probes", "filter_rejects"] {
-        let sum: u64 = windows
-            .iter()
-            .map(|w| w.get(key).and_then(JsonValue::as_u64).expect(key))
-            .sum();
-        assert_eq!(Some(sum), total(key), "{key}");
+        let doc = tel.to_json_value();
+        let totals = doc.get("totals").expect("document has totals");
+        let total = |key: &str| totals.get(key).and_then(JsonValue::as_u64);
+        assert_eq!(total("filter_probes"), Some(query.probes), "{path:?}");
+        assert_eq!(total("filter_rejects"), Some(query.rejects), "{path:?}");
+        let windows = windows_of(&doc);
+        assert!(
+            windows.len() > 1,
+            "{path:?}: the run should span several windows"
+        );
+        for key in ["filter_probes", "filter_rejects"] {
+            let sum: u64 = windows
+                .iter()
+                .map(|w| w.get(key).and_then(JsonValue::as_u64).expect(key))
+                .sum();
+            assert_eq!(Some(sum), total(key), "{path:?} {key}");
+        }
     }
 }
 
@@ -300,130 +334,109 @@ fn telemetry_counts_every_filter_probe() {
 /// totals on any run long enough to coalesce.
 #[test]
 fn telemetry_windows_sum_to_totals_with_coalescing() {
-    let cfg = base_config();
-    let pre = preprocess(&ba_graph(), &cfg).unwrap();
-    let sim = Simulator::new(&pre, cfg).unwrap();
-    let app = CliqueFinding::new(4).unwrap();
-    let mut tel = Telemetry::new(TelemetryConfig {
-        window_cycles: 64,
-        max_windows: 8,
-    });
-    let observed = sim.run_telemetry(&app, &mut tel).unwrap();
-    assert!(
-        tel.coalesce_count() > 0,
-        "config must force coalescing for this test to bite"
-    );
+    for path in ACCESS_PATHS {
+        let cfg = path_config(path);
+        let pre = preprocess(&ba_graph(), &cfg).unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let app = CliqueFinding::new(4).unwrap();
+        let mut tel = Telemetry::new(TelemetryConfig {
+            window_cycles: 64,
+            max_windows: 8,
+        });
+        let observed = sim.run_telemetry(&app, &mut tel).unwrap();
+        assert!(
+            tel.coalesce_count() > 0,
+            "{path:?}: config must force coalescing for this test to bite"
+        );
 
-    let doc = tel.to_json_value();
-    let windows = match doc.get("windows") {
-        Some(JsonValue::Array(w)) => w.clone(),
-        other => panic!("windows missing: {other:?}"),
-    };
-    let sum = |key: &str| -> u64 {
-        windows
-            .iter()
-            .filter_map(|w| w.get(key).and_then(JsonValue::as_u64))
-            .sum()
-    };
-    let pu_sum = |key: &str| -> u64 {
-        windows
-            .iter()
-            .filter_map(|w| match w.get(key) {
-                Some(JsonValue::Array(a)) => {
-                    Some(a.iter().filter_map(JsonValue::as_u64).sum::<u64>())
-                }
-                _ => None,
-            })
-            .sum()
-    };
-    let kind_sum = |kind: &str, field: &str| -> u64 {
-        windows
-            .iter()
-            .filter_map(|w| {
-                w.get(kind)
-                    .and_then(|k| k.get(field))
-                    .and_then(JsonValue::as_u64)
-            })
-            .sum()
-    };
+        let doc = tel.to_json_value();
+        let windows = windows_of(&doc);
+        let sum = |key: &str| window_sum(&windows, key);
+        let kind_sum = |kind: &str, field: &str| -> u64 {
+            windows
+                .iter()
+                .filter_map(|w| {
+                    w.get(kind)
+                        .and_then(|k| k.get(field))
+                        .and_then(JsonValue::as_u64)
+                })
+                .sum()
+        };
 
-    assert_eq!(pu_sum("pu_steps"), observed.steps);
-    assert_eq!(sum("steals"), observed.steals);
-    assert_eq!(sum("dram_requests"), observed.dram_requests);
-    assert_eq!(
-        kind_sum("vertex", "high_priority_hits"),
-        observed.mem.vertex.high_priority_hits
-    );
-    assert_eq!(
-        kind_sum("vertex", "cache_hits"),
-        observed.mem.vertex.cache_hits
-    );
-    assert_eq!(kind_sum("vertex", "misses"), observed.mem.vertex.misses);
-    assert_eq!(
-        kind_sum("edge", "high_priority_hits"),
-        observed.mem.edge.high_priority_hits
-    );
-    assert_eq!(kind_sum("edge", "cache_hits"), observed.mem.edge.cache_hits);
-    assert_eq!(kind_sum("edge", "misses"), observed.mem.edge.misses);
+        assert_eq!(
+            window_pu_sum(&windows, "pu_steps"),
+            observed.steps,
+            "{path:?}"
+        );
+        assert_eq!(sum("steals"), observed.steals, "{path:?}");
+        assert_eq!(sum("dram_requests"), observed.dram_requests, "{path:?}");
+        let (vertex, edge) = (observed.mem.vertex, observed.mem.edge);
+        for (kind, stats) in [("vertex", vertex), ("edge", edge)] {
+            assert_eq!(
+                kind_sum(kind, "high_priority_hits"),
+                stats.high_priority_hits,
+                "{path:?} {kind}"
+            );
+            assert_eq!(
+                kind_sum(kind, "cache_hits"),
+                stats.cache_hits,
+                "{path:?} {kind}"
+            );
+            assert_eq!(kind_sum(kind, "misses"), stats.misses, "{path:?} {kind}");
+        }
 
-    // The totals section agrees with the report too.
-    let totals = doc.get("totals").unwrap();
-    assert_eq!(
-        totals.get("dram_requests").and_then(JsonValue::as_u64),
-        Some(observed.dram_requests)
-    );
-    assert_eq!(
-        totals
-            .get("vertex")
-            .and_then(|v| v.get("misses"))
-            .and_then(JsonValue::as_u64),
-        Some(observed.mem.vertex.misses)
-    );
+        // The totals section agrees with the report too.
+        let totals = doc.get("totals").unwrap();
+        assert_eq!(
+            totals.get("dram_requests").and_then(JsonValue::as_u64),
+            Some(observed.dram_requests),
+            "{path:?}"
+        );
+        assert_eq!(
+            totals
+                .get("vertex")
+                .and_then(|v| v.get("misses"))
+                .and_then(JsonValue::as_u64),
+            Some(observed.mem.vertex.misses),
+            "{path:?}"
+        );
+    }
 }
 
 /// Schema v2: a memoized run's probes land in the telemetry document
 /// (per-window counters summing to the totals, totals agreeing with the
 /// run report) and never perturb the simulation relative to an
-/// unobserved memoized run.
+/// unobserved memoized run. The memo is pinned; the access path walks.
 #[test]
 fn telemetry_records_memo_counters() {
-    let mut cfg = base_config();
-    cfg.memo = gramer::MemoMode::On { bytes: 1 << 16 };
-    let (plain, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
-    assert_eq!(
-        semantic_view(&plain),
-        semantic_view(&observed),
-        "telemetry perturbed the memoized simulation"
-    );
-    let stats = observed.memo.expect("memoized run must report memo stats");
-    assert!(stats.hits > 0, "workload never hit the memo");
+    for path in ACCESS_PATHS {
+        let cfg = GramerConfig {
+            memo: gramer::MemoMode::On { bytes: 1 << 16 },
+            ..path_config(path)
+        };
+        let (plain, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
+        assert_eq!(
+            semantic_view(&plain),
+            semantic_view(&observed),
+            "{path:?}: telemetry perturbed the memoized simulation"
+        );
+        let stats = observed.memo.expect("memoized run must report memo stats");
+        assert!(stats.hits > 0, "{path:?}: workload never hit the memo");
 
-    let doc = tel.to_json_value();
-    let totals = doc.get("totals").expect("document has totals");
-    assert_eq!(
-        totals.get("memo_hits").and_then(JsonValue::as_u64),
-        Some(stats.hits)
-    );
-    assert_eq!(
-        totals.get("memo_misses").and_then(JsonValue::as_u64),
-        Some(stats.misses)
-    );
-    assert_eq!(
-        totals.get("memo_evictions").and_then(JsonValue::as_u64),
-        Some(stats.evictions)
-    );
-    let windows = match doc.get("windows") {
-        Some(JsonValue::Array(w)) => w.clone(),
-        other => panic!("windows missing: {other:?}"),
-    };
-    let sum = |key: &str| -> u64 {
-        windows
-            .iter()
-            .filter_map(|w| w.get(key).and_then(JsonValue::as_u64))
-            .sum()
-    };
-    assert_eq!(sum("memo_hits"), stats.hits);
-    assert_eq!(sum("memo_misses"), stats.misses);
+        let doc = tel.to_json_value();
+        let totals = doc.get("totals").expect("document has totals");
+        let total = |key: &str| totals.get(key).and_then(JsonValue::as_u64);
+        assert_eq!(total("memo_hits"), Some(stats.hits), "{path:?}");
+        assert_eq!(total("memo_misses"), Some(stats.misses), "{path:?}");
+        assert_eq!(total("memo_evictions"), Some(stats.evictions), "{path:?}");
+        let windows = windows_of(&doc);
+        assert_eq!(window_sum(&windows, "memo_hits"), stats.hits, "{path:?}");
+        assert_eq!(
+            window_sum(&windows, "memo_misses"),
+            stats.misses,
+            "{path:?}"
+        );
+    }
 }
 
 /// The host section reports the event calendar's far-heap pushes: none
@@ -439,14 +452,16 @@ fn telemetry_reports_calendar_far_pushes() {
             .and_then(JsonValue::as_u64)
             .expect("host.calendar_far_pushes missing")
     };
-    assert_eq!(far_pushes(&base_config()), 0);
-    let slow_dram = GramerConfig {
-        dram: DramConfig {
-            channels: 1,
-            latency_cycles: 10_000,
-            occupancy_cycles: 4,
-        },
-        ..base_config()
-    };
-    assert!(far_pushes(&slow_dram) > 0);
+    for path in ACCESS_PATHS {
+        assert_eq!(far_pushes(&path_config(path)), 0, "{path:?}");
+        let slow_dram = GramerConfig {
+            dram: DramConfig {
+                channels: 1,
+                latency_cycles: 10_000,
+                occupancy_cycles: 4,
+            },
+            ..path_config(path)
+        };
+        assert!(far_pushes(&slow_dram) > 0, "{path:?}");
+    }
 }

@@ -17,11 +17,10 @@
 
 use gramer::pipeline::{clock_rate_mhz, AncestorMode};
 use gramer::{GramerConfig, MemoMode, MemoryBudget, MemoryMode};
-use gramer_bench::{
-    rule, run_gramer, AnalogCache, AppVariant, PointOutput, PointRecord, Sweep, SweepArgs,
-};
+use gramer_bench::{rule, AppVariant, Harness, PointOutput, PointRecord, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_memsim::LatencyConfig;
+use std::process::ExitCode;
 
 fn constrained(budget: bool) -> GramerConfig {
     if budget {
@@ -34,11 +33,11 @@ fn constrained(budget: bool) -> GramerConfig {
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let d = Dataset::P2p;
     let variant = AppVariant::Cf(4);
-    let cache = AnalogCache::new();
+    let app = variant.name(d, h.scale);
 
     // Every simulated study is one point; the "default" run doubles as
     // the baseline of studies 1 and 2.
@@ -91,12 +90,9 @@ fn main() -> std::process::ExitCode {
 
     let mut sweep = Sweep::new("ablation");
     for (label, cfg) in configs {
-        let cache = &cache;
-        sweep.point(d.name(), &variant.name(d), label, move || {
-            run_gramer(cache.get(d), &variant.spec(d), cfg()).map(PointOutput::from_report)
-        });
+        sweep.point(d.name(), &app, label, move || h.point(d, variant, cfg()));
     }
-    sweep.point(d.name(), &variant.name(d), "compaction", || {
+    sweep.point(d.name(), &app, "compaction", || {
         let cfg = GramerConfig::default();
         // Ancestor-record footprint: all vertices of a max embedding vs
         // the compacted (index, vertex) pair (Fig. 10).
@@ -114,10 +110,10 @@ fn main() -> std::process::ExitCode {
                 clock_rate_mhz(&cfg, AncestorMode::BufferedCompacted, false),
             )
     });
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
-    println!("Ablations on {} ({})\n", d.name(), variant.name(d));
-    let record = |config: &str| result.find(d.name(), &variant.name(d), config);
+    println!("Ablations on {} ({app})\n", d.name());
+    let record = |config: &str| result.find(d.name(), &app, config);
     let cycles = |config: &str| record(config).and_then(PointRecord::cycles);
 
     println!("1. vertex/edge bank isolation (dual ports) vs shared single port");

@@ -9,50 +9,51 @@
 
 use gramer::GramerConfig;
 use gramer_baselines::{FractalModel, RstreamModel, RstreamOutcome};
-use gramer_bench::{rule, run_gramer, AnalogCache, AppVariant, PointOutput, Sweep, SweepArgs};
+use gramer_bench::{rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_memsim::EnergyModel;
+use std::process::ExitCode;
 
-fn datasets() -> impl Iterator<Item = Dataset> {
-    Dataset::ALL.into_iter().filter(|d| {
+fn datasets(scale: Scale) -> impl Iterator<Item = Dataset> {
+    Dataset::ALL.into_iter().filter(move |d| {
         !(matches!(d, Dataset::Astro | Dataset::Mico | Dataset::LiveJournal)
-            && gramer_bench::quick_mode())
+            && scale == Scale::Quick)
     })
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let variant = AppVariant::Cf(5); // the paper's Fig. 11(b) uses 5-CF
-    let cache = AnalogCache::new();
+    let scale = h.scale;
 
     let mut sweep = Sweep::new("fig11");
-    for d in datasets() {
-        let cache = &cache;
-        sweep.point(d.name(), &variant.name(d), "default", move || {
+    for d in datasets(scale) {
+        sweep.point(d.name(), &variant.name(d, scale), "default", move || {
             let energy = EnergyModel::default();
-            let g = cache.get(d);
-            let app = variant.spec(d);
-            let report = run_gramer(g, &app, GramerConfig::default())?;
+            let g = h.analog(d);
+            let app = variant.spec(d, scale);
+            let run = h.run_gramer(g, &app, GramerConfig::default())?;
             let profile = gramer_baselines::profile_on_cpu(g, &app.ecm());
+            let report = &run.report;
             let gramer_e = energy.accel_power_w * report.wall_seconds();
             let fr_t = FractalModel::default().estimate_seconds(&profile);
             let fr_e = energy.cpu_energy(fr_t);
             let total = report.total_seconds();
             let preproc = 100.0 * report.preprocess_seconds / report.wall_seconds().max(1e-12);
-            let mut out = PointOutput::new()
+            let rstream = RstreamModel::default().estimate(&profile);
+            let mut out = PointOutput::from(run)
                 .metric("fractal_energy_x", fr_e / gramer_e)
                 .metric("fractal_time_x", fr_t / total)
                 .metric("preprocess_pct", preproc);
-            if let RstreamOutcome::Seconds(s) = RstreamModel::default().estimate(&profile) {
+            if let RstreamOutcome::Seconds(s) = rstream {
                 out = out
                     .metric("rstream_energy_x", energy.cpu_energy(s) / gramer_e)
                     .metric("rstream_time_x", s / total);
             }
-            out.report = Some(report);
             Ok::<_, gramer::SimError>(out)
         });
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Figure 11 — energy and total time, normalised to GRAMER (5-CF)");
     println!("(paper: energy savings 9.4-129.7x vs Fractal, 5.79-678.3x vs RStream;");
@@ -62,8 +63,8 @@ fn main() -> std::process::ExitCode {
         "Graph", "E(Fractal)x", "E(RStream)x", "T(Fractal)x", "T(RStream)x", "Preproc%"
     );
     rule(80);
-    for d in datasets() {
-        let Some(r) = result.find(d.name(), &variant.name(d), "default") else {
+    for d in datasets(scale) {
+        let Some(r) = result.find(d.name(), &variant.name(d, scale), "default") else {
             continue;
         };
         let norm = |key: &str| match r.metric_f64(key) {

@@ -10,11 +10,11 @@
 
 use gramer::{GramerConfig, MemoryBudget, MemoryMode};
 use gramer_bench::{
-    rule, run_gramer, AnalogCache, AppVariant, PointOutput, PointRecord, Sweep, SweepArgs,
+    rule, AppVariant, Harness, PointOutput, PointRecord, Sweep, SweepArgs, SweepResult,
 };
 use gramer_graph::datasets::Dataset;
 use gramer_graph::{generate, CsrGraph};
-use gramer_mining::apps::CliqueFinding;
+use std::process::ExitCode;
 use std::sync::OnceLock;
 
 const MODES: [(&str, MemoryMode); 3] = [
@@ -31,8 +31,8 @@ fn config(mode: MemoryMode) -> GramerConfig {
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let d = Dataset::P2p;
     // The paper's Fig. 12 x-axis: 3/4/5-CF, 3/4-MC, FSM-2K, FSM-3K. 4-MC
     // at full P2P scale exceeds a software simulation budget; we keep the
@@ -45,8 +45,9 @@ fn main() -> std::process::ExitCode {
         AppVariant::Fsm,
     ];
 
-    let cache = AnalogCache::new();
     let heavy: OnceLock<CsrGraph> = OnceLock::new();
+    // Clique finding's spec does not depend on the dataset.
+    let skew_app = AppVariant::Cf(4).spec(d, h.scale);
     let heavy_graph = || {
         heavy.get_or_init(|| {
             // Heavy-skew regime where the extension-locality premise holds
@@ -68,24 +69,19 @@ fn main() -> std::process::ExitCode {
     let mut sweep = Sweep::new("fig12");
     for variant in variants {
         for (label, mode) in MODES {
-            let cache = &cache;
-            sweep.point(d.name(), &variant.name(d), label, move || {
-                run_gramer(cache.get(d), &variant.spec(d), config(mode))
-                    .map(PointOutput::from_report)
+            sweep.point(d.name(), &variant.name(d, h.scale), label, move || {
+                h.point(d, variant, config(mode))
             });
         }
     }
     for (label, mode) in MODES {
-        let heavy_graph = &heavy_graph;
+        let (heavy_graph, skew_app) = (&heavy_graph, &skew_app);
         sweep.point("rmat-skew", "4-CF", label, move || {
-            let app = CliqueFinding::new(4).expect("valid");
-            let cfg = config(mode);
-            let pre = gramer::preprocess(heavy_graph(), &cfg)?;
-            let report = gramer::Simulator::new(&pre, cfg)?.run(&app)?;
-            Ok::<_, gramer::SimError>(PointOutput::from_report(report))
+            h.run_gramer(heavy_graph(), skew_app, config(mode))
+                .map(PointOutput::from)
         });
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!(
         "Figure 12 — LAMH vs baselines on {} (10% of data on-chip)",
@@ -99,7 +95,7 @@ fn main() -> std::process::ExitCode {
     );
     rule(68);
     for variant in variants {
-        print_modes(&result, d.name(), &variant.name(d), true);
+        print_modes(&result, d.name(), &variant.name(d, h.scale), true);
     }
 
     println!("\nSupplementary: heavy-skew regime (R-MAT a=0.65, gini≈0.84, 4-CF)");
@@ -114,7 +110,7 @@ fn main() -> std::process::ExitCode {
 
 /// Prints one row per memory mode, with speedups against the uniform-LRU
 /// baseline of the same `(dataset, app)` pair.
-fn print_modes(result: &gramer_bench::SweepResult, dataset: &str, app: &str, separator: bool) {
+fn print_modes(result: &SweepResult, dataset: &str, app: &str, separator: bool) {
     let baseline = result
         .find(dataset, app, MODES[0].0)
         .and_then(PointRecord::cycles);

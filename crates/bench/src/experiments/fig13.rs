@@ -7,55 +7,46 @@
 //! benefiting most.
 
 use gramer::GramerConfig;
-use gramer_bench::{
-    rule, run_gramer, AnalogCache, AppVariant, PointOutput, PointRecord, Sweep, SweepArgs,
-};
+use gramer_bench::{rule, AppVariant, Harness, PointRecord, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
+use std::process::ExitCode;
 
 const SLOTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-fn graphs() -> &'static [Dataset] {
-    if gramer_bench::quick_mode() {
-        &[Dataset::Citeseer, Dataset::P2p, Dataset::Patents]
-    } else {
-        &Dataset::ALL
+fn graphs(scale: Scale) -> &'static [Dataset] {
+    match scale {
+        Scale::Full => &Dataset::ALL,
+        Scale::Quick => &[Dataset::Citeseer, Dataset::P2p, Dataset::Patents],
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let variant = AppVariant::Cf(5); // the paper sweeps 5-CF
-    let cache = AnalogCache::new();
+    let app = |d: Dataset| variant.name(d, h.scale);
 
     let mut sweep = Sweep::new("fig13");
-    for &d in graphs() {
+    for &d in graphs(h.scale) {
         for slots in SLOTS {
-            let cache = &cache;
-            sweep.point(
-                d.name(),
-                &variant.name(d),
-                &format!("slots-{slots}"),
-                move || {
-                    let cfg = GramerConfig {
-                        slots_per_pu: slots,
-                        ..GramerConfig::default()
-                    };
-                    run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
-                },
-            );
+            sweep.point(d.name(), &app(d), &format!("slots-{slots}"), move || {
+                let cfg = GramerConfig {
+                    slots_per_pu: slots,
+                    ..GramerConfig::default()
+                };
+                h.point(d, variant, cfg)
+            });
         }
         for (label, stealing) in [("steal-off", false), ("steal-on", true)] {
-            let cache = &cache;
-            sweep.point(d.name(), &variant.name(d), label, move || {
+            sweep.point(d.name(), &app(d), label, move || {
                 let cfg = GramerConfig {
                     work_stealing: stealing,
                     ..GramerConfig::default()
                 };
-                run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
+                h.point(d, variant, cfg)
             });
         }
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Figure 13(a) — performance vs pipeline slots (normalised to 1 slot, 5-CF)");
     println!("(paper: near-linear to 8 slots except Citeseer, flattening 8->16)\n");
@@ -65,10 +56,10 @@ fn main() -> std::process::ExitCode {
     }
     println!();
     rule(55);
-    for &d in graphs() {
+    for &d in graphs(h.scale) {
         let cycles = |config: &str| {
             result
-                .find(d.name(), &variant.name(d), config)
+                .find(d.name(), &app(d), config)
                 .and_then(PointRecord::cycles)
         };
         let Some(base) = cycles("slots-1") else {
@@ -91,10 +82,10 @@ fn main() -> std::process::ExitCode {
         "Graph", "w/o steal", "w/ steal", "Speedup"
     );
     rule(46);
-    for &d in graphs() {
+    for &d in graphs(h.scale) {
         let cycles = |config: &str| {
             result
-                .find(d.name(), &variant.name(d), config)
+                .find(d.name(), &app(d), config)
                 .and_then(PointRecord::cycles)
         };
         let (Some(without), Some(with)) = (cycles("steal-off"), cycles("steal-on")) else {

@@ -6,10 +6,9 @@
 //! that is cold globally but briefly hot contributes little traffic.
 
 use gramer::{GramerConfig, MemoryBudget};
-use gramer_bench::{
-    rule, run_gramer, AnalogCache, AppVariant, PointOutput, PointRecord, Sweep, SweepArgs,
-};
+use gramer_bench::{rule, AppVariant, Harness, PointRecord, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
+use std::process::ExitCode;
 
 // τ sweep on the small/medium graphs (the paper excludes the large ones
 // for BRAM-capacity reasons; we do the same).
@@ -30,46 +29,43 @@ fn lambda_label(l: f64) -> String {
     format!("lambda-{l}")
 }
 
-fn lambda_graphs() -> &'static [Dataset] {
-    if gramer_bench::quick_mode() {
-        &[Dataset::Citeseer, Dataset::P2p]
-    } else {
-        &TAU_GRAPHS
+fn lambda_graphs(scale: Scale) -> &'static [Dataset] {
+    match scale {
+        Scale::Full => &TAU_GRAPHS,
+        Scale::Quick => &[Dataset::Citeseer, Dataset::P2p],
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let variant = AppVariant::Cf(5);
-    let cache = AnalogCache::new();
+    let app = |d: Dataset| variant.name(d, h.scale);
 
     let mut sweep = Sweep::new("fig14");
     for d in TAU_GRAPHS {
         for t in TAUS {
-            let cache = &cache;
-            sweep.point(d.name(), &variant.name(d), &tau_label(t), move || {
+            sweep.point(d.name(), &app(d), &tau_label(t), move || {
                 let cfg = GramerConfig {
                     tau: Some(t),
                     ..GramerConfig::default()
                 };
-                run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
+                h.point(d, variant, cfg)
             });
         }
     }
-    for &d in lambda_graphs() {
+    for &d in lambda_graphs(h.scale) {
         for l in LAMBDAS {
-            let cache = &cache;
-            sweep.point(d.name(), &variant.name(d), &lambda_label(l), move || {
+            sweep.point(d.name(), &app(d), &lambda_label(l), move || {
                 let cfg = GramerConfig {
                     budget: MemoryBudget::Fraction(0.10),
                     lambda: l,
                     ..GramerConfig::default()
                 };
-                run_gramer(cache.get(d), &variant.spec(d), cfg).map(PointOutput::from_report)
+                h.point(d, variant, cfg)
             });
         }
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Figure 14(a) — performance vs tau, normalised to tau=50% (5-CF)");
     println!("(paper: tau=5% reaches 71.7-91.6% of the ideal)\n");
@@ -82,7 +78,7 @@ fn main() -> std::process::ExitCode {
     for d in TAU_GRAPHS {
         let cycles = |config: &str| {
             result
-                .find(d.name(), &variant.name(d), config)
+                .find(d.name(), &app(d), config)
                 .and_then(PointRecord::cycles)
         };
         // Normalise to the ideal: everything on-chip.
@@ -107,10 +103,10 @@ fn main() -> std::process::ExitCode {
     }
     println!();
     rule(50);
-    for &d in lambda_graphs() {
+    for &d in lambda_graphs(h.scale) {
         let cycles = |config: &str| {
             result
-                .find(d.name(), &variant.name(d), config)
+                .find(d.name(), &app(d), config)
                 .and_then(PointRecord::cycles)
         };
         let Some(base) = cycles(&lambda_label(1.0)) else {

@@ -12,20 +12,16 @@
 //! (Patents) as graphs outgrow the caches.
 
 use gramer_baselines::profile_on_cpu_with;
-use gramer_bench::{
-    divisor, fsm_threshold, rule, AnalogCache, AppVariant, PointOutput, Sweep, SweepArgs,
-};
+use gramer_bench::{divisor, rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
-use gramer_graph::CsrGraph;
 use gramer_memsim::CpuCacheConfig;
-use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
-use gramer_mining::EcmApp;
+use std::process::ExitCode;
 
 /// Compute cycles per extension candidate of a tight native mining loop.
 const COMPUTE_CYCLES_PER_ITEM: f64 = 25.0;
 
-fn scaled_cache(d: Dataset) -> CpuCacheConfig {
-    let div = divisor(d);
+fn scaled_cache(d: Dataset, scale: Scale) -> CpuCacheConfig {
+    let div = divisor(d, scale);
     let full = CpuCacheConfig::default();
     CpuCacheConfig {
         l1_bytes: (full.l1_bytes / div).max(1 << 10),
@@ -41,20 +37,33 @@ fn datasets() -> impl Iterator<Item = Dataset> {
 
 const VARIANTS: [AppVariant; 3] = [AppVariant::Cf(4), AppVariant::Fsm, AppVariant::Mc(3)];
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
-    let cache = AnalogCache::new();
-
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
+    let scale = h.scale;
     let mut sweep = Sweep::new("fig3");
     for d in datasets() {
         for variant in VARIANTS {
-            let cache = &cache;
-            sweep.point(d.name(), &variant.name(d), "scaled-cache", move || {
-                profile_point(cache.get(d), d, variant)
-            });
+            sweep.point(
+                d.name(),
+                &variant.name(d, scale),
+                "scaled-cache",
+                move || {
+                    let app = variant.spec(d, scale);
+                    let profile =
+                        profile_on_cpu_with(h.analog(d), &app.ecm(), scaled_cache(d, scale));
+                    let compute = profile.work_items as f64 * COMPUTE_CYCLES_PER_ITEM;
+                    let (v, e, o) = profile.stall_breakdown(compute);
+                    PointOutput::new()
+                        .metric("vertex_stall", v)
+                        .metric("edge_stall", e)
+                        .metric("others", o)
+                        .metric("stall", v + e)
+                        .metric("work_items", profile.work_items)
+                },
+            );
         }
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Figure 3 — performance breakdown on the modeled CPU (%)");
     println!("(paper: stalls grow from ~30% on cache-resident Citeseer to 67.9% on Patents)\n");
@@ -66,7 +75,7 @@ fn main() -> std::process::ExitCode {
     for d in datasets() {
         let mut printed = false;
         for variant in VARIANTS {
-            let Some(r) = result.find(d.name(), &variant.name(d), "scaled-cache") else {
+            let Some(r) = result.find(d.name(), &variant.name(d, scale), "scaled-cache") else {
                 continue;
             };
             printed = true;
@@ -74,7 +83,7 @@ fn main() -> std::process::ExitCode {
             println!(
                 "{:<10} {:<10} {:>7.1}% {:>11.1}% {:>9.1}% {:>7.1}%",
                 d.name(),
-                variant.name(d),
+                variant.name(d, scale),
                 pct("vertex_stall"),
                 pct("edge_stall"),
                 pct("others"),
@@ -88,27 +97,8 @@ fn main() -> std::process::ExitCode {
     println!(
         "\nanalog scale divisors (cache hierarchy scaled alike): {:?}",
         datasets()
-            .map(|d| (d.name(), divisor(d)))
+            .map(|d| (d.name(), divisor(d, scale)))
             .collect::<Vec<_>>()
     );
     gramer_bench::finish(&result)
-}
-
-fn profile_point(g: &CsrGraph, d: Dataset, variant: AppVariant) -> PointOutput {
-    fn go<A: EcmApp>(g: &CsrGraph, d: Dataset, app: &A) -> PointOutput {
-        let profile = profile_on_cpu_with(g, app, scaled_cache(d));
-        let compute = profile.work_items as f64 * COMPUTE_CYCLES_PER_ITEM;
-        let (v, e, o) = profile.stall_breakdown(compute);
-        PointOutput::new()
-            .metric("vertex_stall", v)
-            .metric("edge_stall", e)
-            .metric("others", o)
-            .metric("stall", v + e)
-            .metric("work_items", profile.work_items)
-    }
-    match variant {
-        AppVariant::Cf(k) => go(g, d, &CliqueFinding::new(k).expect("valid k")),
-        AppVariant::Mc(k) => go(g, d, &MotifCounting::new(k).expect("valid k")),
-        AppVariant::Fsm => go(g, d, &FrequentSubgraphMining::new(fsm_threshold(d))),
-    }
 }

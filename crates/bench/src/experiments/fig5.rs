@@ -7,12 +7,13 @@
 //! touched once for 2-vertex embeddings) and climb to ~88%.
 
 use gramer::json::JsonValue;
-use gramer_bench::{quick_mode, rule, AnalogCache, PointOutput, Sweep, SweepArgs};
+use gramer_bench::{rule, Harness, PointOutput, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_graph::VertexId;
 use gramer_memsim::trace::IterationTrace;
 use gramer_mining::apps::MotifCounting;
 use gramer_mining::{AccessObserver, DfsEnumerator};
+use std::process::ExitCode;
 
 /// Traces accesses into one counter pair per iteration (the iteration of
 /// an access = the size of the embedding being extended).
@@ -42,25 +43,22 @@ impl AccessObserver for PerIteration {
 
 /// Per-dataset iteration cap: the paper excludes iterations beyond 4 and
 /// the largest graphs as too expensive to trace; we do the same (and cap
-/// Astro/Mico at 3 in quick mode).
-fn iteration_cap(d: Dataset) -> usize {
-    if quick_mode() && !matches!(d, Dataset::Citeseer | Dataset::P2p) {
+/// Astro/Mico at 3 at quick scale).
+fn iteration_cap(d: Dataset, scale: Scale) -> usize {
+    if scale == Scale::Quick && !matches!(d, Dataset::Citeseer | Dataset::P2p) {
         3
     } else {
         4
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
-    let cache = AnalogCache::new();
-
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let mut sweep = Sweep::new("fig5");
     for d in Dataset::TRACEABLE {
-        let cache = &cache;
         sweep.point(d.name(), "MC", "trace", move || {
-            let g = cache.get(d);
-            let cap = iteration_cap(d);
+            let g = h.analog(d);
+            let cap = iteration_cap(d, h.scale);
             let mut obs = PerIteration::new(cap, g.num_vertices(), g.adjacency_len());
             let app = MotifCounting::new(cap).expect("valid size");
             DfsEnumerator::new(g).run_with_observer(&app, &mut obs);
@@ -78,7 +76,7 @@ fn main() -> std::process::ExitCode {
             PointOutput::new().metric("iterations", iters)
         });
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Figure 5 — share of accesses to the top-5% data per MC iteration");
     println!("(paper: vertices 29.9% -> 94.6%, edges 5% -> 87.8% as iterations deepen)\n");

@@ -7,12 +7,13 @@
 //! the paper reports k = 3 blowing up by up to 8500× while k = 1 stays
 //! cheap.
 
-use gramer_bench::{analog, rule, PointOutput, Sweep, SweepArgs};
+use gramer_bench::{rule, Harness, PointOutput, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_graph::{on1, VertexId};
 use gramer_memsim::trace::AccessCounter;
 use gramer_mining::apps::MotifCounting;
 use gramer_mining::{AccessObserver, DfsEnumerator};
+use std::process::ExitCode;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -54,16 +55,16 @@ fn trace(g: &gramer_graph::CsrGraph) -> Trace {
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let d = Dataset::P2p;
-    let g = analog(d);
     let shared: OnceLock<Trace> = OnceLock::new();
 
     let mut sweep = Sweep::new("fig8");
     for k in 0..=3usize {
-        let (g, shared) = (&g, &shared);
+        let shared = &shared;
         sweep.point(d.name(), "MC", &format!("{k}-hop"), move || {
+            let g = h.analog(d);
             let t = shared.get_or_init(|| trace(g));
             let t0 = Instant::now();
             let scores = on1::on_k_scores(g, k);
@@ -83,7 +84,7 @@ fn main() -> std::process::ExitCode {
             out
         });
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Figure 8 — ON_k heuristic on {} (MC)", d.name());
     println!("(paper: 1-hop ON is >80% accurate at negligible cost; 3-hop costs up to 8500x)\n");

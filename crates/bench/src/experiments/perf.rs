@@ -1,5 +1,5 @@
-//! `perf` — the pinned end-to-end performance workload behind
-//! `scripts/perf.sh`.
+//! `gramer-bench perf` — the pinned end-to-end performance workload
+//! behind `scripts/perf.sh`.
 //!
 //! Runs a fixed, seeded workload through the full GRAMER stack
 //! (preprocess + simulate) and writes `results/BENCH_core.json` recording
@@ -17,8 +17,8 @@
 //! single noisy run cannot bend the trajectory.
 //!
 //! ```text
-//! cargo run --release -p gramer-bench --bin perf [-- --json PATH] [--quick] [--repeats N]
-//!                                                [--check] [--baseline PATH] [--threshold PCT]
+//! gramer-bench perf [--json PATH] [--quick] [--repeats N]
+//!                   [--check] [--baseline PATH] [--threshold PCT] [--memo on|off|BYTES]
 //! ```
 //!
 //! `--check` is the perf regression gate: instead of (over)writing the
@@ -29,7 +29,7 @@
 //! baseline's. Exits non-zero on any violation.
 
 use gramer::{preprocess, AppSpec, GramerConfig, MemoMode, RunReport};
-use gramer_bench::perf;
+use gramer_bench::{perf, sweep::peak_rss_kb};
 use gramer_graph::{generate, CsrGraph};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -85,19 +85,6 @@ fn cells(quick: bool) -> Vec<Cell> {
     ]
 }
 
-/// Peak resident set size of this process in kB (`VmHWM` from
-/// `/proc/self/status`), or 0 where procfs is unavailable.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
-        })
-        .unwrap_or(0)
-}
-
 /// The current git revision, from `GRAMER_GIT_REV` (set by
 /// `scripts/perf.sh`) or `git rev-parse`, else `"unknown"`.
 fn git_rev() -> String {
@@ -115,8 +102,9 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Runs the workload under the options that follow `perf` on the
+/// command line.
+pub fn run(args: &[String]) -> ExitCode {
     let mut json_path = std::path::PathBuf::from("results/BENCH_core.json");
     let mut quick = false;
     let mut repeats = 3usize;
@@ -167,9 +155,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "perf — pinned simulator-throughput workload\n\
-                     usage: perf [--json PATH] [--quick] [--repeats N]\n\
-                     \x20           [--check] [--baseline PATH] [--threshold PCT]\n\
-                     \x20           [--memo on|off|BYTES]"
+                     usage: gramer-bench perf [--json PATH] [--quick] [--repeats N]\n\
+                     \x20                        [--check] [--baseline PATH] [--threshold PCT]\n\
+                     \x20                        [--memo on|off|BYTES]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -254,7 +242,8 @@ fn main() -> ExitCode {
     let total_steps: u64 = workloads.iter().map(|w| w.report.steps).sum();
     let total_median: f64 = workloads.iter().map(perf::WorkloadRuns::wall_median).sum();
     let total_best: f64 = workloads.iter().map(perf::WorkloadRuns::wall_best).sum();
-    let rss = peak_rss_kb();
+    // 0 where the platform does not expose it.
+    let rss = peak_rss_kb().unwrap_or(0);
     println!(
         "{:<24} {:>10.3} {:>10.3} {:>14} {:>14.0}   peak RSS {} kB",
         "TOTAL",

@@ -7,13 +7,13 @@
 
 use gramer::pipeline::{clock_rate_mhz, AncestorMode};
 use gramer::{area, GramerConfig, MemoryBudget};
-use gramer_bench::{rule, PointOutput, Sweep, SweepArgs};
+use gramer_bench::{rule, Harness, PointOutput, Sweep, SweepArgs};
+use std::process::ExitCode;
 
 const APPS: [(&str, bool); 3] = [("CF", false), ("FSM", true), ("MC", true)];
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
-
+/// Runs the sweep (analytic: it borrows nothing from the harness).
+pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
     let mut sweep = Sweep::new("table2");
     for (app, patterns) in APPS {
         sweep.point("XCU250", app, "analytic", move || {
@@ -33,7 +33,7 @@ fn main() -> std::process::ExitCode {
                 )
         });
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Table II — resource utilisation and clock rate (modeled XCU250)");
     println!("(paper: LUT ~25.4-25.5%, Register ~13.1%, BRAM ~65.7%, 207-213 MHz)\n");

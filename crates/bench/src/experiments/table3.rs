@@ -9,51 +9,54 @@
 //! RStream collapsing (or running out of disk) when intermediates
 //! explode.
 //!
-//! Heavy cells can exceed a software simulator's budget; set
-//! `GRAMER_QUICK=1` to shrink the graphs 4×.
+//! Heavy cells can exceed a software simulator's budget; pass `--quick`
+//! to shrink the graphs 4×.
 
 use gramer::GramerConfig;
 use gramer_baselines::{FractalModel, RstreamModel, RstreamOutcome};
 use gramer_bench::{
-    divisor, fmt_secs, rule, run_gramer, AnalogCache, AppVariant, PointOutput, Sweep, SweepArgs,
+    divisor, fmt_secs, rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepArgs,
 };
 use gramer_graph::datasets::Dataset;
+use std::process::ExitCode;
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
-    let cache = AnalogCache::new();
-
+/// Runs the sweep.
+pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
+    let scale = h.scale;
     let mut sweep = Sweep::new("table3");
     for variant in AppVariant::TABLE3 {
         for d in Dataset::ALL {
             // The paper itself omits the heaviest cells ('-'); we skip the
             // combinations whose *scaled* analogs still explode.
-            if skip(variant, d) {
+            if skip(variant, d, scale) {
                 continue;
             }
-            let cache = &cache;
-            sweep.point(d.name(), &variant.name(d), "vs-baselines", move || {
-                let g = cache.get(d);
-                let app = variant.spec(d);
-                let report = run_gramer(g, &app, GramerConfig::default())?;
-                let profile = gramer_baselines::profile_on_cpu(g, &app.ecm());
-                let fr = FractalModel::default().estimate_seconds(&profile);
-                let rs = RstreamModel::default().estimate(&profile);
-                let wall = report.wall_seconds();
-                let mut out = PointOutput::new()
-                    .metric("gramer_seconds", wall)
-                    .metric("fractal_seconds", fr)
-                    .metric("fractal_over_gramer", fr / wall)
-                    .metric("rstream", rs.to_string());
-                if let RstreamOutcome::Seconds(s) = rs {
-                    out = out.metric("rstream_over_gramer", s / wall);
-                }
-                out.report = Some(report);
-                Ok::<_, gramer::SimError>(out)
-            });
+            sweep.point(
+                d.name(),
+                &variant.name(d, scale),
+                "vs-baselines",
+                move || {
+                    let g = h.analog(d);
+                    let app = variant.spec(d, scale);
+                    let run = h.run_gramer(g, &app, GramerConfig::default())?;
+                    let profile = gramer_baselines::profile_on_cpu(g, &app.ecm());
+                    let fr = FractalModel::default().estimate_seconds(&profile);
+                    let rs = RstreamModel::default().estimate(&profile);
+                    let wall = run.report.wall_seconds();
+                    let mut out = PointOutput::from(run)
+                        .metric("gramer_seconds", wall)
+                        .metric("fractal_seconds", fr)
+                        .metric("fractal_over_gramer", fr / wall)
+                        .metric("rstream", rs.to_string());
+                    if let RstreamOutcome::Seconds(s) = rs {
+                        out = out.metric("rstream_over_gramer", s / wall);
+                    }
+                    Ok::<_, gramer::SimError>(out)
+                },
+            );
         }
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Table III — running time (seconds), scaled analogs");
     println!("(paper ratios: Fractal/GRAMER 1.8-24.9x, RStream/GRAMER 1.11-129.95x)\n");
@@ -65,7 +68,7 @@ fn main() -> std::process::ExitCode {
     for variant in AppVariant::TABLE3 {
         let mut printed = false;
         for d in Dataset::ALL {
-            let Some(r) = result.find(d.name(), &variant.name(d), "vs-baselines") else {
+            let Some(r) = result.find(d.name(), &variant.name(d, scale), "vs-baselines") else {
                 continue;
             };
             printed = true;
@@ -80,7 +83,7 @@ fn main() -> std::process::ExitCode {
             };
             println!(
                 "{:<10} {:<10} {:>10} {:>10} {:>10} {:>7.2}x {}",
-                variant.name(d),
+                variant.name(d, scale),
                 d.name(),
                 fmt_secs(f("gramer_seconds")),
                 fmt_secs(f("fractal_seconds")),
@@ -98,7 +101,7 @@ fn main() -> std::process::ExitCode {
         "\nscale divisors: {:?}",
         Dataset::ALL
             .iter()
-            .map(|&d| (d.name(), divisor(d)))
+            .map(|&d| (d.name(), divisor(d, scale)))
             .collect::<Vec<_>>()
     );
     gramer_bench::finish(&result)
@@ -107,10 +110,10 @@ fn main() -> std::process::ExitCode {
 /// Cells whose scaled analogs still exceed a software-simulation budget.
 /// The paper's own table has '-' (not finished within an hour) and 'N/A'
 /// cells for the same structural reason.
-fn skip(variant: AppVariant, d: Dataset) -> bool {
+fn skip(variant: AppVariant, d: Dataset, scale: Scale) -> bool {
     let heavy_graph = matches!(d, Dataset::Astro | Dataset::Mico | Dataset::LiveJournal);
     match variant {
-        AppVariant::Cf(5) => heavy_graph && gramer_bench::quick_mode(),
+        AppVariant::Cf(5) => heavy_graph && scale == Scale::Quick,
         AppVariant::Mc(4) => heavy_graph,
         _ => false,
     }

@@ -7,7 +7,8 @@
 
 use gramer::pipeline::{clock_rate_mhz, AncestorMode};
 use gramer::GramerConfig;
-use gramer_bench::{rule, PointOutput, Sweep, SweepArgs};
+use gramer_bench::{rule, Harness, PointOutput, Sweep, SweepArgs};
+use std::process::ExitCode;
 
 const MODES: [(&str, AncestorMode); 3] = [
     ("w/o AB", AncestorMode::Flowing),
@@ -15,9 +16,8 @@ const MODES: [(&str, AncestorMode); 3] = [
     ("w/ AB + Compaction", AncestorMode::BufferedCompacted),
 ];
 
-fn main() -> std::process::ExitCode {
-    let args = SweepArgs::parse();
-
+/// Runs the sweep (analytic: it borrows nothing from the harness).
+pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
     let mut sweep = Sweep::new("table4");
     for (label, mode) in MODES {
         sweep.point("pipeline", "clock-model", label, move || {
@@ -27,7 +27,7 @@ fn main() -> std::process::ExitCode {
                 .metric("pattern_mhz", clock_rate_mhz(&cfg, mode, true))
         });
     }
-    let result = sweep.execute(&args);
+    let result = sweep.execute(args);
 
     println!("Table IV — clock rate of GRAMER pipeline variants (modeled)");
     println!("(paper: w/o AB 78-80 MHz, w/ AB 96-97 MHz, w/ AB+Compaction 207-213 MHz)\n");

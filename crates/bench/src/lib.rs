@@ -1,17 +1,20 @@
 //! Shared harness for regenerating every table and figure of the GRAMER
 //! paper's evaluation (§VI).
 //!
-//! Each binary in `src/bin/` reproduces one artifact by declaring its
-//! grid of `(dataset, app, config)` points as a [`Sweep`] and handing it
-//! to the parallel, fault-tolerant sweep runner (see [`sweep`]). Every
-//! binary therefore understands the same CLI — `--jobs N`, `--json PATH`,
-//! `--filter SUBSTR`, `--list`, `--resume`, `--point-timeout SECS`,
-//! `--journal PATH` — and writes a structured JSON artifact to
-//! `results/BENCH_<name>.json` alongside its stdout table.
+//! One binary, `gramer-bench <name> [options]`, runs each experiment.
+//! Every sweep declares its grid of `(dataset, app, config)` points as a
+//! [`Sweep`] and hands it to the parallel, fault-tolerant sweep runner
+//! (see [`sweep`]). Every sweep therefore understands the same options
+//! ([`SWEEP_USAGE`]: `--jobs N`, `--json PATH`, `--filter SUBSTR`,
+//! `--list`, `--resume`, `--point-timeout SECS`, `--journal PATH`,
+//! `--quick`, ...) and writes a structured JSON artifact to
+//! `results/BENCH_<name>.json` alongside its stdout table. Its points
+//! borrow one [`Harness`] built from those options, and every simulating
+//! point runs through [`Harness::run_gramer`].
 //! Failing points are quarantined into structured records instead of
 //! aborting the sweep; see `EXPERIMENTS.md` for the failure semantics.
 //!
-//! | binary | artifact |
+//! | name | artifact |
 //! |---|---|
 //! | `fig3` | pipeline-stall breakdown on the CPU baseline |
 //! | `fig5` | extension locality per iteration (top-5% access shares) |
@@ -24,16 +27,18 @@
 //! | `fig13` | pipeline-slot sweep and work-stealing speedup |
 //! | `fig14` | τ and λ sensitivity |
 //! | `ablation` | design-choice ablations called out in DESIGN.md |
+//! | `perf` | the pinned simulator-throughput workload ([`perf`]) |
 //!
 //! The paper's datasets are generated as scaled power-law analogs (see
 //! `gramer_graph::datasets`); divisors below keep each simulated cell in
 //! the seconds range on a laptop while preserving the small/medium/large
-//! ordering. Set `GRAMER_QUICK=1` for a ~4× faster, coarser pass.
+//! ordering. Pass `--quick` ([`Scale::Quick`]) for a ~4× faster, coarser
+//! pass.
 //!
 //! # Example
 //!
-//! A minimal two-point sweep (bins declare real simulation points the
-//! same way and call [`Sweep::execute`] instead of [`Sweep::run`]):
+//! A minimal two-point sweep (experiments declare real simulation points
+//! the same way and call [`Sweep::execute`] instead of [`Sweep::run`]):
 //!
 //! ```
 //! use gramer_bench::{PointOutput, Sweep};
@@ -61,10 +66,8 @@ use gramer::{preprocess, AppSpec, GramerConfig, MemoMode, PreprocessCache, RunRe
 use gramer_graph::datasets::Dataset;
 use gramer_graph::CsrGraph;
 use gramer_mining::apps::{CliqueFinding, FrequentSubgraphMining, MotifCounting};
-use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 pub mod perf;
@@ -74,16 +77,20 @@ pub use sweep::{
     PointError, PointOutput, PointRecord, PointStatus, Sweep, SweepOptions, SweepResult,
 };
 
-/// Whether the quick (coarser) mode is enabled via `GRAMER_QUICK=1`.
-pub fn quick_mode() -> bool {
-    std::env::var("GRAMER_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// The dataset scale a sweep runs at.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Scale {
+    /// The full analogs, at the divisors of [`divisor`].
+    #[default]
+    Full,
+    /// `--quick`: every analog 4× smaller, and some sweeps drop their
+    /// heaviest datasets; a ~4× faster, coarser pass.
+    Quick,
 }
 
 /// Scale divisor applied to each dataset so a software simulator can
 /// finish the combinatorial workloads (documented in DESIGN.md §1).
-pub fn divisor(d: Dataset) -> usize {
+pub fn divisor(d: Dataset, scale: Scale) -> usize {
     let base = match d {
         Dataset::Citeseer => 1,
         Dataset::P2p => 2,
@@ -93,63 +100,21 @@ pub fn divisor(d: Dataset) -> usize {
         Dataset::Youtube => 6000,
         Dataset::LiveJournal => 6400,
     };
-    if quick_mode() {
-        base * 4
-    } else {
-        base
-    }
-}
-
-/// Generates the scaled analog of `d`.
-pub fn analog(d: Dataset) -> CsrGraph {
-    d.generate_scaled(divisor(d))
-}
-
-/// Lazily generated, shared dataset analogs.
-///
-/// Sweep points run on worker threads; routing graph generation through
-/// this cache means each dataset analog is built exactly once (on the
-/// first thread that needs it) and then shared by reference, instead of
-/// every point regenerating its graph.
-#[derive(Debug)]
-pub struct AnalogCache {
-    slots: [(Dataset, OnceLock<CsrGraph>); Dataset::ALL.len()],
-}
-
-impl AnalogCache {
-    /// An empty cache covering every dataset.
-    pub fn new() -> Self {
-        AnalogCache {
-            slots: Dataset::ALL.map(|d| (d, OnceLock::new())),
-        }
-    }
-
-    /// The scaled analog of `d`, generated on first use.
-    pub fn get(&self, d: Dataset) -> &CsrGraph {
-        let (_, slot) = self
-            .slots
-            .iter()
-            .find(|(slot_d, _)| *slot_d == d)
-            .expect("every dataset has a slot");
-        slot.get_or_init(|| analog(d))
-    }
-}
-
-impl Default for AnalogCache {
-    fn default() -> Self {
-        AnalogCache::new()
+    match scale {
+        Scale::Full => base,
+        Scale::Quick => base * 4,
     }
 }
 
 /// FSM occurrence threshold for `d`, scaled like the graph (the paper
 /// uses 2K for small/medium graphs, 20K for Patents, 250K for YT/LJ).
-pub fn fsm_threshold(d: Dataset) -> u64 {
+pub fn fsm_threshold(d: Dataset, scale: Scale) -> u64 {
     let full: u64 = match d {
         Dataset::Patents => 20_000,
         Dataset::Youtube | Dataset::LiveJournal => 250_000,
         _ => 2_000,
     };
-    (full / divisor(d) as u64).max(2)
+    (full / divisor(d, scale) as u64).max(2)
 }
 
 /// The application variants of Table III, in presentation order.
@@ -175,145 +140,138 @@ impl AppVariant {
     ];
 
     /// Display name, with the FSM threshold resolved per dataset.
-    pub fn name(self, d: Dataset) -> String {
+    pub fn name(self, d: Dataset, scale: Scale) -> String {
         match self {
             AppVariant::Cf(k) => format!("{k}-CF"),
             AppVariant::Mc(k) => format!("{k}-MC"),
-            AppVariant::Fsm => format!("FSM-{}", fsm_threshold(d)),
+            AppVariant::Fsm => format!("FSM-{}", fsm_threshold(d, scale)),
         }
     }
 
-    /// Whether this variant tracks patterns (MC/FSM columns of Tables II
-    /// and IV).
-    pub fn tracks_patterns(self) -> bool {
-        !matches!(self, AppVariant::Cf(_))
-    }
-
-    /// The application instantiated for `d`, ready for [`run_gramer`].
-    pub fn spec(self, d: Dataset) -> AppSpec {
+    /// The application instantiated for `d`, ready for
+    /// [`Harness::run_gramer`].
+    pub fn spec(self, d: Dataset, scale: Scale) -> AppSpec {
         match self {
             AppVariant::Cf(k) => AppSpec::CliqueFinding(CliqueFinding::new(k).expect("valid k")),
             AppVariant::Mc(k) => AppSpec::MotifCounting(MotifCounting::new(k).expect("valid k")),
-            AppVariant::Fsm => AppSpec::Fsm(FrequentSubgraphMining::new(fsm_threshold(d))),
+            AppVariant::Fsm => AppSpec::Fsm(FrequentSubgraphMining::new(fsm_threshold(d, scale))),
         }
     }
 }
 
-/// Process-wide switch for telemetry recording inside [`run_gramer`]
-/// (set from the sweep runner's `--metrics` flag).
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// Telemetry rollup of the last [`run_gramer`] call on this thread,
-    /// waiting to be claimed by [`take_point_telemetry`]. Thread-local is
-    /// the right scope: the sweep runner executes each point closure
-    /// entirely on one worker thread and drains the stash right after it
-    /// returns.
-    static POINT_TELEMETRY: RefCell<Option<JsonValue>> = const { RefCell::new(None) };
+/// What every sweep point borrows, built once from [`SweepArgs`]: the
+/// dataset scale, the memo override, the metrics switch, the opened
+/// artifact cache and the lazily generated dataset analogs.
+#[derive(Debug)]
+pub struct Harness {
+    /// The dataset scale (`--quick`).
+    pub scale: Scale,
+    /// Memo-table override (`--memo`); `None` keeps each point's mode.
+    memo: Option<MemoMode>,
+    /// Whether runs record telemetry (`--metrics`).
+    metrics: bool,
+    /// On-disk preprocessing cache (`--artifact-cache`).
+    artifact_cache: Option<PreprocessCache>,
+    /// Each dataset's analog, generated by the first point that needs it
+    /// and then shared by reference with every other point.
+    analogs: [(Dataset, OnceLock<CsrGraph>); Dataset::ALL.len()],
 }
 
-/// Enables or disables telemetry recording for subsequent
-/// [`run_gramer`] calls in this process.
-pub fn set_metrics_enabled(on: bool) {
-    METRICS_ENABLED.store(on, Ordering::Relaxed);
+/// One finished GRAMER run: its report and, when the harness records
+/// metrics, the compact telemetry rollup.
+#[derive(Debug)]
+pub struct GramerRun {
+    /// The simulator report.
+    pub report: RunReport,
+    /// Telemetry rollup, attached last to the point's metrics under
+    /// `"telemetry"`.
+    pub telemetry: Option<JsonValue>,
 }
 
-/// Whether [`run_gramer`] currently records telemetry.
-pub fn metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Process-wide preprocessing cache used by [`run_gramer`] (set from the
-/// sweep runner's `--artifact-cache` flag). `None` means preprocess
-/// inline, the prior behavior.
-static ARTIFACT_CACHE: Mutex<Option<PreprocessCache>> = Mutex::new(None);
-
-/// Points subsequent [`run_gramer`] calls at an on-disk `.gra`
-/// preprocessing cache (see [`PreprocessCache`]), or disables caching
-/// with `None`. Sweeps revisiting the same `(dataset, τ, budget)` tuple
-/// across points — the common case, since most grids vary simulator
-/// knobs — then preprocess each graph once per process *fleet*, not
-/// once per point, and reuse entries across runs.
-///
-/// # Errors
-///
-/// [`SimError`] if the cache directory cannot be created.
-pub fn set_artifact_cache(dir: Option<&std::path::Path>) -> Result<(), SimError> {
-    let cache = match dir {
-        Some(d) => Some(PreprocessCache::new(d)?),
-        None => None,
-    };
-    match ARTIFACT_CACHE.lock() {
-        Ok(mut slot) => *slot = cache,
-        Err(poisoned) => *poisoned.into_inner() = cache,
+impl Harness {
+    /// The harness for `args`. An `--artifact-cache` directory that
+    /// cannot be created is reported on stderr, and points then
+    /// preprocess inline; under `--list`, which runs no point, it is not
+    /// opened.
+    pub fn new(args: &SweepArgs) -> Harness {
+        let dir = args.artifact_cache.as_deref().filter(|_| !args.list);
+        let artifact_cache = dir.and_then(|dir| {
+            PreprocessCache::new(dir)
+                .map_err(|e| {
+                    eprintln!("warning: --artifact-cache disabled ({e}); preprocessing inline");
+                })
+                .ok()
+        });
+        Harness {
+            scale: args.scale,
+            memo: args.memo,
+            metrics: args.metrics,
+            artifact_cache,
+            analogs: Dataset::ALL.map(|d| (d, OnceLock::new())),
+        }
     }
-    Ok(())
-}
 
-/// The currently configured preprocessing cache, if any.
-fn artifact_cache() -> Option<PreprocessCache> {
-    match ARTIFACT_CACHE.lock() {
-        Ok(slot) => slot.clone(),
-        Err(poisoned) => poisoned.into_inner().clone(),
+    /// The analog of `d` at this harness's scale, generated on first use
+    /// and then shared by every point.
+    pub fn analog(&self, d: Dataset) -> &CsrGraph {
+        let (_, slot) = self
+            .analogs
+            .iter()
+            .find(|(slot_d, _)| *slot_d == d)
+            .expect("every dataset has a slot");
+        slot.get_or_init(|| d.generate_scaled(divisor(d, self.scale)))
     }
-}
 
-/// Claims the telemetry rollup stashed by the most recent
-/// [`run_gramer`] call on the calling thread, if any.
-pub fn take_point_telemetry() -> Option<JsonValue> {
-    POINT_TELEMETRY.with(|t| t.borrow_mut().take())
-}
-
-/// Process-wide memo-table override for [`run_gramer`] (set from the
-/// sweep runner's `--memo` flag); `None` keeps each point's configured
-/// mode. This is a *model* change — cycles, memory traffic and energy
-/// legitimately move — but mining results stay bit-identical (the memo
-/// only skips probes whose outcome is already known).
-static MEMO_OVERRIDE: Mutex<Option<MemoMode>> = Mutex::new(None);
-
-/// Installs (or clears, with `None`) the memo override subsequent
-/// [`run_gramer`] calls apply on top of each point's config. Driven by
-/// the sweep runner's `--memo` flag; by default no override is active
-/// and every point runs exactly as declared.
-pub fn set_memo_override(memo: Option<MemoMode>) {
-    *MEMO_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) = memo;
-}
-
-/// Runs GRAMER end-to-end (preprocess + simulate) with `config`,
-/// surfacing configuration and simulation failures as typed errors the
-/// sweep runner turns into structured failure records.
-///
-/// When metrics are enabled ([`set_metrics_enabled`], driven by the
-/// sweep runner's `--metrics` flag), the run additionally records
-/// cycle-windowed telemetry and stashes its compact rollup for
-/// [`take_point_telemetry`]; simulated results are unaffected.
-pub fn run_gramer(
-    graph: &CsrGraph,
-    app: &AppSpec,
-    mut config: GramerConfig,
-) -> Result<RunReport, SimError> {
-    if let Some(memo) = *MEMO_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) {
-        config.memo = memo;
+    /// Runs GRAMER end-to-end (preprocess + simulate) with `config`,
+    /// surfacing configuration and simulation failures as typed errors the
+    /// sweep runner turns into structured failure records.
+    ///
+    /// The memo override replaces `config.memo`: a *model* change, so
+    /// cycles, memory traffic and energy legitimately move, but mining
+    /// results stay bit-identical (the memo only skips probes whose
+    /// outcome is already known). With an artifact cache, preprocessing
+    /// is memoized on disk as a `.gra` artifact; reports are
+    /// bit-identical either way. With metrics on, the run also records
+    /// cycle-windowed telemetry and hands back its rollup; simulated
+    /// results are unaffected.
+    pub fn run_gramer(
+        &self,
+        graph: &CsrGraph,
+        app: &AppSpec,
+        mut config: GramerConfig,
+    ) -> Result<GramerRun, SimError> {
+        if let Some(memo) = self.memo {
+            config.memo = memo;
+        }
+        let pre = match &self.artifact_cache {
+            Some(cache) => cache.get_or_build(graph, &config)?.0,
+            None => preprocess(graph, &config)?,
+        };
+        let mut tel = self
+            .metrics
+            .then(|| Telemetry::new(TelemetryConfig::default()));
+        let report = app.run(&pre, config, tel.as_mut())?;
+        Ok(GramerRun {
+            report,
+            telemetry: tel.map(|t| t.summary_json()),
+        })
     }
-    // With a cache configured ([`set_artifact_cache`], driven by
-    // `--artifact-cache`), preprocessing is memoized on disk as a `.gra`
-    // artifact; reports are bit-identical either way.
-    let pre = match artifact_cache() {
-        Some(cache) => cache.get_or_build(graph, &config)?.0,
-        None => preprocess(graph, &config)?,
-    };
-    if metrics_enabled() {
-        let mut tel = Telemetry::new(TelemetryConfig::default());
-        let report = app.run(&pre, config, Some(&mut tel))?;
-        POINT_TELEMETRY.with(|t| *t.borrow_mut() = Some(tel.summary_json()));
-        Ok(report)
-    } else {
-        app.run(&pre, config, None)
+
+    /// One simulating sweep point: `variant` on the analog of `d` under
+    /// `config`.
+    pub fn point(
+        &self,
+        d: Dataset,
+        variant: AppVariant,
+        config: GramerConfig,
+    ) -> Result<PointOutput, SimError> {
+        self.run_gramer(self.analog(d), &variant.spec(d, self.scale), config)
+            .map(PointOutput::from)
     }
 }
 
-/// Command-line options shared by every experiment binary; the flags
-/// are listed in [`SWEEP_USAGE`].
+/// Command-line options shared by every sweep; the flags are listed in
+/// [`SWEEP_USAGE`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepArgs {
     /// Worker-thread count for the sweep runner.
@@ -333,22 +291,27 @@ pub struct SweepArgs {
     /// Record cycle-windowed telemetry for each point and attach its
     /// rollup to the point's metrics under `"telemetry"`.
     pub metrics: bool,
-    /// Directory of the on-disk `.gra` preprocessing cache
-    /// ([`set_artifact_cache`]); `None` preprocesses inline per point.
+    /// Directory of the on-disk `.gra` preprocessing cache (see
+    /// [`PreprocessCache`]); `None` preprocesses inline per point.
+    /// Sweeps revisiting the same `(dataset, τ, budget)` tuple across
+    /// points then preprocess each graph once, and reuse entries across
+    /// runs.
     pub artifact_cache: Option<PathBuf>,
-    /// Force every point's memo-table mode ([`set_memo_override`]);
-    /// `None` keeps each point's declared mode. A model change — timing
-    /// and energy move — but mining results are bit-identical.
+    /// Force every point's memo-table mode; `None` keeps each point's
+    /// declared mode. A model change — timing and energy move — but
+    /// mining results are bit-identical.
     pub memo: Option<MemoMode>,
+    /// The dataset scale: [`Scale::Quick`] under `--quick`.
+    pub scale: Scale,
 }
 
-/// Usage text shared by every experiment binary.
+/// Usage text shared by every sweep.
 pub const SWEEP_USAGE: &str = "\
 Options:
   --jobs N             worker threads (default: available parallelism)
   --json PATH          JSON artifact path (default: results/BENCH_<name>.json)
   --filter SUBSTR      only run points whose dataset/app/config id contains SUBSTR
-  --list               print the point ids this binary would run, then exit
+  --list               print the point ids this sweep would run, then exit
   --resume             replay completed points from the journal, run the rest
   --point-timeout SECS cancel any point exceeding this wall-clock budget
   --journal PATH       journal path (default: results/.journal/<name>.jsonl)
@@ -360,16 +323,15 @@ Options:
   --memo on|off|BYTES  force every point's memo-table mode (a model
                        change: timing/energy move, mining results are
                        bit-identical)
+  --quick              coarser, ~4x faster pass: every dataset analog 4x
+                       smaller, and some sweeps drop their heaviest datasets
   --help               print this help, then exit
 
 Failure semantics:
   A panicking or erroring point becomes a structured \"failed\" record; a
   point past --point-timeout becomes \"timed_out\". Neither is re-run: a
   point is a pure function of its inputs. The process exits non-zero
-  only when every point of some (dataset, app) group failed.
-
-Environment:
-  GRAMER_QUICK=1   coarser, ~4x faster pass";
+  only when every point of some (dataset, app) group failed.";
 
 impl Default for SweepArgs {
     fn default() -> Self {
@@ -384,23 +346,25 @@ impl Default for SweepArgs {
             metrics: false,
             artifact_cache: None,
             memo: None,
+            scale: Scale::Full,
         }
     }
 }
 
 impl SweepArgs {
-    /// Parses `std::env::args()`, printing usage and exiting on `--help`
-    /// or on a malformed command line.
-    pub fn parse() -> SweepArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+    /// Parses the options that follow sweep `name` on the command line,
+    /// printing usage and exiting on `--help` or on a malformed command
+    /// line.
+    pub fn parse(name: &str, args: &[String]) -> SweepArgs {
+        let usage = format!("usage: gramer-bench {name} [options]\n\n{SWEEP_USAGE}");
         if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{SWEEP_USAGE}");
+            println!("{usage}");
             std::process::exit(0);
         }
-        match SweepArgs::try_parse(&args) {
+        match SweepArgs::try_parse(args) {
             Ok(parsed) => parsed,
             Err(e) => {
-                eprintln!("error: {e}\n\n{SWEEP_USAGE}");
+                eprintln!("error: {e}\n\n{usage}");
                 std::process::exit(2);
             }
         }
@@ -422,6 +386,9 @@ impl SweepArgs {
                     .ok_or_else(|| format!("{flag} requires a value"))
             };
             match flag {
+                "--list" | "--resume" | "--metrics" | "--quick" if inline.is_some() => {
+                    return Err(format!("{flag} takes no value"));
+                }
                 "--jobs" => {
                     let v = value(&mut it)?;
                     parsed.jobs =
@@ -448,6 +415,7 @@ impl SweepArgs {
                 "--metrics" => parsed.metrics = true,
                 "--artifact-cache" => parsed.artifact_cache = Some(PathBuf::from(value(&mut it)?)),
                 "--memo" => parsed.memo = Some(value(&mut it)?.parse()?),
+                "--quick" => parsed.scale = Scale::Quick,
                 other => return Err(format!("unknown option {other:?}")),
             }
         }
@@ -460,11 +428,11 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Standard epilogue for the experiment binaries: prints a summary of any
+/// Standard epilogue for the sweeps: prints a summary of any
 /// failed or timed-out points to stderr and converts the sweep's failure
 /// semantics into the process exit code (non-zero only when every point
-/// of some `(dataset, app)` group failed). Use as the last line of
-/// `main() -> std::process::ExitCode`.
+/// of some `(dataset, app)` group failed). Use as the last line of a
+/// sweep's entry function.
 pub fn finish(result: &SweepResult) -> std::process::ExitCode {
     let failures: Vec<&PointRecord> = result.failures().collect();
     if !failures.is_empty() {
@@ -516,25 +484,25 @@ pub fn fmt_secs(s: f64) -> String {
 mod tests {
     use super::*;
 
-    /// Serializes the tests that set the process-wide `run_gramer` knobs
-    /// (memo override, metrics, artifact cache) and compare runs made
-    /// under them; `cargo test` runs tests on parallel threads.
-    static KNOBS: Mutex<()> = Mutex::new(());
+    /// The harness for a sweep command line.
+    fn harness(args: &[&str]) -> Harness {
+        Harness::new(&SweepArgs::try_parse(args).unwrap())
+    }
 
     #[test]
     fn divisors_preserve_size_ordering() {
-        let small = analog(Dataset::Citeseer);
-        let medium = analog(Dataset::Astro);
+        let h = harness(&[]);
+        let small = h.analog(Dataset::Citeseer);
+        let medium = h.analog(Dataset::Astro);
         assert!(small.num_vertices() > 0);
         assert!(medium.num_vertices() > 0);
     }
 
     #[test]
     fn variant_names() {
-        assert_eq!(AppVariant::Cf(5).name(Dataset::P2p), "5-CF");
-        assert!(AppVariant::Fsm.name(Dataset::Citeseer).starts_with("FSM-"));
-        assert!(AppVariant::Mc(4).tracks_patterns());
-        assert!(!AppVariant::Cf(3).tracks_patterns());
+        assert_eq!(AppVariant::Cf(5).name(Dataset::P2p, Scale::Full), "5-CF");
+        assert_eq!(AppVariant::Fsm.name(Dataset::Astro, Scale::Full), "FSM-125");
+        assert_eq!(AppVariant::Fsm.name(Dataset::Astro, Scale::Quick), "FSM-31");
     }
 
     #[test]
@@ -565,18 +533,21 @@ mod tests {
         assert_eq!(SweepArgs::default().memo, None);
         assert!(SweepArgs::try_parse(&["--memo", "sometimes"]).is_err());
         assert!(SweepArgs::try_parse(&["--memo", "7"]).is_err());
+
+        let q = SweepArgs::try_parse(&["--quick", "--jobs", "2"]).unwrap();
+        assert_eq!(q.scale, Scale::Quick);
+        assert_eq!(q.jobs, 2);
+        assert_eq!(SweepArgs::default().scale, Scale::Full);
     }
 
     #[test]
     fn memo_override_changes_timing_not_results() {
-        let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let g = gramer_graph::generate::barabasi_albert(120, 3, 8);
-        let app = AppVariant::Cf(4).spec(Dataset::Citeseer);
-        let base = run_gramer(&g, &app, GramerConfig::default()).unwrap();
+        let app = AppVariant::Cf(4).spec(Dataset::Citeseer, Scale::Full);
+        let run = |h: &Harness| h.run_gramer(&g, &app, GramerConfig::default()).unwrap();
+        let base = run(&harness(&[])).report;
         assert!(base.memo.is_none());
-        set_memo_override(Some(MemoMode::On { bytes: 1 << 16 }));
-        let memo = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        set_memo_override(None);
+        let memo = run(&harness(&["--memo", "65536"])).report;
         let stats = memo.memo.expect("override forced the memo on");
         assert!(stats.hits > 0, "4-CF on a BA graph must repeat probes");
         assert_eq!(
@@ -587,10 +558,10 @@ mod tests {
             base.result.candidates_examined,
             memo.result.candidates_examined
         );
-        // And clearing the override restores the declared (off) mode.
-        let again = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        assert!(again.memo.is_none());
-        assert_eq!(again.cycles, base.cycles);
+        // `--memo off` keeps the declared (off) mode's timing.
+        let off = run(&harness(&["--memo", "off"])).report;
+        assert!(off.memo.is_none());
+        assert_eq!(off.cycles, base.cycles);
     }
 
     #[test]
@@ -602,6 +573,8 @@ mod tests {
         assert!(SweepArgs::try_parse(&["--point-timeout", "-3"]).is_err());
         assert!(SweepArgs::try_parse(&["--point-timeout", "nan"]).is_err());
         assert!(SweepArgs::try_parse(&["--point-timeout", "1e300"]).is_err());
+        assert!(SweepArgs::try_parse(&["--quick=0"]).is_err());
+        assert!(SweepArgs::try_parse(&["--metrics=no"]).is_err());
     }
 
     #[test]
@@ -620,31 +593,42 @@ mod tests {
 
     #[test]
     fn metrics_flag_parses_and_records_a_rollup() {
-        let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let a = SweepArgs::try_parse(&["--metrics"]).unwrap();
         assert!(a.metrics);
         let d = SweepArgs::try_parse::<&str>(&[]).unwrap();
         assert!(!d.metrics);
 
-        // With the switch on, run_gramer stashes a telemetry rollup for
-        // this thread — without changing the simulated report.
+        // With the switch on, the run hands back a telemetry rollup —
+        // without changing the simulated report.
         let g = gramer_graph::generate::barabasi_albert(100, 3, 5);
-        let app = AppVariant::Cf(3).spec(Dataset::Citeseer);
-        let plain = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        assert!(take_point_telemetry().is_none());
-        set_metrics_enabled(true);
-        let recorded = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        set_metrics_enabled(false);
-        let tel = take_point_telemetry().expect("rollup stashed");
+        let app = AppVariant::Cf(3).spec(Dataset::Citeseer, Scale::Full);
+        let run = |h: &Harness| h.run_gramer(&g, &app, GramerConfig::default()).unwrap();
+        let plain = run(&harness(&[]));
+        assert!(plain.telemetry.is_none());
+        let recorded = run(&harness(&["--metrics"]));
+        let tel = recorded.telemetry.expect("rollup recorded");
         assert!(tel.get("windows").and_then(JsonValue::as_u64).is_some());
-        assert_eq!(plain.cycles, recorded.cycles);
-        assert_eq!(plain.steps, recorded.steps);
-        assert!(take_point_telemetry().is_none(), "stash is claimed once");
+        assert_eq!(plain.report.cycles, recorded.report.cycles);
+        assert_eq!(plain.report.steps, recorded.report.steps);
+
+        // The sweep runner attaches it last to the point's metrics.
+        let metered = harness(&["--metrics"]);
+        let mut sweep = Sweep::new("metrics");
+        sweep.point("g", "3-CF", "c", || {
+            PointOutput::from(run(&metered)).metric("k", 3u64)
+        });
+        let record = &sweep.run(1, None).records[0];
+        let keys: Vec<&str> = record
+            .output
+            .metrics
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["k", "telemetry"]);
     }
 
     #[test]
     fn artifact_cache_flag_parses_and_reports_match() {
-        let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
         let a = SweepArgs::try_parse(&["--artifact-cache", "cachedir"]).unwrap();
         assert_eq!(a.artifact_cache, Some(PathBuf::from("cachedir")));
         let b = SweepArgs::try_parse(&["--artifact-cache=cd2"]).unwrap();
@@ -660,12 +644,13 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         let g = gramer_graph::generate::barabasi_albert(120, 3, 8);
-        let app = AppVariant::Cf(3).spec(Dataset::Citeseer);
-        let inline = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        set_artifact_cache(Some(dir.as_path())).unwrap();
-        let cold = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        let warm = run_gramer(&g, &app, GramerConfig::default()).unwrap();
-        set_artifact_cache(None).unwrap();
+        let app = AppVariant::Cf(3).spec(Dataset::Citeseer, Scale::Full);
+        let run = |h: &Harness| h.run_gramer(&g, &app, GramerConfig::default()).unwrap();
+        let inline = run(&harness(&[])).report;
+        let cached = harness(&["--artifact-cache", dir.to_str().unwrap()]);
+        let cold = run(&cached).report;
+        assert!(dir.is_dir(), "the harness opened the cache directory");
+        let warm = run(&cached).report;
         let as_json = |r: &RunReport| r.to_json_value().to_string();
         assert_eq!(as_json(&inline), as_json(&cold));
         assert_eq!(as_json(&inline), as_json(&warm));
@@ -674,9 +659,9 @@ mod tests {
 
     #[test]
     fn analog_cache_returns_same_graph() {
-        let cache = AnalogCache::new();
-        let a = cache.get(Dataset::Citeseer) as *const CsrGraph;
-        let b = cache.get(Dataset::Citeseer) as *const CsrGraph;
+        let h = harness(&[]);
+        let a = h.analog(Dataset::Citeseer) as *const CsrGraph;
+        let b = h.analog(Dataset::Citeseer) as *const CsrGraph;
         assert_eq!(a, b, "second lookup must hit the cached graph");
     }
 }

@@ -1,4 +1,4 @@
-//! The `BENCH_core.json` document written by the `perf` binary — the
+//! The `BENCH_core.json` document written by `gramer-bench perf` — the
 //! repo's simulator-throughput trajectory (see EXPERIMENTS.md).
 //!
 //! Each workload is run several times (default 3); the document records
@@ -51,7 +51,7 @@ pub struct WorkloadRuns {
     /// Wall seconds of each repeat (preprocess + simulate), in run order.
     pub walls: Vec<f64>,
     /// The run report. Simulated fields are identical across repeats
-    /// (the perf binary asserts this before building the document).
+    /// (`gramer-bench perf` asserts this before building the document).
     pub report: RunReport,
 }
 

@@ -2,8 +2,8 @@
 //! parallel, survives failing points, and serializes the whole sweep to a
 //! stable JSON artifact.
 //!
-//! Every `fig*`/`table*` binary declares its grid of
-//! `(dataset, app, config)` points as a [`Sweep`], then calls
+//! Every `gramer-bench` sweep (`fig*`, `table*`, `ablation`) declares its
+//! grid of `(dataset, app, config)` points as a [`Sweep`], then calls
 //! [`Sweep::execute`]. The runner:
 //!
 //! 1. applies the `--filter` substring to the `dataset/app/config` ids;
@@ -37,7 +37,7 @@
 //! via `schema_version`; see `EXPERIMENTS.md` for the layout and the
 //! failure semantics (statuses, exit codes, journal format).
 
-use crate::SweepArgs;
+use crate::{GramerRun, Scale, SweepArgs};
 use gramer::json::JsonValue;
 use gramer::progress::{self, ProgressToken};
 use gramer::{shard, supervise, ReportSummary, RunReport, SimError};
@@ -46,32 +46,38 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What one sweep point produces: an optional full simulator report plus
-/// named scalar/structured metrics for the bin's table and the JSON file.
+/// named scalar/structured metrics for the sweep's table and the JSON
+/// file.
 #[derive(Debug, Default)]
 pub struct PointOutput {
     /// Full simulator report, when the point ran the GRAMER simulator.
     pub report: Option<RunReport>,
     /// Named metrics in insertion order (serialized as a JSON object).
     pub metrics: Vec<(String, JsonValue)>,
+    /// The run's telemetry rollup, appended after every other metric
+    /// under `"telemetry"` once the point completes.
+    telemetry: Option<JsonValue>,
     /// The report as raw JSON, for records replayed from a journal (the
     /// in-memory [`RunReport`] is not reconstructible from its JSON).
     replayed_report: Option<JsonValue>,
+}
+
+/// A GRAMER run's output: its report lands under the point's `"report"`
+/// key, its telemetry rollup (if any) last in the point's metrics.
+impl From<GramerRun> for PointOutput {
+    fn from(run: GramerRun) -> Self {
+        PointOutput {
+            report: Some(run.report),
+            telemetry: run.telemetry,
+            ..PointOutput::default()
+        }
+    }
 }
 
 impl PointOutput {
     /// An empty output, to be filled with [`PointOutput::metric`] calls.
     pub fn new() -> Self {
         PointOutput::default()
-    }
-
-    /// Wraps a simulator report (its JSON lands under the point's
-    /// `"report"` key).
-    pub fn from_report(report: RunReport) -> Self {
-        PointOutput {
-            report: Some(report),
-            metrics: Vec::new(),
-            replayed_report: None,
-        }
     }
 
     /// Appends a named metric (builder style).
@@ -274,6 +280,9 @@ pub struct SweepOptions {
     pub point_timeout: Option<Duration>,
     /// Journal path; `None` disables journaling (and `resume`).
     pub journal: Option<PathBuf>,
+    /// The scale the points were declared at, reported as
+    /// `host.quick_mode`.
+    pub scale: Scale,
 }
 
 /// A declarative set of independent simulation points.
@@ -325,7 +334,7 @@ impl<'a> Sweep<'a> {
     /// Runs the sweep under `args`: honours `--list` (print ids and
     /// exit), `--filter`, `--resume`, `--point-timeout`, executes with
     /// `--jobs` workers, journals completed points, and writes the JSON
-    /// artifact. This is the entry point the bins use;
+    /// artifact. This is the entry point the sweeps use;
     /// pass the result to [`crate::finish`] for the failure-aware exit
     /// code.
     pub fn execute(self, args: &SweepArgs) -> SweepResult {
@@ -334,14 +343,6 @@ impl<'a> Sweep<'a> {
                 println!("{}", p.id());
             }
             std::process::exit(0);
-        }
-        crate::set_metrics_enabled(args.metrics);
-        crate::set_memo_override(args.memo);
-        if let Err(e) = crate::set_artifact_cache(args.artifact_cache.as_deref()) {
-            eprintln!(
-                "[{}] warning: --artifact-cache disabled ({e}); preprocessing inline",
-                self.name
-            );
         }
         let json_path = args
             .json
@@ -358,6 +359,7 @@ impl<'a> Sweep<'a> {
             resume: args.resume,
             point_timeout: args.point_timeout,
             journal: Some(journal_path),
+            scale: args.scale,
         };
         let result = self.run_with(&opts);
         match result.write_json(&json_path) {
@@ -491,6 +493,7 @@ impl<'a> Sweep<'a> {
             jobs,
             records,
             wall_seconds: started.elapsed().as_secs_f64(),
+            scale: opts.scale,
         }
     }
 
@@ -533,9 +536,9 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
         app: point.app.clone(),
         config: point.config.clone(),
         output: PointOutput {
-            report: None,
             metrics,
             replayed_report,
+            ..PointOutput::default()
         },
         status: PointStatus::Ok,
         error: None,
@@ -549,9 +552,6 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
 fn run_point(point: &SweepPoint<'_>, timeout: Option<Duration>) -> PointRecord {
     let t0 = Instant::now();
     let guard = progress::install(ProgressToken::with_budget(timeout, None));
-    // Discard any telemetry stash an earlier failed point on this thread
-    // left behind, so a point can only pick up its own recording.
-    crate::take_point_telemetry();
     let outcome = supervise::run_quarantined(|| (point.run)());
     drop(guard);
     let failure = |kind: &str, message| {
@@ -560,7 +560,7 @@ fn run_point(point: &SweepPoint<'_>, timeout: Option<Duration>) -> PointRecord {
     };
     let (status, error, output) = match outcome {
         supervise::Outcome::Ok(mut output) => {
-            if let Some(tel) = crate::take_point_telemetry() {
+            if let Some(tel) = output.telemetry.take() {
                 output.metrics.push(("telemetry".to_string(), tel));
             }
             (PointStatus::Ok, None, output)
@@ -602,6 +602,8 @@ pub struct SweepResult {
     pub records: Vec<PointRecord>,
     /// Host wall-clock seconds for the whole sweep.
     pub wall_seconds: f64,
+    /// The scale the points were declared at.
+    pub scale: Scale,
 }
 
 impl SweepResult {
@@ -686,7 +688,7 @@ impl SweepResult {
                         "peak_rss_kb",
                         peak_rss_kb().map_or(JsonValue::Null, JsonValue::from),
                     ),
-                    ("quick_mode", JsonValue::from(crate::quick_mode())),
+                    ("quick_mode", JsonValue::from(self.scale == Scale::Quick)),
                 ]),
             ),
         ])

@@ -195,14 +195,6 @@ pub fn on1_scores(graph: &CsrGraph) -> OnScores {
     OnScores { scores, hops: 1 }
 }
 
-/// Degree-only scores (`ON_0`), the cheap-but-inaccurate extreme of Fig. 8.
-pub fn on0_scores(graph: &CsrGraph) -> OnScores {
-    let scores = (0..graph.num_vertices() as VertexId)
-        .map(|v| graph.degree(v) as f64)
-        .collect();
-    OnScores { scores, hops: 0 }
-}
-
 /// Fraction of `predicted`'s top-τ set that falls inside `ideal`'s top-τ
 /// set — the "Accuracy" metric of Fig. 8(a).
 ///
@@ -229,14 +221,6 @@ mod tests {
     use crate::generate;
 
     #[test]
-    fn on0_is_degree() {
-        let g = generate::star(5);
-        let s = on0_scores(&g);
-        assert_eq!(s.score(0), 5.0);
-        assert_eq!(s.score(1), 1.0);
-    }
-
-    #[test]
     fn on1_star() {
         // Hub degree 5; each leaf has degree 1 and its only neighbor is the
         // hub. ON1(hub) = 5 * (1*5) = 25, ON1(leaf) = 1 * 5 = 5.
@@ -257,8 +241,8 @@ mod tests {
     fn on_k_zero_matches_degree() {
         let g = generate::barabasi_albert(50, 2, 2);
         let k0 = on_k_scores(&g, 0);
-        let d = on0_scores(&g);
-        assert_eq!(k0.as_slice(), d.as_slice());
+        let degrees: Vec<f64> = g.vertices().map(|v| g.degree(v) as f64).collect();
+        assert_eq!(k0.as_slice(), degrees.as_slice());
     }
 
     #[test]

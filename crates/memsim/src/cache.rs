@@ -208,13 +208,6 @@ impl SetAssociativeCache {
     pub fn resident_lines(&self) -> usize {
         self.set_len.iter().map(|&l| l as usize).sum()
     }
-
-    /// Clears all contents and counters, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.set_len.fill(0);
-        self.clock = 0;
-        self.evictions = 0;
-    }
 }
 
 #[cfg(test)]
@@ -441,14 +434,5 @@ mod tests {
         let mut lru = SetAssociativeCache::new(1, 2, 0, PolicyKind::Lru);
         assert!(lru.set_lambda(123.0).is_ok());
         assert_eq!(lru.policy(), PolicyKind::Lru);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = SetAssociativeCache::new(2, 2, 0, PolicyKind::Lru);
-        c.access(1, 0);
-        c.reset();
-        assert_eq!(c.resident_lines(), 0);
-        assert!(!c.access(1, 0));
     }
 }

@@ -123,14 +123,6 @@ impl CpuCacheModel {
     pub fn level_counts(&self) -> [u64; 4] {
         self.level_counts
     }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-        self.level_counts = [0; 4];
-    }
 }
 
 #[cfg(test)]

@@ -117,13 +117,6 @@ impl DramModel {
     pub fn config(&self) -> DramConfig {
         self.config
     }
-
-    /// Clears queue state and counters.
-    pub fn reset(&mut self) {
-        self.channel_free.fill(0);
-        self.next_channel = 0;
-        self.requests = 0;
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +207,5 @@ mod tests {
         dram.service(0);
         dram.service(1);
         assert_eq!(dram.requests(), 2);
-        dram.reset();
-        assert_eq!(dram.requests(), 0);
     }
 }

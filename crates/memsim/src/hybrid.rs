@@ -187,13 +187,6 @@ impl HybridMemory {
     pub fn repin(&mut self, mask: std::sync::Arc<Vec<bool>>) {
         self.scratchpad = Scratchpad::from_mask(mask);
     }
-
-    /// Clears cache contents and statistics (the scratchpad is static and
-    /// keeps its membership).
-    pub fn reset(&mut self) {
-        self.cache.reset();
-        self.stats = KindStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -248,15 +241,5 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.total(), 3);
         assert!((s.on_chip_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_keeps_pinning() {
-        let mut m = hybrid(vec![true], PolicyKind::Lru);
-        m.access(3, 3);
-        m.reset();
-        assert_eq!(m.stats().total(), 0);
-        assert_eq!(m.access(0, 0), AccessOutcome::HighPriorityHit);
-        assert_eq!(m.access(3, 3), AccessOutcome::Miss);
     }
 }

@@ -291,11 +291,6 @@ impl ReqFifo {
             spill: (cap > FIFO_INLINE).then(|| vec![0; cap].into_boxed_slice()),
         }
     }
-
-    fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
 }
 
 impl MemorySubsystem {
@@ -777,27 +772,6 @@ impl MemorySubsystem {
             .map(|b| b.cache_occupied_lines() as u64)
             .sum()
     }
-
-    /// Clears all dynamic state (cache contents, ports, DRAM queues,
-    /// statistics). Scratchpad membership is retained.
-    pub fn reset(&mut self) {
-        for st in [&mut self.vertex, &mut self.edge] {
-            for b in st.banks.iter_mut() {
-                b.reset();
-            }
-            for h in st.hot.iter_mut() {
-                h.port_free = [0; PORTS_INLINE];
-                h.fifo.clear();
-            }
-            st.ports_spill.fill(0);
-            st.ultra_hits = 0;
-            st.middle_hits = 0;
-        }
-        self.prefetches = 0;
-        self.memo_lookups = 0;
-        self.filter_lookups = 0;
-        self.dram.reset();
-    }
 }
 
 #[cfg(test)]
@@ -1044,16 +1018,6 @@ mod tests {
         assert!(t_pf < t_plain, "prefetch did not speed up the walk");
     }
 
-    #[test]
-    fn reset_clears_stats() {
-        let mut mem = subsystem(2);
-        mem.access(DataKind::Vertex, 3, 3, 0);
-        mem.reset();
-        assert_eq!(mem.stats().total(), 0);
-        assert_eq!(mem.dram_requests(), 0);
-        assert_eq!(mem.fast_path_hits(), 0);
-    }
-
     /// Builds the `subsystem()` fixture with an explicit access path and
     /// pin mask.
     fn subsystem_with(access_path: AccessPath, pinned: Vec<bool>) -> MemorySubsystem {
@@ -1122,8 +1086,6 @@ mod tests {
         assert_eq!(done, 11); // default memo_lookup_cycles = 1
         mem.memo_lookup(done);
         assert_eq!(mem.memo_lookups(), 2);
-        mem.reset();
-        assert_eq!(mem.memo_lookups(), 0);
     }
 
     #[test]
@@ -1135,8 +1097,6 @@ mod tests {
         mem.filter_lookup(done);
         assert_eq!(mem.filter_lookups(), 2);
         assert_eq!(mem.memo_lookups(), 0, "filter probes are not memo probes");
-        mem.reset();
-        assert_eq!(mem.filter_lookups(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Pinned end-to-end simulator-throughput run. Builds the release perf
-# bin and writes results/BENCH_core.json (schema documented in
+# Pinned end-to-end simulator-throughput run. Builds the release
+# gramer-bench binary, runs `gramer-bench perf` and writes
+# results/BENCH_core.json (schema documented in
 # EXPERIMENTS.md, "Simulator performance trajectory").
 #
 # Usage: scripts/perf.sh [--quick] [--json PATH] [--repeats N]
@@ -23,12 +24,12 @@ cd "$(dirname "$0")/.."
 GRAMER_GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 export GRAMER_GIT_REV
 
-cargo build --release -q -p gramer-bench --bin perf
+cargo build --release -q -p gramer-bench
 if [ "${GRAMER_PERF_GATE:-}" = "advisory" ]; then
-    if ./target/release/perf "$@"; then
+    if ./target/release/gramer-bench perf "$@"; then
         exit 0
     fi
     echo "perf gate: check FAILED, but GRAMER_PERF_GATE=advisory — not failing the build" >&2
     exit 0
 fi
-exec ./target/release/perf "$@"
+exec ./target/release/gramer-bench perf "$@"

@@ -27,8 +27,9 @@
 #   clippy  clippy on the library crates   (unwrap/expect denied: failures
 #           must flow through the typed error taxonomy, not panic; the
 #           perf lints warn so hot-path regressions surface in review)
-#   bench   cargo bench, smoke mode        (every bench runs its closure
-#           exactly once — compiles-and-runs proof, not a measurement);
+#   bench   gramer-bench as it ships: `perf --quick --repeats 1` (the
+#           pinned cells, with their repeat-drift assertions), then every
+#           sweep once at --quick on 2 jobs, each of which must exit 0;
 #           then the sweep journal's crash contract: the ablation sweep,
 #           killed by kill -9 once its journal holds 3 points and re-run
 #           with --resume, must replay k of its 12 points (0 < k < 12)
@@ -135,18 +136,27 @@ stage_clippy() {
 }
 
 stage_bench() {
-    echo "== tier1: bench smoke (GRAMER_BENCH_SMOKE=1, single iteration each)"
-    GRAMER_BENCH_SMOKE=1 cargo bench -q -p gramer-bench
-
-    echo "   -- ablation sweep: kill -9 partway, then --resume gives byte-identical points"
-    cargo build --release -q -p gramer-bench --bin ablation
+    echo "== tier1: gramer-bench perf --quick, every sweep at --quick"
+    cargo build --release -q -p gramer-bench
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "${tmp:-}"; trap - RETURN' RETURN
-    local sweep=target/release/ablation
-    "$sweep" --jobs 1 --journal "$tmp/full.jsonl" --json "$tmp/full.json" \
+    local bench=target/release/gramer-bench name
+    "$bench" perf --quick --repeats 1 --json "$tmp/core.json" > /dev/null
+    for name in fig3 fig5 fig8 table2 table3 fig11 fig12 table4 fig13 fig14 ablation; do
+        echo "   -- $name"
+        "$bench" "$name" --quick --jobs 2 --json "$tmp/$name.json" \
+            --journal "$tmp/$name.jsonl" > /dev/null 2> "$tmp/$name.err" || {
+            echo "tier1 bench: gramer-bench $name --quick failed:" >&2
+            cat "$tmp/$name.err" >&2
+            exit 1
+        }
+    done
+
+    echo "   -- ablation sweep: kill -9 partway, then --resume gives byte-identical points"
+    "$bench" ablation --jobs 1 --journal "$tmp/full.jsonl" --json "$tmp/full.json" \
         > /dev/null 2> "$tmp/full.err"
-    "$sweep" --jobs 1 --journal "$tmp/killed.jsonl" --json "$tmp/killed.json" \
+    "$bench" ablation --jobs 1 --journal "$tmp/killed.jsonl" --json "$tmp/killed.json" \
         > /dev/null 2> "$tmp/killed.err" &
     local pid=$! i
     for i in $(seq 1 1200); do
@@ -158,7 +168,7 @@ stage_bench() {
     done
     kill -KILL "$pid" 2> /dev/null || true
     wait "$pid" 2> /dev/null || true
-    "$sweep" --jobs 1 --resume --journal "$tmp/killed.jsonl" --json "$tmp/resumed.json" \
+    "$bench" ablation --jobs 1 --resume --journal "$tmp/killed.jsonl" --json "$tmp/resumed.json" \
         > /dev/null 2> "$tmp/resumed.err"
     local k
     k="$(sed -n 's/.*resuming: \([0-9]*\)\/12 points.*/\1/p' "$tmp/resumed.err")"

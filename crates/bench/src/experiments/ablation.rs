@@ -33,6 +33,9 @@ fn constrained(budget: bool) -> GramerConfig {
     }
 }
 
+/// One simulated study: its name and the config it runs.
+type Study = (&'static str, fn() -> GramerConfig);
+
 /// Runs the sweep.
 pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     let d = Dataset::P2p;
@@ -41,7 +44,7 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
 
     // Every simulated study is one point; the "default" run doubles as
     // the baseline of studies 1 and 2.
-    let configs: [(&str, fn() -> GramerConfig); 11] = [
+    let configs: [Study; 11] = [
         ("default", || constrained(false)),
         ("shared-port", || GramerConfig {
             latency: LatencyConfig {

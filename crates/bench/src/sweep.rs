@@ -396,9 +396,10 @@ impl<'a> Sweep<'a> {
         let started = Instant::now();
 
         // The journal: replay the entries an earlier (possibly killed)
-        // run left, keyed by point id, and snapshot them at once, which
-        // drops a torn tail before the first append. A journal that
-        // exists but cannot be read is left alone, not overwritten.
+        // run left, keyed by point id. A clean file is appended to as it
+        // is; anything else is snapshotted at once, which drops a torn
+        // tail before the first append. A journal that exists but cannot
+        // be read is left alone, not overwritten.
         let journal = opts.journal.as_deref().and_then(|path| {
             let mut journal = supervise::Journal::new(path);
             let live = match journal.replay(journal_key) {
@@ -410,7 +411,7 @@ impl<'a> Sweep<'a> {
                     return None;
                 }
             };
-            if let Err(e) = journal.snapshot(live.values()) {
+            if let Err(e) = journal.snapshot_if_due(live.values()) {
                 eprintln!("[{name}] journal write failed: {e}");
             }
             Some((journal, live))
@@ -944,7 +945,7 @@ mod tests {
     fn exit_code_nonzero_only_when_whole_group_fails() {
         let mut s = Sweep::new("groups");
         s.point("d1", "a", "c1", || -> PointOutput { panic!("down") });
-        s.point("d1", "a", "c2", || PointOutput::new());
+        s.point("d1", "a", "c2", PointOutput::new);
         let r = s.run(1, None);
         assert_eq!(
             r.exit_code(),
@@ -955,7 +956,7 @@ mod tests {
         let mut s = Sweep::new("groups");
         s.point("d1", "a", "c1", || -> PointOutput { panic!("down") });
         s.point("d1", "a", "c2", || -> PointOutput { panic!("down") });
-        s.point("d2", "a", "c1", || PointOutput::new());
+        s.point("d2", "a", "c1", PointOutput::new);
         let r = s.run(1, None);
         assert_eq!(r.exit_code(), 1, "fully failed group must fail the run");
         assert_eq!(r.failures().count(), 2);

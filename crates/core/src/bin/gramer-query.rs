@@ -223,7 +223,7 @@ fn run() -> Result<Option<(String, JsonValue)>, String> {
 
     let pre: Preprocessed =
         preprocess(&graph, &opts.config).map_err(|e| format!("preprocess: {e}"))?;
-    let app = QueryApp::new(query.clone())?;
+    let app = QueryApp::new(query)?;
 
     // Candidates over the reordered graph — exactly what the filtered
     // simulation prunes against.

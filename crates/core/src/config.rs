@@ -111,7 +111,7 @@ pub const MAX_TOTAL_SLOTS: usize = 1 << 16;
 /// §VI-A: 8 PUs × 16 slots (128 concurrent embeddings), 16-deep ancestor
 /// buffers, 8 memory partitions, 200 MHz, λ = 1, τ chosen by
 /// `MIN(50%, |Memory| / (2·(|V|+|E|)))`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GramerConfig {
     /// Number of processing units.
     pub num_pus: usize,

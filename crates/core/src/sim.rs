@@ -280,10 +280,7 @@ impl<'s, 'p, A: EcmApp> RunState<'s, 'p, A> {
                 pus.active_slots[p] += 1;
             } else if cfg.work_stealing {
                 let mut stolen = None;
-                for victim in p * spp..(p + 1) * spp {
-                    if victim == sid {
-                        continue;
-                    }
+                for victim in (p * spp..(p + 1) * spp).filter(|&v| v != sid) {
                     if let Some(ex) = slots[victim].as_mut() {
                         if S::ACTIVE {
                             sink.on_steal_attempt(p);
@@ -1403,7 +1400,7 @@ mod tests {
             let _guard = install(tok.clone());
             Simulator::new(&pre, cfg.clone()).unwrap().run(&app)
         }));
-        let payload = caught.err().expect("a spent deadline unwinds");
+        let payload = caught.expect_err("a spent deadline unwinds");
         assert_eq!(
             payload.downcast_ref::<Cancelled>(),
             Some(&Cancelled::Deadline)

@@ -130,9 +130,11 @@ pub fn run_quarantined<T>(f: impl FnOnce() -> Result<T, SimError>) -> Outcome<T>
 }
 
 /// Fewest appends between two compacting snapshots. A snapshot is due
-/// once the appends since the last one reach `max(live entries, this)`,
-/// so its O(entries) cost is spread over at least as many O(1) appends,
-/// and the file holds at most `2 × live + 64` lines.
+/// once the lines beyond one per entry (appended since the last
+/// snapshot, or superseded ones a clean replay found) reach
+/// `max(live entries, this)`, so its O(entries) cost is spread over at
+/// least as many O(1) appends, and the file holds at most
+/// `2 × live + 64` lines.
 pub const COMPACT_MIN_APPENDS: usize = 64;
 
 /// Lifetime write counts of one [`Journal`].
@@ -157,12 +159,20 @@ pub struct JournalStats {
 ///   creates the file: a journal that vanished is rewritten whole.
 /// * **A crash leaves at most one torn last line**, which
 ///   [`Journal::replay`] skips: that key falls back to its previous line.
+/// * **A clean file is appended to as it is.** [`Journal::replay`]
+///   records whether the file is clean: it exists, ends with `\n`, and
+///   every line is a valid entry. Callers then open it with
+///   [`Journal::snapshot_if_due`], which leaves a clean file untouched,
+///   so a restart over a clean journal rewrites nothing. Its superseded
+///   lines (valid lines − entries) count as appends toward compaction,
+///   so the file keeps the bound below.
 /// * **Snapshots are atomic** (temp file, fsync, rename, directory
-///   fsync; see [`Journal::snapshot`]). Callers take one at open, which
-///   drops a torn tail before the first append, and at drain.
+///   fsync; see [`Journal::snapshot`]). Callers take one at open unless
+///   the replay found the file clean, which drops a torn tail or a last
+///   line without its `\n` before the first append, and at drain.
 ///   [`Journal::write`] takes one instead of appending after a failed
 ///   write, which may have left a partial line an append would be glued
-///   onto, and once the appends since the last snapshot reach
+///   onto, and once the lines beyond one per entry reach
 ///   `max(live entries, COMPACT_MIN_APPENDS)`.
 ///
 /// The journal keeps no copy of the entries: the caller hands it the
@@ -170,10 +180,12 @@ pub struct JournalStats {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    /// Lines appended since the last snapshot.
+    /// Lines beyond one per entry: appended since the last snapshot, or
+    /// superseded ones the last replay of a clean file found.
     appends: usize,
-    /// The next write must be a snapshot: none has been written through
-    /// this handle yet, or the last write failed.
+    /// The next write must be a snapshot: neither a snapshot nor a
+    /// replay of a clean file has happened through this handle, or the
+    /// last write failed.
     snapshot_due: bool,
     stats: JournalStats,
 }
@@ -206,11 +218,16 @@ impl Journal {
     /// not UTF-8, not JSON or invalid; blank lines do not count. A
     /// missing file replays as empty.
     ///
+    /// The handle records whether the file is clean (it ends with `\n`
+    /// and every line, blank ones included, is a valid entry): the next
+    /// write appends to a clean file and snapshots anything else (see
+    /// [`Journal::snapshot_if_due`]).
+    ///
     /// # Errors
     ///
     /// Only I/O errors other than [`io::ErrorKind::NotFound`].
     pub fn replay<K: Ord, T>(
-        &self,
+        &mut self,
         mut entry: impl FnMut(JsonValue) -> Option<(K, T)>,
     ) -> io::Result<(BTreeMap<K, T>, usize)> {
         let bytes = match std::fs::read(&self.path) {
@@ -219,8 +236,9 @@ impl Journal {
             Err(e) => return Err(e),
         };
         let mut entries = BTreeMap::new();
-        let mut skipped = 0;
+        let (mut skipped, mut valid, mut pieces) = (0, 0, 0);
         for line in bytes.split(|&b| b == b'\n') {
+            pieces += 1;
             let text = std::str::from_utf8(line).map(str::trim);
             if text == Ok("") {
                 continue;
@@ -228,12 +246,36 @@ impl Journal {
             let parsed = text.ok().and_then(|text| JsonValue::parse(text).ok());
             match parsed.and_then(&mut entry) {
                 Some((key, value)) => {
+                    valid += 1;
                     entries.insert(key, value);
                 }
                 None => skipped += 1,
             }
         }
+        // A file ending in `\n` splits into its lines plus an empty tail.
+        let clean = bytes.last() == Some(&b'\n') && valid == pieces - 1;
+        self.snapshot_due = !clean;
+        self.appends = if clean { valid - entries.len() } else { 0 };
         Ok((entries, skipped))
+    }
+
+    /// Opens the journal for appends after [`Journal::replay`]: writes a
+    /// snapshot of `live` if one is due, and leaves a clean file as it
+    /// is. A snapshot is due unless the replay found the file clean (or
+    /// a snapshot through this handle has since succeeded).
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error of the snapshot; the next write is then a snapshot.
+    pub fn snapshot_if_due<E: Borrow<JsonValue>>(
+        &mut self,
+        live: impl IntoIterator<Item = E>,
+    ) -> io::Result<()> {
+        if self.snapshot_due {
+            self.snapshot(live)
+        } else {
+            Ok(())
+        }
     }
 
     /// Journals one changed `entry`: appends it as one synced line, or
@@ -525,8 +567,101 @@ mod tests {
     }
 
     #[test]
+    fn a_clean_file_is_appended_to_as_it_is() {
+        let (dir, mut journal) = temp_journal("clean");
+        let (queued, done) = (entry(1, "queued"), entry(1, "done"));
+        journal.snapshot([&queued]).expect("seed");
+        journal.write(&done, [&done].into_iter()).expect("append");
+        let read = |path: &Path| std::fs::read_to_string(path).expect("read");
+        let before = read(journal.path());
+
+        let mut reopened = Journal::new(journal.path());
+        let (live, skipped) = reopened.replay(numeric).expect("replay");
+        assert_eq!((live.len(), skipped), (1, 0));
+        let live = [done.clone()];
+        reopened.snapshot_if_due(&live).expect("open");
+        assert_eq!(reopened.stats(), JournalStats::default());
+        assert_eq!(read(journal.path()), before);
+        // The first write appends one line to the untouched bytes.
+        let next = entry(2, "queued");
+        reopened
+            .write(&next, [&done, &next].into_iter())
+            .expect("append");
+        assert_eq!(read(journal.path()), format!("{before}{next}\n"));
+        assert_eq!(reopened.stats().appends, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn anything_but_a_clean_file_is_rewritten_at_open() {
+        let (dir, journal) = temp_journal("unclean");
+        let good = "{\"id\": 1, \"state\": \"done\"}\n";
+        let cases: [(&str, &[u8]); 6] = [
+            ("missing", b""),
+            ("empty", b""),
+            ("no final newline", b"{\"id\": 2, \"state\": \"done\"}"),
+            ("torn", b"{\"id\": 2, \"sta"),
+            ("invalid line", b"{\"id\": 2}\n"),
+            ("blank line", b"\n"),
+        ];
+        for (case, tail) in cases {
+            let _ = std::fs::remove_file(journal.path());
+            if case != "missing" {
+                let mut bytes = if case == "empty" {
+                    Vec::new()
+                } else {
+                    good.as_bytes().to_vec()
+                };
+                bytes.extend_from_slice(tail);
+                std::fs::write(journal.path(), bytes).expect("seed");
+            }
+            let mut reopened = Journal::new(journal.path());
+            let (live, _) = reopened.replay(numeric).expect("replay");
+            let live: Vec<JsonValue> = live
+                .into_iter()
+                .map(|(id, state)| entry(id, &state))
+                .collect();
+            reopened.snapshot_if_due(&live).expect("open");
+            assert_eq!(reopened.stats().snapshots, 1, "{case}");
+            let text = std::fs::read_to_string(journal.path()).expect("read");
+            let want = if matches!(case, "missing" | "empty") {
+                ""
+            } else if case == "no final newline" {
+                "{\"id\":1,\"state\":\"done\"}\n{\"id\":2,\"state\":\"done\"}\n"
+            } else {
+                "{\"id\":1,\"state\":\"done\"}\n"
+            };
+            assert_eq!(text, want, "{case}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn superseded_lines_of_a_clean_file_count_toward_compaction() {
+        for (superseded, compacts) in [(10, false), (COMPACT_MIN_APPENDS, true)] {
+            let (dir, mut journal) = temp_journal("superseded");
+            let one = entry(1, "done");
+            journal.snapshot([&one]).expect("seed");
+            for _ in 0..superseded {
+                journal.write(&one, [&one].into_iter()).expect("append");
+            }
+            let mut reopened = Journal::new(journal.path());
+            reopened.replay(numeric).expect("replay");
+            reopened.snapshot_if_due([&one]).expect("open");
+            let two = entry(2, "queued");
+            reopened
+                .write(&two, [&one, &two].into_iter())
+                .expect("write");
+            assert_eq!(reopened.stats().snapshots, u64::from(compacts));
+            let lines = if compacts { 2 } else { superseded + 2 };
+            assert_eq!(line_count(&reopened), lines);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn replay_keeps_the_last_valid_line_per_numeric_or_string_id() {
-        let (dir, journal) = temp_journal("replay");
+        let (dir, mut journal) = temp_journal("replay");
         std::fs::write(
             journal.path(),
             concat!(

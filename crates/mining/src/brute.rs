@@ -83,9 +83,9 @@ fn induced_connected_pattern(graph: &CsrGraph, subset: &[u32]) -> Option<Pattern
     let mut frontier = 1u8;
     while frontier != 0 {
         let mut next = 0u8;
-        for i in 0..n {
+        for (i, &row) in adj[..n].iter().enumerate() {
             if frontier & (1 << i) != 0 {
-                next |= adj[i];
+                next |= row;
             }
         }
         frontier = next & !seen;

@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn no_memo_is_inert() {
         let mut m = NoMemo;
-        assert!(!NoMemo::ACTIVE);
+        const { assert!(!NoMemo::ACTIVE) };
         assert_eq!(m.lookup(1, 2), None);
         assert!(!m.record(1, 2, true));
         assert_eq!(m.lookup(1, 2), None);

@@ -42,7 +42,10 @@ impl Pattern {
     /// Panics if `n == 0`, `n > MAX_EMBEDDING`, slices are shorter than
     /// `n`, or the adjacency is asymmetric / has self-loops.
     pub fn from_parts(n: usize, labels: &[Label], adj: &[u8]) -> Self {
-        assert!(n >= 1 && n <= MAX_EMBEDDING, "pattern size out of range");
+        assert!(
+            (1..=MAX_EMBEDDING).contains(&n),
+            "pattern size out of range"
+        );
         assert!(labels.len() >= n && adj.len() >= n, "short slices");
         for i in 0..n {
             assert_eq!(adj[i] & (1 << i), 0, "self loop in pattern");
@@ -339,7 +342,7 @@ fn permute<F: FnMut(&[usize; MAX_EMBEDDING])>(
         }
         for i in 0..k {
             rec(perm, k - 1, visit);
-            if k % 2 == 0 {
+            if k.is_multiple_of(2) {
                 perm.swap(i, k - 1);
             } else {
                 perm.swap(0, k - 1);

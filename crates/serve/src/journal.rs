@@ -1,13 +1,16 @@
 //! The daemon's job journal: [`JobRecord`] lines (JSON from
 //! [`JobRecord::to_json_value`]) keyed by job id, over the shared
-//! [`gramer::supervise::Journal`] and its crash contract. The supervisor
-//! writes through a `Journal` of its own; this shell replays.
+//! [`gramer::supervise::Journal`] and its crash contract. This shell
+//! replays; the supervisor writes through the `Journal` its replay
+//! leaves, which knows whether the file was clean.
 //!
 //! Terminal records are restored as-is — completed results survive a
 //! restart byte-for-byte — while `queued`/`running` records are
-//! returned for the supervisor to re-enqueue. Lines from daemons that
-//! still retried jobs (a retry count, a spec retry budget) replay too:
-//! the parsers ignore keys they do not know.
+//! returned for the supervisor to re-enqueue. The daemon writes no
+//! `running` line (replay would turn it back into `queued`), but lines
+//! from older daemons that did replay as before, and so do lines from
+//! daemons that still retried jobs (a retry count, a spec retry
+//! budget): the parsers ignore keys they do not know.
 
 use crate::job::{JobRecord, JobStatus};
 use gramer::supervise::Journal;
@@ -16,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 /// The job journal bound to one file path.
 pub struct JobJournal {
-    journal: Journal,
+    path: PathBuf,
 }
 
 /// The outcome of replaying a journal at startup.
@@ -34,14 +37,12 @@ pub struct Replay {
 impl JobJournal {
     /// Binds the journal to `path` (the file need not exist yet).
     pub fn new(path: impl Into<PathBuf>) -> JobJournal {
-        JobJournal {
-            journal: Journal::new(path),
-        }
+        JobJournal { path: path.into() }
     }
 
     /// The journal file path.
     pub fn path(&self) -> &Path {
-        self.journal.path()
+        &self.path
     }
 
     /// Reads the journal and reconstructs job state, tolerating torn
@@ -54,9 +55,21 @@ impl JobJournal {
     /// Only real I/O errors (permission, hardware); corruption is
     /// reported via [`Replay::skipped_lines`] instead.
     pub fn replay(&self) -> io::Result<Replay> {
-        let (latest, skipped_lines) = self
-            .journal
-            .replay(|line| JobRecord::from_json(&line).map(|rec| (rec.id, rec)))?;
+        self.open().map(|(replay, _)| replay)
+    }
+
+    /// Replays like [`JobJournal::replay`] and returns the [`Journal`]
+    /// that continues the file: its first write appends to a clean file
+    /// and snapshots anything else (see
+    /// [`Journal::snapshot_if_due`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`JobJournal::replay`].
+    pub(crate) fn open(&self) -> io::Result<(Replay, Journal)> {
+        let mut journal = Journal::new(&self.path);
+        let (latest, skipped_lines) =
+            journal.replay(|line| JobRecord::from_json(&line).map(|rec| (rec.id, rec)))?;
         let mut replay = Replay {
             skipped_lines,
             ..Replay::default()
@@ -68,7 +81,7 @@ impl JobJournal {
             }
             replay.records.push(rec);
         }
-        Ok(replay)
+        Ok((replay, journal))
     }
 
     /// Atomically replaces the journal file with one line per record
@@ -85,7 +98,7 @@ impl JobJournal {
         records: impl IntoIterator<Item = &'a JobRecord>,
     ) -> io::Result<()> {
         let records = records.into_iter().map(JobRecord::to_json_value);
-        Journal::new(self.path()).snapshot(records)
+        Journal::new(&self.path).snapshot(records)
     }
 }
 

@@ -19,7 +19,8 @@
 //!   itself; a failed job is never retried, as it would fail again;
 //! * [`journal`] — the job records' forgiving replay;
 //! * [`session`] — the shared in-memory LRU cache of preprocessed
-//!   graphs, keyed like [`gramer::PreprocessCache`];
+//!   graphs, keyed like [`gramer::PreprocessCache`], each with the
+//!   stored outputs that answer a repeated job without simulating it;
 //! * [`chaos`] — deterministic seeded fault injection (panics, delays)
 //!   used by the acceptance tests to *prove* the containment properties
 //!   instead of asserting them;

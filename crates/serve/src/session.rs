@@ -1,4 +1,5 @@
-//! Shared in-memory session cache for preprocessed graphs.
+//! Shared in-memory session cache: preprocessed graphs, and the
+//! finished outputs of the jobs run over them.
 //!
 //! Every job needs a [`Preprocessed`] (CSR + priority permutation +
 //! probe table), and preprocessing dominates small-job latency. The
@@ -9,21 +10,38 @@
 //! Two jobs with the same graph and the same tau/budget share one entry
 //! even if their simulator knobs (PU count, latency model) differ.
 //!
-//! Eviction is LRU by byte footprint: entries are charged their
-//! [`Preprocessed::footprint_bytes`] estimate and the least recently
-//! used entries are dropped until the cache fits its budget. A single
-//! oversized graph is still admitted (the budget bounds *retained*
-//! entries, not one job's working set).
+//! Each entry also stores the outputs of the jobs that finished over its
+//! graph, because a report is a pure function of (graph, app, config): a
+//! repeated job is answered from its stored output instead of being
+//! simulated again. Inside the entry an output matches on an
+//! `OutputKey`: the app string, the whole effective [`GramerConfig`]
+//! (compared with `==`) and the metrics flag. The deadline is not part
+//! of the key: it only decides whether a run times out, and an output
+//! is stored only from a run that finished. An output is the compact
+//! JSON text of the report, plus the telemetry rollup's when metrics
+//! were on; a hit parses it back, which reproduces the served bytes
+//! exactly (the journal's restart path relies on the same round trip).
+//! Failed, panicked and timed-out runs store nothing.
+//!
+//! Eviction is LRU by byte footprint: an entry is charged its
+//! [`Preprocessed::footprint_bytes`] estimate plus the text length of
+//! each stored output, and the least recently used entries are dropped,
+//! outputs and all, until the cache fits its budget. A single oversized
+//! graph is still admitted (the budget bounds *retained* entries, not
+//! one job's working set), but an output that would take its entry past
+//! the whole budget is not stored.
 //!
 //! Fault containment: a build failure is never cached — the lock is
 //! released while building, and only successful builds are inserted, so
 //! one poisoned graph file cannot wedge the cache for other jobs.
 
+use gramer::json::JsonValue;
 use gramer::{GramerConfig, Preprocessed};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Counters exposed on `/stats` (all monotonic).
+/// Counters exposed on `/stats` (all monotonic except the resident
+/// figures).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Lookups served from memory.
@@ -32,16 +50,40 @@ pub struct SessionStats {
     pub misses: u64,
     /// Entries dropped to fit the byte budget.
     pub evictions: u64,
-    /// Bytes currently retained.
+    /// Bytes currently retained, stored outputs included.
     pub resident_bytes: u64,
     /// Entries currently retained.
     pub entries: u64,
+    /// Jobs answered from a stored output.
+    pub report_hits: u64,
+    /// Stored outputs currently retained.
+    pub reports: u64,
+}
+
+/// What a stored output matches on inside its graph's entry.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OutputKey {
+    /// The job's application spec, as [`crate::JobSpec::app`] holds it.
+    pub(crate) app: String,
+    /// The job's whole effective configuration.
+    pub(crate) config: GramerConfig,
+    /// Whether the job records the telemetry rollup.
+    pub(crate) metrics: bool,
+}
+
+/// A finished job's output, as compact JSON text.
+struct Output {
+    key: OutputKey,
+    report: String,
+    metrics: Option<String>,
 }
 
 struct Entry {
     pre: Arc<Preprocessed>,
+    /// The graph's footprint plus its outputs' text.
     bytes: u64,
     last_used: u64,
+    outputs: Vec<Arc<Output>>,
 }
 
 struct Inner {
@@ -51,14 +93,16 @@ struct Inner {
 }
 
 /// A thread-safe LRU cache of `Arc<Preprocessed>` keyed like
-/// [`gramer::PreprocessCache`].
+/// [`gramer::PreprocessCache`], each entry with the finished outputs of
+/// its graph's jobs.
 pub struct SessionCache {
     budget_bytes: u64,
     inner: Mutex<Inner>,
 }
 
 impl SessionCache {
-    /// A cache retaining at most `budget_bytes` of preprocessed state.
+    /// A cache retaining at most `budget_bytes` of preprocessed state
+    /// and stored outputs.
     pub fn new(budget_bytes: u64) -> SessionCache {
         SessionCache {
             budget_bytes,
@@ -121,12 +165,67 @@ impl SessionCache {
                 pre: Arc::clone(&built),
                 bytes,
                 last_used: clock,
+                outputs: Vec::new(),
             },
         );
         inner.stats.resident_bytes += bytes;
         inner.stats.entries += 1;
         self.evict_to_budget(&mut inner, key);
         Ok((built, false))
+    }
+
+    /// The stored output matching `job` in entry `key`: the report and,
+    /// when metrics were on, the telemetry rollup, parsed back from their
+    /// text outside the lock. A hit counts in
+    /// [`SessionStats::report_hits`].
+    pub(crate) fn output(
+        &self,
+        key: u64,
+        job: &OutputKey,
+    ) -> Option<(JsonValue, Option<JsonValue>)> {
+        let stored = {
+            let inner = self.lock();
+            let entry = inner.entries.get(&key)?;
+            Arc::clone(entry.outputs.iter().find(|out| out.key == *job)?)
+        };
+        let report = JsonValue::parse(&stored.report).ok()?;
+        let metrics = stored.metrics.as_deref().map(JsonValue::parse);
+        let metrics = metrics.transpose().ok()?;
+        self.lock().stats.report_hits += 1;
+        Some((report, metrics))
+    }
+
+    /// Stores the output of a finished run of `job` in entry `key`. The
+    /// first insert wins, and nothing is stored when the entry is gone or
+    /// the output would take it past the whole budget; older entries are
+    /// evicted to make room.
+    pub(crate) fn store_output(
+        &self,
+        key: u64,
+        job: OutputKey,
+        report: &JsonValue,
+        metrics: Option<&JsonValue>,
+    ) {
+        let output = Output {
+            key: job,
+            report: report.to_string(),
+            metrics: metrics.map(JsonValue::to_string),
+        };
+        let bytes = (output.report.len() + output.metrics.as_ref().map_or(0, String::len)) as u64;
+        let mut inner = self.lock();
+        let Some(entry) = inner.entries.get_mut(&key) else {
+            return;
+        };
+        if entry.bytes + bytes > self.budget_bytes
+            || entry.outputs.iter().any(|out| out.key == output.key)
+        {
+            return;
+        }
+        entry.outputs.push(Arc::new(output));
+        entry.bytes += bytes;
+        inner.stats.resident_bytes += bytes;
+        inner.stats.reports += 1;
+        self.evict_to_budget(&mut inner, key);
     }
 
     /// Drops LRU entries (never `keep`) until the budget is met.
@@ -142,6 +241,7 @@ impl SessionCache {
             if let Some(entry) = inner.entries.remove(&victim) {
                 inner.stats.resident_bytes = inner.stats.resident_bytes.saturating_sub(entry.bytes);
                 inner.stats.entries -= 1;
+                inner.stats.reports -= entry.outputs.len() as u64;
                 inner.stats.evictions += 1;
             }
         }
@@ -230,5 +330,89 @@ mod tests {
             .get_or_build::<()>(5, || panic!("should be resident"))
             .expect("hit");
         assert!(warm);
+    }
+
+    fn job(app: &str) -> OutputKey {
+        OutputKey {
+            app: app.to_string(),
+            config: GramerConfig::default(),
+            metrics: false,
+        }
+    }
+
+    #[test]
+    fn outputs_are_charged_to_their_entry_and_evicted_with_it() {
+        let footprint = pre_for(1).footprint_bytes() as u64;
+        let report = JsonValue::parse("{\"cycles\": 123, \"app\": \"3-cf\"}").expect("json");
+        let report_bytes = report.to_string().len() as u64;
+        // Room for two graphs and their outputs, not three.
+        let budget = 2 * footprint + 4 * report_bytes;
+        let cache = SessionCache::new(budget);
+        cache
+            .get_or_build::<()>(1, || Ok(pre_for(1)))
+            .expect("build");
+        assert_eq!(cache.output(1, &job("3-cf")), None);
+        cache.store_output(1, job("3-cf"), &report, None);
+        // The first insert wins; a second store of the same key is a no-op.
+        cache.store_output(1, job("3-cf"), &report, None);
+        let stats = cache.stats();
+        assert_eq!((stats.reports, stats.report_hits), (1, 0));
+        assert_eq!(stats.resident_bytes, footprint + report_bytes);
+        assert_eq!(cache.output(1, &job("3-cf")), Some((report.clone(), None)));
+        assert_eq!(cache.output(1, &job("3-mc")), None);
+        let slots = OutputKey {
+            config: GramerConfig {
+                slots_per_pu: 8,
+                ..GramerConfig::default()
+            },
+            ..job("3-cf")
+        };
+        assert_eq!(cache.output(1, &slots), None);
+        let metrics = OutputKey {
+            metrics: true,
+            ..job("3-cf")
+        };
+        assert_eq!(cache.output(1, &metrics), None);
+        assert_eq!(cache.output(2, &job("3-cf")), None, "no entry 2");
+        assert_eq!(cache.stats().report_hits, 1);
+
+        cache
+            .get_or_build::<()>(2, || Ok(pre_for(2)))
+            .expect("build");
+        cache.store_output(2, job("3-cf"), &report, Some(&report));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.reports), (2, 2));
+        assert_eq!(stats.resident_bytes, 2 * footprint + 3 * report_bytes);
+        assert!(stats.resident_bytes <= budget);
+        // A third graph evicts the least recently used, outputs and all.
+        cache
+            .get_or_build::<()>(3, || Ok(pre_for(3)))
+            .expect("build");
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.reports, stats.evictions), (2, 1, 1));
+        assert!(stats.resident_bytes <= budget);
+        assert_eq!(
+            cache.output(1, &job("3-cf")),
+            None,
+            "evicted with its graph"
+        );
+        assert_eq!(
+            cache.output(2, &job("3-cf")),
+            Some((report.clone(), Some(report)))
+        );
+    }
+
+    #[test]
+    fn an_output_past_the_whole_budget_is_not_stored() {
+        let footprint = pre_for(1).footprint_bytes() as u64;
+        let cache = SessionCache::new(footprint + 8);
+        cache
+            .get_or_build::<()>(1, || Ok(pre_for(1)))
+            .expect("build");
+        let report = JsonValue::parse("{\"cycles\": 123456789}").expect("json");
+        cache.store_output(1, job("3-cf"), &report, None);
+        let stats = cache.stats();
+        assert_eq!((stats.reports, stats.resident_bytes), (0, footprint));
+        assert_eq!(cache.output(1, &job("3-cf")), None);
     }
 }

@@ -15,25 +15,30 @@
 //!    way whatever the host speed. Simulator errors become `failed` with
 //!    the [`gramer::SimError::kind`] tag; over-budget submissions become
 //!    `rejected` records. Nothing is silently dropped.
-//! 3. **State survives restarts.** Each transition is one synced append
-//!    to a [`gramer::supervise::Journal`], whose snapshots are amortized,
-//!    so a transition costs O(1) however many jobs the daemon holds. On
-//!    start the journal is replayed, terminal results are restored
-//!    verbatim, and interrupted jobs are re-queued. A journal *write*
-//!    failure degrades the daemon to in-memory operation (with a stderr
-//!    warning) until a later snapshot succeeds, rather than failing jobs
-//!    — durability is best-effort, execution is not.
+//! 3. **State survives restarts.** Admission and the terminal state are
+//!    each one synced append to a [`gramer::supervise::Journal`], whose
+//!    snapshots are amortized, so a transition costs O(1) however many
+//!    jobs the daemon holds. `running` is set in memory only: replay
+//!    re-queues a `queued` job and a `running` one alike. On start the
+//!    journal is replayed, terminal results are restored verbatim, and
+//!    interrupted jobs are re-queued; a clean journal is appended to as
+//!    it is. A journal *write* failure degrades the daemon to in-memory
+//!    operation (with a stderr warning) until a later snapshot succeeds,
+//!    rather than failing jobs — durability is best-effort, execution is
+//!    not.
 //! 4. **Back-pressure is explicit.** A full queue rejects new work with
 //!    a typed error the HTTP layer maps to 429; it never blocks the
 //!    accept loop or grows without bound.
 //!
 //! Nothing is retried: a job is a pure function of (graph, app, config),
-//! so a failed run would fail again.
+//! so a failed run would fail again. For the same reason a finished
+//! run's output is kept in the [`SessionCache`] entry of its graph, and
+//! a repeated job is completed from it without simulating.
 
 use crate::chaos::ChaosConfig;
 use crate::job::{run_app_spec, GraphSource, JobError, JobRecord, JobSpec, JobStatus};
 use crate::journal::JobJournal;
-use crate::session::SessionCache;
+use crate::session::{OutputKey, SessionCache};
 use gramer::json::JsonValue;
 use gramer::supervise::{self, Journal};
 use gramer::telemetry::TelemetryConfig;
@@ -114,19 +119,33 @@ struct Jobs {
     journal: Option<Journal>,
 }
 
+/// What [`Jobs::persist`] journals.
+#[derive(Clone, Copy)]
+enum Persist {
+    /// The change to one record.
+    Change(u64),
+    /// Start: a snapshot of every record, unless the replay found the
+    /// file clean.
+    Open,
+    /// Drain: a snapshot of every record.
+    Drain,
+}
+
 impl Jobs {
-    /// Journals the change to record `id`, or with `None` snapshots every
-    /// record (start and drain). A failure is counted by the journal and
-    /// warned about once; it never fails a job.
-    fn persist(&mut self, id: Option<u64>) {
+    /// Journals `what`. A failure is counted by the journal and warned
+    /// about once; it never fails a job.
+    fn persist(&mut self, what: Persist) {
         let Some(journal) = &mut self.journal else {
             return;
         };
         let live = self.records.values().map(JobRecord::to_json_value);
-        let written = match id.map(|id| self.records.get(&id)) {
-            None => journal.snapshot(live),
-            Some(Some(record)) => journal.write(&record.to_json_value(), live),
-            Some(None) => return,
+        let written = match what {
+            Persist::Change(id) => match self.records.get(&id) {
+                Some(record) => journal.write(&record.to_json_value(), live),
+                None => return,
+            },
+            Persist::Open => journal.snapshot_if_due(live),
+            Persist::Drain => journal.snapshot(live),
         };
         if let Err(e) = written {
             if journal.stats().errors == 1 {
@@ -182,10 +201,11 @@ impl Supervisor {
             queue: VecDeque::new(),
             next_id: 1,
             shutting_down: false,
-            journal: cfg.journal_path.clone().map(Journal::new),
+            journal: None,
         };
         if let Some(path) = &cfg.journal_path {
-            let replay = JobJournal::new(path).replay()?;
+            let (replay, journal) = JobJournal::new(path).open()?;
+            jobs.journal = Some(journal);
             if replay.skipped_lines > 0 {
                 eprintln!(
                     "gramer-serve: journal replay skipped {} corrupt line(s)",
@@ -198,12 +218,12 @@ impl Supervisor {
             }
             jobs.queue.extend(&replay.requeued);
         }
-        // Snapshot unconditionally at start. It makes a replayed
-        // `running` record durably `queued` again before a worker picks
-        // it up, and it drops a torn last line left by a crash
-        // mid-append: the first append would otherwise be glued onto
-        // that line and become unreadable too.
-        jobs.persist(None);
+        // A clean journal is appended to as it is. Anything else is
+        // snapshotted now: that drops a torn last line left by a crash
+        // mid-append, which the first append would otherwise be glued
+        // onto. A replayed `running` record needs no rewrite: replay
+        // re-queues it again after any later crash.
+        jobs.persist(Persist::Open);
         let shared = Arc::new(Shared {
             session: SessionCache::new(cfg.session_cache_bytes),
             jobs: Mutex::new(jobs),
@@ -269,7 +289,7 @@ impl Supervisor {
         }
         let snapshot = record.clone();
         jobs.records.insert(id, record);
-        jobs.persist(Some(id));
+        jobs.persist(Persist::Change(id));
         drop(jobs);
         self.shared.cvar.notify_one();
         Ok(snapshot)
@@ -388,6 +408,8 @@ impl Supervisor {
                     ("evictions", JsonValue::from(s.evictions)),
                     ("resident_bytes", JsonValue::from(s.resident_bytes)),
                     ("entries", JsonValue::from(s.entries)),
+                    ("report_hits", JsonValue::from(s.report_hits)),
+                    ("reports", JsonValue::from(s.reports)),
                 ]),
             ),
         ])
@@ -412,7 +434,7 @@ impl Supervisor {
         for handle in workers {
             let _ = handle.join();
         }
-        self.shared.lock_jobs().persist(None);
+        self.shared.lock_jobs().persist(Persist::Drain);
     }
 }
 
@@ -431,7 +453,7 @@ impl Shared {
         if let Some(rec) = jobs.records.get_mut(&id) {
             f(rec);
         }
-        jobs.persist(Some(id));
+        jobs.persist(Persist::Change(id));
     }
 }
 
@@ -464,15 +486,19 @@ struct JobOutput {
     report_json: JsonValue,
     metrics_json: Option<JsonValue>,
     cache_hit: bool,
+    /// Where to store the output once the run has ended `Ok`; `None`
+    /// when it came from the store.
+    store: Option<(u64, OutputKey)>,
 }
 
 fn run_job(shared: &Shared, id: u64) {
-    let Some(spec_json) = shared
-        .lock_jobs()
-        .records
-        .get(&id)
-        .map(|r| r.spec_json.clone())
-    else {
+    // `running` is set in memory only: replay re-queues a `running`
+    // record as it does a `queued` one, so a synced line for it would
+    // buy no recovery.
+    let Some(spec_json) = shared.lock_jobs().records.get_mut(&id).map(|r| {
+        r.status = JobStatus::Running;
+        r.spec_json.clone()
+    }) else {
         return;
     };
     let spec = match JobSpec::from_json(&spec_json) {
@@ -492,13 +518,25 @@ fn run_job(shared: &Shared, id: u64) {
     let cfg = &shared.cfg;
     let deadline = spec.deadline.unwrap_or(cfg.default_deadline);
     let max_steps = (cfg.max_steps > 0).then_some(cfg.max_steps);
-    shared.update_record(id, |rec| rec.status = JobStatus::Running);
 
     let token = progress::ProgressToken::with_budget(Some(deadline), max_steps);
     let outcome = supervise::run_quarantined(|| {
         let _guard = progress::install(token);
         cfg.chaos.inject(id);
-        let (pre, cache_hit) = resolve_preprocessed(shared, &spec)?;
+        let (key, pre, cache_hit) = resolve_preprocessed(shared, &spec)?;
+        let job = OutputKey {
+            app: spec.app.clone(),
+            config: spec.config.clone(),
+            metrics: spec.metrics,
+        };
+        if let Some((report_json, metrics_json)) = shared.session.output(key, &job) {
+            return Ok(JobOutput {
+                report_json,
+                metrics_json,
+                cache_hit,
+                store: None,
+            });
+        }
         let window = spec
             .metrics
             .then(|| TelemetryConfig::default().window_cycles);
@@ -507,11 +545,17 @@ fn run_job(shared: &Shared, id: u64) {
             report_json: report.to_json_value(),
             metrics_json: tel.map(|t| t.to_json_value()),
             cache_hit,
+            store: Some((key, job)),
         })
     });
 
     let (status, error) = match outcome {
         supervise::Outcome::Ok(out) => {
+            if let Some((key, job)) = out.store {
+                shared
+                    .session
+                    .store_output(key, job, &out.report_json, out.metrics_json.as_ref());
+            }
             shared.update_record(id, |rec| {
                 rec.status = JobStatus::Completed;
                 rec.error = None;
@@ -558,49 +602,53 @@ fn finish(shared: &Shared, id: u64, status: JobStatus, error: Option<JobError>) 
     });
 }
 
-/// Resolves the job's graph through the shared session cache. The
-/// cache key combines a digest of the *source* (file bytes, inline
-/// text, or generator spec string) with the preprocessing-relevant
-/// config knobs, mirroring [`gramer::PreprocessCache`].
+/// Resolves the job's graph through the shared session cache; returns
+/// the entry's key, the graph and whether it was a warm hit. The cache
+/// key combines a digest of the *source* (file bytes, inline text, or
+/// generator spec string) with the preprocessing-relevant config knobs,
+/// mirroring [`gramer::PreprocessCache`].
 fn resolve_preprocessed(
     shared: &Shared,
     spec: &JobSpec,
-) -> Result<(Arc<Preprocessed>, bool), SimError> {
-    match &spec.graph {
+) -> Result<(u64, Arc<Preprocessed>, bool), SimError> {
+    let (session, config) = (&shared.session, &spec.config);
+    let (key, resolved) = match &spec.graph {
         GraphSource::Gen(gen_spec) => {
             let digest = artifact::fnv1a(format!("gen:{gen_spec}").as_bytes());
-            let key = SessionCache::key(digest, &spec.config);
-            shared.session.get_or_build(key, || {
+            let key = SessionCache::key(digest, config);
+            let resolved = session.get_or_build(key, || {
                 let graph = generate::named(gen_spec)?;
-                Ok(gramer::preprocess(&graph, &spec.config)?)
-            })
+                Ok(gramer::preprocess(&graph, config)?)
+            });
+            (key, resolved)
         }
         GraphSource::Inline(text) => {
-            let digest = artifact::fnv1a(text.as_bytes());
-            let key = SessionCache::key(digest, &spec.config);
-            shared.session.get_or_build(key, || {
+            let key = SessionCache::key(artifact::fnv1a(text.as_bytes()), config);
+            let resolved = session.get_or_build(key, || {
                 let graph = io::read_edge_list(text.as_bytes())?;
-                Ok(gramer::preprocess(&graph, &spec.config)?)
-            })
+                Ok(gramer::preprocess(&graph, config)?)
+            });
+            (key, resolved)
         }
         GraphSource::EdgeList(path) => {
             let bytes = std::fs::read(path)
                 .map_err(|e| SimError::App(format!("cannot read {}: {e}", path.display())))?;
-            let digest = artifact::fnv1a(&bytes);
-            let key = SessionCache::key(digest, &spec.config);
-            shared.session.get_or_build(key, || {
+            let key = SessionCache::key(artifact::fnv1a(&bytes), config);
+            let resolved = session.get_or_build(key, || {
                 let graph = io::read_edge_list(&bytes[..])?;
-                Ok(gramer::preprocess(&graph, &spec.config)?)
-            })
+                Ok(gramer::preprocess(&graph, config)?)
+            });
+            (key, resolved)
         }
         GraphSource::Artifact(path) => {
             let art = gramer_graph::GraphArtifact::open(path)?;
-            let key = SessionCache::key(art.payload_digest(), &spec.config);
-            shared
-                .session
-                .get_or_build(key, || Preprocessed::from_artifact(&art, &spec.config))
+            let key = SessionCache::key(art.payload_digest(), config);
+            let resolved = session.get_or_build(key, || Preprocessed::from_artifact(&art, config));
+            (key, resolved)
         }
-    }
+    };
+    let (pre, hit) = resolved?;
+    Ok((key, pre, hit))
 }
 
 #[cfg(test)]
@@ -689,16 +737,20 @@ mod tests {
             ..SupervisorConfig::default()
         })
         .expect("start");
-        let rec = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
-        let rec = wait(&supervisor, rec.id);
-        assert_eq!(rec.status, JobStatus::Panicked);
-        let error = rec.error.expect("typed error");
-        assert_eq!(error.kind, "panic");
-        assert!(
-            error.message.contains("injected panic"),
-            "{}",
-            error.message
-        );
+        // A repeated spec panics every time: the injection comes before
+        // the output store, and a panicked run stores nothing.
+        for _ in 0..2 {
+            let rec = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
+            let rec = wait(&supervisor, rec.id);
+            assert_eq!(rec.status, JobStatus::Panicked);
+            let error = rec.error.expect("typed error");
+            assert_eq!(error.kind, "panic");
+            assert!(
+                error.message.contains("injected panic"),
+                "{}",
+                error.message
+            );
+        }
         // The daemon survives: the supervisor still answers (panic=1000
         // would fault any further job too, so assert liveness via stats).
         assert_eq!(
@@ -706,8 +758,9 @@ mod tests {
                 .stats_json()
                 .get("panicked")
                 .and_then(JsonValue::as_u64),
-            Some(1)
+            Some(2)
         );
+        assert_eq!(session_stats(&supervisor), (0, 0));
         supervisor.shutdown_and_join();
     }
 
@@ -729,6 +782,7 @@ mod tests {
         let error = rec.error.expect("typed error");
         assert_eq!(error.kind, "timeout");
         assert_eq!(error.message, "deadline of 0.200s exceeded");
+        assert_eq!(session_stats(&supervisor), (0, 0), "a timed-out run stored");
         supervisor.shutdown_and_join();
     }
 
@@ -770,6 +824,14 @@ mod tests {
                     format!("step budget of {max_steps} heartbeat ticks exhausted")
                 );
             }
+            // A run the budget ended stores nothing, so each repeat ran
+            // again; once one finished, the repeats came from the store.
+            let want = if max_steps == heartbeat {
+                (4, 1)
+            } else {
+                (0, 0)
+            };
+            assert_eq!(session_stats(&supervisor), want, "max_steps {max_steps}");
             supervisor.shutdown_and_join();
         }
     }
@@ -882,38 +944,45 @@ mod tests {
             journal_path: Some(journal_path.clone()),
             ..SupervisorConfig::default()
         };
-        let supervisor = Supervisor::start(cfg.clone()).expect("start");
         let apps = ["3-cf", "3-mc", "4-cf"];
-        let ids: Vec<u64> = (0..JOBS)
-            .map(|i| {
-                submit_json(&supervisor, &small_job(apps[i % apps.len()]))
-                    .expect("submit")
-                    .id
-            })
-            .collect();
-        let reports: Vec<String> = ids
-            .iter()
-            .map(|&id| {
+        let (mut ids, mut reports) = (Vec::new(), Vec::new());
+        // Two generations, each crashed with no drain snapshot; the
+        // second restarts over the first's clean journal and appends.
+        for generation in 0..2 {
+            let supervisor = Supervisor::start(cfg.clone()).expect("start");
+            if generation > 0 {
+                assert_eq!(stat(&supervisor, "journal_snapshots"), 0);
+            }
+            let fresh: Vec<u64> = (0..JOBS)
+                .map(|i| {
+                    submit_json(&supervisor, &small_job(apps[i % apps.len()]))
+                        .expect("submit")
+                        .id
+                })
+                .collect();
+            for &id in &fresh {
                 let rec = wait(&supervisor, id);
                 assert_eq!(rec.status, JobStatus::Completed);
-                rec.report_json.expect("report").to_string()
-            })
-            .collect();
-        let appends = stat(&supervisor, "journal_appends");
-        let snapshots = stat(&supervisor, "journal_snapshots");
-        assert_eq!(stat(&supervisor, "journal_errors"), 0);
-        drop(supervisor); // simulated crash: no drain snapshot
+                reports.push(rec.report_json.expect("report").to_string());
+            }
+            ids.extend(fresh);
+            let appends = stat(&supervisor, "journal_appends");
+            let snapshots = stat(&supervisor, "journal_snapshots");
+            assert_eq!(stat(&supervisor, "journal_errors"), 0);
+            drop(supervisor); // simulated crash: no drain snapshot
 
-        assert!(
-            snapshots <= 1 + appends / COMPACT_MIN_APPENDS as u64,
-            "{snapshots} snapshots for {appends} appends"
-        );
-        let text = std::fs::read_to_string(&journal_path).expect("journal");
-        let lines = text.lines().count();
-        assert!(
-            lines <= 2 * JOBS + COMPACT_MIN_APPENDS,
-            "{lines} lines for {JOBS} records"
-        );
+            assert!(
+                snapshots <= 1 + appends / COMPACT_MIN_APPENDS as u64,
+                "{snapshots} snapshots for {appends} appends"
+            );
+            let text = std::fs::read_to_string(&journal_path).expect("journal");
+            let lines = text.lines().count();
+            assert!(
+                lines <= 2 * ids.len() + COMPACT_MIN_APPENDS,
+                "{lines} lines for {} records",
+                ids.len()
+            );
+        }
         let supervisor =
             Supervisor::start(SupervisorConfig { workers: 0, ..cfg }).expect("restart");
         for (&id, report) in ids.iter().zip(&reports) {
@@ -951,6 +1020,149 @@ mod tests {
         assert_eq!(ids, [first.id, second.id]);
         assert_eq!(stat(&supervisor, "journal_errors"), 0);
         assert_eq!(stat(&supervisor, "journal_snapshots"), 2);
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The session cache's `(report_hits, reports)`.
+    fn session_stats(supervisor: &Supervisor) -> (u64, u64) {
+        let s = supervisor.shared.session.stats();
+        (s.report_hits, s.reports)
+    }
+
+    /// The journal lines whose record has id `id`.
+    fn lines_for(path: &std::path::Path, id: u64) -> usize {
+        std::fs::read_to_string(path)
+            .expect("journal")
+            .lines()
+            .filter_map(|line| JsonValue::parse(line).ok())
+            .filter(|doc| doc.get("id").and_then(JsonValue::as_u64) == Some(id))
+            .count()
+    }
+
+    #[test]
+    fn a_completed_job_leaves_two_journal_lines() {
+        let dir = journal_dir("two-lines");
+        let journal_path = dir.join("jobs.jsonl");
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            journal_path: Some(journal_path.clone()),
+            ..SupervisorConfig::default()
+        })
+        .expect("start");
+        let rec = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
+        assert_eq!(wait(&supervisor, rec.id).status, JobStatus::Completed);
+        // Read before the drain snapshot compacts the file: admission
+        // and completion, and no line for `running`.
+        assert_eq!(lines_for(&journal_path, rec.id), 2);
+        assert_eq!(stat(&supervisor, "journal_appends"), 2);
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_restart_over_a_clean_journal_rewrites_nothing() {
+        let dir = journal_dir("clean-restart");
+        let journal_path = dir.join("jobs.jsonl");
+        let cfg = SupervisorConfig {
+            workers: 1,
+            journal_path: Some(journal_path.clone()),
+            ..SupervisorConfig::default()
+        };
+        let supervisor = Supervisor::start(cfg.clone()).expect("start");
+        let done = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
+        assert_eq!(wait(&supervisor, done.id).status, JobStatus::Completed);
+        drop(supervisor); // simulated crash: the appended lines stay
+        let before = std::fs::read_to_string(&journal_path).expect("journal");
+
+        let supervisor =
+            Supervisor::start(SupervisorConfig { workers: 0, ..cfg }).expect("restart");
+        assert_eq!(
+            std::fs::read_to_string(&journal_path).expect("journal"),
+            before
+        );
+        assert_eq!(stat(&supervisor, "journal_snapshots"), 0);
+        // The first state change appends its one line to those bytes.
+        let queued = submit_json(&supervisor, &small_job("3-mc")).expect("submit");
+        let expected = format!("{before}{}\n", queued.to_json_value());
+        assert_eq!(
+            std::fs::read_to_string(&journal_path).expect("journal"),
+            expected
+        );
+        assert_eq!(
+            (
+                stat(&supervisor, "journal_appends"),
+                stat(&supervisor, "journal_snapshots")
+            ),
+            (1, 0)
+        );
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stored_output_matches_on_app_config_metrics_and_graph_bytes() {
+        let dir = journal_dir("store");
+        let graph = dir.join("g.txt");
+        let edges = |seed: u64| {
+            let g = generate::barabasi_albert(80, 3, seed);
+            (0..g.num_vertices() as u32)
+                .flat_map(|u| {
+                    g.neighbors(u)
+                        .iter()
+                        .filter(move |&&v| u < v)
+                        .map(move |&v| format!("{u} {v}\n"))
+                })
+                .collect::<String>()
+        };
+        std::fs::write(&graph, edges(1)).expect("graph");
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            ..SupervisorConfig::default()
+        })
+        .expect("start");
+        let spec = |extra: &str| {
+            format!(
+                "{{\"graph\": {{\"edge_list\": \"{}\"}}, \"app\": \"3-cf\"{extra}}}",
+                graph.display()
+            )
+        };
+        let base = spec("");
+        let slots = spec(", \"config\": {\"slots\": 8}");
+        let metrics = spec(", \"metrics\": true");
+        // Each step: the spec, and (report_hits, reports) after it.
+        let steps = [
+            (&base, (0, 1)),
+            (&base, (1, 1)),
+            (&slots, (1, 2)),
+            (&metrics, (1, 3)),
+            (&metrics, (2, 3)),
+            (&base, (3, 3)),
+        ];
+        let check = |text: &str, want: (u64, u64)| {
+            let rec = submit_json(&supervisor, text).expect("submit");
+            let rec = wait(&supervisor, rec.id);
+            assert_eq!(rec.status, JobStatus::Completed, "{text}");
+            assert_eq!(session_stats(&supervisor), want, "{text}");
+            // Every report equals a fresh in-process run of its spec.
+            let spec = JobSpec::from_json(&JsonValue::parse(text).expect("json")).expect("spec");
+            let bytes = std::fs::read(&graph).expect("graph");
+            let g = io::read_edge_list(&bytes[..]).expect("parse");
+            let pre = gramer::preprocess(&g, &spec.config).expect("preprocess");
+            let window = spec
+                .metrics
+                .then(|| TelemetryConfig::default().window_cycles);
+            let (report, tel) =
+                run_app_spec(&spec.app, &pre, spec.config.clone(), window).expect("run");
+            assert_eq!(rec.report_json, Some(report.to_json_value()), "{text}");
+            assert_eq!(rec.metrics_json, tel.map(|t| t.to_json_value()), "{text}");
+        };
+        for (text, want) in steps {
+            check(text, want);
+        }
+        // The same path with other bytes is another graph: a miss.
+        std::fs::write(&graph, edges(2)).expect("rewrite graph");
+        check(&base, (3, 4));
         supervisor.shutdown_and_join();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -63,7 +63,8 @@ fn direct_report_bytes(gen_spec: &str, app: &str) -> String {
 #[test]
 fn served_reports_are_byte_identical_to_direct_runs() {
     // The two golden workloads of the artifact stage: golden-ba under
-    // 4-clique finding, golden-rmat under 3-motif counting.
+    // 4-clique finding, golden-rmat under 3-motif counting; then
+    // golden-ba again, answered from its stored output.
     let (addr, shutdown, handle) = spawn(ServerConfig {
         supervisor: SupervisorConfig {
             workers: 2,
@@ -71,7 +72,11 @@ fn served_reports_are_byte_identical_to_direct_runs() {
         },
         ..ServerConfig::default()
     });
-    for (gen_spec, app) in [("golden-ba", "4-cf"), ("golden-rmat", "3-mc")] {
+    for (gen_spec, app) in [
+        ("golden-ba", "4-cf"),
+        ("golden-rmat", "3-mc"),
+        ("golden-ba", "4-cf"),
+    ] {
         let spec = format!("{{\"graph\": {{\"gen\": \"{gen_spec}\"}}, \"app\": \"{app}\"}}");
         let (status, doc) = submit(&addr, &spec);
         assert_eq!(status, 202);
@@ -91,6 +96,15 @@ fn served_reports_are_byte_identical_to_direct_runs() {
             "served report for {gen_spec}/{app} must be byte-identical to a direct run"
         );
     }
+    let (_, stats) = http::request(&addr, "GET", "/stats", None).expect("stats");
+    let stats = JsonValue::parse(&stats).expect("json");
+    let cache = stats.get("session_cache").expect("session_cache");
+    assert_eq!(
+        cache.get("report_hits").and_then(JsonValue::as_u64),
+        Some(1)
+    );
+    assert_eq!(cache.get("reports").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(stats.get("completed").and_then(JsonValue::as_u64), Some(3));
     shutdown.request();
     handle.join().expect("join");
 }

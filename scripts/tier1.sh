@@ -24,9 +24,11 @@
 #           brute force), plus a gramer-mine --query / gramer-query CLI
 #           smoke
 #   doc     cargo doc --no-deps            (rustdoc, warnings denied)
-#   clippy  clippy on the library crates   (unwrap/expect denied: failures
-#           must flow through the typed error taxonomy, not panic; the
-#           perf lints warn so hot-path regressions surface in review)
+#   clippy  clippy on every workspace target with warnings denied (the
+#           default lints), then on the library crates with unwrap/expect
+#           denied (failures must flow through the typed error taxonomy,
+#           not panic; the perf lints warn so hot-path regressions
+#           surface in review)
 #   bench   gramer-bench as it ships: `perf --quick --repeats 1` (the
 #           pinned cells, with their repeat-drift assertions), then every
 #           sweep once at --quick on 2 jobs, each of which must exit 0;
@@ -47,9 +49,11 @@
 #   serve   gramer-serve daemon end-to-end: both golden workloads over
 #           HTTP byte-identical to gramer-mine --json, injected-panic
 #           containment, queue-full back-pressure, SIGTERM drain with an
-#           intact journal, and kill -9 recovery: a restart over the
-#           appended (never drained) journal serves both reports
-#           byte-identical again; a --max-steps 1 job ends timed_out
+#           intact journal, and kill -9 recovery: both golden jobs run
+#           twice on one daemon, the repeats answered from the stored
+#           outputs (byte-identical again, /stats report_hits 2), then a
+#           restart over the appended (never drained) journal serves the
+#           latest jobs' reports byte-identical; a --max-steps 1 job ends timed_out
 #           however fast it runs, --deadline -1 is a usage error, and a
 #           daemon under an 8 GiB address-space limit ends the inline
 #           job `0 4294967294` failed with kind graph-too-large and
@@ -121,6 +125,8 @@ stage_doc() {
 }
 
 stage_clippy() {
+    echo "== tier1: clippy on every workspace target (warnings denied)"
+    cargo clippy -q --workspace --all-targets -- -D warnings
     echo "== tier1: clippy unwrap/expect gate on library crates"
     cargo clippy -q -p gramer -p gramer-graph -p gramer-memsim -p gramer-mining \
         -p gramer-serve --lib -- \
@@ -308,13 +314,21 @@ stage_serve() {
     }
 
     # The drain above compacts the journal into a snapshot; only a crash
-    # leaves the appended lines for the next start to replay.
-    echo "   -- kill -9, then a restart over the same journal serves both reports again"
+    # leaves the appended lines for the next start to replay. The second
+    # round of the same two jobs is answered from the stored outputs.
+    echo "   -- both jobs twice (the repeats from the stored outputs), kill -9, then a restart serves both reports again"
     "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr-killed" --workers 2 \
         --journal "$tmp/killed.jsonl" 2>> "$tmp/daemon.log" &
     pid=$!
     addr="$(wait_addr_file "$tmp/addr-killed" "$tmp/daemon.log")"
     serve_goldens "$tmp" "$addr"
+    serve_goldens "$tmp" "$addr"
+    "$serve" client --addr "$addr" stats > "$tmp/stats.json"
+    grep -q '"report_hits":[[:space:]]*2[^0-9]' "$tmp/stats.json" || {
+        echo "tier1 serve: the repeated jobs were not answered from the stored outputs:" >&2
+        cat "$tmp/stats.json" >&2
+        exit 1
+    }
     kill -KILL "$pid"
     wait "$pid" 2> /dev/null || true
     # No workers: the reports must come from the journal, not a re-run.

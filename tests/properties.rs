@@ -407,7 +407,7 @@ fn explorer_split_conserves_embeddings() {
                         _ => {}
                     }
                     steps += 1;
-                    if steps % cut == 0 {
+                    if steps.is_multiple_of(cut) {
                         if let Some(thief) = ex.split() {
                             pool.push(thief);
                         }

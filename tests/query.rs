@@ -143,7 +143,7 @@ fn pinned_queries_filtered_embeddings_are_bit_identical() {
     let pre = preprocess(&graph, &GramerConfig::default()).unwrap();
     for pq in PINNED {
         let query = QueryGraph::from_spec(pq.spec).unwrap();
-        let app = QueryApp::new(query.clone()).unwrap();
+        let app = QueryApp::new(query).unwrap();
         let candidates = CandidateSets::build(&pre.graph, &query);
         let mut filter = CandidateFilter::new(&candidates);
         let brute = canonical(enumerate_matches(&pre.graph, &app, None));
@@ -202,7 +202,7 @@ fn prop_filtered_enumeration_equals_unfiltered() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_labeled_graph(&mut rng);
         let query = random_connected_query(&mut rng, 4);
-        let app = QueryApp::new(query.clone()).expect("valid query");
+        let app = QueryApp::new(query).expect("valid query");
         let candidates = CandidateSets::build(&graph, &query);
         let mut filter = CandidateFilter::new(&candidates);
         let brute = canonical(enumerate_matches(&graph, &app, None));
@@ -243,7 +243,7 @@ fn prop_candidate_sets_cover_all_matched_vertices() {
         // The filtered simulator path must agree end-to-end as well.
         let cfg = GramerConfig::default();
         let pre = preprocess(&graph, &cfg).unwrap();
-        let app = QueryApp::new(query.clone()).expect("valid query");
+        let app = QueryApp::new(query).expect("valid query");
         let brute = Simulator::new(&pre, cfg.clone())
             .unwrap()
             .run(&app)

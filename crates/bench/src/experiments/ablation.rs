@@ -15,12 +15,15 @@
 //! 8. runtime scratchpad re-pinning vs the static ON1 pin set at
 //!    constrained capacity.
 
+use crate::{rule, AppVariant, Harness, PointOutput, PointRecord, Sweep, SweepResult};
+use gramer::json::JsonValue;
 use gramer::pipeline::{clock_rate_mhz, AncestorMode};
 use gramer::{GramerConfig, MemoMode, MemoryBudget, MemoryMode};
-use gramer_bench::{rule, AppVariant, Harness, PointOutput, PointRecord, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_memsim::LatencyConfig;
-use std::process::ExitCode;
+
+const DATASET: Dataset = Dataset::P2p;
+const VARIANT: AppVariant = AppVariant::Cf(4);
 
 fn constrained(budget: bool) -> GramerConfig {
     if budget {
@@ -36,64 +39,63 @@ fn constrained(budget: bool) -> GramerConfig {
 /// One simulated study: its name and the config it runs.
 type Study = (&'static str, fn() -> GramerConfig);
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
-    let d = Dataset::P2p;
-    let variant = AppVariant::Cf(4);
-    let app = variant.name(d, h.scale);
+/// Every simulated study is one point; the "default" run doubles as the
+/// baseline of studies 1 and 2.
+const STUDIES: [Study; 11] = [
+    ("default", || constrained(false)),
+    ("shared-port", || GramerConfig {
+        latency: LatencyConfig {
+            ports_per_bank: 1,
+            ..LatencyConfig::default()
+        },
+        ..GramerConfig::default()
+    }),
+    ("static-dispatch", || GramerConfig {
+        static_dispatch: true,
+        ..GramerConfig::default()
+    }),
+    ("prefetch-on", || GramerConfig {
+        next_line_prefetch: true,
+        ..constrained(true)
+    }),
+    ("prefetch-off", || GramerConfig {
+        next_line_prefetch: false,
+        ..constrained(true)
+    }),
+    ("lamh", || GramerConfig {
+        memory_mode: MemoryMode::Lamh,
+        ..constrained(true)
+    }),
+    ("static-lru", || GramerConfig {
+        memory_mode: MemoryMode::StaticLru,
+        ..constrained(true)
+    }),
+    ("memo-on", || GramerConfig {
+        memo: MemoMode::On {
+            bytes: gramer_mining::DEFAULT_MEMO_BYTES,
+        },
+        ..GramerConfig::default()
+    }),
+    ("adaptive-lambda", || GramerConfig {
+        memory_mode: MemoryMode::Lamh,
+        adaptive_lambda: true,
+        ..constrained(true)
+    }),
+    ("repin-off", || constrained(true)),
+    ("repin-on", || GramerConfig {
+        repin: true,
+        ..constrained(true)
+    }),
+];
 
-    // Every simulated study is one point; the "default" run doubles as
-    // the baseline of studies 1 and 2.
-    let configs: [Study; 11] = [
-        ("default", || constrained(false)),
-        ("shared-port", || GramerConfig {
-            latency: LatencyConfig {
-                ports_per_bank: 1,
-                ..LatencyConfig::default()
-            },
-            ..GramerConfig::default()
-        }),
-        ("static-dispatch", || GramerConfig {
-            static_dispatch: true,
-            ..GramerConfig::default()
-        }),
-        ("prefetch-on", || GramerConfig {
-            next_line_prefetch: true,
-            ..constrained(true)
-        }),
-        ("prefetch-off", || GramerConfig {
-            next_line_prefetch: false,
-            ..constrained(true)
-        }),
-        ("lamh", || GramerConfig {
-            memory_mode: MemoryMode::Lamh,
-            ..constrained(true)
-        }),
-        ("static-lru", || GramerConfig {
-            memory_mode: MemoryMode::StaticLru,
-            ..constrained(true)
-        }),
-        ("memo-on", || GramerConfig {
-            memo: MemoMode::On {
-                bytes: gramer_mining::DEFAULT_MEMO_BYTES,
-            },
-            ..GramerConfig::default()
-        }),
-        ("adaptive-lambda", || GramerConfig {
-            memory_mode: MemoryMode::Lamh,
-            adaptive_lambda: true,
-            ..constrained(true)
-        }),
-        ("repin-off", || constrained(true)),
-        ("repin-on", || GramerConfig {
-            repin: true,
-            ..constrained(true)
-        }),
-    ];
-
-    let mut sweep = Sweep::new("ablation");
-    for (label, cfg) in configs {
-        sweep.point(d.name(), &app, label, move || h.point(d, variant, cfg()));
+/// The grid: every study's point on P2P 4-CF, plus the analytic
+/// compaction point.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let d = DATASET;
+    let app = VARIANT.name(d, h.scale);
+    let mut sweep = h.sweep("ablation");
+    for (label, cfg) in STUDIES {
+        sweep.point(d.name(), &app, label, move || h.point(d, VARIANT, cfg()));
     }
     sweep.point(d.name(), &app, "compaction", || {
         let cfg = GramerConfig::default();
@@ -113,11 +115,26 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
                 clock_rate_mhz(&cfg, AncestorMode::BufferedCompacted, false),
             )
     });
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints each study's comparison.
+pub fn table(result: &SweepResult) {
+    let d = DATASET;
+    let app = VARIANT.name(d, result.scale);
     println!("Ablations on {} ({app})\n", d.name());
     let record = |config: &str| result.find(d.name(), &app, config);
     let cycles = |config: &str| record(config).and_then(PointRecord::cycles);
+    let report = |config: &str, path: &str| record(config)?.report_value(path);
+    let hit = |config: &str| {
+        let ratio = report(config, "hit_ratio").and_then(JsonValue::as_f64);
+        100.0 * ratio.unwrap_or(0.0)
+    };
+    let count = |config: &str, path: &str| {
+        report(config, path)
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+    };
 
     println!("1. vertex/edge bank isolation (dual ports) vs shared single port");
     rule(66);
@@ -157,84 +174,67 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
 
     println!("4. next-line edge prefetch (10% on-chip)");
     rule(66);
-    if let (Some(with_pf), Some(without_pf)) = (
-        record("prefetch-on").and_then(PointRecord::report),
-        record("prefetch-off").and_then(PointRecord::report),
-    ) {
+    if let (Some(with_pf), Some(without_pf)) = (cycles("prefetch-on"), cycles("prefetch-off")) {
         println!(
             "prefetch on: {:>10} cycles (hit {:.2}%) | off: {:>10} cycles (hit {:.2}%) | gain {:.2}x\n",
-            with_pf.cycles,
-            100.0 * with_pf.hit_ratio(),
-            without_pf.cycles,
-            100.0 * without_pf.hit_ratio(),
-            without_pf.cycles as f64 / with_pf.cycles as f64
+            with_pf,
+            hit("prefetch-on"),
+            without_pf,
+            hit("prefetch-off"),
+            without_pf as f64 / with_pf as f64
         );
     }
 
     println!("5. locality-preserved replacement vs LRU (10% on-chip)");
     rule(66);
-    if let (Some(lamh), Some(static_lru)) = (
-        record("lamh").and_then(PointRecord::report),
-        record("static-lru").and_then(PointRecord::report),
-    ) {
+    if let (Some(lamh), Some(static_lru)) = (cycles("lamh"), cycles("static-lru")) {
         println!(
             "LAMH: {:>10} cycles (hit {:.2}%) | Static+LRU: {:>10} cycles (hit {:.2}%) | gain {:.2}x",
-            lamh.cycles,
-            100.0 * lamh.hit_ratio(),
-            static_lru.cycles,
-            100.0 * static_lru.hit_ratio(),
-            static_lru.cycles as f64 / lamh.cycles as f64
+            lamh,
+            hit("lamh"),
+            static_lru,
+            hit("static-lru"),
+            static_lru as f64 / lamh as f64
         );
     }
 
     println!("\n6. recurrent-pattern pair memo (DESIGN.md \u{a7}10)");
     rule(66);
-    if let (Some(base), Some(memo)) = (
-        record("default").and_then(PointRecord::report),
-        record("memo-on").and_then(PointRecord::report),
-    ) {
-        let hits = memo.memo.map_or(0, |s| s.hits);
+    if let (Some(base), Some(memo)) = (cycles("default"), cycles("memo-on")) {
         println!(
             "memo off: {:>10} cycles | on: {:>10} cycles ({} hits) | gain {:.2}x\n",
-            base.cycles,
-            memo.cycles,
-            hits,
-            base.cycles as f64 / memo.cycles as f64
+            base,
+            memo,
+            count("memo-on", "memo.hits"),
+            base as f64 / memo as f64
         );
     }
 
     println!("7. \u{3bb} autotuning over LAMH (10% on-chip)");
     rule(66);
-    if let (Some(fixed), Some(adaptive)) = (
-        record("lamh").and_then(PointRecord::report),
-        record("adaptive-lambda").and_then(PointRecord::report),
-    ) {
+    if let (Some(fixed), Some(adaptive)) = (cycles("lamh"), cycles("adaptive-lambda")) {
         println!(
             "fixed \u{3bb}: {:>10} cycles (hit {:.2}%) | adaptive: {:>10} cycles (hit {:.2}%, {} retunes) | gain {:.2}x\n",
-            fixed.cycles,
-            100.0 * fixed.hit_ratio(),
-            adaptive.cycles,
-            100.0 * adaptive.hit_ratio(),
-            adaptive.lambda_retunes.unwrap_or(0),
-            fixed.cycles as f64 / adaptive.cycles as f64
+            fixed,
+            hit("lamh"),
+            adaptive,
+            hit("adaptive-lambda"),
+            count("adaptive-lambda", "lambda_retunes"),
+            fixed as f64 / adaptive as f64
         );
     }
 
     println!("8. runtime scratchpad re-pinning (10% on-chip)");
     rule(66);
-    if let (Some(pinned), Some(repin)) = (
-        record("repin-off").and_then(PointRecord::report),
-        record("repin-on").and_then(PointRecord::report),
-    ) {
+    if let (Some(pinned), Some(repin)) = (cycles("repin-off"), cycles("repin-on")) {
         println!(
             "static pins: {:>10} cycles (hit {:.2}%) | re-pinned: {:>10} cycles (hit {:.2}%, {} epochs) | gain {:.2}x",
-            pinned.cycles,
-            100.0 * pinned.hit_ratio(),
-            repin.cycles,
-            100.0 * repin.hit_ratio(),
-            repin.pin_epochs.unwrap_or(0),
-            pinned.cycles as f64 / repin.cycles as f64
+            pinned,
+            hit("repin-off"),
+            repin,
+            hit("repin-on"),
+            count("repin-on", "pin_epochs"),
+            pinned as f64 / repin as f64
         );
     }
-    gramer_bench::finish(&result)
 }

@@ -7,12 +7,14 @@
 //! 5.79–678.3× vs RStream, and preprocessing overheads up to 55% of
 //! execution on tiny graphs but < 3% on medium ones.
 
+use crate::{rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepResult};
 use gramer::GramerConfig;
 use gramer_baselines::{FractalModel, RstreamModel, RstreamOutcome};
-use gramer_bench::{rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_memsim::EnergyModel;
-use std::process::ExitCode;
+
+/// The paper's Fig. 11(b) uses 5-CF.
+const VARIANT: AppVariant = AppVariant::Cf(5);
 
 fn datasets(scale: Scale) -> impl Iterator<Item = Dataset> {
     Dataset::ALL.into_iter().filter(move |d| {
@@ -21,17 +23,15 @@ fn datasets(scale: Scale) -> impl Iterator<Item = Dataset> {
     })
 }
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
-    let variant = AppVariant::Cf(5); // the paper's Fig. 11(b) uses 5-CF
+/// The grid: 5-CF on every graph of the scale.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
     let scale = h.scale;
-
-    let mut sweep = Sweep::new("fig11");
+    let mut sweep = h.sweep("fig11");
     for d in datasets(scale) {
-        sweep.point(d.name(), &variant.name(d, scale), "default", move || {
+        sweep.point(d.name(), &VARIANT.name(d, scale), "default", move || {
             let energy = EnergyModel::default();
             let g = h.analog(d);
-            let app = variant.spec(d, scale);
+            let app = VARIANT.spec(d, scale);
             let run = h.run_gramer(g, &app, GramerConfig::default())?;
             let profile = gramer_baselines::profile_on_cpu(g, &app.ecm());
             let report = &run.report;
@@ -53,8 +53,12 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             Ok::<_, gramer::SimError>(out)
         });
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints each graph's energy and time ratios against GRAMER.
+pub fn table(result: &SweepResult) {
+    let scale = result.scale;
     println!("Figure 11 — energy and total time, normalised to GRAMER (5-CF)");
     println!("(paper: energy savings 9.4-129.7x vs Fractal, 5.79-678.3x vs RStream;");
     println!(" preprocessing <=55% of exec on tiny graphs, <3% on medium)\n");
@@ -64,7 +68,7 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     );
     rule(80);
     for d in datasets(scale) {
-        let Some(r) = result.find(d.name(), &variant.name(d, scale), "default") else {
+        let Some(r) = result.find(d.name(), &VARIANT.name(d, scale), "default") else {
             continue;
         };
         let norm = |key: &str| match r.metric_f64(key) {
@@ -81,5 +85,4 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             r.metric_f64("preprocess_pct").unwrap_or(0.0)
         );
     }
-    gramer_bench::finish(&result)
 }

@@ -6,12 +6,13 @@
 //! and 1.32–1.90× from work stealing with Mico (the most skewed graph)
 //! benefiting most.
 
+use crate::{rule, AppVariant, Harness, PointRecord, Scale, Sweep, SweepResult};
 use gramer::GramerConfig;
-use gramer_bench::{rule, AppVariant, Harness, PointRecord, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
-use std::process::ExitCode;
 
 const SLOTS: [usize; 5] = [1, 2, 4, 8, 16];
+/// The paper sweeps 5-CF.
+const VARIANT: AppVariant = AppVariant::Cf(5);
 
 fn graphs(scale: Scale) -> &'static [Dataset] {
     match scale {
@@ -20,12 +21,10 @@ fn graphs(scale: Scale) -> &'static [Dataset] {
     }
 }
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
-    let variant = AppVariant::Cf(5); // the paper sweeps 5-CF
-    let app = |d: Dataset| variant.name(d, h.scale);
-
-    let mut sweep = Sweep::new("fig13");
+/// The grid: every slot count, and stealing off and on, per graph.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let app = |d: Dataset| VARIANT.name(d, h.scale);
+    let mut sweep = h.sweep("fig13");
     for &d in graphs(h.scale) {
         for slots in SLOTS {
             sweep.point(d.name(), &app(d), &format!("slots-{slots}"), move || {
@@ -33,7 +32,7 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
                     slots_per_pu: slots,
                     ..GramerConfig::default()
                 };
-                h.point(d, variant, cfg)
+                h.point(d, VARIANT, cfg)
             });
         }
         for (label, stealing) in [("steal-off", false), ("steal-on", true)] {
@@ -42,12 +41,21 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
                     work_stealing: stealing,
                     ..GramerConfig::default()
                 };
-                h.point(d, variant, cfg)
+                h.point(d, VARIANT, cfg)
             });
         }
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints the speedup over 1 slot and the work-stealing speedup.
+pub fn table(result: &SweepResult) {
+    let scale = result.scale;
+    let cycles = |d: Dataset, config: &str| {
+        result
+            .find(d.name(), &VARIANT.name(d, scale), config)
+            .and_then(PointRecord::cycles)
+    };
     println!("Figure 13(a) — performance vs pipeline slots (normalised to 1 slot, 5-CF)");
     println!("(paper: near-linear to 8 slots except Citeseer, flattening 8->16)\n");
     print!("{:<10}", "Graph");
@@ -56,18 +64,13 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     }
     println!();
     rule(55);
-    for &d in graphs(h.scale) {
-        let cycles = |config: &str| {
-            result
-                .find(d.name(), &app(d), config)
-                .and_then(PointRecord::cycles)
-        };
-        let Some(base) = cycles("slots-1") else {
+    for &d in graphs(scale) {
+        let Some(base) = cycles(d, "slots-1") else {
             continue;
         };
         print!("{:<10}", d.name());
         for slots in SLOTS {
-            match cycles(&format!("slots-{slots}")) {
+            match cycles(d, &format!("slots-{slots}")) {
                 Some(c) => print!("{:>8.2}x", base as f64 / c as f64),
                 None => print!("{:>9}", "-"),
             }
@@ -82,13 +85,8 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
         "Graph", "w/o steal", "w/ steal", "Speedup"
     );
     rule(46);
-    for &d in graphs(h.scale) {
-        let cycles = |config: &str| {
-            result
-                .find(d.name(), &app(d), config)
-                .and_then(PointRecord::cycles)
-        };
-        let (Some(without), Some(with)) = (cycles("steal-off"), cycles("steal-on")) else {
+    for &d in graphs(scale) {
+        let (Some(without), Some(with)) = (cycles(d, "steal-off"), cycles(d, "steal-on")) else {
             continue;
         };
         println!(
@@ -99,5 +97,4 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             without as f64 / with as f64
         );
     }
-    gramer_bench::finish(&result)
 }

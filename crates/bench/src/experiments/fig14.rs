@@ -5,10 +5,9 @@
 //! (τ = 50%); λ barely matters (0.91–1.07× across 0.5–8), because data
 //! that is cold globally but briefly hot contributes little traffic.
 
+use crate::{rule, AppVariant, Harness, PointRecord, Scale, Sweep, SweepResult};
 use gramer::{GramerConfig, MemoryBudget};
-use gramer_bench::{rule, AppVariant, Harness, PointRecord, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
-use std::process::ExitCode;
 
 // τ sweep on the small/medium graphs (the paper excludes the large ones
 // for BRAM-capacity reasons; we do the same).
@@ -20,6 +19,7 @@ const TAU_GRAPHS: [Dataset; 4] = [
 ];
 const TAUS: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
 const LAMBDAS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
+const VARIANT: AppVariant = AppVariant::Cf(5);
 
 fn tau_label(t: f64) -> String {
     format!("tau-{:.0}%", 100.0 * t)
@@ -36,12 +36,11 @@ fn lambda_graphs(scale: Scale) -> &'static [Dataset] {
     }
 }
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
-    let variant = AppVariant::Cf(5);
-    let app = |d: Dataset| variant.name(d, h.scale);
-
-    let mut sweep = Sweep::new("fig14");
+/// The grid: every τ on the small and medium graphs, and every λ at a
+/// 10% budget on the scale's λ graphs.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let app = |d: Dataset| VARIANT.name(d, h.scale);
+    let mut sweep = h.sweep("fig14");
     for d in TAU_GRAPHS {
         for t in TAUS {
             sweep.point(d.name(), &app(d), &tau_label(t), move || {
@@ -49,7 +48,7 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
                     tau: Some(t),
                     ..GramerConfig::default()
                 };
-                h.point(d, variant, cfg)
+                h.point(d, VARIANT, cfg)
             });
         }
     }
@@ -61,12 +60,21 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
                     lambda: l,
                     ..GramerConfig::default()
                 };
-                h.point(d, variant, cfg)
+                h.point(d, VARIANT, cfg)
             });
         }
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints performance against τ and against λ, each normalised.
+pub fn table(result: &SweepResult) {
+    let scale = result.scale;
+    let cycles = |d: Dataset, config: &str| {
+        result
+            .find(d.name(), &VARIANT.name(d, scale), config)
+            .and_then(PointRecord::cycles)
+    };
     println!("Figure 14(a) — performance vs tau, normalised to tau=50% (5-CF)");
     println!("(paper: tau=5% reaches 71.7-91.6% of the ideal)\n");
     print!("{:<10}", "Graph");
@@ -76,18 +84,13 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     println!();
     rule(58);
     for d in TAU_GRAPHS {
-        let cycles = |config: &str| {
-            result
-                .find(d.name(), &app(d), config)
-                .and_then(PointRecord::cycles)
-        };
         // Normalise to the ideal: everything on-chip.
-        let Some(ideal) = cycles(&tau_label(0.50)) else {
+        let Some(ideal) = cycles(d, &tau_label(0.50)) else {
             continue;
         };
         print!("{:<10}", d.name());
         for t in TAUS {
-            match cycles(&tau_label(t)) {
+            match cycles(d, &tau_label(t)) {
                 Some(c) => print!("{:>8.3}", ideal as f64 / c as f64),
                 None => print!("{:>8}", "-"),
             }
@@ -103,23 +106,17 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     }
     println!();
     rule(50);
-    for &d in lambda_graphs(h.scale) {
-        let cycles = |config: &str| {
-            result
-                .find(d.name(), &app(d), config)
-                .and_then(PointRecord::cycles)
-        };
-        let Some(base) = cycles(&lambda_label(1.0)) else {
+    for &d in lambda_graphs(scale) {
+        let Some(base) = cycles(d, &lambda_label(1.0)) else {
             continue;
         };
         print!("{:<10}", d.name());
         for l in LAMBDAS {
-            match cycles(&lambda_label(l)) {
+            match cycles(d, &lambda_label(l)) {
                 Some(c) => print!("{:>8.3}", base as f64 / c as f64),
                 None => print!("{:>8}", "-"),
             }
         }
         println!();
     }
-    gramer_bench::finish(&result)
 }

@@ -11,11 +11,10 @@
 //! Paper's headline: small graphs (Citeseer) stall ~30%, growing to 67.9%
 //! (Patents) as graphs outgrow the caches.
 
+use crate::{divisor, rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepResult};
 use gramer_baselines::profile_on_cpu_with;
-use gramer_bench::{divisor, rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_memsim::CpuCacheConfig;
-use std::process::ExitCode;
 
 /// Compute cycles per extension candidate of a tight native mining loop.
 const COMPUTE_CYCLES_PER_ITEM: f64 = 25.0;
@@ -37,10 +36,10 @@ fn datasets() -> impl Iterator<Item = Dataset> {
 
 const VARIANTS: [AppVariant; 3] = [AppVariant::Cf(4), AppVariant::Fsm, AppVariant::Mc(3)];
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
+/// The grid: every application on every traceable graph and Patents.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
     let scale = h.scale;
-    let mut sweep = Sweep::new("fig3");
+    let mut sweep = h.sweep("fig3");
     for d in datasets() {
         for variant in VARIANTS {
             sweep.point(
@@ -63,8 +62,12 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             );
         }
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints the stall breakdown of every point.
+pub fn table(result: &SweepResult) {
+    let scale = result.scale;
     println!("Figure 3 — performance breakdown on the modeled CPU (%)");
     println!("(paper: stalls grow from ~30% on cache-resident Citeseer to 67.9% on Patents)\n");
     println!(
@@ -100,5 +103,4 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             .map(|d| (d.name(), divisor(d, scale)))
             .collect::<Vec<_>>()
     );
-    gramer_bench::finish(&result)
 }

@@ -6,14 +6,13 @@
 //! and reaches 94.57% (Mico) by iteration 4; edges start at 5% (each edge
 //! touched once for 2-vertex embeddings) and climb to ~88%.
 
+use crate::{rule, Harness, PointOutput, Scale, Sweep, SweepResult};
 use gramer::json::JsonValue;
-use gramer_bench::{rule, Harness, PointOutput, Scale, Sweep, SweepArgs};
 use gramer_graph::datasets::Dataset;
 use gramer_graph::VertexId;
 use gramer_memsim::trace::IterationTrace;
 use gramer_mining::apps::MotifCounting;
 use gramer_mining::{AccessObserver, DfsEnumerator};
-use std::process::ExitCode;
 
 /// Traces accesses into one counter pair per iteration (the iteration of
 /// an access = the size of the embedding being extended).
@@ -52,9 +51,9 @@ fn iteration_cap(d: Dataset, scale: Scale) -> usize {
     }
 }
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
-    let mut sweep = Sweep::new("fig5");
+/// The grid: one traced MC run per traceable graph.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let mut sweep = h.sweep("fig5");
     for d in Dataset::TRACEABLE {
         sweep.point(d.name(), "MC", "trace", move || {
             let g = h.analog(d);
@@ -76,8 +75,11 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             PointOutput::new().metric("iterations", iters)
         });
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints each graph's top-5% shares per iteration.
+pub fn table(result: &SweepResult) {
     println!("Figure 5 — share of accesses to the top-5% data per MC iteration");
     println!("(paper: vertices 29.9% -> 94.6%, edges 5% -> 87.8% as iterations deepen)\n");
     println!(
@@ -105,5 +107,4 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
         }
         rule(52);
     }
-    gramer_bench::finish(&result)
 }

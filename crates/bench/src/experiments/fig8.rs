@@ -7,17 +7,17 @@
 //! the paper reports k = 3 blowing up by up to 8500× while k = 1 stays
 //! cheap.
 
-use gramer_bench::{rule, Harness, PointOutput, Sweep, SweepArgs};
+use crate::{rule, Harness, PointOutput, Sweep, SweepResult};
 use gramer_graph::datasets::Dataset;
 use gramer_graph::{on1, VertexId};
 use gramer_memsim::trace::AccessCounter;
 use gramer_mining::apps::MotifCounting;
 use gramer_mining::{AccessObserver, DfsEnumerator};
-use std::process::ExitCode;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 const MAX_SIZE: usize = 4;
+const DATASET: Dataset = Dataset::P2p;
 
 struct VertexTracePerIter {
     counters: Vec<AccessCounter>,
@@ -55,14 +55,13 @@ fn trace(g: &gramer_graph::CsrGraph) -> Trace {
     }
 }
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
-    let d = Dataset::P2p;
-    let shared: OnceLock<Trace> = OnceLock::new();
-
-    let mut sweep = Sweep::new("fig8");
+/// The grid: one point per ON_k radius, all sharing one trace of P2P.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let d = DATASET;
+    let shared: Arc<OnceLock<Trace>> = Arc::default();
+    let mut sweep = h.sweep("fig8");
     for k in 0..=3usize {
-        let shared = &shared;
+        let shared = Arc::clone(&shared);
         sweep.point(d.name(), "MC", &format!("{k}-hop"), move || {
             let g = h.analog(d);
             let t = shared.get_or_init(|| trace(g));
@@ -84,8 +83,12 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             out
         });
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints each radius's accuracy per iteration and its overhead.
+pub fn table(result: &SweepResult) {
+    let d = DATASET;
     println!("Figure 8 — ON_k heuristic on {} (MC)", d.name());
     println!("(paper: 1-hop ON is >80% accurate at negligible cost; 3-hop costs up to 8500x)\n");
 
@@ -126,5 +129,4 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
     if let (Some(h1), Some(h3)) = (secs(1), secs(3)) {
         println!("\n1-hop vs 3-hop cost ratio: {:.0}x", h3 / h1.max(1e-9));
     }
-    gramer_bench::finish(&result)
 }

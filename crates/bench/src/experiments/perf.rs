@@ -28,8 +28,8 @@
 //! may be at most `--threshold` percent (default 10) below the
 //! baseline's. Exits non-zero on any violation.
 
+use crate::{perf, sweep::peak_rss_kb};
 use gramer::{preprocess, AppSpec, GramerConfig, MemoMode, RunReport};
-use gramer_bench::{perf, sweep::peak_rss_kb};
 use gramer_graph::{generate, CsrGraph};
 use std::process::ExitCode;
 use std::time::Instant;

@@ -5,16 +5,16 @@
 //! DESIGN.md). The models are calibrated once against the CF column; the
 //! FSM/MC differences follow from their pattern-tracking state.
 
+use crate::{rule, Harness, PointOutput, Sweep, SweepResult};
 use gramer::pipeline::{clock_rate_mhz, AncestorMode};
 use gramer::{area, GramerConfig, MemoryBudget};
-use gramer_bench::{rule, Harness, PointOutput, Sweep, SweepArgs};
-use std::process::ExitCode;
 
 const APPS: [(&str, bool); 3] = [("CF", false), ("FSM", true), ("MC", true)];
 
-/// Runs the sweep (analytic: it borrows nothing from the harness).
-pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
-    let mut sweep = Sweep::new("table2");
+/// The grid: one analytic point per application (the points borrow
+/// nothing from the harness).
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let mut sweep = h.sweep("table2");
     for (app, patterns) in APPS {
         sweep.point("XCU250", app, "analytic", move || {
             let cfg = GramerConfig::default();
@@ -33,8 +33,11 @@ pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
                 )
         });
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints the modeled resources and clock rate per application.
+pub fn table(result: &SweepResult) {
     println!("Table II — resource utilisation and clock rate (modeled XCU250)");
     println!("(paper: LUT ~25.4-25.5%, Register ~13.1%, BRAM ~65.7%, 207-213 MHz)\n");
     println!("{:<12} {:>10} {:>10} {:>10}", "", "CF", "FSM", "MC");
@@ -63,5 +66,4 @@ pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
         }
     }
     println!();
-    gramer_bench::finish(&result)
 }

@@ -12,18 +12,15 @@
 //! Heavy cells can exceed a software simulator's budget; pass `--quick`
 //! to shrink the graphs 4×.
 
+use crate::{divisor, fmt_secs, rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepResult};
 use gramer::GramerConfig;
 use gramer_baselines::{FractalModel, RstreamModel, RstreamOutcome};
-use gramer_bench::{
-    divisor, fmt_secs, rule, AppVariant, Harness, PointOutput, Scale, Sweep, SweepArgs,
-};
 use gramer_graph::datasets::Dataset;
-use std::process::ExitCode;
 
-/// Runs the sweep.
-pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
+/// The grid: every Table III application on every graph it fits.
+pub fn sweep(h: &Harness) -> Sweep<'_> {
     let scale = h.scale;
-    let mut sweep = Sweep::new("table3");
+    let mut sweep = h.sweep("table3");
     for variant in AppVariant::TABLE3 {
         for d in Dataset::ALL {
             // The paper itself omits the heaviest cells ('-'); we skip the
@@ -56,8 +53,12 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             );
         }
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints GRAMER's and the baselines' seconds and their ratios.
+pub fn table(result: &SweepResult) {
+    let scale = result.scale;
     println!("Table III — running time (seconds), scaled analogs");
     println!("(paper ratios: Fractal/GRAMER 1.8-24.9x, RStream/GRAMER 1.11-129.95x)\n");
     println!(
@@ -104,7 +105,6 @@ pub fn run(args: &SweepArgs, h: &Harness) -> ExitCode {
             .map(|&d| (d.name(), divisor(d, scale)))
             .collect::<Vec<_>>()
     );
-    gramer_bench::finish(&result)
 }
 
 /// Cells whose scaled analogs still exceed a software-simulation budget.

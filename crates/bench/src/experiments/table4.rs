@@ -5,10 +5,9 @@
 //! buffering beats flowing state, compaction beats wide buffer words —
 //! emerges from the model, not from per-row constants.
 
+use crate::{rule, Harness, PointOutput, Sweep, SweepResult};
 use gramer::pipeline::{clock_rate_mhz, AncestorMode};
 use gramer::GramerConfig;
-use gramer_bench::{rule, Harness, PointOutput, Sweep, SweepArgs};
-use std::process::ExitCode;
 
 const MODES: [(&str, AncestorMode); 3] = [
     ("w/o AB", AncestorMode::Flowing),
@@ -16,9 +15,10 @@ const MODES: [(&str, AncestorMode); 3] = [
     ("w/ AB + Compaction", AncestorMode::BufferedCompacted),
 ];
 
-/// Runs the sweep (analytic: it borrows nothing from the harness).
-pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
-    let mut sweep = Sweep::new("table4");
+/// The grid: one analytic point per ancestor mode (the points borrow
+/// nothing from the harness).
+pub fn sweep(h: &Harness) -> Sweep<'_> {
+    let mut sweep = h.sweep("table4");
     for (label, mode) in MODES {
         sweep.point("pipeline", "clock-model", label, move || {
             let cfg = GramerConfig::default();
@@ -27,8 +27,11 @@ pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
                 .metric("pattern_mhz", clock_rate_mhz(&cfg, mode, true))
         });
     }
-    let result = sweep.execute(args);
+    sweep
+}
 
+/// Prints the modeled clock rate per ancestor mode.
+pub fn table(result: &SweepResult) {
     println!("Table IV — clock rate of GRAMER pipeline variants (modeled)");
     println!("(paper: w/o AB 78-80 MHz, w/ AB 96-97 MHz, w/ AB+Compaction 207-213 MHz)\n");
     println!("{:<22} {:>8} {:>8} {:>8}", "", "CF", "FSM", "MC");
@@ -62,5 +65,4 @@ pub fn run(args: &SweepArgs, _: &Harness) -> ExitCode {
             100.0 * (comp / ab - 1.0)
         );
     }
-    gramer_bench::finish(&result)
 }

@@ -2,17 +2,21 @@
 //! paper's evaluation (§VI).
 //!
 //! One binary, `gramer-bench <name> [options]`, runs each experiment.
-//! Every sweep declares its grid of `(dataset, app, config)` points as a
-//! [`Sweep`] and hands it to the parallel, fault-tolerant sweep runner
-//! (see [`sweep`]). Every sweep therefore understands the same options
-//! ([`SWEEP_USAGE`]: `--jobs N`, `--json PATH`, `--filter SUBSTR`,
+//! Every sweep is a module of [`experiments`] with two functions: a grid,
+//! `sweep(&Harness) -> Sweep`, that declares its `(dataset, app, config)`
+//! points, and a table over the finished [`SweepResult`], which reads
+//! only the records. One driver, [`experiments::run`], parses the shared
+//! options ([`SWEEP_USAGE`]: `--jobs N`, `--json PATH`, `--filter SUBSTR`,
 //! `--list`, `--resume`, `--point-timeout SECS`, `--journal PATH`,
-//! `--quick`, ...) and writes a structured JSON artifact to
-//! `results/BENCH_<name>.json` alongside its stdout table. Its points
-//! borrow one [`Harness`] built from those options, and every simulating
-//! point runs through [`Harness::run_gramer`].
-//! Failing points are quarantined into structured records instead of
-//! aborting the sweep; see `EXPERIMENTS.md` for the failure semantics.
+//! `--quick`, ...), runs the grid on the parallel, fault-tolerant sweep
+//! runner (see [`sweep`]), writes the structured JSON artifact to
+//! `results/BENCH_<name>.json` and prints the table. A point holds its
+//! report as JSON only, so a sweep resumed from its journal prints and
+//! writes what an uninterrupted one does. The points borrow one
+//! [`Harness`] built from the options, and every simulating point runs
+//! through [`Harness::run_gramer`]. Failing points are quarantined into
+//! structured records instead of aborting the sweep; see
+//! `EXPERIMENTS.md` for the failure semantics.
 //!
 //! | name | artifact |
 //! |---|---|
@@ -38,7 +42,7 @@
 //! # Example
 //!
 //! A minimal two-point sweep (experiments declare real simulation points
-//! the same way and call [`Sweep::execute`] instead of [`Sweep::run`]):
+//! the same way; [`experiments::run`] runs them with [`Sweep::run_with`]):
 //!
 //! ```
 //! use gramer_bench::{PointOutput, Sweep};
@@ -70,6 +74,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
+pub mod experiments;
 pub mod perf;
 pub mod sweep;
 
@@ -209,6 +214,14 @@ impl Harness {
             artifact_cache,
             analogs: Dataset::ALL.map(|d| (d, OnceLock::new())),
         }
+    }
+
+    /// An empty sweep named `name` at this harness's scale, whose points
+    /// may borrow the harness.
+    pub fn sweep(&self, name: &str) -> Sweep<'_> {
+        let mut sweep = Sweep::new(name);
+        sweep.scale = self.scale;
+        sweep
     }
 
     /// The analog of `d` at this harness's scale, generated on first use
@@ -352,24 +365,6 @@ impl Default for SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses the options that follow sweep `name` on the command line,
-    /// printing usage and exiting on `--help` or on a malformed command
-    /// line.
-    pub fn parse(name: &str, args: &[String]) -> SweepArgs {
-        let usage = format!("usage: gramer-bench {name} [options]\n\n{SWEEP_USAGE}");
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{usage}");
-            std::process::exit(0);
-        }
-        match SweepArgs::try_parse(args) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Parses an argument list (`--opt value` and `--opt=value` forms).
     pub fn try_parse<S: AsRef<str>>(args: &[S]) -> Result<SweepArgs, String> {
         let mut parsed = SweepArgs::default();
@@ -428,49 +423,13 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Standard epilogue for the sweeps: prints a summary of any
-/// failed or timed-out points to stderr and converts the sweep's failure
-/// semantics into the process exit code (non-zero only when every point
-/// of some `(dataset, app)` group failed). Use as the last line of a
-/// sweep's entry function.
-pub fn finish(result: &SweepResult) -> std::process::ExitCode {
-    let failures: Vec<&PointRecord> = result.failures().collect();
-    if !failures.is_empty() {
-        eprintln!(
-            "[{}] {} point(s) did not complete:",
-            result.name,
-            failures.len()
-        );
-        for f in &failures {
-            let detail = f
-                .error
-                .as_ref()
-                .map(|e| format!("{}: {}", e.kind, e.message))
-                .unwrap_or_default();
-            eprintln!(
-                "[{}]   {} ({}) {detail}",
-                result.name,
-                f.id(),
-                f.status.as_str(),
-            );
-        }
-    }
-    for (dataset, app) in result.failed_groups() {
-        eprintln!(
-            "[{}] group {dataset}/{app} has no completed point",
-            result.name
-        );
-    }
-    std::process::ExitCode::from(result.exit_code())
-}
-
 /// Prints a separator line sized to `width`.
-pub fn rule(width: usize) {
+pub(crate) fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
 /// Formats seconds with sensible precision across the table's range.
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s < 0.01 {
         format!("{s:.4}")
     } else if s < 1.0 {

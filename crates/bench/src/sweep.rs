@@ -3,8 +3,8 @@
 //! stable JSON artifact.
 //!
 //! Every `gramer-bench` sweep (`fig*`, `table*`, `ablation`) declares its
-//! grid of `(dataset, app, config)` points as a [`Sweep`], then calls
-//! [`Sweep::execute`]. The runner:
+//! grid of `(dataset, app, config)` points as a [`Sweep`], which
+//! [`crate::experiments::run`] hands to [`Sweep::run_with`]. The runner:
 //!
 //! 1. applies the `--filter` substring to the `dataset/app/config` ids;
 //! 2. executes the remaining points through [`gramer::shard::run_cells`]
@@ -24,42 +24,42 @@
 //!    in `results/.journal/<sweep>.jsonl`, a
 //!    [`gramer::supervise::Journal`] as the `gramer-serve` daemon's is,
 //!    so `--resume` can replay completed points after a crash or
-//!    SIGKILL and still emit byte-identical `points` data;
+//!    SIGKILL. A point holds its report as JSON only, so a replayed
+//!    record is the record a fresh run makes;
 //! 6. re-assembles results in **declaration order** regardless of
 //!    completion order, making the JSON point data byte-identical across
 //!    `--jobs` settings;
 //! 7. logs per-point progress to stderr (stdout stays clean for tables);
-//! 8. writes `results/BENCH_<name>.json` (override with `--json PATH`):
-//!    deterministic point data + a merged summary, with volatile
-//!    host-side timing and peak-RSS metadata quarantined under `"host"`.
+//! 8. serializes the deterministic point data, with volatile host-side
+//!    timing and peak-RSS metadata quarantined under `"host"`
+//!    ([`SweepResult::write_json`]).
 //!
 //! The schema is hand-rolled on [`gramer::json::JsonValue`] and versioned
 //! via `schema_version`; see `EXPERIMENTS.md` for the layout and the
 //! failure semantics (statuses, exit codes, journal format).
 
-use crate::{GramerRun, Scale, SweepArgs};
+use crate::{GramerRun, Scale};
 use gramer::json::JsonValue;
 use gramer::progress::{self, ProgressToken};
-use gramer::{shard, supervise, ReportSummary, RunReport, SimError};
+use gramer::{shard, supervise, SimError};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// What one sweep point produces: an optional full simulator report plus
+/// What one sweep point produces: the simulator report as JSON plus
 /// named scalar/structured metrics for the sweep's table and the JSON
 /// file.
 #[derive(Debug, Default)]
 pub struct PointOutput {
-    /// Full simulator report, when the point ran the GRAMER simulator.
-    pub report: Option<RunReport>,
+    /// The simulator report's JSON ([`gramer::RunReport::to_json_value`]),
+    /// `null` when the point ran no GRAMER simulation. A fresh point and
+    /// one replayed from the journal hold the same value.
+    pub report: JsonValue,
     /// Named metrics in insertion order (serialized as a JSON object).
     pub metrics: Vec<(String, JsonValue)>,
     /// The run's telemetry rollup, appended after every other metric
     /// under `"telemetry"` once the point completes.
     telemetry: Option<JsonValue>,
-    /// The report as raw JSON, for records replayed from a journal (the
-    /// in-memory [`RunReport`] is not reconstructible from its JSON).
-    replayed_report: Option<JsonValue>,
 }
 
 /// A GRAMER run's output: its report lands under the point's `"report"`
@@ -67,7 +67,7 @@ pub struct PointOutput {
 impl From<GramerRun> for PointOutput {
     fn from(run: GramerRun) -> Self {
         PointOutput {
-            report: Some(run.report),
+            report: run.report.to_json_value(),
             telemetry: run.telemetry,
             ..PointOutput::default()
         }
@@ -84,16 +84,6 @@ impl PointOutput {
     pub fn metric(mut self, key: &str, value: impl Into<JsonValue>) -> Self {
         self.metrics.push((key.to_string(), value.into()));
         self
-    }
-
-    /// The report as JSON: the live report when the point ran in this
-    /// process, the journaled JSON when it was replayed by `--resume`.
-    fn report_json(&self) -> JsonValue {
-        match (&self.report, &self.replayed_report) {
-            (Some(r), _) => r.to_json_value(),
-            (None, Some(j)) => j.clone(),
-            (None, None) => JsonValue::Null,
-        }
     }
 }
 
@@ -219,24 +209,17 @@ impl PointRecord {
         self.metric(key).and_then(JsonValue::as_f64)
     }
 
-    /// Simulated cycles, when the point carries a report (live or
-    /// replayed from the journal).
-    pub fn cycles(&self) -> Option<u64> {
-        match &self.output.report {
-            Some(r) => Some(r.cycles),
-            None => self
-                .output
-                .replayed_report
-                .as_ref()?
-                .get("cycles")?
-                .as_u64(),
-        }
+    /// A value of the point's report by dotted path, such as
+    /// `"mem.vertex.on_chip_ratio"`; `None` when the point carries no
+    /// report or its report lacks the key.
+    pub fn report_value(&self, path: &str) -> Option<&JsonValue> {
+        path.split('.')
+            .try_fold(&self.output.report, |value, key| value.get(key))
     }
 
-    /// The point's simulator report, when it ran in this process
-    /// (replayed records only carry the report as JSON).
-    pub fn report(&self) -> Option<&RunReport> {
-        self.output.report.as_ref()
+    /// Simulated cycles, when the point carries a report.
+    pub fn cycles(&self) -> Option<u64> {
+        self.report_value("cycles")?.as_u64()
     }
 
     /// The deterministic JSON fields of this record, in schema order —
@@ -261,13 +244,13 @@ impl PointRecord {
                 "metrics".to_string(),
                 JsonValue::Object(self.output.metrics.to_vec()),
             ),
-            ("report".to_string(), self.output.report_json()),
+            ("report".to_string(), self.output.report.clone()),
         ]
     }
 }
 
 /// Execution options for [`Sweep::run_with`] — the programmatic form of
-/// the shared CLI flags (see [`SweepArgs`]).
+/// the shared CLI flags (see [`crate::SweepArgs`]).
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Worker threads (clamped to at least 1).
@@ -280,23 +263,24 @@ pub struct SweepOptions {
     pub point_timeout: Option<Duration>,
     /// Journal path; `None` disables journaling (and `resume`).
     pub journal: Option<PathBuf>,
-    /// The scale the points were declared at, reported as
-    /// `host.quick_mode`.
-    pub scale: Scale,
 }
 
 /// A declarative set of independent simulation points.
 pub struct Sweep<'a> {
     name: String,
+    /// The scale the points are declared at ([`crate::Harness::sweep`]).
+    pub(crate) scale: Scale,
     points: Vec<SweepPoint<'a>>,
 }
 
 impl<'a> Sweep<'a> {
     /// An empty sweep named `name` (also names the JSON artifact:
-    /// `results/BENCH_<name>.json`).
+    /// `results/BENCH_<name>.json`) at [`Scale::Full`]; a harness's
+    /// sweeps come from [`crate::Harness::sweep`].
     pub fn new(name: &str) -> Self {
         Sweep {
             name: name.to_string(),
+            scale: Scale::Full,
             points: Vec::new(),
         }
     }
@@ -331,46 +315,11 @@ impl<'a> Sweep<'a> {
         self.points.is_empty()
     }
 
-    /// Runs the sweep under `args`: honours `--list` (print ids and
-    /// exit), `--filter`, `--resume`, `--point-timeout`, executes with
-    /// `--jobs` workers, journals completed points, and writes the JSON
-    /// artifact. This is the entry point the sweeps use;
-    /// pass the result to [`crate::finish`] for the failure-aware exit
-    /// code.
-    pub fn execute(self, args: &SweepArgs) -> SweepResult {
-        if args.list {
-            for p in self.filtered(args.filter.as_deref()) {
-                println!("{}", p.id());
-            }
-            std::process::exit(0);
-        }
-        let json_path = args
-            .json
-            .clone()
-            .unwrap_or_else(|| Path::new("results").join(format!("BENCH_{}.json", self.name)));
-        let journal_path = args.journal.clone().unwrap_or_else(|| {
-            Path::new("results")
-                .join(".journal")
-                .join(format!("{}.jsonl", self.name))
-        });
-        let opts = SweepOptions {
-            jobs: args.jobs,
-            filter: args.filter.clone(),
-            resume: args.resume,
-            point_timeout: args.point_timeout,
-            journal: Some(journal_path),
-            scale: args.scale,
-        };
-        let result = self.run_with(&opts);
-        match result.write_json(&json_path) {
-            Ok(()) => eprintln!("[{}] wrote {}", result.name, json_path.display()),
-            Err(e) => eprintln!(
-                "[{}] could not write {}: {e}",
-                result.name,
-                json_path.display()
-            ),
-        }
-        result
+    /// The ids of the points `filter` selects, in declaration order
+    /// (what `--list` prints).
+    pub(crate) fn ids(&self, filter: Option<&str>) -> Vec<String> {
+        let ids = self.points.iter().map(SweepPoint::id);
+        ids.filter(|id| selects(filter, id)).collect()
     }
 
     /// Pure execution with default fault-tolerance options (no journal,
@@ -384,15 +333,15 @@ impl<'a> Sweep<'a> {
         })
     }
 
-    /// Full execution under explicit [`SweepOptions`] (no JSON artifact,
-    /// no process exit).
+    /// Full execution under explicit [`SweepOptions`] (no JSON artifact).
     pub fn run_with(self, opts: &SweepOptions) -> SweepResult {
         let name = self.name;
-        let points: Vec<SweepPoint<'a>> = {
-            let filter = opts.filter.as_deref();
-            let matches = |p: &SweepPoint<'_>| filter.is_none_or(|f| p.id().contains(f));
-            self.points.into_iter().filter(|p| matches(p)).collect()
-        };
+        let filter = opts.filter.as_deref();
+        let points: Vec<SweepPoint<'a>> = self
+            .points
+            .into_iter()
+            .filter(|p| selects(filter, &p.id()))
+            .collect();
         let started = Instant::now();
 
         // The journal: replay the entries an earlier (possibly killed)
@@ -494,15 +443,14 @@ impl<'a> Sweep<'a> {
             jobs,
             records,
             wall_seconds: started.elapsed().as_secs_f64(),
-            scale: opts.scale,
+            scale: self.scale,
         }
     }
+}
 
-    fn filtered<'s>(&'s self, filter: Option<&'s str>) -> impl Iterator<Item = &'s SweepPoint<'a>> {
-        self.points
-            .iter()
-            .filter(move |p| filter.is_none_or(|f| p.id().contains(f)))
-    }
+/// Whether the `--filter` substring `filter` selects point `id`.
+fn selects(filter: Option<&str>, id: &str) -> bool {
+    filter.is_none_or(|f| id.contains(f))
 }
 
 /// The journal line for a freshly completed point: the deterministic
@@ -528,17 +476,13 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
         Some(JsonValue::Object(pairs)) => pairs.clone(),
         _ => Vec::new(),
     };
-    let replayed_report = match entry.get("report") {
-        Some(JsonValue::Null) | None => None,
-        Some(other) => Some(other.clone()),
-    };
     PointRecord {
         dataset: point.dataset.clone(),
         app: point.app.clone(),
         config: point.config.clone(),
         output: PointOutput {
             metrics,
-            replayed_report,
+            report: entry.get("report").cloned().unwrap_or_default(),
             ..PointOutput::default()
         },
         status: PointStatus::Ok,
@@ -603,7 +547,8 @@ pub struct SweepResult {
     pub records: Vec<PointRecord>,
     /// Host wall-clock seconds for the whole sweep.
     pub wall_seconds: f64,
-    /// The scale the points were declared at.
+    /// The scale the points were declared at (reported as
+    /// `host.quick_mode`); the tables read it.
     pub scale: Scale,
 }
 
@@ -660,20 +605,13 @@ impl SweepResult {
         )
     }
 
-    /// Merged [`ReportSummary`] over every point that carries a live
-    /// report (journal-replayed reports are JSON-only and not merged).
-    pub fn summary(&self) -> ReportSummary {
-        ReportSummary::merge(self.records.iter().filter_map(PointRecord::report))
-    }
-
-    /// The full JSON document (`schema_version` 3: point records carry
-    /// `status`/`error`, and no `attempts`).
+    /// The full JSON document (`schema_version` 4: the points and the
+    /// `host` block, and no `summary`).
     pub fn to_json_value(&self) -> JsonValue {
         JsonValue::object([
-            ("schema_version", JsonValue::from(3u64)),
+            ("schema_version", JsonValue::from(4u64)),
             ("sweep", JsonValue::from(self.name.as_str())),
             ("points", self.points_json()),
-            ("summary", self.summary().to_json_value()),
             (
                 "host",
                 JsonValue::object([
@@ -834,10 +772,14 @@ mod tests {
         let doc = r.to_json_value();
         assert_eq!(
             doc.get("schema_version").and_then(JsonValue::as_u64),
-            Some(3)
+            Some(4)
         );
         assert_eq!(doc.get("sweep").and_then(JsonValue::as_str), Some("doc"));
-        assert!(doc.get("summary").is_some());
+        let JsonValue::Object(pairs) = &doc else {
+            panic!("the document is an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema_version", "sweep", "points", "host"]);
         assert!(doc.get("host").and_then(|h| h.get("jobs")).is_some());
         // Parse back through the hand-rolled parser.
         let text = doc.to_string_pretty();
@@ -869,7 +811,7 @@ mod tests {
     fn empty_sweep_is_fine() {
         let r = Sweep::new("empty").run(4, None);
         assert!(r.records.is_empty());
-        assert_eq!(r.summary().runs, 0);
+        assert_eq!(r.points_json(), JsonValue::Array(Vec::new()));
         assert_eq!(r.exit_code(), 0);
     }
 
@@ -1179,26 +1121,44 @@ mod tests {
 
     #[test]
     fn replayed_report_preserves_cycles_lookup() {
+        // A fresh record and its journal replay hold the same report
+        // JSON, so every reader sees the same values; 0.1 + 0.2 has no
+        // short decimal form, so its journal line must round-trip.
         let journal = temp_path("cycles.jsonl");
-        std::fs::write(
-            &journal,
-            "{\"id\": \"d/p/c\", \"status\": \"ok\", \"attempts\": 1, \"metrics\": {}, \"report\": {\"cycles\": 777}}\n",
-        )
-        .unwrap();
-        let mut s = Sweep::new("cycles");
-        s.point("d", "p", "c", || -> PointOutput {
-            panic!("must not run — journaled")
-        });
-        let r = s.run_with(&SweepOptions {
+        let _ = std::fs::remove_file(&journal);
+        let vertex = JsonValue::object([("on_chip_ratio", JsonValue::from(0.1 + 0.2))]);
+        let report = JsonValue::object([
+            ("cycles", JsonValue::from(777u64)),
+            ("mem", JsonValue::object([("vertex", vertex)])),
+        ]);
+        let ran = AtomicU64::new(0);
+        let sweep = || {
+            let mut s = Sweep::new("cycles");
+            s.point("d", "p", "c", || {
+                ran.fetch_add(1, Ordering::Relaxed);
+                PointOutput {
+                    report: report.clone(),
+                    ..PointOutput::new()
+                }
+            });
+            s
+        };
+        let opts = |resume| SweepOptions {
             jobs: 1,
-            resume: true,
+            resume,
             journal: Some(journal.clone()),
             ..SweepOptions::default()
-        });
-        let p = &r.records[0];
-        assert!(p.is_ok());
-        assert!(p.report().is_none(), "replayed reports are JSON-only");
-        assert_eq!(p.cycles(), Some(777));
+        };
+        let fresh = sweep().run_with(&opts(false));
+        let replayed = sweep().run_with(&opts(true));
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "the journaled point re-ran");
+        for r in [&fresh.records[0], &replayed.records[0]] {
+            assert_eq!(r.output.report, report);
+            assert_eq!(r.cycles(), Some(777));
+            let ratio = r.report_value("mem.vertex.on_chip_ratio");
+            assert_eq!(ratio.and_then(JsonValue::as_f64), Some(0.1 + 0.2));
+            assert_eq!(r.report_value("mem.edge"), None);
+        }
         let _ = std::fs::remove_file(&journal);
     }
 }

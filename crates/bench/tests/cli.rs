@@ -1,6 +1,7 @@
 //! The `gramer-bench` command line: the names it dispatches on, the grid
-//! each sweep declares at both scales, and the sweep flags reaching every
-//! simulating point.
+//! each sweep declares at both scales, the sweep flags reaching every
+//! simulating point, and a resumed sweep printing and writing what an
+//! uninterrupted one does.
 
 use gramer::json::JsonValue;
 use std::path::PathBuf;
@@ -112,4 +113,57 @@ fn fig12_rmat_skew_points_honour_memo_and_metrics() {
         let telemetry = p.get("metrics").and_then(|m| m.get("telemetry"));
         assert!(telemetry.is_some(), "{config}: no telemetry rollup");
     }
+}
+
+/// The sweep document up to its `host` block: everything a run must
+/// reproduce byte for byte.
+fn document_outside_host(path: &str) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    let (deterministic, _) = text.split_once("\n  \"host\": ").expect("a host block");
+    deterministic.to_string()
+}
+
+/// `--resume` over a complete journal, and over one cut to its first 5
+/// lines, prints the same stdout and writes the same document outside
+/// `host` as an uninterrupted run.
+#[test]
+fn resumed_sweeps_print_and_write_what_a_fresh_run_does() {
+    let dir = std::env::temp_dir().join(format!("gramer-bench-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |file: String| -> String { dir.join(file).to_str().unwrap().to_string() };
+    for (name, filter) in [("ablation", None), ("fig12", Some("P2P"))] {
+        let journal = path(format!("{name}.jsonl"));
+        let part = path(format!("{name}-part.jsonl"));
+        let run = |tag: &str, journal: &str, resume: bool| {
+            let json = path(format!("{name}-{tag}.json"));
+            let mut args = vec![name, "--quick", "--jobs", "2", "--json", &json];
+            args.extend(["--journal", journal]);
+            args.extend(filter.map(|f| ["--filter", f]).into_iter().flatten());
+            if resume {
+                args.push("--resume");
+            }
+            let out = gramer_bench(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(out.status.success(), "{name} {tag}: {stderr}");
+            (out.stdout, document_outside_host(&json), stderr)
+        };
+        let (stdout, document, _) = run("fresh", &journal, false);
+        let lines = std::fs::read_to_string(&journal).unwrap();
+        let first_five: String = lines.split_inclusive('\n').take(5).collect();
+        std::fs::write(&part, first_five).unwrap();
+        let total = lines.lines().count();
+        for (tag, journal, k) in [("complete", &journal, total), ("part", &part, 5)] {
+            let (resumed_stdout, resumed_document, stderr) = run(tag, journal, true);
+            let replayed = format!("resuming: {k}/{total} points");
+            assert!(stderr.contains(&replayed), "{name} {tag}: {stderr}");
+            assert!(
+                resumed_stdout == stdout,
+                "{name} {tag}: stdout differs from the fresh run's:\n{}\n---\n{}",
+                String::from_utf8_lossy(&resumed_stdout),
+                String::from_utf8_lossy(&stdout)
+            );
+            assert_eq!(resumed_document, document, "{name} {tag}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

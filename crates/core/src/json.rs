@@ -39,9 +39,10 @@ use std::fmt;
 pub const MAX_NESTING: usize = 128;
 
 /// A JSON document node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum JsonValue {
     /// `null`.
+    #[default]
     Null,
     /// `true` / `false`.
     Bool(bool),

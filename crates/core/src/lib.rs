@@ -70,6 +70,6 @@ pub use config::{GramerConfig, MemoMode, MemoryBudget, MemoryMode, MAX_TOTAL_SLO
 pub use error::{ConfigError, SimError};
 pub use gramer_memsim::AccessPath;
 pub use preprocess::{modeled_preprocess_seconds, preprocess, Preprocessed};
-pub use report::{QueryRunStats, ReportSummary, RunReport};
+pub use report::{QueryRunStats, RunReport};
 pub use sim::Simulator;
 pub use telemetry::{NullSink, Telemetry, TelemetryConfig, TelemetrySink};

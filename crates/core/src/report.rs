@@ -240,70 +240,6 @@ fn mem_to_json(mem: &MemStats) -> JsonValue {
     ])
 }
 
-/// Aggregate view over a set of [`RunReport`]s — the `summary` block of a
-/// sweep's JSON artifact.
-///
-/// Produced by [`ReportSummary::merge`]; all counters are sums, the
-/// memory statistics are combined with [`MemStats`] addition, and the hit
-/// ratio is recomputed over the merged counters (not averaged).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReportSummary {
-    /// Number of reports merged.
-    pub runs: usize,
-    /// Summed simulated cycles.
-    pub cycles: u64,
-    /// Summed execution seconds.
-    pub seconds: f64,
-    /// Summed end-to-end seconds (execution + transfer + preprocessing).
-    pub total_seconds: f64,
-    /// Combined memory statistics.
-    pub mem: MemStats,
-    /// Summed off-chip requests.
-    pub dram_requests: u64,
-    /// Summed successful work steals.
-    pub steals: u64,
-    /// Summed accepted embeddings.
-    pub embeddings: u64,
-}
-
-impl ReportSummary {
-    /// Merges any number of reports into one summary.
-    pub fn merge<'a, I: IntoIterator<Item = &'a RunReport>>(reports: I) -> ReportSummary {
-        let mut s = ReportSummary::default();
-        for r in reports {
-            s.runs += 1;
-            s.cycles += r.cycles;
-            s.seconds += r.seconds;
-            s.total_seconds += r.total_seconds();
-            s.mem += r.mem;
-            s.dram_requests += r.dram_requests;
-            s.steals += r.steals;
-            s.embeddings += r.result.embeddings;
-        }
-        s
-    }
-
-    /// Combined on-chip hit ratio over every merged access.
-    pub fn hit_ratio(&self) -> f64 {
-        self.mem.on_chip_ratio()
-    }
-
-    /// Serializes the summary with a stable key order.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::object([
-            ("runs", JsonValue::from(self.runs)),
-            ("cycles", JsonValue::from(self.cycles)),
-            ("seconds", JsonValue::from(self.seconds)),
-            ("total_seconds", JsonValue::from(self.total_seconds)),
-            ("mem", mem_to_json(&self.mem)),
-            ("hit_ratio", JsonValue::from(self.hit_ratio())),
-            ("dram_requests", JsonValue::from(self.dram_requests)),
-            ("steals", JsonValue::from(self.steals)),
-            ("embeddings", JsonValue::from(self.embeddings)),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,32 +375,5 @@ mod tests {
         });
         let filt = filtered.energy(&EnergyModel::default());
         assert!(filt.memory_dynamic_j > base.memory_dynamic_j);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_recomputes_ratio() {
-        let a = dummy();
-        let mut b = dummy();
-        b.cycles = 1_000_000;
-        b.mem.vertex.misses = 10;
-        let s = ReportSummary::merge([&a, &b]);
-        assert_eq!(s.runs, 2);
-        assert_eq!(s.cycles, 3_000_000);
-        assert_eq!(s.embeddings, 84);
-        assert_eq!(s.steals, 6);
-        assert!((s.seconds - 0.02).abs() < 1e-12);
-        // Only b has traffic: 10 misses, 0 hits -> combined ratio 0.
-        assert_eq!(s.mem.total(), 10);
-        assert_eq!(s.hit_ratio(), 0.0);
-        let v = s.to_json_value();
-        assert_eq!(v.get("runs").and_then(JsonValue::as_u64), Some(2));
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        let s = ReportSummary::merge([]);
-        assert_eq!(s.runs, 0);
-        assert_eq!(s.cycles, 0);
-        assert_eq!(s.hit_ratio(), 1.0); // no accesses observed
     }
 }

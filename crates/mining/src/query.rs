@@ -1,4 +1,4 @@
-//! Candidate-filtered subgraph queries (ROADMAP item 1).
+//! Candidate-filtered subgraph queries.
 //!
 //! A [`QueryGraph`] is a small user-supplied labeled pattern (2..=8
 //! vertices, parsed from a text file or a compact CLI spec). Before

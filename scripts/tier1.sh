@@ -35,7 +35,8 @@
 #           then the sweep journal's crash contract: the ablation sweep,
 #           killed by kill -9 once its journal holds 3 points and re-run
 #           with --resume, must replay k of its 12 points (0 < k < 12)
-#           and emit points byte-identical to an uninterrupted run
+#           and print the stdout and write the document outside `host`
+#           byte-identical to an uninterrupted run
 #   artifact  .gra artifact round-trip on both golden workloads:
 #           gramer-artifact build/verify/inspect + gramer-mine --artifact,
 #           plus the artifact test suite (see docs/FORMAT.md), whose
@@ -159,9 +160,9 @@ stage_bench() {
         }
     done
 
-    echo "   -- ablation sweep: kill -9 partway, then --resume gives byte-identical points"
+    echo "   -- ablation sweep: kill -9 partway, then --resume gives byte-identical stdout and document"
     "$bench" ablation --jobs 1 --journal "$tmp/full.jsonl" --json "$tmp/full.json" \
-        > /dev/null 2> "$tmp/full.err"
+        > "$tmp/full.out" 2> "$tmp/full.err"
     "$bench" ablation --jobs 1 --journal "$tmp/killed.jsonl" --json "$tmp/killed.json" \
         > /dev/null 2> "$tmp/killed.err" &
     local pid=$! i
@@ -175,7 +176,7 @@ stage_bench() {
     kill -KILL "$pid" 2> /dev/null || true
     wait "$pid" 2> /dev/null || true
     "$bench" ablation --jobs 1 --resume --journal "$tmp/killed.jsonl" --json "$tmp/resumed.json" \
-        > /dev/null 2> "$tmp/resumed.err"
+        > "$tmp/resumed.out" 2> "$tmp/resumed.err"
     local k
     k="$(sed -n 's/.*resuming: \([0-9]*\)\/12 points.*/\1/p' "$tmp/resumed.err")"
     if [ -z "$k" ] || [ "$k" -le 0 ] || [ "$k" -ge 12 ]; then
@@ -183,15 +184,19 @@ stage_bench() {
         cat "$tmp/resumed.err" >&2
         exit 1
     fi
-    # The pretty-printed document holds `points` from its own line up to
-    # the `summary` line.
+    # The pretty-printed document holds everything but host timings above
+    # its `host` line.
     local part
     for part in full resumed; do
-        sed -n '/^  "points": \[/,/^  "summary": /p' "$tmp/$part.json" > "$tmp/$part.points"
+        sed '/^  "host": /,$d' "$tmp/$part.json" > "$tmp/$part.doc"
     done
-    [ -s "$tmp/full.points" ] || { echo "tier1 bench: no points in the sweep JSON" >&2; exit 1; }
-    cmp "$tmp/full.points" "$tmp/resumed.points"
-    echo "   -- resumed after $k/12 points: points byte-identical"
+    grep -q '^  "points": \[$' "$tmp/full.doc" || {
+        echo "tier1 bench: no points in the sweep JSON" >&2
+        exit 1
+    }
+    cmp "$tmp/full.doc" "$tmp/resumed.doc"
+    cmp "$tmp/full.out" "$tmp/resumed.out"
+    echo "   -- resumed after $k/12 points: stdout and the document outside host byte-identical"
 }
 
 stage_artifact() {
